@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEFAULT_EPS_SINGULAR, f_chain_at, surface_at
-from .domain import Domain
+from .chain import DEFAULT_EPS_SINGULAR, f_chain_at, f_chain_eval, surface_at
 from .errors import DomainError, SingularPointError
 from .expr import HoloExpr, differentiate, eval_env, parse_expr
 from .fd import wirtinger
@@ -82,10 +81,36 @@ class RuledParams:
 def _normal_combination(sample, w):
     """sum_j (u_j Re F_j - v_j Im F_j) over the given complex parameters,
     pairing w[j-1] with the chain vector F_j."""
-    out = np.zeros(sample.F.shape[1])
-    for j, wj in enumerate(w):
-        out += wj.real * sample.F[j].real - wj.imag * sample.F[j].imag
+    return _normal_terms(sample.F, np.array(w, dtype=complex))
+
+
+def _normal_terms(F, w):
+    """`_normal_combination` for stacks: chain vectors F (..., m, dim) and
+    parameters w (..., k), broadcast against each other."""
+    shape = np.broadcast_shapes(F.shape[:-2], w.shape[:-1]) + F.shape[-1:]
+    out = np.zeros(shape)
+    for j in range(w.shape[-1]):
+        out += (w[..., j, None].real * F[..., j, :].real
+                - w[..., j, None].imag * F[..., j, :].imag)
     return out
+
+
+def _chain_surface(chain, zs, eps_singular):
+    """One chain evaluation at the flat array zs: the batch, and per point
+    its surface vector or, at a degenerate point, the SingularPointError
+    that `surface_at` raises there."""
+    batch = f_chain_eval(chain, zs, eps_singular)
+    surface = []
+    for i in range(batch.z.size):
+        try:
+            surface.append(surface_at(batch.sample(i), eps_singular))
+        except SingularPointError as exc:
+            surface.append(exc)
+    return batch, surface
+
+
+def _errors(surface):
+    return [g if isinstance(g, SingularPointError) else None for g in surface]
 
 
 def kaehler_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
@@ -95,28 +120,47 @@ def kaehler_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
     the tangent formula of the chain, so everything comes from one chain
     sample plus symbolic partials of gamma.
     """
+    values, errors = kaehler_points(chain, params, np.array([z]), eps_singular)
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
+
+
+def kaehler_points(chain, params, zs, eps_singular=DEFAULT_EPS_SINGULAR):
+    """`kaehler_point` at a flat array of points, with one chain
+    evaluation.  Returns (values, errors): the rows of degenerate points
+    are NaN and `errors` holds their SingularPointError, None elsewhere."""
     n = chain.n
     if n < 2:
         raise ValueError("the hypersurface map requires n >= 2")
     if len(params.w) != n - 1:
         raise ValueError(f"w needs {n - 1} entries, got {len(params.w)}")
-    sample = f_chain_at(chain, z, eps_singular)
-    if sample.singular:
-        raise SingularPointError("chain degenerates", z)
-    g = surface_at(sample, eps_singular)
+    batch, surface = _chain_surface(chain, zs, eps_singular)
+    base = _kaehler_base(batch, surface, params)
+    w = np.array(params.w, dtype=complex)
+    return base + _normal_terms(batch.F, w), _errors(surface)
 
-    gamma, gamma_z = params.gamma_values(complex(z))
-    re_top = sample.F[-1].real
-    re_norm = float(np.linalg.norm(re_top))
-    pairing = complex(np.dot(g.astype(complex), sample.F[-1]))
-    metric = abs(pairing) ** 2 / sample.norms_sq[n - 1]
-    corr = complex(np.dot(re_top.astype(complex), np.conj(sample.F[-1])))
 
-    middle = -(2.0 / (metric * sample.norms_sq[n - 1] * re_norm)) * np.real(
-        gamma_z * corr * sample.F[n - 1]
-    )
-    wvec = _normal_combination(sample, params.w)
-    return gamma * g + middle + wvec
+def _kaehler_base(batch, surface, params):
+    """The w-independent part of the map, gamma g + gradient term, at each
+    point of the batch; NaN rows at degenerate points."""
+    n = batch.F.shape[1] - 1
+    base = np.full((batch.z.size, batch.F.shape[2]), np.nan)
+    for i, g in enumerate(surface):
+        if isinstance(g, SingularPointError):
+            continue
+        sample = batch.sample(i)
+        gamma, gamma_z = params.gamma_values(sample.z)
+        re_top = sample.F[-1].real
+        re_norm = float(np.linalg.norm(re_top))
+        pairing = complex(np.dot(g.astype(complex), sample.F[-1]))
+        metric = abs(pairing) ** 2 / sample.norms_sq[n - 1]
+        corr = complex(np.dot(re_top.astype(complex), np.conj(sample.F[-1])))
+        middle = -(2.0 / (metric * sample.norms_sq[n - 1] * re_norm)) * np.real(
+            gamma_z * corr * sample.F[n - 1]
+        )
+        base[i] = gamma * g + middle
+    return base
 
 
 def kaehler_point_reference(chain, params, z, h=None,
@@ -124,7 +168,6 @@ def kaehler_point_reference(chain, params, z, h=None,
     """Independent assembly of the same map: gamma g + pushforward of the
     metric gradient of gamma (from a finite-difference tangent vector)
     plus the normal term.  Used to cross-check the closed formula."""
-    n = chain.n
     g_eval = SurfaceEvaluator.from_chain(chain, eps_singular)
     if h is None:
         h = g_eval.step(1)
@@ -174,80 +217,78 @@ class KaehlerRegularityReport:
         }
 
 
-def kaehler_jacobian(chain, params, z, h_z=None, h_w=1e-5,
-                     eps_singular=DEFAULT_EPS_SINGULAR):
-    """Central-difference Jacobian of the map in its 2n real parameters
-    (x, y, u_1, v_1, ..., u_{n-1}, v_{n-1})."""
-    n = chain.n
-    if h_z is None:
-        h_z = 1e-5 * chain.domain.diameter
-    cols = []
-    for axis in range(2):
-        dz = h_z if axis == 0 else 1j * h_z
-        p = kaehler_point(chain, params, z + dz, eps_singular)
-        m = kaehler_point(chain, params, z - dz, eps_singular)
-        cols.append((p - m) / (2 * h_z))
-    for j in range(n - 1):
-        for part in (1.0, 1j):
-            wp = list(params.w)
-            wm = list(params.w)
-            wp[j] += part * h_w
-            wm[j] -= part * h_w
-            pp = KaehlerParams(params.gamma, tuple(wp), params.gamma_x, params.gamma_y)
-            pm = KaehlerParams(params.gamma, tuple(wm), params.gamma_x, params.gamma_y)
-            cols.append(
-                (kaehler_point(chain, pp, z, eps_singular)
-                 - kaehler_point(chain, pm, z, eps_singular)) / (2 * h_w)
-            )
-    return np.stack(cols, axis=1)
-
-
 def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
                             w_samples=3, rank_threshold=1e-8,
                             eps_singular=DEFAULT_EPS_SINGULAR):
     """Rank of the FD Jacobian over a (z, w) sample box.
 
-    A cell is regular when the rank equals 2n (full parameter count);
-    cells below full rank are flagged.  The z-grid is shrunk slightly so
-    the z-stencil stays inside the domain.
+    The Jacobian is central-difference in the map's 2n real parameters
+    (x, y, u_1, v_1, ..., u_{n-1}, v_{n-1}).  A cell is regular when the
+    rank equals 2n (full parameter count); cells below full rank are
+    flagged, and so are all cells at a z whose stencil touches a
+    degenerate point.  The z-grid is shrunk slightly so the z-stencil
+    stays inside the domain.  The chain is evaluated once on the
+    z-stencils of the whole grid; the map is affine in w, so the
+    w-differences reuse those values.
     """
     n = chain.n
+    if n < 2:
+        raise ValueError("the hypersurface map requires n >= 2")
     expected = 2 * n
     h_z = 1e-5 * chain.domain.diameter
+    h_w = 1e-5
     zs, inside = chain.domain.interior_margin_grid(
         z_grid[0], z_grid[1], margin=4 * h_z
     )
+    centres = zs[inside]
     w_vals = np.linspace(w_box[0], w_box[1], w_samples)
+    w_axes = [(u, v) for u in w_vals for v in w_vals]
+    combos = _w_combinations(w_axes, n - 1)
+    w = np.array(combos, dtype=complex)
+
+    # stencil rows: z, z + h, z - h, z + ih, z - ih
+    pts = np.stack([centres, centres + h_z, centres - h_z,
+                    centres + 1j * h_z, centres - 1j * h_z])
+    batch, surface = _chain_surface(chain, pts.ravel(), eps_singular)
+    base = _kaehler_base(batch, surface, params).reshape(pts.shape + (-1,))
+    F = batch.F.reshape(pts.shape + batch.F.shape[1:])
+    degenerate = np.isnan(base[..., 0]).any(axis=0)
+
+    def psi(row, w):  # (centre, cell, dim)
+        return base[row][:, None] + _normal_terms(F[row][:, None], w[None])
+
+    cols = [(psi(1, w) - psi(2, w)) / (2 * h_z),
+            (psi(3, w) - psi(4, w)) / (2 * h_z)]
+    for j in range(n - 1):
+        for part in (1.0, 1j):
+            wp, wm = w.copy(), w.copy()
+            wp[:, j] += part * h_w
+            wm[:, j] -= part * h_w
+            cols.append((psi(0, wp) - psi(0, wm)) / (2 * h_w))
+    jac = np.stack(cols, axis=-1)
+    sigmas = np.zeros(jac.shape[:2] + (expected,))
+    if not degenerate.all():
+        sigmas[~degenerate] = np.linalg.svd(jac[~degenerate], compute_uv=False)
+
     records = []
     flagged = []
     regular = 0
-    w_axes = [(u, v) for u in w_vals for v in w_vals]
-    for r in range(zs.shape[0]):
-        for c in range(zs.shape[1]):
-            if not inside[r, c]:
-                continue
-            z = complex(zs[r, c])
-            for combo in _w_combinations(w_axes, n - 1):
-                p = KaehlerParams(
-                    params.gamma, combo, params.gamma_x, params.gamma_y
-                )
-                try:
-                    jac = kaehler_jacobian(chain, p, z, h_z=h_z,
-                                           eps_singular=eps_singular)
-                except SingularPointError:
-                    rec = RegularityRecord(z, combo, 0, np.zeros(expected))
-                    records.append(rec)
-                    flagged.append(rec)
-                    continue
-                sigma = np.linalg.svd(jac, compute_uv=False)
-                top = sigma[0] if sigma[0] > 0 else 1.0
-                rank = int(np.sum(sigma > rank_threshold * top))
-                rec = RegularityRecord(z, combo, rank, sigma)
+    for k, z in enumerate(centres):
+        for c, combo in enumerate(combos):
+            if degenerate[k]:
+                rec = RegularityRecord(complex(z), combo, 0, np.zeros(expected))
                 records.append(rec)
-                if rank == expected:
-                    regular += 1
-                else:
-                    flagged.append(rec)
+                flagged.append(rec)
+                continue
+            sigma = sigmas[k, c]
+            top = sigma[0] if sigma[0] > 0 else 1.0
+            rank = int(np.sum(sigma > rank_threshold * top))
+            rec = RegularityRecord(complex(z), combo, rank, sigma)
+            records.append(rec)
+            if rank == expected:
+                regular += 1
+            else:
+                flagged.append(rec)
     return KaehlerRegularityReport(
         expected_rank=expected,
         records=records,
@@ -274,16 +315,30 @@ def _w_combinations(w_axes, count):
 def ruled_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
     """Sphere-exponential of the normal vector w at g(z):
     cos(|w|) g + sinc(|w|) w.  Unit norm by construction."""
+    values, errors = ruled_points(chain, params, np.array([z]), eps_singular)
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
+
+
+def ruled_points(chain, params, zs, eps_singular=DEFAULT_EPS_SINGULAR):
+    """`ruled_point` at a flat array of points, with one chain evaluation;
+    returns (values, errors) as `kaehler_points` does."""
     n = chain.n
     if n < 3:
         raise ValueError("the ruled map requires n >= 3")
     if len(params.w) != n - 2:
         raise ValueError(f"w needs {n - 2} entries, got {len(params.w)}")
-    sample = f_chain_at(chain, z, eps_singular)
-    if sample.singular:
-        raise SingularPointError("chain degenerates", z)
-    g = surface_at(sample, eps_singular)
-    wvec = _normal_combination(sample, params.w)
+    batch, surface = _chain_surface(chain, zs, eps_singular)
+    values = np.full((batch.z.size, chain.dim), np.nan)
+    for i, g in enumerate(surface):
+        if not isinstance(g, SingularPointError):
+            values[i] = _ruled_value(batch.sample(i), g, params.w)
+    return values, _errors(surface)
+
+
+def _ruled_value(sample, g, w):
+    wvec = _normal_combination(sample, w)
     t = float(np.linalg.norm(wvec))
     return np.cos(t) * g + np.sinc(t / np.pi) * wvec
 
@@ -297,10 +352,6 @@ class RuledProbeResult:
     degenerate: bool
 
 
-def _ruled_map(chain, z, u, v, eps_singular):
-    return ruled_point(chain, RuledParams((complex(u, v),)), z, eps_singular)
-
-
 def ruled_minimality_probe(chain, params, z, fd_step=None,
                            det_threshold=1e-10,
                            eps_singular=DEFAULT_EPS_SINGULAR):
@@ -309,7 +360,8 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
 
     Only the n = 3 case is supported; the result is invariant under
     rescaling the parameters.  Near-degenerate induced metrics are
-    flagged instead of returning a number.
+    flagged instead of returning a number.  The chain is evaluated once,
+    at the 9 z-offsets of the stencil.
     """
     if chain.n != 3:
         raise ValueError("the minimality probe supports n = 3 only")
@@ -321,11 +373,18 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
     if not chain.domain.contains(z, margin=2.5 * h):
         raise DomainError(f"probe stencil at z={z} leaves the domain")
     u0, v0 = params.w[0].real, params.w[0].imag
+    offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
+    batch, surface = _chain_surface(
+        chain, np.array([z + (dx + 1j * dy) for dx, dy in offsets]), eps_singular
+    )
+    row = {offset: i for i, offset in enumerate(offsets)}
 
     def X(dx=0.0, dy=0.0, du=0.0, dv=0.0):
-        return _ruled_map(
-            chain, z + (dx + 1j * dy), u0 + du, v0 + dv, eps_singular
-        )
+        i = row[(dx, dy)]
+        if isinstance(surface[i], SingularPointError):
+            raise surface[i]
+        w = (complex(u0 + du, v0 + dv),)
+        return _ruled_value(batch.sample(i), surface[i], w)
 
     axes = ("dx", "dy", "du", "dv")
     center = X()
@@ -373,14 +432,14 @@ def ruling_geodesic_residual(chain, z, h=1e-4,
     if chain.n < 3:
         raise ValueError("the ruled map requires n >= 3")
     zero = tuple(0j for _ in range(chain.n - 2))
+    sample = f_chain_at(chain, z, eps_singular)
+    g = surface_at(sample, eps_singular)
 
     def along(t):
-        w = (complex(t, 0.0),) + zero[1:]
-        return ruled_point(chain, RuledParams(w), z, eps_singular)
+        return _ruled_value(sample, g, (complex(t, 0.0),) + zero[1:])
 
     center = along(0.0)
     acc = (along(h) - 2 * center + along(-h)) / (h * h)
-    sample = f_chain_at(chain, z, eps_singular)
     g_eval = SurfaceEvaluator.from_chain(chain, eps_singular)
     dg = wirtinger(g_eval, z, 1, 0, h=1e-4 * chain.domain.diameter)
     gx, gy = 2 * dg.real, -2 * dg.imag

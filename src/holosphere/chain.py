@@ -35,7 +35,6 @@ from .errors import DomainError, EvaluationError, SingularPointError
 from .expr import (
     Add,
     Const,
-    HoloExpr,
     Mul,
     Sub,
     antiderivative,
@@ -245,6 +244,13 @@ class FChainBatch:
     def __len__(self):
         return self.z.size
 
+    def take(self, idx):
+        """The sub-batch at the given indices."""
+        return FChainBatch(
+            self.z[idx], self.jets[idx], self.F[idx], self.norms_sq[idx],
+            self.singular[idx], self.scale_sq[idx],
+        )
+
     def sample(self, i):
         return FChainSample(
             z=complex(self.z[i]),
@@ -308,32 +314,48 @@ def recursion_crosscheck(chain, z, h=None, eps_singular=DEFAULT_EPS_SINGULAR):
     """
     if h is None:
         h = 1e-4 * chain.domain.diameter
-    base = f_chain_at(chain, z, eps_singular)
-    if base.singular:
+    base = f_chain_eval(chain, np.array([z]), eps_singular)
+    if base.singular[0]:
         raise SingularPointError("chain degenerates", z)
     stencil = np.array([z + h, z - h, z + 1j * h, z - 1j * h])
     if not np.all(chain.domain.contains(stencil)):
         raise DomainError(f"crosscheck stencil at z={z} leaves the domain")
-    batch = f_chain_eval(chain, stencil, eps_singular)
-    if np.any(batch.singular):
+    worst = recursion_residuals(chain, base, h, eps_singular)[0]
+    if np.isnan(worst):
         raise SingularPointError("chain degenerates on the stencil", z)
+    return float(worst)
 
-    worst = 0.0
-    for s in range(1, chain.n + 1):
-        idx = s - 1
-        if s == 1:
-            dFs = base.jets[1]
-        else:
-            dx = (batch.F[0, idx] - batch.F[1, idx]) / (2 * h)
-            dy = (batch.F[2, idx] - batch.F[3, idx]) / (2 * h)
-            dFs = 0.5 * (dx - 1j * dy)
-        Fs = base.F[idx]
-        coef = np.dot(dFs, np.conj(Fs)) / base.norms_sq[idx]
-        literal = dFs - coef * Fs
-        ref = base.F[idx + 1]
-        dev = np.linalg.norm(literal - ref) / np.linalg.norm(ref)
-        worst = max(worst, float(dev))
-    return worst
+
+def recursion_residuals(chain, base, h, eps_singular=DEFAULT_EPS_SINGULAR):
+    """`recursion_crosscheck` at every point of the non-singular batch
+    `base`, with one chain evaluation for all four stencils.  Points
+    whose stencil touches a singular point get NaN."""
+    zs = base.z
+    stencil = f_chain_eval(
+        chain, np.stack([zs + h, zs - h, zs + 1j * h, zs - 1j * h]).ravel(),
+        eps_singular,
+    )
+    F = stencil.F.reshape((4, zs.size) + stencil.F.shape[1:])
+    touched = stencil.singular.reshape(4, zs.size).any(axis=0)
+    derivs = [base.jets[:, 1]]
+    for idx in range(1, chain.n):
+        dx = (F[0, :, idx] - F[1, :, idx]) / (2 * h)
+        dy = (F[2, :, idx] - F[3, :, idx]) / (2 * h)
+        derivs.append(0.5 * (dx - 1j * dy))
+
+    out = np.full(zs.size, np.nan)
+    for b in np.flatnonzero(~touched):
+        worst = 0.0
+        for idx, dF in enumerate(derivs):
+            dFs = dF[b]
+            Fs = base.F[b, idx]
+            coef = np.dot(dFs, np.conj(Fs)) / base.norms_sq[b, idx]
+            literal = dFs - coef * Fs
+            ref = base.F[b, idx + 1]
+            dev = np.linalg.norm(literal - ref) / np.linalg.norm(ref)
+            worst = max(worst, float(dev))
+        out[b] = worst
+    return out
 
 
 def surface_at(sample, eps=DEFAULT_EPS_SINGULAR):

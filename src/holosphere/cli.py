@@ -8,6 +8,7 @@ checks pass, 1 error, 2 verification failure.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,9 +19,9 @@ from .applications import (
     KaehlerParams,
     RuledParams,
     kaehler_immersion_check,
-    kaehler_point,
+    kaehler_points,
     ruled_minimality_probe,
-    ruled_point,
+    ruled_points,
     ruling_geodesic_residual,
 )
 from .chain import build_alpha_chain, scan_grid
@@ -34,7 +35,6 @@ from .errors import (
     ConfigError,
     HolosphereError,
     NotPseudoholomorphicError,
-    SingularPointError,
 )
 from .expr import eval_expr, parse_expr
 from .geometry import SurfaceEvaluator, verify_all
@@ -93,9 +93,20 @@ def _load(args, outdir):
 
 
 def _write_json(path, obj):
+    """Strict JSON: non-finite floats are written as null."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 def _say(quiet, *parts):
@@ -248,27 +259,26 @@ def _write_points_csv(path, zs, valid, coords, prefix):
         fh.write("\n".join(lines) + "\n")
 
 
+def _grid_points(cfg, chain, params, points):
+    """A batched map (`kaehler_points` or `ruled_points`) over the
+    in-domain points of the config grid: (zs, valid, coords), with NaN
+    coordinates where the point is outside or degenerate."""
+    zs, inside = cfg.domain.grid(*cfg.grid)
+    values, errors = points(chain, params, zs[inside], cfg.eps_singular)
+    valid = np.zeros(zs.shape, dtype=bool)
+    valid[inside] = [e is None for e in errors]
+    coords = np.full(zs.shape + (chain.dim,), np.nan)
+    coords[inside] = values
+    return zs, valid, coords
+
+
 def cmd_kaehler(cfg, outdir, quiet):
     if cfg.kaehler is None:
         raise ConfigError("$.kaehler", "missing required block for this command")
     chain = _chain(cfg)
     kc = cfg.kaehler
     params = KaehlerParams.create(kc["gamma"], kc["w"])
-    rows, cols = cfg.grid
-    zs, inside = cfg.domain.grid(rows, cols)
-    coords = np.full((rows, cols, chain.dim), np.nan)
-    valid = np.zeros((rows, cols), dtype=bool)
-    for r in range(rows):
-        for c in range(cols):
-            if not inside[r, c]:
-                continue
-            try:
-                coords[r, c] = kaehler_point(
-                    chain, params, complex(zs[r, c]), cfg.eps_singular
-                )
-                valid[r, c] = True
-            except SingularPointError:
-                pass
+    zs, valid, coords = _grid_points(cfg, chain, params, kaehler_points)
     if "csv" in cfg.formats:
         _write_points_csv(outdir / "kaehler.csv", zs, valid, coords, "psi")
     mesh = mesh_from_grid(valid, coords)
@@ -306,23 +316,10 @@ def cmd_ruled(cfg, outdir, quiet):
     chain = _chain(cfg)
     rc = cfg.ruled
     params = RuledParams.create(rc["w"])
-    rows, cols = cfg.grid
-    zs, inside = cfg.domain.grid(rows, cols)
-    coords = np.full((rows, cols, chain.dim), np.nan)
-    valid = np.zeros((rows, cols), dtype=bool)
-    norm_dev = np.full((rows, cols), np.nan)
-    for r in range(rows):
-        for c in range(cols):
-            if not inside[r, c]:
-                continue
-            try:
-                coords[r, c] = ruled_point(
-                    chain, params, complex(zs[r, c]), cfg.eps_singular
-                )
-                valid[r, c] = True
-                norm_dev[r, c] = abs(np.linalg.norm(coords[r, c]) - 1.0)
-            except SingularPointError:
-                pass
+    zs, valid, coords = _grid_points(cfg, chain, params, ruled_points)
+    norm_dev = np.full(valid.shape, np.nan)
+    for r, c in zip(*np.nonzero(valid)):
+        norm_dev[r, c] = abs(np.linalg.norm(coords[r, c]) - 1.0)
     if "csv" in cfg.formats:
         _write_points_csv(outdir / "ruled.csv", zs, valid, coords, "F")
     mesh = mesh_from_grid(valid, coords, attributes={"norm_deviation": norm_dev})

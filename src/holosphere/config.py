@@ -8,12 +8,12 @@ sample documents for n = 1, 2, 3.
 import json
 from dataclasses import dataclass, field
 
+from .chain import DEFAULT_EPS_SINGULAR
 from .domain import Domain
 from .errors import ConfigError, DomainError, ParseError
 from .expr import parse_expr
 from .geometry import DEFAULT_TOLERANCES
 
-DEFAULT_EPS_SINGULAR = 1e-12
 DEFAULT_MIN_REGULAR_FRACTION = 0.95
 
 RECONSTRUCT_TOLERANCES = {1: 1e-3, 2: 1e-2, 3: 1e-2}

@@ -63,9 +63,16 @@ def _wirtinger_weights(holo_order, anti_order):
     return weights
 
 
+def field_at(f, pts):
+    """Values of the field f at an array of points of any shape, with one
+    batched field evaluation; the field's value axes follow the point axes."""
+    vals = np.asarray(f(pts.ravel()))
+    return vals.reshape(pts.shape + vals.shape[1:])
+
+
 def _mixed_partials(f, z, keys, h):
-    """Evaluate the requested mixed partials (ax, ay) of f at z with one
-    batched field evaluation."""
+    """Evaluate the requested mixed partials (ax, ay) of f at the centre z
+    (a point or an array of points) with one batched field evaluation."""
     needed = {}
     plan = []
     for ax, ay in keys:
@@ -78,7 +85,7 @@ def _mixed_partials(f, z, keys, h):
                 entries.append((idx, cx[i] * cy[jj]))
         plan.append(((ax, ay), entries, h ** (ax + ay)))
     pts = np.array([z + (px + 1j * py) * h for (px, py) in needed], dtype=complex)
-    vals = np.asarray(f(pts))
+    vals = field_at(f, pts)
     out = {}
     for key, entries, scale in plan:
         acc = entries[0][1] * vals[entries[0][0]]
@@ -92,12 +99,18 @@ def wirtinger(f, z, holo_order, anti_order=0, h=None, diameter=1.0,
               richardson=None, domain=None):
     """d^j/dz^j d^k/dconj(z)^k of the field f at the point z.
 
+    z may also be an array of centres: the field is then evaluated once
+    per stencil for all of them, and the result carries the centre axes
+    in front of the field's value axes.  Each centre gets the same
+    arithmetic as a call with that centre alone.
+
     When h is omitted it follows the per-order default for `diameter`.
     With `domain` given, the full stencil is required to stay inside it.
     """
+    z = np.asarray(z, dtype=complex)
     order = holo_order + anti_order
     if order == 0:
-        return np.asarray(f(np.array([z], dtype=complex)))[0]
+        return field_at(f, z)
     if order > MAX_ORDER:
         raise ValueError(f"derivative order {order} exceeds {MAX_ORDER}")
     if h is None:
@@ -106,9 +119,11 @@ def wirtinger(f, z, holo_order, anti_order=0, h=None, diameter=1.0,
         richardson = order >= 2
     if domain is not None:
         margin = stencil_halfwidth(order, h, richardson)
-        if not domain.contains(z, margin=margin):
+        inside = np.asarray(domain.contains(z, margin=margin))
+        if not inside.all():
+            bad = complex(z.ravel()[np.argmin(inside.ravel())])
             raise DomainError(
-                f"finite-difference stencil at z={z} leaves the domain"
+                f"finite-difference stencil at z={bad} leaves the domain"
             )
     weights = _wirtinger_weights(holo_order, anti_order)
     keys = list(weights)
@@ -125,11 +140,3 @@ def wirtinger(f, z, holo_order, anti_order=0, h=None, diameter=1.0,
         return d_h
     d_h2 = combine(_mixed_partials(f, z, keys, 0.5 * h))
     return (4.0 * d_h2 - d_h) / 3.0
-
-
-def holo_jet(f, z, max_order, h=None, diameter=1.0, domain=None):
-    """The derivatives d^j f/dz^j for j = 0..max_order, as a list."""
-    return [
-        wirtinger(f, z, j, 0, h=h, diameter=diameter, domain=domain)
-        for j in range(max_order + 1)
-    ]

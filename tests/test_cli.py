@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from holosphere.cli import main
+from holosphere.cli import _write_json, main
 from holosphere.config import demo_config, validate_config
 from holosphere.errors import ConfigError
 
@@ -244,3 +244,15 @@ class TestErrors:
                      str(tmp_path / "run")])
         assert code == 1
         assert "$.betas" in capsys.readouterr().err
+
+
+def test_reports_are_strict_json(tmp_path):
+    path = tmp_path / "report.json"
+    _write_json(path, {"a": float("nan"), "b": [np.inf, 1.5, -np.inf],
+                       "c": {"d": np.float64("nan"), "e": (2.0, None)}})
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    assert doc == {"a": None, "b": [None, 1.5, None], "c": {"d": None, "e": [2.0, None]}}
