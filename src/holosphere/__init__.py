@@ -10,13 +10,10 @@ space and codimension-two ruled minimal submanifolds of spheres).
 
 from .chain import (
     AlphaChain,
-    FChainSample,
     build_alpha_chain,
-    f_chain_at,
     f_chain_eval,
     recursion_crosscheck,
     scan_grid,
-    surface_at,
 )
 from .domain import Domain
 from .errors import (
@@ -65,7 +62,6 @@ __all__ = [
     "Domain",
     "DomainError",
     "EvaluationError",
-    "FChainSample",
     "HoloExpr",
     "HolosphereError",
     "NotPseudoholomorphicError",
@@ -81,7 +77,6 @@ __all__ = [
     "differentiate",
     "eval_expr",
     "extract_xi",
-    "f_chain_at",
     "f_chain_eval",
     "g_chain_at",
     "hermitian_product",
@@ -93,7 +88,6 @@ __all__ = [
     "recursion_crosscheck",
     "roundtrip",
     "scan_grid",
-    "surface_at",
     "symmetric_product",
     "to_string",
     "verify_all",

@@ -14,7 +14,7 @@ Two constructions ride on the chain data of a generating surface g:
 * a unit-sphere ruled map obtained by following sphere geodesics from
   g(z) in the directions of a normal subbundle: cos(|w|) g + sinc(|w|) w.
 
-Both evaluate pointwise from a single chain sample; regularity and
+Both evaluate pointwise from the chain data at a point; regularity and
 minimality are probed by finite differences in the full parameter space.
 """
 
@@ -22,8 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEFAULT_EPS_SINGULAR, f_chain_at, f_chain_eval, surface_at
-from .errors import DomainError, SingularPointError
+from .chain import (
+    DEFAULT_EPS_SINGULAR,
+    f_chain_eval,
+    require_regular,
+    surface_vectors,
+)
+from .errors import DomainError
 from .expr import HoloExpr, differentiate, eval_env, parse_expr
 from .fd import wirtinger
 from .geometry import SurfaceEvaluator
@@ -78,15 +83,10 @@ class RuledParams:
         return cls(w=tuple(complex(c) for c in w))
 
 
-def _normal_combination(sample, w):
-    """sum_j (u_j Re F_j - v_j Im F_j) over the given complex parameters,
-    pairing w[j-1] with the chain vector F_j."""
-    return _normal_terms(sample.F, np.array(w, dtype=complex))
-
-
 def _normal_terms(F, w):
-    """`_normal_combination` for stacks: chain vectors F (..., m, dim) and
-    parameters w (..., k), broadcast against each other."""
+    """sum_j (u_j Re F_j - v_j Im F_j) over the complex parameters w,
+    pairing w[j-1] with the chain vector F_j: chain vectors F
+    (..., m, dim) and parameters w (..., k), broadcast against each other."""
     shape = np.broadcast_shapes(F.shape[:-2], w.shape[:-1]) + F.shape[-1:]
     out = np.zeros(shape)
     for j in range(w.shape[-1]):
@@ -96,70 +96,65 @@ def _normal_terms(F, w):
 
 
 def _chain_surface(chain, zs, eps_singular):
-    """One chain evaluation at the flat array zs: the batch, and per point
-    its surface vector or, at a degenerate point, the SingularPointError
-    that `surface_at` raises there."""
+    """One chain evaluation at the flat array zs: the batch, the surface
+    vectors (NaN rows at degenerate points) and the mask of points where
+    the surface normalization collapses."""
     batch = f_chain_eval(chain, zs, eps_singular)
-    surface = []
-    for i in range(batch.z.size):
-        try:
-            surface.append(surface_at(batch.sample(i), eps_singular))
-        except SingularPointError as exc:
-            surface.append(exc)
-    return batch, surface
-
-
-def _errors(surface):
-    return [g if isinstance(g, SingularPointError) else None for g in surface]
+    return (batch,) + surface_vectors(batch, eps_singular)
 
 
 def kaehler_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
     """Closed-form evaluation of the hypersurface map at (z, w).
 
     Requires n >= 2 and len(w) == n-1.  The middle (gradient) term uses
-    the tangent formula of the chain, so everything comes from one chain
-    sample plus symbolic partials of gamma.
+    the tangent formula of the chain, so everything comes from the chain
+    data at z plus symbolic partials of gamma.
     """
-    values, errors = kaehler_points(chain, params, np.array([z]), eps_singular)
-    if errors[0] is not None:
-        raise errors[0]
+    values, batch, collapsed = _kaehler(chain, params, np.array([z]),
+                                        eps_singular)
+    require_regular(batch, collapsed)
     return values[0]
 
 
 def kaehler_points(chain, params, zs, eps_singular=DEFAULT_EPS_SINGULAR):
     """`kaehler_point` at a flat array of points, with one chain
-    evaluation.  Returns (values, errors): the rows of degenerate points
-    are NaN and `errors` holds their SingularPointError, None elsewhere."""
+    evaluation.  Returns (values, valid): the rows of degenerate points
+    are NaN and `valid` is False there."""
+    values, batch, collapsed = _kaehler(chain, params, zs, eps_singular)
+    return values, ~(batch.singular | collapsed)
+
+
+def _kaehler(chain, params, zs, eps_singular):
+    """The hypersurface map at the flat array zs, NaN rows at degenerate
+    points, with the chain batch and collapse mask it was built from."""
     n = chain.n
     if n < 2:
         raise ValueError("the hypersurface map requires n >= 2")
     if len(params.w) != n - 1:
         raise ValueError(f"w needs {n - 1} entries, got {len(params.w)}")
-    batch, surface = _chain_surface(chain, zs, eps_singular)
-    base = _kaehler_base(batch, surface, params)
+    batch, g, collapsed = _chain_surface(chain, zs, eps_singular)
+    base = _kaehler_base(batch, g, params)
     w = np.array(params.w, dtype=complex)
-    return base + _normal_terms(batch.F, w), _errors(surface)
+    return base + _normal_terms(batch.F, w), batch, collapsed
 
 
-def _kaehler_base(batch, surface, params):
+def _kaehler_base(batch, g, params):
     """The w-independent part of the map, gamma g + gradient term, at each
     point of the batch; NaN rows at degenerate points."""
     n = batch.F.shape[1] - 1
-    base = np.full((batch.z.size, batch.F.shape[2]), np.nan)
-    for i, g in enumerate(surface):
-        if isinstance(g, SingularPointError):
-            continue
-        sample = batch.sample(i)
-        gamma, gamma_z = params.gamma_values(sample.z)
-        re_top = sample.F[-1].real
+    base = np.full(g.shape, np.nan)
+    for i in np.flatnonzero(~np.isnan(g[:, 0])):
+        F, norms_sq = batch.F[i], batch.norms_sq[i]
+        gamma, gamma_z = params.gamma_values(complex(batch.z[i]))
+        re_top = F[-1].real
         re_norm = float(np.linalg.norm(re_top))
-        pairing = complex(np.dot(g.astype(complex), sample.F[-1]))
-        metric = abs(pairing) ** 2 / sample.norms_sq[n - 1]
-        corr = complex(np.dot(re_top.astype(complex), np.conj(sample.F[-1])))
-        middle = -(2.0 / (metric * sample.norms_sq[n - 1] * re_norm)) * np.real(
-            gamma_z * corr * sample.F[n - 1]
+        pairing = complex(np.dot(g[i].astype(complex), F[-1]))
+        metric = abs(pairing) ** 2 / norms_sq[n - 1]
+        corr = complex(np.dot(re_top.astype(complex), np.conj(F[-1])))
+        middle = -(2.0 / (metric * norms_sq[n - 1] * re_norm)) * np.real(
+            gamma_z * corr * F[n - 1]
         )
-        base[i] = gamma * g + middle
+        base[i] = gamma * g[i] + middle
     return base
 
 
@@ -171,13 +166,14 @@ def kaehler_point_reference(chain, params, z, h=None,
     g_eval = SurfaceEvaluator.from_chain(chain, eps_singular)
     if h is None:
         h = g_eval.step(1)
-    sample = f_chain_at(chain, z, eps_singular)
-    g = surface_at(sample, eps_singular)
+    batch, g, collapsed = _chain_surface(chain, np.array([z]), eps_singular)
+    require_regular(batch, collapsed)
     gamma, gamma_z = params.gamma_values(complex(z))
     dg = wirtinger(g_eval, z, 1, 0, h=h)
     metric = float(np.sum(np.abs(dg) ** 2))
     grad_push = (2.0 / metric) * np.real(np.conj(gamma_z) * dg)
-    return gamma * g + grad_push + _normal_combination(sample, params.w)
+    w = np.array(params.w, dtype=complex)
+    return gamma * g[0] + grad_push + _normal_terms(batch.F[0], w)
 
 
 @dataclass
@@ -249,8 +245,8 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     # stencil rows: z, z + h, z - h, z + ih, z - ih
     pts = np.stack([centres, centres + h_z, centres - h_z,
                     centres + 1j * h_z, centres - 1j * h_z])
-    batch, surface = _chain_surface(chain, pts.ravel(), eps_singular)
-    base = _kaehler_base(batch, surface, params).reshape(pts.shape + (-1,))
+    batch, g, _ = _chain_surface(chain, pts.ravel(), eps_singular)
+    base = _kaehler_base(batch, g, params).reshape(pts.shape + (-1,))
     F = batch.F.reshape(pts.shape + batch.F.shape[1:])
     degenerate = np.isnan(base[..., 0]).any(axis=0)
 
@@ -315,30 +311,35 @@ def _w_combinations(w_axes, count):
 def ruled_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
     """Sphere-exponential of the normal vector w at g(z):
     cos(|w|) g + sinc(|w|) w.  Unit norm by construction."""
-    values, errors = ruled_points(chain, params, np.array([z]), eps_singular)
-    if errors[0] is not None:
-        raise errors[0]
+    values, batch, collapsed = _ruled(chain, params, np.array([z]), eps_singular)
+    require_regular(batch, collapsed)
     return values[0]
 
 
 def ruled_points(chain, params, zs, eps_singular=DEFAULT_EPS_SINGULAR):
     """`ruled_point` at a flat array of points, with one chain evaluation;
-    returns (values, errors) as `kaehler_points` does."""
+    returns (values, valid) as `kaehler_points` does."""
+    values, batch, collapsed = _ruled(chain, params, zs, eps_singular)
+    return values, ~(batch.singular | collapsed)
+
+
+def _ruled(chain, params, zs, eps_singular):
+    """The ruled map at the flat array zs, as `_kaehler` returns it."""
     n = chain.n
     if n < 3:
         raise ValueError("the ruled map requires n >= 3")
     if len(params.w) != n - 2:
         raise ValueError(f"w needs {n - 2} entries, got {len(params.w)}")
-    batch, surface = _chain_surface(chain, zs, eps_singular)
-    values = np.full((batch.z.size, chain.dim), np.nan)
-    for i, g in enumerate(surface):
-        if not isinstance(g, SingularPointError):
-            values[i] = _ruled_value(batch.sample(i), g, params.w)
-    return values, _errors(surface)
+    batch, g, collapsed = _chain_surface(chain, zs, eps_singular)
+    values = np.full(g.shape, np.nan)
+    for i in np.flatnonzero(~np.isnan(g[:, 0])):
+        values[i] = _ruled_value(batch.F[i], g[i], params.w)
+    return values, batch, collapsed
 
 
-def _ruled_value(sample, g, w):
-    wvec = _normal_combination(sample, w)
+def _ruled_value(F, g, w):
+    """The ruled map at one point with chain vectors F and surface vector g."""
+    wvec = _normal_terms(F, np.array(w, dtype=complex))
     t = float(np.linalg.norm(wvec))
     return np.cos(t) * g + np.sinc(t / np.pi) * wvec
 
@@ -348,7 +349,7 @@ class RuledProbeResult:
     z: complex
     w: tuple
     residual: float      # None when flagged
-    gram_det: float
+    gram_det: float      # None when the stencil touches a degenerate point
     degenerate: bool
 
 
@@ -359,9 +360,11 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
     one point, estimated by central differences over (x, y, u, v).
 
     Only the n = 3 case is supported; the result is invariant under
-    rescaling the parameters.  Near-degenerate induced metrics are
-    flagged instead of returning a number.  The chain is evaluated once,
-    at the 9 z-offsets of the stencil.
+    rescaling the parameters.  Near-degenerate induced metrics, and
+    stencils that touch a point where the chain or the surface
+    normalization degenerates, are flagged instead of returning a
+    number.  The chain is evaluated once, at the 9 z-offsets of the
+    stencil.
     """
     if chain.n != 3:
         raise ValueError("the minimality probe supports n = 3 only")
@@ -374,17 +377,17 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
         raise DomainError(f"probe stencil at z={z} leaves the domain")
     u0, v0 = params.w[0].real, params.w[0].imag
     offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
-    batch, surface = _chain_surface(
+    batch, g, _ = _chain_surface(
         chain, np.array([z + (dx + 1j * dy) for dx, dy in offsets]), eps_singular
     )
+    if np.isnan(g).any():
+        return RuledProbeResult(z, params.w, None, None, True)
     row = {offset: i for i, offset in enumerate(offsets)}
 
     def X(dx=0.0, dy=0.0, du=0.0, dv=0.0):
         i = row[(dx, dy)]
-        if isinstance(surface[i], SingularPointError):
-            raise surface[i]
         w = (complex(u0 + du, v0 + dv),)
-        return _ruled_value(batch.sample(i), surface[i], w)
+        return _ruled_value(batch.F[i], g[i], w)
 
     axes = ("dx", "dy", "du", "dv")
     center = X()
@@ -428,23 +431,27 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
 def ruling_geodesic_residual(chain, z, h=1e-4,
                              eps_singular=DEFAULT_EPS_SINGULAR):
     """Normal component of the second derivative along a ruling direction
-    at w = 0: zero means the rulings are geodesic circles."""
+    at w = 0: zero means the rulings are geodesic circles.  None where
+    the chain or the surface normalization degenerates at z or on the
+    stencil of the surface derivative."""
     if chain.n < 3:
         raise ValueError("the ruled map requires n >= 3")
     zero = tuple(0j for _ in range(chain.n - 2))
-    sample = f_chain_at(chain, z, eps_singular)
-    g = surface_at(sample, eps_singular)
+    batch, g, _ = _chain_surface(chain, np.array([z]), eps_singular)
+    field = SurfaceEvaluator.from_chain(chain, eps_singular).masked
+    dg = wirtinger(field, z, 1, 0, h=1e-4 * chain.domain.diameter)
+    if np.isnan(g).any() or np.isnan(dg).any():
+        return None
+    F, g = batch.F[0], g[0]
 
     def along(t):
-        return _ruled_value(sample, g, (complex(t, 0.0),) + zero[1:])
+        return _ruled_value(F, g, (complex(t, 0.0),) + zero[1:])
 
     center = along(0.0)
     acc = (along(h) - 2 * center + along(-h)) / (h * h)
-    g_eval = SurfaceEvaluator.from_chain(chain, eps_singular)
-    dg = wirtinger(g_eval, z, 1, 0, h=1e-4 * chain.domain.diameter)
     gx, gy = 2 * dg.real, -2 * dg.imag
-    du = sample.F[0].real  # tangent of the ruling at w = 0
-    dv = -sample.F[0].imag
+    du = F[0].real  # tangent of the ruling at w = 0
+    dv = -F[0].imag
     basis = np.stack([center, gx, gy, du, dv], axis=1)
     q, _ = np.linalg.qr(basis)
     resid = acc - q @ (q.T @ acc)

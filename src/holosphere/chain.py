@@ -44,6 +44,7 @@ from .expr import (
     poly_to_expr,
     simplify,
 )
+from .fd import wirtinger
 
 DEFAULT_EPS_SINGULAR = 1e-12
 
@@ -208,28 +209,15 @@ def _padded_sum(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise chain evaluation
+# Batched chain evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FChainSample:
-    """Chain data at one point: the holomorphic jet, the orthogonalized
-    vectors F_1..F_{n+1}, their squared norms, and a degeneracy flag."""
-
-    z: complex
-    jets: np.ndarray      # (n+1, 2n+1)
-    F: np.ndarray         # (n+1, 2n+1), row s-1 is F_s
-    norms_sq: np.ndarray  # (n+1,)
-    singular: bool
-    scale_sq: float       # largest squared jet norm, reference scale
-
-    @property
-    def n(self):
-        return self.jets.shape[0] - 1
-
-
 class FChainBatch:
-    """Vectorized chain data over a flat array of points."""
+    """Chain data over a flat array of points: row i of `jets` (n+1, 2n+1)
+    holds the holomorphic jet at z[i], row i of `F` the orthogonalized
+    vectors F_1..F_{n+1}, `norms_sq` their squared norms, `singular`
+    the degeneracy flag and `scale_sq` the largest squared jet norm, the
+    reference scale of the degeneracy tests."""
 
     __slots__ = ("z", "jets", "F", "norms_sq", "singular", "scale_sq")
 
@@ -249,16 +237,6 @@ class FChainBatch:
         return FChainBatch(
             self.z[idx], self.jets[idx], self.F[idx], self.norms_sq[idx],
             self.singular[idx], self.scale_sq[idx],
-        )
-
-    def sample(self, i):
-        return FChainSample(
-            z=complex(self.z[i]),
-            jets=self.jets[i],
-            F=self.F[i],
-            norms_sq=self.norms_sq[i],
-            singular=bool(self.singular[i]),
-            scale_sq=float(self.scale_sq[i]),
         )
 
 
@@ -300,11 +278,6 @@ def f_chain_eval(chain, zs, eps_singular=DEFAULT_EPS_SINGULAR):
     return FChainBatch(zs, jets, F, norms, singular, scale_sq)
 
 
-def f_chain_at(chain, z, eps_singular=DEFAULT_EPS_SINGULAR):
-    """Chain data at a single point of the domain."""
-    return f_chain_eval(chain, np.array([z]), eps_singular).sample(0)
-
-
 def recursion_crosscheck(chain, z, h=None, eps_singular=DEFAULT_EPS_SINGULAR):
     """Maximum relative deviation between the Gram-Schmidt chain vectors
     and the literal first-order recursion evaluated with a 4-point
@@ -330,20 +303,22 @@ def recursion_residuals(chain, base, h, eps_singular=DEFAULT_EPS_SINGULAR):
     """`recursion_crosscheck` at every point of the non-singular batch
     `base`, with one chain evaluation for all four stencils.  Points
     whose stencil touches a singular point get NaN."""
-    zs = base.z
-    stencil = f_chain_eval(
-        chain, np.stack([zs + h, zs - h, zs + 1j * h, zs - 1j * h]).ravel(),
-        eps_singular,
-    )
-    F = stencil.F.reshape((4, zs.size) + stencil.F.shape[1:])
-    touched = stencil.singular.reshape(4, zs.size).any(axis=0)
-    derivs = [base.jets[:, 1]]
-    for idx in range(1, chain.n):
-        dx = (F[0, :, idx] - F[1, :, idx]) / (2 * h)
-        dy = (F[2, :, idx] - F[3, :, idx]) / (2 * h)
-        derivs.append(0.5 * (dx - 1j * dy))
+    n = chain.n
 
-    out = np.full(zs.size, np.nan)
+    def field(zs):
+        # F_1 is differentiated from the symbolic jet; it is in the field
+        # so that a stencil touching a singular point masks its centre for
+        # n = 1 as well
+        batch = f_chain_eval(chain, zs, eps_singular)
+        F = batch.F[:, :n].copy()
+        F[batch.singular] = np.nan
+        return F
+
+    dfield = wirtinger(field, base.z, 1, 0, h=h, richardson=False)
+    derivs = [base.jets[:, 1]] + [dfield[:, idx] for idx in range(1, n)]
+    touched = ~np.isfinite(dfield).reshape(len(dfield), -1).all(axis=1)
+
+    out = np.full(base.z.size, np.nan)
     for b in np.flatnonzero(~touched):
         worst = 0.0
         for idx, dF in enumerate(derivs):
@@ -358,20 +333,32 @@ def recursion_residuals(chain, base, h, eps_singular=DEFAULT_EPS_SINGULAR):
     return out
 
 
-def surface_at(sample, eps=DEFAULT_EPS_SINGULAR):
-    """Unit vector along the real part of the last chain vector.
+def surface_vectors(batch, eps_singular=DEFAULT_EPS_SINGULAR):
+    """Unit vectors along the real part of the last chain vector at every
+    point of the batch, and the mask of points where that real part
+    collapses below the relative threshold.  Rows where the chain is
+    singular or the real part collapses are NaN."""
+    re = batch.F[:, -1, :].real
+    # vecdot reduces each row with the same dot product as np.dot on the
+    # row; a plain sum would round differently in the last bit
+    nsq = np.vecdot(re, re)
+    collapsed = nsq <= eps_singular * batch.scale_sq
+    ok = ~(batch.singular | collapsed)
+    g = np.full(re.shape, np.nan)
+    g[ok] = re[ok] / np.sqrt(nsq[ok])[:, None]
+    return g, collapsed
 
-    Raises SingularPointError when the sample is degenerate or the real
-    part collapses below the relative threshold.
-    """
-    if sample.singular:
-        raise SingularPointError("chain degenerates", sample.z)
-    re = sample.F[-1].real
-    nsq = float(np.dot(re, re))
-    if nsq <= eps * sample.scale_sq:
-        raise SingularPointError("surface normalization degenerates", sample.z)
-    g = re / np.sqrt(nsq)
-    return g
+
+def require_regular(batch, collapsed):
+    """Raise SingularPointError at the first point of the batch where the
+    chain degenerates, else at the first where the surface normalization
+    collapses."""
+    if np.any(batch.singular):
+        bad = batch.z[np.argmax(batch.singular)]
+        raise SingularPointError("chain degenerates", complex(bad))
+    if np.any(collapsed):
+        bad = batch.z[np.argmax(collapsed)]
+        raise SingularPointError("surface normalization degenerates", complex(bad))
 
 
 @dataclass
@@ -390,7 +377,6 @@ class GridScan:
     valid: np.ndarray     # (R, C) bool: inside, non-singular, normalizable
     surface: np.ndarray   # (R, C, 2n+1) float
     norms_sq: np.ndarray  # (R, C, n+1)
-    samples: list         # row-major FChainSample for inside points, else None
 
     @property
     def shape(self):
@@ -411,24 +397,15 @@ def scan_grid(chain, rows, cols, eps_singular=DEFAULT_EPS_SINGULAR):
     flat_idx = np.flatnonzero(inside.ravel())
     surface = np.full((R * C, d), np.nan)
     singular = np.zeros(R * C, dtype=bool)
-    valid = np.zeros(R * C, dtype=bool)
     norms = np.full((R * C, chain.n + 1), np.nan)
-    samples = [None] * (R * C)
 
     if flat_idx.size:
         batch = f_chain_eval(chain, zs.ravel()[flat_idx], eps_singular)
+        g, collapsed = surface_vectors(batch, eps_singular)
         norms[flat_idx] = batch.norms_sq
-        singular[flat_idx] = batch.singular
-        for pos, i in enumerate(flat_idx):
-            s = batch.sample(pos)
-            samples[i] = s
-            if s.singular:
-                continue
-            try:
-                surface[i] = surface_at(s, eps_singular)
-                valid[i] = True
-            except SingularPointError:
-                singular[i] = True
+        singular[flat_idx] = batch.singular | collapsed
+        surface[flat_idx] = g
+    valid = inside.ravel() & ~singular
     return GridScan(
         zs=zs,
         inside=inside,
@@ -436,5 +413,4 @@ def scan_grid(chain, rows, cols, eps_singular=DEFAULT_EPS_SINGULAR):
         valid=valid.reshape(R, C),
         surface=surface.reshape(R, C, d),
         norms_sq=norms.reshape(R, C, chain.n + 1),
-        samples=samples,
     )

@@ -39,7 +39,7 @@ from .errors import (
 from .expr import eval_expr, parse_expr
 from .geometry import SurfaceEvaluator, verify_all
 from .meshio import _fmt, mesh_from_grid, write_obj, write_ply, write_surface_csv
-from .reconstruct import roundtrip
+from .reconstruct import MAX_RECONSTRUCT_N, roundtrip
 
 PASS, ERROR, FAIL = 0, 1, 2
 
@@ -198,8 +198,11 @@ def cmd_verify(cfg, outdir, quiet):
 
 
 def cmd_reconstruct(cfg, outdir, quiet):
-    if cfg.n > 3:
-        raise ConfigError("$.n", f"unsupported n for reconstruction: {cfg.n} (max 3)")
+    if cfg.n > MAX_RECONSTRUCT_N:
+        raise ConfigError(
+            "$.n",
+            f"unsupported n for reconstruction: {cfg.n} (max {MAX_RECONSTRUCT_N})",
+        )
     rc = cfg.reconstruct or {
         "sample_grid": (33, 33),
         "eval_grid": (8, 8),
@@ -264,9 +267,9 @@ def _grid_points(cfg, chain, params, points):
     in-domain points of the config grid: (zs, valid, coords), with NaN
     coordinates where the point is outside or degenerate."""
     zs, inside = cfg.domain.grid(*cfg.grid)
-    values, errors = points(chain, params, zs[inside], cfg.eps_singular)
+    values, regular = points(chain, params, zs[inside], cfg.eps_singular)
     valid = np.zeros(zs.shape, dtype=bool)
-    valid[inside] = [e is None for e in errors]
+    valid[inside] = regular
     coords = np.full(zs.shape + (chain.dim,), np.nan)
     coords[inside] = values
     return zs, valid, coords
@@ -354,9 +357,12 @@ def cmd_ruled(cfg, outdir, quiet):
             if not res.degenerate:
                 probe_ok = probe_ok and res.residual <= 1e-3
             count += 1
-        geo = ruling_geodesic_residual(chain, complex((x0 + x1) / 2 + 0.1,
-                                                      (y0 + y1) / 2 + 0.1))
-        probe_ok = probe_ok and geo <= 1e-6
+        geo = ruling_geodesic_residual(
+            chain, complex((x0 + x1) / 2 + 0.1, (y0 + y1) / 2 + 0.1),
+            eps_singular=cfg.eps_singular,
+        )
+        if geo is not None:
+            probe_ok = probe_ok and geo <= 1e-6
     else:
         geo = None
 

@@ -13,6 +13,7 @@ from .domain import Domain
 from .errors import ConfigError, DomainError, ParseError
 from .expr import parse_expr
 from .geometry import DEFAULT_TOLERANCES
+from .reconstruct import MAX_RECONSTRUCT_N
 
 DEFAULT_MIN_REGULAR_FRACTION = 0.95
 
@@ -244,7 +245,8 @@ def validate_config(doc):
     if reconstruct is not None:
         path = "$.reconstruct"
         _expect(isinstance(reconstruct, dict), path, "expected an object")
-        _expect(n <= 3, path, f"unsupported n for reconstruction: {n} (max 3)")
+        _expect(n <= MAX_RECONSTRUCT_N, path,
+                f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})")
         reconstruct = dict(reconstruct)
         sg = _get(reconstruct, "sample_grid", path)
         reconstruct["sample_grid"] = (
@@ -328,7 +330,7 @@ def demo_config(n):
         }
     if n >= 3:
         doc["ruled"] = {"w": [[0.07, 0.03]] * (n - 2), "probe_points": 5}
-    if n <= 3:
+    if n <= MAX_RECONSTRUCT_N:
         sample = {1: 33, 2: 41, 3: 33}[n]
         doc["reconstruct"] = {
             "sample_grid": {"rows": sample, "cols": sample},

@@ -21,10 +21,10 @@ import numpy as np
 
 from .chain import (
     DEFAULT_EPS_SINGULAR,
-    f_chain_at,
     f_chain_eval,
     recursion_residuals,
-    surface_at,
+    require_regular,
+    surface_vectors,
 )
 from .domain import Domain
 from .errors import (
@@ -87,14 +87,7 @@ class SurfaceEvaluator:
 
         def func(zs):
             batch, (g, collapsed) = rows(zs)
-            if np.any(batch.singular):
-                bad = batch.z[np.argmax(batch.singular)]
-                raise SingularPointError("chain degenerates", complex(bad))
-            if np.any(collapsed):
-                bad = batch.z[np.argmax(collapsed)]
-                raise SingularPointError(
-                    "surface normalization degenerates", complex(bad)
-                )
+            require_regular(batch, collapsed)
             return g
 
         def masked(zs):
@@ -111,7 +104,10 @@ class SurfaceEvaluator:
 def _surface_rows(batch, eps_singular=DEFAULT_EPS_SINGULAR):
     """Unit vectors along Re(F_{n+1}) for a chain batch, and the mask of
     rows whose real part collapses below the relative threshold.  Rows of
-    singular or collapsed points hold no meaningful value."""
+    singular or collapsed points hold no meaningful value.
+
+    This is the finite-difference field: its row sums round differently
+    from `surface_vectors`, and the recorded residuals depend on them."""
     re = batch.F[:, -1, :].real
     nsq = np.sum(re * re, axis=1)
     collapsed = nsq <= eps_singular * batch.scale_sq
@@ -208,25 +204,25 @@ def _finite_rows(*arrays):
     )
 
 
-def chain_fundamental_form(sample, g=None, s=0):
+def chain_fundamental_form(batch, g, i, s=0):
     """Value of the order-(s+1) fundamental form of the surface along the
-    repeated z-direction, via the closed chain formula.
+    repeated z-direction at point i of the chain batch, via the closed
+    chain formula; g holds the surface vectors of the batch
+    (`surface_vectors`).
 
     s = 0 returns the tangent vector dg/dz; 1 <= s <= n-1 returns the
     higher forms, which are isotropic multiples of the conjugated chain
     vectors.
     """
-    n = sample.n
-    if sample.singular:
-        raise SingularPointError("chain degenerates", sample.z)
+    n = batch.F.shape[1] - 1
+    if batch.singular[i]:
+        raise SingularPointError("chain degenerates", complex(batch.z[i]))
     if not 0 <= s <= n - 1:
         raise ValueError(f"order s={s} out of range [0, {n - 1}]")
-    if g is None:
-        g = surface_at(sample)
-    pairing = complex(np.dot(g.astype(complex), sample.F[-1]))
-    target = sample.F[n - s - 1]
-    coeff = ((-1) ** (s + 1)) * pairing / sample.norms_sq[n - s - 1]
-    return coeff * np.conj(target)
+    F, norms_sq = batch.F[i], batch.norms_sq[i]
+    pairing = complex(np.dot(g[i].astype(complex), F[-1]))
+    coeff = ((-1) ** (s + 1)) * pairing / norms_sq[n - s - 1]
+    return coeff * np.conj(F[n - s - 1])
 
 
 def isotropic_surface_form_residual(chain, z, h=None,
@@ -257,15 +253,15 @@ def isotropic_surface_form_residual(chain, z, h=None,
 
     if h is None:
         h = default_step(chain.domain.diameter, 1)
-    sample = f_chain_at(chain, z, eps_singular)
-    if sample.singular:
+    batch = f_chain_eval(chain, np.array([z]), eps_singular)
+    if batch.singular[0]:
         raise SingularPointError("chain degenerates", z)
     v = 2.0 * wirtinger(f_field, z, 2, 0, h=h)
-    F1 = sample.F[0]
+    F1 = batch.F[0, 0]
     F1bar = np.conj(F1)
-    nsq = sample.norms_sq[0]
+    nsq = batch.norms_sq[0, 0]
     v = v - (np.dot(v, F1bar) / nsq) * F1 - (np.dot(v, F1) / nsq) * F1bar
-    ref = sample.F[1]
+    ref = batch.F[0, 1]
     return float(np.linalg.norm(v - ref) / np.linalg.norm(ref))
 
 
@@ -283,11 +279,9 @@ def second_normal_space_angle(chain, z, h=None, eps_singular=DEFAULT_EPS_SINGULA
     q, _ = np.linalg.qr(basis)
     d2 = wirtinger(g, z, 2, 0, h=h)
     v1 = d2 - q.astype(complex) @ (q.T.astype(complex) @ d2)
-    sample = f_chain_at(chain, z, eps_singular)
+    F = f_chain_eval(chain, np.array([z]), eps_singular).F[0]
     fd_basis = np.stack([v1, np.conj(v1)], axis=1)
-    chain_basis = np.stack(
-        [sample.F[chain.n - 2], np.conj(sample.F[chain.n - 2])], axis=1
-    )
+    chain_basis = np.stack([F[chain.n - 2], np.conj(F[chain.n - 2])], axis=1)
     return float(principal_angles(fd_basis, chain_basis).max())
 
 
@@ -390,20 +384,16 @@ class _Sweep:
         self.h = h
         self.calabi_order = calabi_order
         self.batch = f_chain_eval(chain, zs, eps_singular)
-        self.samples = [self.batch.sample(i) for i in range(zs.size)]
         self.regular = ~self.batch.singular
-        self.F = {}      # chain vectors of regular points, perturbed if asked
-        self.norms = {}
-        self.g = {}      # surface vectors of `ok` points
-        for i in np.flatnonzero(self.regular):
-            F = self.samples[i].F
-            self.F[i] = _apply_perturbation(F, perturb) if perturb else F
-            self.norms[i] = np.sqrt(np.sum(np.abs(self.F[i]) ** 2, axis=1))
-            try:
-                self.g[i] = surface_at(self.samples[i], eps_singular)
-            except SingularPointError:
-                pass
-        self.ok = np.array([i in self.g for i in range(zs.size)], dtype=bool)
+        # chain vectors of the algebraic families, perturbed if asked
+        self.F = self.batch.F
+        if perturb:
+            self.F = self.F.copy()
+            for i in np.flatnonzero(self.regular):
+                self.F[i] = _apply_perturbation(self.F[i], perturb)
+        self.norms = np.sqrt(np.sum(np.abs(self.F) ** 2, axis=2))
+        self.g, collapsed = surface_vectors(self.batch, eps_singular)
+        self.ok = self.regular & ~collapsed
         self.field = SurfaceEvaluator.from_chain(chain, eps_singular).masked
 
     def each(self, mask, point):
@@ -480,7 +470,7 @@ def _circularity(sw):
     def point(i):
         circ = 0.0
         for s in range(sw.chain.n):
-            a = chain_fundamental_form(sw.samples[i], sw.g[i], s)
+            a = chain_fundamental_form(sw.batch, sw.g, i, s)
             circ = max(circ, abs(np.dot(a, a)) / float(np.real(np.dot(a, np.conj(a)))))
         return circ
 
@@ -504,14 +494,12 @@ def _fbar_identity(sw):
                          h=sw.h)
         out = np.full(idx.size, np.nan)
         for b in np.flatnonzero(_finite_rows(dbar)):
-            sample = sw.samples[idx[b]]
+            F, norms_sq = sw.batch.F[idx[b]], sw.batch.norms_sq[idx[b]]
             fbar = 0.0
             for s in range(2, n + 1):
-                ratio = sample.norms_sq[s - 1] / sample.norms_sq[s - 2]
-                resid = np.linalg.norm(
-                    dbar[b, s - 2] + ratio * np.conj(sample.F[s - 2])
-                )
-                scale = sample.norms_sq[s - 1] / np.sqrt(sample.norms_sq[s - 2])
+                ratio = norms_sq[s - 1] / norms_sq[s - 2]
+                resid = np.linalg.norm(dbar[b, s - 2] + ratio * np.conj(F[s - 2]))
+                scale = norms_sq[s - 1] / np.sqrt(norms_sq[s - 2])
                 fbar = max(fbar, float(resid / scale))
             out[b] = fbar
         return out
@@ -524,8 +512,7 @@ def _tangent_formula(sw):
         dg = wirtinger(sw.field, sw.z[idx], 1, 0, h=sw.h)
         out = np.full(idx.size, np.nan)
         for b in np.flatnonzero(_finite_rows(dg)):
-            i = idx[b]
-            tangent = chain_fundamental_form(sw.samples[i], sw.g[i], 0)
+            tangent = chain_fundamental_form(sw.batch, sw.g, idx[b], 0)
             out[b] = float(
                 np.linalg.norm(dg[b] - tangent) / np.linalg.norm(tangent)
             )

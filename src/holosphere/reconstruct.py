@@ -13,7 +13,7 @@ forward Gram-Schmidt construction reproduces the surface up to sign;
 termination test are refused.
 
 Nested FD of order n+1 is meaningless in double precision for large n;
-reconstruction is capped at n <= 3.
+reconstruction is capped at n <= MAX_RECONSTRUCT_N.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,6 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .chain import _gram_schmidt
-from .domain import Domain
 from .errors import (
     DegenerateSurfaceError,
     DomainError,
@@ -36,21 +35,6 @@ MAX_RECONSTRUCT_N = 3
 _DEGENERATE_RATIO = 1e-18
 
 
-def _wirtinger_batch(f, zs, h):
-    """First-order Wirtinger derivative of a batch field, with one level
-    of Richardson extrapolation."""
-
-    def central(step):
-        B = zs.size
-        pts = np.concatenate([zs + step, zs - step, zs + 1j * step, zs - 1j * step])
-        vals = np.asarray(f(pts), dtype=complex)
-        gx = (vals[:B] - vals[B : 2 * B]) / (2 * step)
-        gy = (vals[2 * B : 3 * B] - vals[3 * B :]) / (2 * step)
-        return 0.5 * (gx - 1j * gy)
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
-
-
 def _descend_field(g, level, h):
     """Batched evaluator of the level-th chain field of the surface g."""
     if level == 0:
@@ -60,7 +44,7 @@ def _descend_field(g, level, h):
     def field(zs):
         zs = np.asarray(zs, dtype=complex).ravel()
         vals = inner(zs)
-        dG = _wirtinger_batch(inner, zs, h)
+        dG = wirtinger(inner, zs, 1, 0, h=h, richardson=True)
         nsq = np.sum(np.abs(vals) ** 2, axis=1)
         safe = np.where(nsq > 0, nsq, 1.0)
         coef = np.einsum("bd,bd->b", dG, np.conj(vals)) / safe
@@ -141,7 +125,8 @@ def conjugate_descent_residual(g, z, s, fd_step=None):
     field_s = _descend_field(g, s, h)
     below = _descend_field(g, s - 1, h)(zs)[0]
     Gs = field_s(zs)[0]
-    dGbar = _wirtinger_batch(lambda pts: np.conj(field_s(pts)), zs, h)[0]
+    dGbar = wirtinger(lambda pts: np.conj(field_s(pts)), zs, 1, 0, h=h,
+                      richardson=True)[0]
     ratio = norm_sq(Gs) / norm_sq(below)
     resid = np.linalg.norm(dGbar + ratio * np.conj(below))
     scale = norm_sq(Gs) / np.sqrt(norm_sq(below))
@@ -212,33 +197,22 @@ class XiField:
         """|d(xi)/dconj(z)| / |xi| at z."""
         if h is None:
             h = self.spacing / 10.0
-        zs = np.array([z], dtype=complex)
-        B = 1
-        pts = np.concatenate([zs + h, zs - h, zs + 1j * h, zs - 1j * h])
-        vals = self(pts)
-        gx = (vals[:B] - vals[B : 2 * B]) / (2 * h)
-        gy = (vals[2 * B : 3 * B] - vals[3 * B :]) / (2 * h)
-        dbar = 0.5 * (gx + 1j * gy)
+        dbar = wirtinger(self, z, 0, 1, h=h, richardson=False)
         return float(
-            np.linalg.norm(dbar[0]) / max(np.linalg.norm(self(zs)[0]), 1e-300)
+            np.linalg.norm(dbar) / max(np.linalg.norm(self(np.array([z]))[0]), 1e-300)
         )
 
 
 def _jet_derivative(field, zs, order, h):
     """order-th d/dz of the interpolated field by iterated central
     differences with step h."""
+    if order == 0:
+        return field(zs)
 
-    def deriv(pts, depth):
-        if depth == 0:
-            return field(pts)
-        B = pts.size
-        stencil = np.concatenate([pts + h, pts - h, pts + 1j * h, pts - 1j * h])
-        vals = deriv(stencil, depth - 1)
-        gx = (vals[:B] - vals[B : 2 * B]) / (2 * h)
-        gy = (vals[2 * B : 3 * B] - vals[3 * B :]) / (2 * h)
-        return 0.5 * (gx - 1j * gy)
+    def inner(pts):
+        return _jet_derivative(field, pts, order - 1, h)
 
-    return deriv(zs, order)
+    return wirtinger(inner, zs, 1, 0, h=h, richardson=False)
 
 
 def _sampling_box(g, n, h, box=None):

@@ -18,9 +18,11 @@ from holosphere.cli import main
 from holosphere.config import demo_config
 
 REPORTS = {
+    "generate": ["diagnostics.json", "surface.csv", "surface.obj"],
     "verify": ["diagnostics.json"],
     "kaehler": ["kaehler_report.json", "kaehler.csv"],
     "ruled": ["ruled_report.json", "ruled.csv"],
+    "reconstruct": ["reconstruct_report.json"],
 }
 
 
@@ -93,13 +95,45 @@ def stencil_hits_singular():
     return d, ["verify"]
 
 
-CASES = [demo2, demo3, degenerate2, degenerate3, disk2, exp2, stencil_hits_singular]
+def generate_demo3():
+    return demo3()[0], ["generate"]
+
+
+def generate_disk2():
+    return disk2()[0], ["generate"]
+
+
+def _reconstruct(n, gauge=None):
+    d = demo_config(n)
+    d["reconstruct"]["sample_grid"] = {"rows": 21, "cols": 21}
+    if gauge is not None:
+        d["reconstruct"]["gauge"] = gauge
+    return d, ["reconstruct"]
+
+
+def reconstruct1():
+    return _reconstruct(1)
+
+
+def reconstruct2_gauge():
+    return _reconstruct(2, gauge="exp(0.3*z)")
+
+
+def reconstruct3_refused():
+    # nested finite differences at n = 3 sit above the refusal threshold
+    return _reconstruct(3)
+
+
+CASES = [demo2, demo3, degenerate2, degenerate3, disk2, exp2, stencil_hits_singular,
+         generate_demo3, generate_disk2,
+         reconstruct1, reconstruct2_gauge, reconstruct3_refused]
 
 
 def record(outdir):
     for case in CASES:
         doc, commands = case()
-        doc.pop("reconstruct", None)
+        if "reconstruct" not in commands:
+            doc.pop("reconstruct", None)
         dest = Path(outdir) / case.__name__
         dest.mkdir(parents=True, exist_ok=True)
         config = dest / "config.json"

@@ -10,10 +10,8 @@ import pytest
 
 from holosphere import (
     build_alpha_chain,
-    f_chain_at,
+    f_chain_eval,
     recursion_crosscheck,
-    scan_grid,
-    surface_at,
 )
 from holosphere.applications import (
     KaehlerParams,
@@ -25,6 +23,7 @@ from holosphere.applications import (
     ruled_point,
     ruling_geodesic_residual,
 )
+from holosphere.chain import surface_vectors
 from holosphere.fd import wirtinger
 from holosphere.geometry import (
     SurfaceEvaluator,
@@ -71,11 +70,11 @@ def _interior_points(chain, margin_frac=0.05):
 def test_criterion_01_chain_invariants(chains):
     worst = 0.0
     for n in (1, 2, 3):
-        scan = scan_grid(chains[n], *GRID)
-        for sample in scan.samples:
-            assert not sample.singular
-            F = sample.F
-            norms = np.sqrt(sample.norms_sq)
+        zs, inside = chains[n].domain.grid(*GRID)
+        batch = f_chain_eval(chains[n], zs[inside])
+        assert not batch.singular.any()
+        for F, norms_sq in zip(batch.F, batch.norms_sq):
+            norms = np.sqrt(norms_sq)
             for j in range(n):
                 for k in range(j, n):
                     worst = max(
@@ -88,20 +87,18 @@ def test_criterion_01_chain_invariants(chains):
                         abs(np.dot(F[j], np.conj(F[k]))) / (norms[j] * norms[k]),
                     )
             worst = max(
-                worst, pair_minors_max(F[-1], np.conj(F[-1])) / sample.norms_sq[-1]
+                worst, pair_minors_max(F[-1], np.conj(F[-1])) / norms_sq[-1]
             )
     _report(1, "isotropy/orthogonality/collinearity, n=1..3", worst, 1e-9)
 
 
 def test_criterion_02_conjugate_descent(chains):
-    from holosphere.chain import f_chain_eval
-
     worst = 0.0
     for n in (2, 3):
         chain = chains[n]
         h = 1e-4 * chain.domain.diameter
         for z in _interior_points(chain)[::3]:
-            base = f_chain_at(chain, z)
+            base = f_chain_eval(chain, [z])
             stencil = np.array([z + h, z - h, z + 1j * h, z - 1j * h])
             batch = f_chain_eval(chain, stencil)
             for s in range(2, n + 1):
@@ -110,9 +107,9 @@ def test_criterion_02_conjugate_descent(chains):
                 dx = (fbar[0] - fbar[1]) / (2 * h)
                 dy = (fbar[2] - fbar[3]) / (2 * h)
                 dbar = 0.5 * (dx - 1j * dy)
-                ratio = base.norms_sq[idx] / base.norms_sq[idx - 1]
-                resid = np.linalg.norm(dbar + ratio * np.conj(base.F[idx - 1]))
-                scale = base.norms_sq[idx] / np.sqrt(base.norms_sq[idx - 1])
+                ratio = base.norms_sq[0, idx] / base.norms_sq[0, idx - 1]
+                resid = np.linalg.norm(dbar + ratio * np.conj(base.F[0, idx - 1]))
+                scale = base.norms_sq[0, idx] / np.sqrt(base.norms_sq[0, idx - 1])
                 worst = max(worst, float(resid / scale))
     _report(2, "conjugate-descent identity, s=2..n, n=2,3", worst, 1e-5)
 
@@ -131,7 +128,7 @@ def test_criterion_04_closed_form_n1(chains):
     zs, _ = chain.domain.grid(*GRID)
     worst = 0.0
     for z in zs.ravel():
-        g = surface_at(f_chain_at(chain, complex(z)))
+        g = surface_vectors(f_chain_eval(chain, [z]))[0][0]
         worst = max(
             worst,
             float(np.linalg.norm(g - oracle_surface_n1(complex(z), 1 + 0j))),
@@ -163,16 +160,16 @@ def test_criterion_07_tangent_and_higher_forms(chains, surfaces):
     for n in (2, 3):
         chain = chains[n]
         for z in _interior_points(chain)[::7]:
-            sample = f_chain_at(chain, z)
-            g = surface_at(sample)
-            tangent = chain_fundamental_form(sample, g, 0)
+            batch = f_chain_eval(chain, [z])
+            g, _ = surface_vectors(batch)
+            tangent = chain_fundamental_form(batch, g, 0, 0)
             fd = wirtinger(surfaces[n], z, 1, 0, h=surfaces[n].step(1))
             worst_tangent = max(
                 worst_tangent,
                 float(np.linalg.norm(fd - tangent) / np.linalg.norm(tangent)),
             )
             for s in range(n):
-                vec = chain_fundamental_form(sample, g, s)
+                vec = chain_fundamental_form(batch, g, 0, s)
                 scale = float(np.real(np.dot(vec, np.conj(vec))))
                 worst_circular = max(worst_circular, abs(np.dot(vec, vec)) / scale)
     _report(7, "tangent formula vs FD", worst_tangent, 1e-5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holosphere import build_alpha_chain, f_chain_at, surface_at
+from holosphere import build_alpha_chain, f_chain_eval
 from holosphere.applications import (
     KaehlerParams,
     RuledParams,
@@ -12,6 +12,7 @@ from holosphere.applications import (
     ruled_point,
     ruling_geodesic_residual,
 )
+from holosphere.chain import surface_vectors
 from holosphere.errors import SingularPointError
 
 Z0 = 0.31 + 0.17j
@@ -21,15 +22,15 @@ class TestKaehlerPoint:
     def test_constant_weight_reduces_to_surface(self, chain_n2):
         p = KaehlerParams.create("1", [0j])
         psi = kaehler_point(chain_n2, p, Z0)
-        g = surface_at(f_chain_at(chain_n2, Z0))
+        g = surface_vectors(f_chain_eval(chain_n2, [Z0]))[0][0]
         assert np.allclose(psi, g, atol=1e-14)
 
     def test_normal_shift(self, chain_n2):
         p = KaehlerParams.create("1", [1 + 0j])
         psi = kaehler_point(chain_n2, p, Z0)
-        s = f_chain_at(chain_n2, Z0)
+        s = f_chain_eval(chain_n2, [Z0])
         assert np.allclose(
-            psi, surface_at(s) + s.F[0].real, atol=1e-14
+            psi, surface_vectors(s)[0][0] + s.F[0, 0].real, atol=1e-14
         )
 
     def test_affine_in_parameters(self, chain_n2):
@@ -98,7 +99,7 @@ class TestImmersionCheck:
 class TestRuledPoint:
     def test_zero_offset_reproduces_surface(self, chain_n3):
         F = ruled_point(chain_n3, RuledParams.create([0j]), Z0)
-        g = surface_at(f_chain_at(chain_n3, Z0))
+        g = surface_vectors(f_chain_eval(chain_n3, [Z0]))[0][0]
         assert np.allclose(F, g, atol=1e-15)
 
     def test_unit_norm_everywhere(self, chain_n3):
@@ -108,10 +109,10 @@ class TestRuledPoint:
                 assert abs(np.linalg.norm(F) - 1) <= 1e-12
 
     def test_rays_are_great_circles(self, chain_n3):
-        s = f_chain_at(chain_n3, Z0)
-        g = surface_at(s)
+        s = f_chain_eval(chain_n3, [Z0])
+        g = surface_vectors(s)[0][0]
         w = 1.0 + 0.5j
-        wvec = w.real * s.F[0].real - w.imag * s.F[0].imag
+        wvec = w.real * s.F[0, 0].real - w.imag * s.F[0, 0].imag
         what = wvec / np.linalg.norm(wvec)
         for t in (0.1, 0.7, 1.9):
             F = ruled_point(chain_n3, RuledParams.create([t * w]), Z0)
@@ -127,14 +128,15 @@ class TestRuledPoint:
     def test_offsets_lie_in_higher_normal_spaces(self, chain_n3):
         # the ruling directions come from the lowest chain vectors, which
         # are Hermitian-orthogonal to both the tangent and position data
-        from holosphere.applications import _normal_combination
+        from holosphere.applications import _normal_terms
 
-        s = f_chain_at(chain_n3, Z0)
-        wvec = _normal_combination(s, (0.4 - 0.7j,)).astype(complex)
+        s = f_chain_eval(chain_n3, [Z0])
+        F, norms_sq = s.F[0], s.norms_sq[0]
+        wvec = _normal_terms(F, np.array([0.4 - 0.7j])).astype(complex)
         scale = np.linalg.norm(wvec)
         for idx in (2, 3):  # F_n and F_{n+1}
-            val = abs(np.dot(wvec, np.conj(s.F[idx])))
-            assert val <= 1e-9 * scale * np.sqrt(s.norms_sq[idx])
+            val = abs(np.dot(wvec, np.conj(F[idx])))
+            assert val <= 1e-9 * scale * np.sqrt(norms_sq[idx])
 
     def test_parameter_count(self, chain_n3):
         with pytest.raises(ValueError):
@@ -157,6 +159,20 @@ class TestRuledProbes:
         res = ruled_minimality_probe(chain_n3, params, Z0, det_threshold=1e12)
         assert res.degenerate
         assert res.residual is None
+
+    def test_degenerate_stencil_flagged(self):
+        # the chain of betas (z, 1, 1) degenerates at z = 0: a probe centred
+        # there, or whose stencil reaches it, is flagged, not raised
+        chain = build_alpha_chain(["z", "1", "1"])
+        params = RuledParams.create([0.05 + 0j])
+        h = 1e-3 * chain.domain.diameter
+        for z in (0j, h + h * 1j):
+            res = ruled_minimality_probe(chain, params, z)
+            assert res.degenerate
+            assert res.residual is None and res.gram_det is None
+        assert not ruled_minimality_probe(chain, params, 0.3 + 0.2j).degenerate
+        assert ruling_geodesic_residual(chain, 0j) is None
+        assert ruling_geodesic_residual(chain, 0.3 + 0.2j) <= 1e-6
 
     def test_singular_cell_raises(self):
         chain = build_alpha_chain(["z", "1", "1"])

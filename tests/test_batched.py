@@ -59,12 +59,13 @@ def test_recursion_over_centres(chain_n3):
 
 def test_kaehler_and_ruled_over_points(chain_n2, chain_n3):
     kp = KaehlerParams.create("1+x^2+y^2", [0.05 + 0.02j])
-    values, errors = kaehler_points(chain_n2, kp, CENTRES)
-    assert errors == [None] * CENTRES.size
+    values, valid = kaehler_points(chain_n2, kp, CENTRES)
+    assert valid.all()
     for z, row in zip(CENTRES, values):
         assert np.array_equal(row, kaehler_point(chain_n2, kp, z))
     rp = RuledParams.create([0.07 + 0.03j])
-    values, errors = ruled_points(chain_n3, rp, CENTRES)
+    values, valid = ruled_points(chain_n3, rp, CENTRES)
+    assert valid.all()
     for z, row in zip(CENTRES, values):
         assert np.array_equal(row, ruled_point(chain_n3, rp, z))
 
@@ -72,11 +73,11 @@ def test_kaehler_and_ruled_over_points(chain_n2, chain_n3):
 def test_degenerate_rows_are_masked_not_raised():
     chain = build_alpha_chain(["z", "1"])
     params = KaehlerParams.create("1", [0j])
-    values, errors = kaehler_points(chain, params, np.array([0j, 0.5 + 0.25j]))
-    assert isinstance(errors[0], SingularPointError)
+    values, valid = kaehler_points(chain, params, np.array([0j, 0.5 + 0.25j]))
+    assert list(valid) == [False, True]
     assert np.all(np.isnan(values[0]))
-    assert errors[1] is None and np.all(np.isfinite(values[1]))
-    with pytest.raises(SingularPointError):
+    assert np.all(np.isfinite(values[1]))
+    with pytest.raises(SingularPointError, match=r"chain degenerates at z=0j"):
         kaehler_point(chain, params, 0j)
 
 

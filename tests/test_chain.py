@@ -9,14 +9,13 @@ from holosphere import (
     Domain,
     build_alpha_chain,
     eval_expr,
-    f_chain_at,
+    f_chain_eval,
     hermitian_product,
     recursion_crosscheck,
     scan_grid,
-    surface_at,
     symmetric_product,
 )
-from holosphere.chain import f_chain_eval
+from holosphere.chain import require_regular, surface_vectors
 from holosphere.errors import DomainError, SingularPointError
 from holosphere.expr import poly_coeffs
 
@@ -99,51 +98,50 @@ class TestFChain:
     def test_values_at_origin(self, chain_n1):
         # hand-expanded: F_1 = (1, i, 0), dF_1 = (0, 0, 2), and the
         # projection coefficient vanishes, so F_2 = (0, 0, 2)
-        s = f_chain_at(chain_n1, 0j)
-        assert np.allclose(s.F[0], [1, 1j, 0], atol=1e-15)
-        assert np.allclose(s.jets[1], [0, 0, 2], atol=1e-15)
-        assert np.allclose(s.F[1], [0, 0, 2], atol=1e-15)
-        assert np.allclose(s.norms_sq, [2, 4], atol=1e-15)
+        s = f_chain_eval(chain_n1, [0j])
+        assert np.allclose(s.F[0, 0], [1, 1j, 0], atol=1e-15)
+        assert np.allclose(s.jets[0, 1], [0, 0, 2], atol=1e-15)
+        assert np.allclose(s.F[0, 1], [0, 0, 2], atol=1e-15)
+        assert np.allclose(s.norms_sq[0], [2, 4], atol=1e-15)
 
     def test_norm_formula(self, chain_n1):
         # |F_1|^2 expands to 2 (1 + |z|^2)^2
         for z in (1.0 + 0j, 0.3 - 0.8j, -1 + 1j):
-            s = f_chain_at(chain_n1, z)
-            assert s.norms_sq[0] == pytest.approx(2 * (1 + abs(z) ** 2) ** 2,
+            s = f_chain_eval(chain_n1, [z])
+            assert s.norms_sq[0, 0] == pytest.approx(2 * (1 + abs(z) ** 2) ** 2,
                                                   rel=1e-13)
 
     def test_value_at_one(self, chain_n1):
-        s = f_chain_at(chain_n1, 1.0 + 0j)
-        assert np.allclose(s.F[1], [-2, 0, 0], atol=1e-14)
+        s = f_chain_eval(chain_n1, [1.0 + 0j])
+        assert np.allclose(s.F[0, 1], [-2, 0, 0], atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_hermitian_orthogonality(self, n, chain_n1, chain_n2, chain_n3):
         chain = {1: chain_n1, 2: chain_n2, 3: chain_n3}[n]
         for z in (0.37 + 0.21j, -0.55 + 0.8j):
-            s = f_chain_at(chain, z)
-            assert not s.singular
-            norms = np.sqrt(s.norms_sq)
+            s = f_chain_eval(chain, [z])
+            assert not s.singular[0]
+            F, norms = s.F[0], np.sqrt(s.norms_sq[0])
             for j in range(n + 1):
                 for k in range(j + 1, n + 1):
-                    val = abs(hermitian_product(s.F[j], s.F[k]))
+                    val = abs(hermitian_product(F[j], F[k]))
                     assert val <= 1e-10 * norms[j] * norms[k]
 
     def test_batch_matches_pointwise(self, chain_n2):
         zs = np.array([0.1 + 0.2j, -0.4 + 0.6j, 0.9 - 0.9j])
         batch = f_chain_eval(chain_n2, zs)
         for i, z in enumerate(zs):
-            single = f_chain_at(chain_n2, complex(z))
-            assert np.allclose(batch.F[i], single.F, atol=1e-14)
+            single = f_chain_eval(chain_n2, [z])
+            assert np.allclose(batch.F[i], single.F[0], atol=1e-14)
 
     def test_point_outside_domain(self, chain_n1):
         with pytest.raises(DomainError):
-            f_chain_at(chain_n1, 3 + 0j)
+            f_chain_eval(chain_n1, [3 + 0j])
 
     def test_degenerate_point_flagged(self):
         # beta = z kills the jet at the origin
         chain = build_alpha_chain(["z"])
-        assert f_chain_at(chain, 0j).singular
-        assert not f_chain_at(chain, 0.5 + 0j).singular
+        assert list(f_chain_eval(chain, [0j, 0.5 + 0j]).singular) == [True, False]
 
     def test_nonpolynomial_chain(self):
         # beta = exp(z): phi = exp(z) - 1 via quadrature, top map still
@@ -153,11 +151,12 @@ class TestFChain:
         z = 0.3 - 0.2j
         p = cmath.exp(z) - 1
         expected = np.array([1 - p * p, 1j * (1 + p * p), 2 * p])
-        s = f_chain_at(chain, z)
-        assert np.allclose(s.F[0], expected, atol=1e-9)
-        assert abs(symmetric_product(s.F[0], s.F[0])) <= 1e-9 * s.norms_sq[0]
-        assert abs(hermitian_product(s.F[0], s.F[1])) <= 1e-8 * np.sqrt(
-            s.norms_sq[0] * s.norms_sq[1]
+        s = f_chain_eval(chain, [z])
+        F, norms_sq = s.F[0], s.norms_sq[0]
+        assert np.allclose(F[0], expected, atol=1e-9)
+        assert abs(symmetric_product(F[0], F[0])) <= 1e-9 * norms_sq[0]
+        assert abs(hermitian_product(F[0], F[1])) <= 1e-8 * np.sqrt(
+            norms_sq[0] * norms_sq[1]
         )
 
 
@@ -180,31 +179,36 @@ class TestRecursionCrosscheck:
 
 class TestSurface:
     def test_unit_norm(self, chain_n2):
-        for z in (0j, 0.25 - 0.75j, -1 + 1j):
-            g = surface_at(f_chain_at(chain_n2, z))
-            assert abs(np.linalg.norm(g) - 1) <= 1e-14
+        g, _ = surface_vectors(f_chain_eval(chain_n2, [0j, 0.25 - 0.75j, -1 + 1j]))
+        for row in g:
+            assert abs(np.linalg.norm(row) - 1) <= 1e-14
 
     def test_matches_closed_form_oracle(self, chain_n1):
         zs, _ = chain_n1.domain.grid(10, 10)
         worst = 0.0
         for z in zs.ravel():
-            g = surface_at(f_chain_at(chain_n1, complex(z)))
+            g = surface_vectors(f_chain_eval(chain_n1, [z]))[0][0]
             worst = max(worst, np.linalg.norm(g - oracle_surface_n1(complex(z), 1 + 0j)))
         assert worst <= 1e-10
 
     def test_degenerate_chain_point_raises(self):
         chain = build_alpha_chain(["z"])
-        with pytest.raises(SingularPointError):
-            surface_at(f_chain_at(chain, 0j))
+        batch = f_chain_eval(chain, [0j])
+        g, collapsed = surface_vectors(batch)
+        assert batch.singular[0] and np.isnan(g[0]).all()
+        with pytest.raises(SingularPointError, match="chain degenerates"):
+            require_regular(batch, collapsed)
 
     def test_normalization_collapse_raises(self):
         # for beta = z the chain is fine at z = 0.2i but the real part of
         # the top vector vanishes on the whole imaginary axis
         chain = build_alpha_chain(["z"])
-        s = f_chain_at(chain, 0.2j)
-        assert not s.singular
-        with pytest.raises(SingularPointError):
-            surface_at(s)
+        s = f_chain_eval(chain, [0.2j])
+        assert not s.singular[0]
+        g, collapsed = surface_vectors(s)
+        assert collapsed[0] and np.isnan(g[0]).all()
+        with pytest.raises(SingularPointError, match="normalization degenerates"):
+            require_regular(s, collapsed)
 
 
 class TestScanGrid:
@@ -212,7 +216,7 @@ class TestScanGrid:
         scan = scan_grid(chain_n1, 10, 10)
         assert scan.singular.sum() == 0
         assert scan.valid.all()
-        assert len(scan.samples) == 100
+        assert scan.surface.shape == (10, 10, 3)
 
     def test_row_major_order(self, chain_n1):
         scan = scan_grid(chain_n1, 3, 4)

@@ -205,6 +205,20 @@ class TestKaehlerAndRuled:
         assert report["passed"] is True
         assert report["max_norm_deviation"] <= 1e-12
 
+    def test_ruled_masks_degenerate_geodesic_point(self, tmp_path):
+        # the chain degenerates at the geodesic probe point 0.1+0.1i
+        doc = demo_config(3)
+        doc["betas"] = ["z-(0.1+0.1*i)", "1", "1"]
+        out = tmp_path / "run"
+        code = main(["ruled", "--config", _write(tmp_path, doc), "--out",
+                     str(out), "--quiet"])
+        assert code == 0
+        report = json.loads((out / "ruled_report.json").read_text())
+        assert report["ruling_geodesic_residual"] is None
+        assert report["passed"] is True
+        assert len(report["probes"]) == 5
+        assert all(p["residual"] <= 1e-3 for p in report["probes"])
+
     def test_ruled_needs_depth_three(self, tmp_path, capsys):
         code = main(["ruled", "--seed-demo", "2", "--out",
                      str(tmp_path / "run")])

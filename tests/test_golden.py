@@ -1,7 +1,10 @@
-"""Outputs of verify, kaehler and ruled on fixed configs, compared with
-files recorded before the batched verification engine replaced the
-per-point loops.  Every value must match exactly; the `counts` block of
-diagnostics.json is newer than the recordings and is left out.
+"""Outputs of generate, verify, reconstruct, kaehler and ruled on fixed
+configs, compared with recorded files.  Every value must match exactly.
+The verify, kaehler and ruled cases were recorded before the batched
+verification engine replaced the per-point loops, and their
+diagnostics.json has no `counts` block, so it is left out there; the
+generate and reconstruct cases were recorded before the per-point chain
+samples were removed.
 
 The recordings were made with numpy 2.4.6 and scipy 1.17.1 (bundled
 OpenBLAS 0.3.31) on x86-64; another BLAS build can move residuals in
@@ -19,9 +22,11 @@ from holosphere.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 REPORTS = {
+    "generate": ("diagnostics.json", "surface.csv", "surface.obj"),
     "verify": ("diagnostics.json",),
     "kaehler": ("kaehler_report.json", "kaehler.csv"),
     "ruled": ("ruled_report.json", "ruled.csv"),
+    "reconstruct": ("reconstruct_report.json",),
 }
 
 
@@ -35,12 +40,13 @@ def test_outputs_match_recording(case, tmp_path):
         assert code == expected, command
         for name in REPORTS[command]:
             got, want = tmp_path / name, src / name
-            if name.endswith(".csv"):
+            if not name.endswith(".json"):
                 assert got.read_text() == want.read_text(), name
                 continue
-            doc = json.loads(got.read_text())
-            doc.pop("counts", None)
-            assert doc == json.loads(want.read_text()), name
+            doc, recorded = json.loads(got.read_text()), json.loads(want.read_text())
+            if "counts" not in recorded:
+                doc.pop("counts", None)
+            assert doc == recorded, name
 
 
 def test_verify_call_count_independent_of_grid(monkeypatch):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from holosphere import Domain, build_alpha_chain, f_chain_at, surface_at
+from holosphere import Domain, f_chain_eval
+from holosphere.chain import surface_vectors
 from holosphere.errors import (
     DegenerateSurfaceError,
     DomainError,
@@ -24,7 +25,8 @@ class TestGChain:
     def test_first_vector_matches_tangent_formula(self, chain_n1, surface_n1):
         z = 0.3 + 0.2j
         sample = g_chain_at(surface_n1, z)
-        ref = chain_fundamental_form(f_chain_at(chain_n1, z), None, 0)
+        batch = f_chain_eval(chain_n1, [z])
+        ref = chain_fundamental_form(batch, surface_vectors(batch)[0], 0, 0)
         dev = np.linalg.norm(sample.G[1] - ref) / np.linalg.norm(ref)
         assert dev <= 1e-5
 
@@ -70,7 +72,7 @@ class TestExtractXi:
         # single (holomorphic, nowhere-zero) factor
         for z in (0.3 + 0.2j, -0.4 + 0.1j):
             xi = extract_xi(g_chain_at(surface_n1, z))
-            F1 = f_chain_at(chain_n1, z).F[0]
+            F1 = f_chain_eval(chain_n1, [z]).F[0, 0]
             ratios = xi / F1
             assert np.max(np.abs(ratios - ratios[0])) <= 1e-6 * abs(ratios[0])
 
