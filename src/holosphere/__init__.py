@@ -49,7 +49,6 @@ from .reconstruct import (
     XiField,
     extract_xi,
     g_chain_at,
-    integrate_to_f,
     roundtrip,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "f_chain_eval",
     "g_chain_at",
     "hermitian_product",
-    "integrate_to_f",
     "minimality_residual",
     "norm_sq",
     "parse_expr",

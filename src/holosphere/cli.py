@@ -25,12 +25,7 @@ from .applications import (
     ruling_geodesic_residual,
 )
 from .chain import build_alpha_chain, scan_grid
-from .config import (
-    RECONSTRUCT_TOLERANCES,
-    demo_config,
-    load_config,
-    validate_config,
-)
+from .config import demo_config, load_config, validate_config
 from .errors import (
     ConfigError,
     HolosphereError,
@@ -203,13 +198,7 @@ def cmd_reconstruct(cfg, outdir, quiet):
             "$.n",
             f"unsupported n for reconstruction: {cfg.n} (max {MAX_RECONSTRUCT_N})",
         )
-    rc = cfg.reconstruct or {
-        "sample_grid": (33, 33),
-        "eval_grid": (8, 8),
-        "gauge": None,
-        "tolerance": RECONSTRUCT_TOLERANCES[cfg.n],
-        "refusal_threshold": 1e-2,
-    }
+    rc = cfg.reconstruct
     chain = _chain(cfg)
     g = SurfaceEvaluator.from_chain(chain, cfg.eps_singular, fd_step=cfg.fd_step)
     gauge = None

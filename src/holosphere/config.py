@@ -242,8 +242,9 @@ def validate_config(doc):
                                         f"{path}.probe_points", minimum=0)
 
     reconstruct = _get(doc, "reconstruct", "$")
-    if reconstruct is not None:
+    if reconstruct is not None or n <= MAX_RECONSTRUCT_N:
         path = "$.reconstruct"
+        reconstruct = {} if reconstruct is None else reconstruct
         _expect(isinstance(reconstruct, dict), path, "expected an object")
         _expect(n <= MAX_RECONSTRUCT_N, path,
                 f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .chain import _gram_schmidt
+from .chain import DEFAULT_EPS_SINGULAR, _gram_schmidt
 from .errors import (
     DegenerateSurfaceError,
     DomainError,
@@ -35,27 +35,48 @@ MAX_RECONSTRUCT_N = 3
 _DEGENERATE_RATIO = 1e-18
 
 
-def _descend_field(g, level, h):
-    """Batched evaluator of the level-th chain field of the surface g."""
-    if level == 0:
-        return lambda zs: np.asarray(g(zs), dtype=complex)
-    inner = _descend_field(g, level - 1, h)
+def _descend(g, zs, depth, h, keep=True):
+    """Rows G_0..G_depth of the descending chain at the points zs, from
+    one nested FD sweep: level L-1 at the points is computed once and
+    reused for level L, whose stencils evaluate level L-1 around them.
 
-    def field(zs):
-        zs = np.asarray(zs, dtype=complex).ravel()
-        vals = inner(zs)
-        dG = wirtinger(inner, zs, 1, 0, h=h, richardson=True)
-        nsq = np.sum(np.abs(vals) ** 2, axis=1)
+    Returns the list of (B, dim) levels; with keep=False only the top
+    level is kept (what the stencil evaluations pass up).
+    """
+    zs = np.asarray(zs, dtype=complex).ravel()
+    levels = [np.asarray(g(zs), dtype=complex)]
+    for level in range(depth):
+        below = levels[-1]
+        dG = wirtinger(lambda pts, s=level: _descend(g, pts, s, h, keep=False)[-1],
+                       zs, 1, 0, h=h, richardson=True)
+        nsq = np.sum(np.abs(below) ** 2, axis=1)
         safe = np.where(nsq > 0, nsq, 1.0)
-        coef = np.einsum("bd,bd->b", dG, np.conj(vals)) / safe
-        return dG - coef[:, None] * vals
-
-    return field
+        coef = np.einsum("bd,bd->b", dG, np.conj(below)) / safe
+        top = dG - coef[:, None] * below
+        levels = levels + [top] if keep else [top]
+    return levels
 
 
 def _chain_margin(n, h):
     """Clearance needed by n+1 nested first-order stencils."""
     return 3.0 * (n + 2) * h
+
+
+def _one_point(g, z, depth, h, nested):
+    """Levels G_0..G_depth at the single point z, where the caller nests
+    `nested` first-order stencils that must fit in the domain."""
+    if not g.domain.contains(z, margin=_chain_margin(nested - 1, h)):
+        raise DomainError(f"nested stencil at z={z} leaves the domain")
+    return [G[0] for G in _descend(g, [z], depth, h)]
+
+
+def _xi_rows(bottom, where):
+    """conj(G_n)/|G_n|^2 for rows of chain bottoms: the holomorphic
+    generator recovered from the surface."""
+    nsq = np.sum(np.abs(bottom) ** 2, axis=1)
+    if np.any(nsq < _DEGENERATE_RATIO):
+        raise DegenerateSurfaceError(f"degenerate chain bottom {where}")
+    return np.conj(bottom) / nsq[:, None]
 
 
 @dataclass
@@ -74,7 +95,7 @@ class GChainSample:
         return self.G.shape[0] - 1
 
 
-def g_chain_at(g, z, n=None, fd_step=None):
+def g_chain_at(g, z, n=None):
     """Evaluate the descending chain at one point by nested FD.
 
     Raises DegenerateSurfaceError when a chain norm collapses (e.g. the
@@ -85,16 +106,10 @@ def g_chain_at(g, z, n=None, fd_step=None):
         n = g.n
     if n is None:
         raise ValueError("chain depth n is required for a black-box surface")
-    h = fd_step if fd_step is not None else g.step(1)
-    if not g.domain.contains(z, margin=_chain_margin(n, h)):
-        raise DomainError(f"nested stencil at z={z} leaves the domain")
-    zs = np.array([z], dtype=complex)
-    G = np.empty((n + 2, g.dim), dtype=complex)
-    norms = np.empty(n + 2)
-    for level in range(n + 2):
-        G[level] = _descend_field(g, level, h)(zs)[0]
-        norms[level] = norm_sq(G[level])
-        if level <= n and level > 0 and norms[level] < _DEGENERATE_RATIO * norms[level - 1]:
+    G = np.array(_one_point(g, z, n + 1, g.step(1), n + 1))
+    norms = np.array([norm_sq(row) for row in G])
+    for level in range(1, n + 1):
+        if norms[level] < _DEGENERATE_RATIO * norms[level - 1]:
             raise DegenerateSurfaceError(
                 f"chain norm collapses at level {level}, z={z}"
             )
@@ -105,28 +120,20 @@ def g_chain_at(g, z, n=None, fd_step=None):
 def extract_xi(sample):
     """conj(G_n)/|G_n|^2: the holomorphic generator recovered from the
     chain bottom."""
-    nsq = sample.norms_sq[-1]
-    if nsq < _DEGENERATE_RATIO:
-        raise DegenerateSurfaceError(f"degenerate chain bottom at z={sample.z}")
-    return np.conj(sample.G[-1]) / nsq
+    return _xi_rows(sample.G[-1:], f"at z={sample.z}")[0]
 
 
-def conjugate_descent_residual(g, z, s, fd_step=None):
+def conjugate_descent_residual(g, z, s):
     """FD residual of the conjugate-descent identity for the surface
     chain: d(conj G_s)/dz + (|G_s|^2/|G_{s-1}|^2) conj G_{s-1} = 0 for
     s >= 1 (at s = 1 the right side involves the position vector itself).
     Returns the residual normalized by the identity's own scale."""
     if s < 1:
         raise ValueError("the descent identity needs s >= 1")
-    h = fd_step if fd_step is not None else g.step(1)
-    if not g.domain.contains(z, margin=_chain_margin(s, h)):
-        raise DomainError(f"nested stencil at z={z} leaves the domain")
-    zs = np.array([z], dtype=complex)
-    field_s = _descend_field(g, s, h)
-    below = _descend_field(g, s - 1, h)(zs)[0]
-    Gs = field_s(zs)[0]
-    dGbar = wirtinger(lambda pts: np.conj(field_s(pts)), zs, 1, 0, h=h,
-                      richardson=True)[0]
+    h = g.step(1)
+    below, Gs = _one_point(g, z, s, h, s + 1)[-2:]
+    dGbar = wirtinger(lambda pts: np.conj(_descend(g, pts, s, h, keep=False)[-1]),
+                      np.array([z], dtype=complex), 1, 0, h=h, richardson=True)[0]
     ratio = norm_sq(Gs) / norm_sq(below)
     resid = np.linalg.norm(dGbar + ratio * np.conj(below))
     scale = norm_sq(Gs) / np.sqrt(norm_sq(below))
@@ -139,28 +146,27 @@ def conjugate_descent_residual(g, z, s, fd_step=None):
 
 class XiField:
     """A vector-valued holomorphic field sampled on a rectangular grid,
-    interpolated by tensor-product splines (cubic by default)."""
+    interpolated by tensor-product cubic splines."""
 
-    def __init__(self, xs, ys, values, order=3):
+    def __init__(self, xs, ys, values):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         values = np.asarray(values, dtype=complex)
         if values.shape[:2] != (xs.size, ys.size):
             raise ValueError("values must have shape (len(xs), len(ys), dim)")
-        if xs.size < order + 1 or ys.size < order + 1:
+        if xs.size < 4 or ys.size < 4:
             raise ValueError(
-                f"grid too sparse for order-{order} interpolation: "
-                f"need at least {order + 1} samples per axis"
+                "grid too sparse for cubic interpolation: "
+                "need at least 4 samples per axis"
             )
         self.xs = xs
         self.ys = ys
         self.values = values
-        self.order = order
         self.dim = values.shape[2]
         self._splines = [
             (
-                RectBivariateSpline(xs, ys, values[:, :, c].real, kx=order, ky=order),
-                RectBivariateSpline(xs, ys, values[:, :, c].imag, kx=order, ky=order),
+                RectBivariateSpline(xs, ys, values[:, :, c].real),
+                RectBivariateSpline(xs, ys, values[:, :, c].imag),
             )
             for c in range(self.dim)
         ]
@@ -215,9 +221,17 @@ def _jet_derivative(field, zs, order, h):
     return wirtinger(inner, zs, 1, 0, h=h, richardson=False)
 
 
-def _sampling_box(g, n, h, box=None):
+def _sampling_box(g, n, h):
+    """The largest axis-aligned box inside the domain (the rectangle
+    itself, the inscribed square of a disk), inset by the clearance of
+    the nested stencils."""
+    domain = g.domain
+    if domain.shape == "disk":
+        c, half = domain.center, domain.radius / np.sqrt(2.0)
+        x0, x1, y0, y1 = c.real - half, c.real + half, c.imag - half, c.imag + half
+    else:
+        x0, x1, y0, y1 = domain.bounds
     margin = _chain_margin(n, h)
-    x0, x1, y0, y1 = g.domain.bounds if box is None else box
     x0, x1 = x0 + margin, x1 - margin
     y0, y1 = y0 + margin, y1 - margin
     if x1 <= x0 or y1 <= y0:
@@ -225,18 +239,17 @@ def _sampling_box(g, n, h, box=None):
     return x0, x1, y0, y1
 
 
-def probe_termination(g, n=None, fd_step=None, samples=5, box=None):
+def probe_termination(g, n=None, samples=5):
     """Relative size of G_{n+1} against G_n on a coarse probe grid: the
     termination test that certifies pseudoholomorphicity."""
     if n is None:
         n = g.n
-    h = fd_step if fd_step is not None else g.step(1)
-    x0, x1, y0, y1 = _sampling_box(g, n, h, box)
+    h = g.step(1)
+    x0, x1, y0, y1 = _sampling_box(g, n, h)
     xs = np.linspace(x0, x1, samples)
     ys = np.linspace(y0, y1, samples)
     zs = (xs[:, None] + 1j * ys[None, :]).ravel()
-    top = _descend_field(g, n + 1, h)(zs)
-    bot = _descend_field(g, n, h)(zs)
+    bot, top = _descend(g, zs, n + 1, h)[-2:]
     bot_nsq = np.sum(np.abs(bot) ** 2, axis=1)
     top_nsq = np.sum(np.abs(top) ** 2, axis=1)
     safe = np.where(bot_nsq > 0, bot_nsq, 1.0)
@@ -245,13 +258,9 @@ def probe_termination(g, n=None, fd_step=None, samples=5, box=None):
     return ratios
 
 
-def sample_xi(g, n=None, rows=41, cols=41, fd_step=None, box=None):
+def sample_xi(g, n=None, rows=41, cols=41):
     """Sample the recovered holomorphic field on a grid inset far enough
-    from the boundary for the nested stencils.
-
-    Returns (XiField, residual_ratios) where the ratios come from the
-    coarse termination probe.
-    """
+    from the boundary for the nested stencils; returns the XiField."""
     if n is None:
         n = g.n
     if n is None:
@@ -260,43 +269,14 @@ def sample_xi(g, n=None, rows=41, cols=41, fd_step=None, box=None):
         raise ValueError(
             f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})"
         )
-    h = fd_step if fd_step is not None else g.step(1)
-    ratios = probe_termination(g, n=n, fd_step=fd_step, box=box)
-    x0, x1, y0, y1 = _sampling_box(g, n, h, box)
+    h = g.step(1)
+    x0, x1, y0, y1 = _sampling_box(g, n, h)
     xs = np.linspace(x0, x1, cols)
     ys = np.linspace(y0, y1, rows)
     zs = (xs[:, None] + 1j * ys[None, :]).ravel()
-
-    bottom = _descend_field(g, n, h)(zs)
-    nsq = np.sum(np.abs(bottom) ** 2, axis=1)
-    if np.any(nsq < _DEGENERATE_RATIO):
-        raise DegenerateSurfaceError("chain bottom degenerates on the grid")
-    xi_vals = (np.conj(bottom) / nsq[:, None]).reshape(xs.size, ys.size, -1)
-    return XiField(xs, ys, xi_vals), ratios
-
-
-def integrate_to_f(xi, domain):
-    """Real part of the componentwise path antiderivative of the field,
-    from the domain base point: an isotropic surface evaluator."""
-    from .quadrature import integrate_segment
-
-    base = domain.base_point
-    cache = {}
-
-    def f(z):
-        z = complex(z)
-        hit = cache.get(z)
-        if hit is not None:
-            return hit
-        out = np.empty(xi.dim)
-        for c in range(xi.dim):
-            out[c] = integrate_segment(
-                lambda w, _c=c: xi(w)[:, _c], base, z, abs_tol=1e-10
-            ).real
-        cache[z] = out
-        return out
-
-    return f
+    bottom = _descend(g, zs, n, h)[-1]
+    xi_vals = _xi_rows(bottom, "on the grid").reshape(xs.size, ys.size, -1)
+    return XiField(xs, ys, xi_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +308,6 @@ def roundtrip(
     grid=(8, 8),
     n=None,
     sample_grid=(41, 41),
-    fd_step=None,
     gauge=None,
     refusal_threshold=1e-2,
 ):
@@ -351,21 +330,21 @@ def roundtrip(
         )
     rows, cols = grid
     srows, scols = sample_grid
-    ratios = probe_termination(g, n=n, fd_step=fd_step)
+    ratios = probe_termination(g, n=n)
     termination = float(np.median(ratios))
     if termination > refusal_threshold:
         raise NotPseudoholomorphicError(
             "surface chain does not terminate; input is not pseudoholomorphic",
             termination,
         )
-    xi, _ = sample_xi(g, n=n, rows=srows, cols=scols, fd_step=fd_step)
+    xi = sample_xi(g, n=n, rows=srows, cols=scols)
 
     if gauge is not None:
         zs_grid = (xi.xs[:, None] + 1j * xi.ys[None, :]).ravel()
         factors = np.asarray(gauge(zs_grid), dtype=complex).reshape(
             xi.xs.size, xi.ys.size, 1
         )
-        xi = XiField(xi.xs, xi.ys, xi.values * factors, order=xi.order)
+        xi = XiField(xi.xs, xi.ys, xi.values * factors)
 
     inset = 2.0 * xi.spacing
     x0, x1 = xi.xs[0] + inset, xi.xs[-1] - inset
@@ -376,7 +355,7 @@ def roundtrip(
     flat = eval_pts.ravel()
 
     jets = xi.jet(flat, n)
-    F, norms, scale_sq, singular = _gram_schmidt(jets, 1e-12)
+    F, norms, scale_sq, singular = _gram_schmidt(jets, DEFAULT_EPS_SINGULAR)
     if np.any(singular):
         raise DegenerateSurfaceError("reconstructed jet degenerates on the grid")
     re = F[:, -1, :].real

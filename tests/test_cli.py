@@ -73,6 +73,28 @@ class TestConfigValidation:
             validate_config(doc)
         assert "unsupported n for reconstruction" in str(err.value)
 
+    def test_reconstruct_defaults(self):
+        doc = demo_config(1)
+        doc.pop("reconstruct")
+        assert validate_config(doc).reconstruct == {
+            "sample_grid": (33, 33),
+            "eval_grid": (8, 8),
+            "gauge": None,
+            "tolerance": 1e-3,
+            "refusal_threshold": 1e-2,
+        }
+
+    def test_no_reconstruct_block_beyond_cap(self):
+        doc = demo_config(3)
+        doc["n"] = 4
+        doc["betas"] = ["1"] * 4
+        doc["integration_constants"] = [
+            [[0.0, 0.0]] * (2 * r + 1) for r in range(4)
+        ]
+        for block in ("ruled", "kaehler", "reconstruct"):
+            doc.pop(block)
+        assert validate_config(doc).reconstruct is None
+
     def test_obj_components_range(self):
         doc = demo_config(1)
         doc["output"] = {"obj_components": [1, 2, 9]}
@@ -168,6 +190,19 @@ class TestReconstruct:
         report = json.loads((out / "reconstruct_report.json").read_text())
         assert report["passed"] is True
         assert report["sup_distance"] <= 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_disk_domain(self, tmp_path, n):
+        # sampling stays inside the inscribed square of the disk
+        doc = demo_config(n)
+        doc["domain"] = {"shape": "disk", "center": [0.0, 0.0],
+                         "radius": 1.0, "base_point": [0.0, 0.0]}
+        out = tmp_path / "run"
+        code = main(["reconstruct", "--config", _write(tmp_path, doc),
+                     "--out", str(out), "--quiet"])
+        assert code == 0
+        report = json.loads((out / "reconstruct_report.json").read_text())
+        assert report["passed"] is True
 
     def test_unsupported_depth(self, tmp_path, capsys):
         doc = demo_config(3)

@@ -15,7 +15,6 @@ from holosphere.reconstruct import (
     XiField,
     extract_xi,
     g_chain_at,
-    integrate_to_f,
     roundtrip,
     sample_xi,
 )
@@ -77,7 +76,7 @@ class TestExtractXi:
             assert np.max(np.abs(ratios - ratios[0])) <= 1e-6 * abs(ratios[0])
 
     def test_holomorphy_of_sampled_field(self, surface_n1):
-        xi, _ = sample_xi(surface_n1, rows=25, cols=25)
+        xi = sample_xi(surface_n1, rows=25, cols=25)
         for z in (0.2 + 0.3j, -0.5 - 0.1j, 0.6 + 0j):
             assert xi.holomorphy_residual(z) <= 1e-4
 
@@ -122,29 +121,6 @@ class TestXiField:
         assert abs(jets[0, 2, 0] - 6 * probe[0]) < 1e-5
 
 
-class TestIntegrateToF:
-    def test_constant_field(self):
-        xs = np.linspace(-1, 1, 9)
-        ys = np.linspace(-1, 1, 9)
-        vals = np.zeros((9, 9, 3), dtype=complex)
-        vals[:, :, 0] = 1.0
-        vals[:, :, 1] = 1j
-        field = XiField(xs, ys, vals)
-        f = integrate_to_f(field, Domain.rectangle(-1 - 1j, 1 + 1j, base_point=0j))
-        z = 0.5 + 0.25j
-        assert np.allclose(f(z), [0.5, -0.25, 0.0], atol=1e-9)
-
-    def test_gradient_recovers_field(self, surface_n1):
-        # the isotropic map satisfies 2 df/dz = xi
-        xi, _ = sample_xi(surface_n1, rows=25, cols=25)
-        f = integrate_to_f(xi, surface_n1.domain)
-        z, h = 0.2 + 0.3j, 1e-5
-        fx = (f(z + h) - f(z - h)) / (2 * h)
-        fy = (f(z + 1j * h) - f(z - 1j * h)) / (2 * h)
-        df = 0.5 * (fx - 1j * fy)
-        assert np.linalg.norm(2 * df - xi(np.array([z]))[0]) <= 1e-5
-
-
 class TestRoundtrip:
     def test_n1(self, surface_n1):
         result = roundtrip(surface_n1, grid=(8, 8), sample_grid=(33, 33))
@@ -165,7 +141,7 @@ class TestRoundtrip:
     def test_span_agreement(self, chain_n2, surface_n2):
         # the reconstructed jet spans the same maximal isotropic flag as
         # the descending chain of the surface
-        xi, _ = sample_xi(surface_n2, rows=41, cols=41)
+        xi = sample_xi(surface_n2, rows=41, cols=41)
         z = 0.21 + 0.13j
         jets = xi.jet(np.array([z]), 1)[0]  # xi, d xi
         gs = g_chain_at(surface_n2, z)
@@ -181,3 +157,31 @@ class TestRoundtrip:
     def test_unsupported_depth(self, surface_n1):
         with pytest.raises(ValueError):
             roundtrip(surface_n1, n=4)
+
+
+class TestEvaluationCount:
+    """Surface points one roundtrip evaluates: one nested sweep to level
+    n+1 at the 5x5 probe points (9^(n+1) each), one to level n at the
+    samples (9^n each), and the evaluation grid."""
+
+    @staticmethod
+    def _counted(g):
+        count = [0]
+
+        def func(zs):
+            count[0] += zs.size
+            return g(zs)
+
+        return SurfaceEvaluator(func=func, domain=g.domain, dim=g.dim,
+                                n=g.n, fd_step=g.fd_step), count
+
+    def test_roundtrip_n1(self, surface_n1):
+        g, count = self._counted(surface_n1)
+        roundtrip(g, grid=(5, 7), sample_grid=(17, 17))
+        assert count[0] == 25 * 9**2 + 17**2 * 9 + 5 * 7
+
+    def test_refusal_costs_only_the_probe(self, small_sphere_surface):
+        g, count = self._counted(small_sphere_surface)
+        with pytest.raises(NotPseudoholomorphicError):
+            roundtrip(g, grid=(6, 6), sample_grid=(33, 33))
+        assert count[0] == 25 * 9 ** (g.n + 1)
