@@ -44,7 +44,6 @@ from .geometry import (
     minimality_residual,
     verify_all,
 )
-from .products import hermitian_product, norm_sq, principal_angles, symmetric_product
 from .reconstruct import (
     XiField,
     extract_xi,
@@ -78,15 +77,11 @@ __all__ = [
     "extract_xi",
     "f_chain_eval",
     "g_chain_at",
-    "hermitian_product",
     "minimality_residual",
-    "norm_sq",
     "parse_expr",
-    "principal_angles",
     "recursion_crosscheck",
     "roundtrip",
     "scan_grid",
-    "symmetric_product",
     "to_string",
     "verify_all",
 ]

@@ -200,7 +200,7 @@ def cmd_reconstruct(cfg, outdir, quiet):
         )
     rc = cfg.reconstruct
     chain = _chain(cfg)
-    g = SurfaceEvaluator.from_chain(chain, cfg.eps_singular, fd_step=cfg.fd_step)
+    g = SurfaceEvaluator.from_chain(chain, cfg.eps_singular)
     gauge = None
     if rc.get("gauge"):
         gauge_expr = parse_expr(rc["gauge"])

@@ -332,7 +332,7 @@ def demo_config(n):
     if n >= 3:
         doc["ruled"] = {"w": [[0.07, 0.03]] * (n - 2), "probe_points": 5}
     if n <= MAX_RECONSTRUCT_N:
-        sample = {1: 33, 2: 41, 3: 33}[n]
+        sample = {1: 33, 2: 41, 3: 41}[n]
         doc["reconstruct"] = {
             "sample_grid": {"rows": sample, "cols": sample},
             "eval_grid": {"rows": 6, "cols": 6},

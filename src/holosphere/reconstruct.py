@@ -1,25 +1,27 @@
 """Recovering holomorphic data from a black-box spherical surface.
 
-Starting from the surface alone, nested finite-difference Wirtinger
-derivatives build the descending sequence
+The surface is evaluated once on a tensor grid of Chebyshev points
+spanning the largest axis-aligned box in the domain.  Products with the
+differentiation matrices of the nodes (Trefethen, *Spectral Methods in
+MATLAB*, ch. 6) then build the descending sequence on that grid:
 
     G_0 = g,   G_{s+1} = dG_s/dz - (<dG_s/dz, conj G_s> / |G_s|^2) G_s.
 
 For a pseudoholomorphic surface the sequence terminates: G_{n+1} = 0 up
-to FD noise, and xi = conj(G_n)/|G_n|^2 is holomorphic.  Sampling xi on
-a grid, interpolating (tensor cubic), and feeding its jet through the
-forward Gram-Schmidt construction reproduces the surface up to sign;
+to roundoff, and xi = conj(G_n)/|G_n|^2 is holomorphic.  xi is
+represented by the tensor-product polynomial through its samples, whose
+jets are exact derivatives; feeding the jet through the forward
+Gram-Schmidt construction reproduces the surface up to sign, and
 `roundtrip` measures the sup distance.  Surfaces that fail the
 termination test are refused.
 
-Nested FD of order n+1 is meaningless in double precision for large n;
-reconstruction is capped at n <= MAX_RECONSTRUCT_N.
+Each level of the descent amplifies roundoff by roughly the squared node
+count; reconstruction is capped at n <= MAX_RECONSTRUCT_N.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .chain import DEFAULT_EPS_SINGULAR, _gram_schmidt
 from .errors import (
@@ -27,56 +29,136 @@ from .errors import (
     DomainError,
     NotPseudoholomorphicError,
 )
-from .fd import wirtinger
-from .products import norm_sq
 
 MAX_RECONSTRUCT_N = 3
 
 _DEGENERATE_RATIO = 1e-18
 
+# Chebyshev nodes per axis behind the one-point reads.
+_POINT_NODES = 33
 
-def _descend(g, zs, depth, h, keep=True):
-    """Rows G_0..G_depth of the descending chain at the points zs, from
-    one nested FD sweep: level L-1 at the points is computed once and
-    reused for level L, whose stencils evaluate level L-1 around them.
 
-    Returns the list of (B, dim) levels; with keep=False only the top
-    level is kept (what the stencil evaluations pass up).
-    """
-    zs = np.asarray(zs, dtype=complex).ravel()
-    levels = [np.asarray(g(zs), dtype=complex)]
-    for level in range(depth):
+def _barycentric(x):
+    """Barycentric weights of the nodes x and their differentiation
+    matrix: D @ f holds, at the nodes, the derivative of the polynomial
+    through the values f."""
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    # scaled by the capacity (length / 4) of the interval, so the
+    # products stay near 1 for many nodes on short intervals
+    w = 1.0 / np.prod(diff * (4.0 / (x[-1] - x[0])), axis=1)
+    D = w[None, :] / w[:, None] / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return w, D
+
+
+def _basis(x, w, p):
+    """(len(p), len(x)) values of the Lagrange basis of the nodes x at
+    the abscissae p."""
+    d = p[:, None] - x[None, :]
+    hit = d == 0
+    c = w / np.where(hit, 1.0, d)
+    on_node = hit.any(axis=1)
+    c[on_node] = hit[on_node]
+    return c / c.sum(axis=1, keepdims=True)
+
+
+class _Grid:
+    """The tensor grid xs (axis 0) by ys (axis 1), acting on values
+    (len(xs), len(ys), ...) through the tensor-product polynomial that
+    interpolates them."""
+
+    def __init__(self, xs, ys):
+        self.xs, self.ys = xs, ys
+        self.zs = xs[:, None] + 1j * ys[None, :]
+        self._wx, self._Dx = _barycentric(xs)
+        self._wy, self._Dy = _barycentric(ys)
+
+    def wirtinger(self, V, anti=False):
+        """d/dz (d/dconj(z) when anti) of the polynomial, at the nodes."""
+        dx = np.tensordot(self._Dx, V, axes=(1, 0))
+        dy = np.moveaxis(np.tensordot(self._Dy, V, axes=(1, 1)), 0, 1)
+        return 0.5 * (dx + 1j * dy if anti else dx - 1j * dy)
+
+    def at(self, V, zs):
+        """The polynomial at the points zs: (len(zs),) + V.shape[2:]."""
+        Lx = _basis(self.xs, self._wx, zs.real)
+        Ly = _basis(self.ys, self._wy, zs.imag)
+        flat = V.reshape(V.shape[:2] + (-1,))
+        out = np.sum(np.tensordot(Lx, flat, axes=(1, 0)) * Ly[:, :, None], axis=1)
+        return out.reshape(zs.shape + V.shape[2:])
+
+
+def _chebyshev(a, b, count):
+    """count Chebyshev points of the second kind on [a, b], ascending."""
+    return 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.pi * np.arange(count) / (count - 1))
+
+
+def _sampling_grid(g, rows, cols):
+    """Chebyshev nodes, cols along x and rows along y, spanning the
+    largest axis-aligned box inside the domain (the rectangle itself,
+    the inscribed square of a disk)."""
+    domain = g.domain
+    if domain.shape == "disk":
+        c, half = domain.center, domain.radius / np.sqrt(2.0)
+        x0, x1, y0, y1 = c.real - half, c.real + half, c.imag - half, c.imag + half
+    else:
+        x0, x1, y0, y1 = domain.bounds
+    return _Grid(_chebyshev(x0, x1, cols), _chebyshev(y0, y1, rows))
+
+
+def _descend(g, grid, depth):
+    """Levels G_0..G_depth of the descending chain on the grid, each
+    (len(xs), len(ys), dim): one surface evaluation at the nodes, then
+    one spectral d/dz per level."""
+    values = g(grid.zs.ravel())
+    levels = [np.asarray(values, dtype=complex).reshape(grid.zs.shape + (-1,))]
+    for _ in range(depth):
         below = levels[-1]
-        dG = wirtinger(lambda pts, s=level: _descend(g, pts, s, h, keep=False)[-1],
-                       zs, 1, 0, h=h, richardson=True)
-        nsq = np.sum(np.abs(below) ** 2, axis=1)
-        safe = np.where(nsq > 0, nsq, 1.0)
-        coef = np.einsum("bd,bd->b", dG, np.conj(below)) / safe
-        top = dG - coef[:, None] * below
-        levels = levels + [top] if keep else [top]
+        dG = grid.wirtinger(below)
+        nsq = np.sum(np.abs(below) ** 2, axis=-1, keepdims=True)
+        coef = np.sum(dG * np.conj(below), axis=-1, keepdims=True)
+        levels.append(dG - coef / np.where(nsq > 0, nsq, 1.0) * below)
     return levels
 
 
-def _chain_margin(n, h):
-    """Clearance needed by n+1 nested first-order stencils."""
-    return 3.0 * (n + 2) * h
+def _termination_ratios(bottom, top):
+    """|G_{n+1}| / |G_n| per grid point, flattened; inf where G_n = 0."""
+    bot_nsq = np.sum(np.abs(bottom) ** 2, axis=-1).ravel()
+    top_nsq = np.sum(np.abs(top) ** 2, axis=-1).ravel()
+    ratios = np.sqrt(top_nsq / np.where(bot_nsq > 0, bot_nsq, 1.0))
+    ratios[bot_nsq == 0] = np.inf
+    return ratios
 
 
-def _one_point(g, z, depth, h, nested):
-    """Levels G_0..G_depth at the single point z, where the caller nests
-    `nested` first-order stencils that must fit in the domain."""
-    if not g.domain.contains(z, margin=_chain_margin(nested - 1, h)):
-        raise DomainError(f"nested stencil at z={z} leaves the domain")
-    return [G[0] for G in _descend(g, [z], depth, h)]
+def _point_grid(g, z):
+    """The sampling grid of a one-point read at z."""
+    grid = _sampling_grid(g, _POINT_NODES, _POINT_NODES)
+    if not (grid.xs[0] <= z.real <= grid.xs[-1] and grid.ys[0] <= z.imag <= grid.ys[-1]):
+        raise DomainError(f"z={z} lies outside the sampling box")
+    return grid
 
 
 def _xi_rows(bottom, where):
-    """conj(G_n)/|G_n|^2 for rows of chain bottoms: the holomorphic
-    generator recovered from the surface."""
-    nsq = np.sum(np.abs(bottom) ** 2, axis=1)
+    """conj(G_n)/|G_n|^2 for chain bottoms (rows along the last axis):
+    the holomorphic generator recovered from the surface."""
+    nsq = np.sum(np.abs(bottom) ** 2, axis=-1, keepdims=True)
     if np.any(nsq < _DEGENERATE_RATIO):
         raise DegenerateSurfaceError(f"degenerate chain bottom {where}")
-    return np.conj(bottom) / nsq[:, None]
+    return np.conj(bottom) / nsq
+
+
+def _depth(g, n):
+    if n is None:
+        n = g.n
+    if n is None:
+        raise ValueError("chain depth n is required for a black-box surface")
+    if n > MAX_RECONSTRUCT_N:
+        raise ValueError(
+            f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})"
+        )
+    return n
 
 
 @dataclass
@@ -96,18 +178,17 @@ class GChainSample:
 
 
 def g_chain_at(g, z, n=None):
-    """Evaluate the descending chain at one point by nested FD.
+    """The descending chain at one point, read from one sweep of the
+    sampling grid.
 
     Raises DegenerateSurfaceError when a chain norm collapses (e.g. the
-    constant map at level 1), DomainError when the nested stencil does
-    not fit.
+    constant map at level 1), DomainError when z lies outside the
+    sampling box.
     """
-    if n is None:
-        n = g.n
-    if n is None:
-        raise ValueError("chain depth n is required for a black-box surface")
-    G = np.array(_one_point(g, z, n + 1, g.step(1), n + 1))
-    norms = np.array([norm_sq(row) for row in G])
+    n = _depth(g, n)
+    grid = _point_grid(g, z)
+    G = grid.at(np.stack(_descend(g, grid, n + 1), axis=2), np.array([z]))[0]
+    norms = np.sum(np.abs(G) ** 2, axis=1)
     for level in range(1, n + 1):
         if norms[level] < _DEGENERATE_RATIO * norms[level - 1]:
             raise DegenerateSurfaceError(
@@ -124,20 +205,21 @@ def extract_xi(sample):
 
 
 def conjugate_descent_residual(g, z, s):
-    """FD residual of the conjugate-descent identity for the surface
-    chain: d(conj G_s)/dz + (|G_s|^2/|G_{s-1}|^2) conj G_{s-1} = 0 for
-    s >= 1 (at s = 1 the right side involves the position vector itself).
+    """Residual of the conjugate-descent identity for the surface chain:
+    d(conj G_s)/dz + (|G_s|^2/|G_{s-1}|^2) conj G_{s-1} = 0 for s >= 1
+    (at s = 1 the right side involves the position vector itself).
     Returns the residual normalized by the identity's own scale."""
     if s < 1:
         raise ValueError("the descent identity needs s >= 1")
-    h = g.step(1)
-    below, Gs = _one_point(g, z, s, h, s + 1)[-2:]
-    dGbar = wirtinger(lambda pts: np.conj(_descend(g, pts, s, h, keep=False)[-1]),
-                      np.array([z], dtype=complex), 1, 0, h=h, richardson=True)[0]
-    ratio = norm_sq(Gs) / norm_sq(below)
-    resid = np.linalg.norm(dGbar + ratio * np.conj(below))
-    scale = norm_sq(Gs) / np.sqrt(norm_sq(below))
-    return float(resid / scale)
+    grid = _point_grid(g, z)
+    levels = _descend(g, grid, s)
+    fields = np.stack([levels[s - 1], levels[s],
+                       grid.wirtinger(np.conj(levels[s]))], axis=2)
+    below, Gs, dGbar = grid.at(fields, np.array([z]))[0]
+    below_nsq = np.sum(np.abs(below) ** 2)
+    Gs_nsq = np.sum(np.abs(Gs) ** 2)
+    resid = np.linalg.norm(dGbar + Gs_nsq / below_nsq * np.conj(below))
+    return float(resid / (Gs_nsq / np.sqrt(below_nsq)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +227,9 @@ def conjugate_descent_residual(g, z, s):
 # ---------------------------------------------------------------------------
 
 class XiField:
-    """A vector-valued holomorphic field sampled on a rectangular grid,
-    interpolated by tensor-product cubic splines."""
+    """A vector-valued holomorphic field sampled on a tensor grid (any
+    distinct nodes; Chebyshev points keep high degrees well conditioned),
+    represented by the tensor-product polynomial through the samples."""
 
     def __init__(self, xs, ys, values):
         xs = np.asarray(xs, dtype=float)
@@ -156,20 +239,14 @@ class XiField:
             raise ValueError("values must have shape (len(xs), len(ys), dim)")
         if xs.size < 4 or ys.size < 4:
             raise ValueError(
-                "grid too sparse for cubic interpolation: "
-                "need at least 4 samples per axis"
+                "grid too sparse for a cubic jet: need at least 4 samples per axis"
             )
         self.xs = xs
         self.ys = ys
         self.values = values
         self.dim = values.shape[2]
-        self._splines = [
-            (
-                RectBivariateSpline(xs, ys, values[:, :, c].real),
-                RectBivariateSpline(xs, ys, values[:, :, c].imag),
-            )
-            for c in range(self.dim)
-        ]
+        self._grid = _Grid(xs, ys)
+        self._dbar = self._grid.wirtinger(values, anti=True)
 
     @property
     def spacing(self):
@@ -178,105 +255,40 @@ class XiField:
         )
 
     def __call__(self, zs):
-        zs = np.asarray(zs, dtype=complex).ravel()
-        out = np.empty((zs.size, self.dim), dtype=complex)
-        for c, (sre, sim) in enumerate(self._splines):
-            out[:, c] = sre(zs.real, zs.imag, grid=False) + 1j * sim(
-                zs.real, zs.imag, grid=False
-            )
-        return out
+        return self._grid.at(self.values, np.asarray(zs, dtype=complex).ravel())
 
-    def jet(self, zs, max_order, h=None):
-        """Iterated d/dz of the interpolant at the points zs, orders
-        0..max_order, via small-step central differences (the accuracy is
-        limited by the spline, so no extrapolation is attempted)."""
-        zs = np.asarray(zs, dtype=complex).ravel()
-        if h is None:
-            h = self.spacing / 10.0
-        jets = np.empty((zs.size, max_order + 1, self.dim), dtype=complex)
-        jets[:, 0] = self(zs)
-        for k in range(1, max_order + 1):
-            jets[:, k] = _jet_derivative(self, zs, k, h)
-        return jets
+    def jet(self, zs, max_order):
+        """d^k/dz^k of the interpolant at the points zs, k = 0..max_order,
+        as (len(zs), max_order+1, dim): exact derivatives of the
+        polynomial."""
+        fields = [self.values]
+        for _ in range(max_order):
+            fields.append(self._grid.wirtinger(fields[-1]))
+        return self._grid.at(np.stack(fields, axis=2),
+                             np.asarray(zs, dtype=complex).ravel())
 
-    def holomorphy_residual(self, z, h=None):
+    def holomorphy_residual(self, z):
         """|d(xi)/dconj(z)| / |xi| at z."""
-        if h is None:
-            h = self.spacing / 10.0
-        dbar = wirtinger(self, z, 0, 1, h=h, richardson=False)
-        return float(
-            np.linalg.norm(dbar) / max(np.linalg.norm(self(np.array([z]))[0]), 1e-300)
-        )
+        zs = np.array([z], dtype=complex)
+        dbar = self._grid.at(self._dbar, zs)[0]
+        return float(np.linalg.norm(dbar) / max(np.linalg.norm(self(zs)[0]), 1e-300))
 
 
-def _jet_derivative(field, zs, order, h):
-    """order-th d/dz of the interpolated field by iterated central
-    differences with step h."""
-    if order == 0:
-        return field(zs)
-
-    def inner(pts):
-        return _jet_derivative(field, pts, order - 1, h)
-
-    return wirtinger(inner, zs, 1, 0, h=h, richardson=False)
-
-
-def _sampling_box(g, n, h):
-    """The largest axis-aligned box inside the domain (the rectangle
-    itself, the inscribed square of a disk), inset by the clearance of
-    the nested stencils."""
-    domain = g.domain
-    if domain.shape == "disk":
-        c, half = domain.center, domain.radius / np.sqrt(2.0)
-        x0, x1, y0, y1 = c.real - half, c.real + half, c.imag - half, c.imag + half
-    else:
-        x0, x1, y0, y1 = domain.bounds
-    margin = _chain_margin(n, h)
-    x0, x1 = x0 + margin, x1 - margin
-    y0, y1 = y0 + margin, y1 - margin
-    if x1 <= x0 or y1 <= y0:
-        raise DomainError("domain too small for the nested stencil margin")
-    return x0, x1, y0, y1
-
-
-def probe_termination(g, n=None, samples=5):
-    """Relative size of G_{n+1} against G_n on a coarse probe grid: the
-    termination test that certifies pseudoholomorphicity."""
-    if n is None:
-        n = g.n
-    h = g.step(1)
-    x0, x1, y0, y1 = _sampling_box(g, n, h)
-    xs = np.linspace(x0, x1, samples)
-    ys = np.linspace(y0, y1, samples)
-    zs = (xs[:, None] + 1j * ys[None, :]).ravel()
-    bot, top = _descend(g, zs, n + 1, h)[-2:]
-    bot_nsq = np.sum(np.abs(bot) ** 2, axis=1)
-    top_nsq = np.sum(np.abs(top) ** 2, axis=1)
-    safe = np.where(bot_nsq > 0, bot_nsq, 1.0)
-    ratios = np.sqrt(top_nsq / safe)
-    ratios[bot_nsq == 0] = np.inf
-    return ratios
+def probe_termination(g, n=None, samples=_POINT_NODES):
+    """Relative size of G_{n+1} against G_n at the samples x samples
+    grid points: the termination test that certifies
+    pseudoholomorphicity."""
+    n = _depth(g, n)
+    grid = _sampling_grid(g, samples, samples)
+    return _termination_ratios(*_descend(g, grid, n + 1)[-2:])
 
 
 def sample_xi(g, n=None, rows=41, cols=41):
-    """Sample the recovered holomorphic field on a grid inset far enough
-    from the boundary for the nested stencils; returns the XiField."""
-    if n is None:
-        n = g.n
-    if n is None:
-        raise ValueError("chain depth n is required for a black-box surface")
-    if n > MAX_RECONSTRUCT_N:
-        raise ValueError(
-            f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})"
-        )
-    h = g.step(1)
-    x0, x1, y0, y1 = _sampling_box(g, n, h)
-    xs = np.linspace(x0, x1, cols)
-    ys = np.linspace(y0, y1, rows)
-    zs = (xs[:, None] + 1j * ys[None, :]).ravel()
-    bottom = _descend(g, zs, n, h)[-1]
-    xi_vals = _xi_rows(bottom, "on the grid").reshape(xs.size, ys.size, -1)
-    return XiField(xs, ys, xi_vals)
+    """The recovered holomorphic field on a rows x cols sampling grid."""
+    n = _depth(g, n)
+    grid = _sampling_grid(g, rows, cols)
+    bottom = _descend(g, grid, n)[-1]
+    return XiField(grid.xs, grid.ys, _xi_rows(bottom, "on the grid"))
 
 
 # ---------------------------------------------------------------------------
@@ -313,38 +325,30 @@ def roundtrip(
 ):
     """Reconstruct the surface from itself and measure the sup distance.
 
-    The recovered field is sampled, optionally multiplied by a gauge
-    factor (any nowhere-zero holomorphic function; the surface must not
-    care), interpolated, differentiated, and pushed through the forward
-    orthogonalization.  Per-point distances use min over the sign
-    ambiguity of the normalized real part.  Surfaces whose chain fails to
-    terminate are refused.
+    One sweep of the sampling grid to level n+1 gives the termination
+    ratios and the recovered field.  The field is optionally multiplied
+    by a gauge factor (any nowhere-zero holomorphic function; the surface
+    must not care), interpolated, differentiated, and pushed through the
+    forward orthogonalization.  Per-point distances use min over the
+    sign ambiguity of the normalized real part.  Surfaces whose chain
+    fails to terminate are refused.
     """
-    if n is None:
-        n = g.n
-    if n is None:
-        raise ValueError("chain depth n is required for a black-box surface")
-    if n > MAX_RECONSTRUCT_N:
-        raise ValueError(
-            f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})"
-        )
+    n = _depth(g, n)
     rows, cols = grid
     srows, scols = sample_grid
-    ratios = probe_termination(g, n=n)
-    termination = float(np.median(ratios))
+    nodes = _sampling_grid(g, srows, scols)
+    levels = _descend(g, nodes, n + 1)
+    termination = float(np.median(_termination_ratios(levels[n], levels[n + 1])))
     if termination > refusal_threshold:
         raise NotPseudoholomorphicError(
             "surface chain does not terminate; input is not pseudoholomorphic",
             termination,
         )
-    xi = sample_xi(g, n=n, rows=srows, cols=scols)
-
+    xi_vals = _xi_rows(levels[n], "on the grid")
     if gauge is not None:
-        zs_grid = (xi.xs[:, None] + 1j * xi.ys[None, :]).ravel()
-        factors = np.asarray(gauge(zs_grid), dtype=complex).reshape(
-            xi.xs.size, xi.ys.size, 1
-        )
-        xi = XiField(xi.xs, xi.ys, xi.values * factors)
+        factors = np.asarray(gauge(nodes.zs.ravel()), dtype=complex)
+        xi_vals = xi_vals * factors.reshape(nodes.zs.shape + (1,))
+    xi = XiField(nodes.xs, nodes.ys, xi_vals)
 
     inset = 2.0 * xi.spacing
     x0, x1 = xi.xs[0] + inset, xi.xs[-1] - inset
@@ -366,14 +370,8 @@ def roundtrip(
     dminus = np.linalg.norm(ghat + gtrue, axis=1)
     dist = np.minimum(dplus, dminus).reshape(rows, cols)
 
-    holo = float(
-        np.median(
-            [
-                xi.holomorphy_residual(complex(z))
-                for z in flat[:: max(1, flat.size // 16)]
-            ]
-        )
-    )
+    probes = flat[:: max(1, flat.size // 16)]
+    holo = float(np.median([xi.holomorphy_residual(z) for z in probes]))
     return RoundtripResult(
         n=n,
         sup_distance=float(dist.max()),

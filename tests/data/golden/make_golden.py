@@ -105,7 +105,6 @@ def generate_disk2():
 
 def _reconstruct(n, gauge=None):
     d = demo_config(n)
-    d["reconstruct"]["sample_grid"] = {"rows": 21, "cols": 21}
     if gauge is not None:
         d["reconstruct"]["gauge"] = gauge
     return d, ["reconstruct"]
@@ -119,14 +118,13 @@ def reconstruct2_gauge():
     return _reconstruct(2, gauge="exp(0.3*z)")
 
 
-def reconstruct3_refused():
-    # nested finite differences at n = 3 sit above the refusal threshold
+def reconstruct3():
     return _reconstruct(3)
 
 
 CASES = [demo2, demo3, degenerate2, degenerate3, disk2, exp2, stencil_hits_singular,
          generate_demo3, generate_disk2,
-         reconstruct1, reconstruct2_gauge, reconstruct3_refused]
+         reconstruct1, reconstruct2_gauge, reconstruct3]
 
 
 def record(outdir):

@@ -181,6 +181,8 @@ def test_criterion_08_roundtrip(surfaces):
     _report(8, "roundtrip n=1", sup1, 1e-3)
     sup2 = roundtrip(surfaces[2], grid=(8, 8), sample_grid=(41, 41)).sup_distance
     _report(8, "roundtrip n=2", sup2, 1e-2)
+    sup3 = roundtrip(surfaces[3], grid=(8, 8), sample_grid=(33, 33)).sup_distance
+    _report(8, "roundtrip n=3", sup3, 1e-2)
     for label, gauge, tol in (
         ("n=1 gauge 2", lambda zs: 2.0 * np.ones_like(zs), 1e-3),
         ("n=1 gauge exp", np.exp, 1e-3),

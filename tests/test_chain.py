@@ -10,14 +10,13 @@ from holosphere import (
     build_alpha_chain,
     eval_expr,
     f_chain_eval,
-    hermitian_product,
     recursion_crosscheck,
     scan_grid,
-    symmetric_product,
 )
 from holosphere.chain import require_regular, surface_vectors
 from holosphere.errors import DomainError, SingularPointError
 from holosphere.expr import poly_coeffs
+from holosphere.products import hermitian_product, symmetric_product
 
 from conftest import oracle_surface_n1
 

@@ -3,12 +3,14 @@ configs, compared with recorded files.  Every value must match exactly.
 The verify, kaehler and ruled cases were recorded before the batched
 verification engine replaced the per-point loops, and their
 diagnostics.json has no `counts` block, so it is left out there; the
-generate and reconstruct cases were recorded before the per-point chain
-samples were removed.
+generate cases were recorded before the per-point chain samples were
+removed, the reconstruct cases with the spectral (Chebyshev grid)
+reconstruction at the demo sample grids.
 
-The recordings were made with numpy 2.4.6 and scipy 1.17.1 (bundled
-OpenBLAS 0.3.31) on x86-64; another BLAS build can move residuals in
-their last bits.  `make_golden.py` writes the configs and records them.
+The recordings were made with numpy 2.4.6 (bundled OpenBLAS 0.3.31) on
+x86-64; no recorded command uses scipy.  Another BLAS build can move
+residuals in their last bits.  `make_golden.py` writes the configs and
+records them.
 """
 
 import json

@@ -15,6 +15,7 @@ from holosphere.reconstruct import (
     XiField,
     extract_xi,
     g_chain_at,
+    probe_termination,
     roundtrip,
     sample_xi,
 )
@@ -60,9 +61,9 @@ class TestGChain:
         with pytest.raises(DegenerateSurfaceError):
             g_chain_at(g, 0.1 + 0.1j)
 
-    def test_stencil_margin_enforced(self, surface_n1):
+    def test_outside_sampling_box_rejected(self, surface_n1):
         with pytest.raises(DomainError):
-            g_chain_at(surface_n1, 1 + 1j)
+            g_chain_at(surface_n1, 1.5 + 0j)
 
 
 class TestExtractXi:
@@ -154,15 +155,21 @@ class TestRoundtrip:
             roundtrip(small_sphere_surface, grid=(6, 6), sample_grid=(33, 33))
         assert err.value.residual > 1e-2
 
+    def test_probe_termination(self, surface_n2, small_sphere_surface):
+        ratios = probe_termination(surface_n2, samples=21)
+        assert ratios.shape == (21 * 21,)
+        assert np.median(ratios) <= 1e-3
+        assert np.median(probe_termination(small_sphere_surface)) > 1e-2
+
     def test_unsupported_depth(self, surface_n1):
         with pytest.raises(ValueError):
             roundtrip(surface_n1, n=4)
 
 
 class TestEvaluationCount:
-    """Surface points one roundtrip evaluates: one nested sweep to level
-    n+1 at the 5x5 probe points (9^(n+1) each), one to level n at the
-    samples (9^n each), and the evaluation grid."""
+    """Surface points one roundtrip evaluates: the sampling grid once
+    (the descent to level n+1 and the recovered field both come from
+    it), then the evaluation grid."""
 
     @staticmethod
     def _counted(g):
@@ -172,16 +179,15 @@ class TestEvaluationCount:
             count[0] += zs.size
             return g(zs)
 
-        return SurfaceEvaluator(func=func, domain=g.domain, dim=g.dim,
-                                n=g.n, fd_step=g.fd_step), count
+        return SurfaceEvaluator(func=func, domain=g.domain, dim=g.dim, n=g.n), count
 
     def test_roundtrip_n1(self, surface_n1):
         g, count = self._counted(surface_n1)
-        roundtrip(g, grid=(5, 7), sample_grid=(17, 17))
-        assert count[0] == 25 * 9**2 + 17**2 * 9 + 5 * 7
+        roundtrip(g, grid=(5, 7), sample_grid=(17, 19))
+        assert count[0] == 17 * 19 + 5 * 7
 
     def test_refusal_costs_only_the_probe(self, small_sphere_surface):
         g, count = self._counted(small_sphere_surface)
         with pytest.raises(NotPseudoholomorphicError):
-            roundtrip(g, grid=(6, 6), sample_grid=(33, 33))
-        assert count[0] == 25 * 9 ** (g.n + 1)
+            roundtrip(g, grid=(6, 6), sample_grid=(33, 31))
+        assert count[0] == 33 * 31
