@@ -12,6 +12,12 @@ supplied integration constants), q_r its symmetric self-product, and the
 last multiplier is fixed to 1.  Each step raises the dimension from
 2r+1 to 2r+3; the final map lands in C^(2n+1).
 
+Every map is held as ascending coefficient arrays in z.  A polynomial
+beta enters with its exact coefficients; any other beta is replaced by
+its Taylor polynomial about z = 0, taken by the trapezoid rule (an FFT)
+on the circle |z| = rho that encloses the domain and accepted only when
+its error on that circle is within the tolerance.
+
 At a point, the holomorphic jet of the final map is orthogonalized under
 the Hermitian product (modified Gram-Schmidt with one reorthogonalization
 pass), producing the chain F_1..F_{n+1}.  This is analytically identical
@@ -19,10 +25,10 @@ to the recursion
 
     F_{s+1} = dF_s/dz - (<dF_s/dz, conj F_s> / |F_s|^2) F_s,
 
-but keeps every derivative symbolic; the literal recursion is retained as
-a finite-difference cross-check.  The unit vector in the direction of
-Re(F_{n+1}) parametrizes a minimal spherical surface away from the
-(isolated) points where the chain degenerates.
+but takes every derivative from the coefficients; the literal recursion
+is retained as a finite-difference cross-check.  The unit vector in the
+direction of Re(F_{n+1}) parametrizes a minimal spherical surface away
+from the (isolated) points where the chain degenerates.
 """
 
 from dataclasses import dataclass
@@ -33,44 +39,44 @@ import numpy.polynomial.polynomial as npoly
 from .domain import Domain
 from .errors import DomainError, EvaluationError, SingularPointError
 from .expr import (
-    Add,
-    Const,
-    Mul,
-    Sub,
-    antiderivative,
-    differentiate,
+    _canonical,
+    _poly_integral,
     eval_expr,
     parse_expr,
-    poly_to_expr,
-    simplify,
+    poly_coeffs,
+    to_string,
 )
 from .fd import wirtinger
 
 DEFAULT_EPS_SINGULAR = 1e-12
 
-_I = Const(1j)
-_TWO = Const(2 + 0j)
-_ONE = Const(1 + 0j)
+# A Taylor surrogate is accepted when its error on the circle is at most
+# this times max(1, max|beta|), the absolute tolerance of the path
+# quadrature in `expr.Antiderivative`
+_SURROGATE_TOL = 1e-12
+# Circle sample counts tried in turn; the surrogate degree stays below
+# half the last one
+_FFT_SIZES = (64, 128, 256, 512, 1024, 2048)
 
 
 @dataclass
 class AlphaChain:
-    """The full symbolic chain; immutable after construction.
+    """The full chain as coefficient arrays; immutable after construction.
 
-    alpha_exprs[r] holds the 2r+1 component trees of the r-th map; for
-    all-polynomial input the jet of the final map is additionally cached
-    as coefficient matrices for fast batched evaluation.
+    alpha_coeffs[r] holds the ascending coefficients of the 2r+1
+    components of the r-th map, jet_coeffs the n+1 derivative matrices
+    (deg+1, 2n+1) of the final map.  surrogates describes the Taylor
+    surrogate of every non-polynomial beta: its index, text, degree,
+    rho and measured circle error.
     """
 
     n: int
     betas: tuple
     constants: tuple
     domain: Domain
-    alpha_exprs: tuple
-    phi_exprs: tuple
-    is_polynomial: bool
-    jet_coeffs: tuple = None  # (n+1) matrices (deg+1, 2n+1), ascending
-    jet_exprs: tuple = None   # (n+1) tuples of differentiated trees
+    alpha_coeffs: tuple
+    jet_coeffs: tuple
+    surrogates: tuple
 
     @property
     def dim(self):
@@ -80,15 +86,9 @@ class AlphaChain:
         """Holomorphic jet of the final chain map: array (B, n+1, 2n+1)
         of the k-th derivatives at each point of the flat array zs."""
         zs = np.asarray(zs, dtype=complex).ravel()
-        m, d = self.n + 1, self.dim
-        out = np.empty((zs.size, m, d), dtype=complex)
-        if self.jet_coeffs is not None:
-            for k, coeffs in enumerate(self.jet_coeffs):
-                out[:, k, :] = npoly.polyval(zs, coeffs).T
-        else:
-            for k, comps in enumerate(self.jet_exprs):
-                for c, e in enumerate(comps):
-                    out[:, k, c] = eval_expr(e, zs)
+        out = np.empty((zs.size, self.n + 1, self.dim), dtype=complex)
+        for k, coeffs in enumerate(self.jet_coeffs):
+            out[:, k, :] = npoly.polyval(zs, coeffs).T
         if not np.all(np.isfinite(out)):
             bad = np.argwhere(~np.isfinite(out))[0][0]
             raise EvaluationError("non-finite chain value", complex(zs[bad]))
@@ -105,7 +105,9 @@ def build_alpha_chain(betas, constants=None, domain=None):
     betas: sequence of n expression trees or strings (beta_0..beta_{n-1}).
     constants: per-step integration constants, constants[r] a sequence of
     2r+1 complex numbers (defaults to all zeros).  The final multiplier
-    is always the constant 1.
+    is always the constant 1.  A non-polynomial beta must be analytic on
+    the disk |z| <= rho around the domain; one whose Taylor surrogate
+    misses the tolerance raises DomainError.
     """
     betas = tuple(_as_expr(b) for b in betas)
     n = len(betas)
@@ -125,79 +127,57 @@ def build_alpha_chain(betas, constants=None, domain=None):
                     f"constants[{r}] needs {2 * r + 1} entries, got {len(row)}"
                 )
 
-    alpha_exprs = [(betas[0],)]
-    alpha_coeffs = None
-    phi_exprs = []
-    poly_path = all(e.is_polynomial for e in betas)
-    if poly_path:
-        from .expr import poly_coeffs
-
-        alpha_coeffs = [[poly_coeffs(betas[0])]]
-
-    for r in range(n):
-        antis = [
-            antiderivative(e, c, domain)
-            for e, c in zip(alpha_exprs[r], constants[r])
-        ]
-        phis = tuple(a.as_expr() for a in antis)
-        phi_exprs.append(phis)
-        beta_next = betas[r + 1] if r + 1 < n else _ONE
-
-        if poly_path:
-            from .expr import poly_coeffs
-
-            phi_cs = [a._coeffs for a in antis]
-            q = np.array([0j])
-            for pc in phi_cs:
-                q = _padded_sum(q, np.convolve(pc, pc))
-            bc = poly_coeffs(beta_next)
-            comps = [
-                np.convolve(bc, _padded_sum(np.array([1 + 0j]), -q)),
-                np.convolve(bc, 1j * _padded_sum(np.array([1 + 0j]), q)),
-            ]
-            comps.extend(np.convolve(bc, 2 * pc) for pc in phi_cs)
-            alpha_coeffs.append(comps)
-            alpha_exprs.append(tuple(poly_to_expr(c) for c in comps))
+    rho = _taylor_radius(domain)
+    multipliers, surrogates = [], []
+    for index, beta in enumerate(betas):
+        if beta.is_polynomial:
+            multipliers.append(poly_coeffs(beta))
         else:
-            q = None
-            for p in phis:
-                term = Mul(p, p)
-                q = term if q is None else Add(q, term)
-            comps = [
-                Mul(beta_next, Sub(_ONE, q)),
-                Mul(beta_next, Mul(_I, Add(_ONE, q))),
-            ]
-            comps.extend(Mul(_TWO, Mul(beta_next, p)) for p in phis)
-            alpha_exprs.append(tuple(simplify(c) for c in comps))
+            coeffs, report = _taylor_surrogate(beta, rho)
+            multipliers.append(coeffs)
+            surrogates.append({"index": index, **report})
+    multipliers.append(np.array([1 + 0j]))
 
-    chain = AlphaChain(
+    # beta_0 is integrated as it is, every later map in canonical form
+    alphas = [(multipliers[0],)]
+    level = alphas[0]
+    for r in range(n):
+        phis = [
+            _poly_integral(c, k, domain.base_point)
+            for c, k in zip(level, constants[r])
+        ]
+        q = np.array([0j])
+        for p in phis:
+            q = _padded_sum(q, np.convolve(p, p))
+        bc = multipliers[r + 1]
+        comps = [
+            np.convolve(bc, _padded_sum(np.array([1 + 0j]), -q)),
+            np.convolve(bc, 1j * _padded_sum(np.array([1 + 0j]), q)),
+        ]
+        comps.extend(np.convolve(bc, 2 * p) for p in phis)
+        alphas.append(tuple(comps))
+        level = [_canonical(c) for c in comps]
+
+    top = alphas[n]
+    width = max(len(c) for c in top)
+    mat = np.zeros((width, 2 * n + 1), dtype=complex)
+    for c, col in enumerate(top):
+        mat[: len(col), c] = col
+    mats = [mat]
+    for _ in range(n):
+        mat = npoly.polyder(mat, axis=0)
+        if mat.shape[0] == 0:
+            mat = np.zeros((1, 2 * n + 1), dtype=complex)
+        mats.append(mat)
+    return AlphaChain(
         n=n,
         betas=betas,
         constants=constants,
         domain=domain,
-        alpha_exprs=tuple(alpha_exprs),
-        phi_exprs=tuple(phi_exprs),
-        is_polynomial=poly_path,
+        alpha_coeffs=tuple(alphas),
+        jet_coeffs=tuple(mats),
+        surrogates=tuple(surrogates),
     )
-    if poly_path:
-        top = alpha_coeffs[n]
-        width = max(len(c) for c in top)
-        mat = np.zeros((width, 2 * n + 1), dtype=complex)
-        for c, col in enumerate(top):
-            mat[: len(col), c] = col
-        mats = [mat]
-        for _ in range(n):
-            mat = npoly.polyder(mat, axis=0)
-            if mat.shape[0] == 0:
-                mat = np.zeros((1, 2 * n + 1), dtype=complex)
-            mats.append(mat)
-        chain.jet_coeffs = tuple(mats)
-    else:
-        jet = [tuple(alpha_exprs[n])]
-        for _ in range(n):
-            jet.append(tuple(differentiate(e) for e in jet[-1]))
-        chain.jet_exprs = tuple(jet)
-    return chain
 
 
 def _padded_sum(a, b):
@@ -206,6 +186,88 @@ def _padded_sum(a, b):
     out = a.astype(complex).copy()
     out[: len(b)] += b
     return out
+
+
+def _taylor_radius(domain):
+    """Largest |z| over the domain: the radius of the circle on which the
+    Taylor surrogates are taken."""
+    if domain.shape == "disk":
+        return abs(domain.center) + domain.radius
+    x0, x1, y0, y1 = domain.bounds
+    return max(abs(complex(x, y)) for x in (x0, x1) for y in (y0, y1))
+
+
+def _taylor_surrogate(beta, rho):
+    """Taylor coefficients about z = 0 of a non-polynomial beta, and a
+    report of the surrogate: its text, degree, rho and circle error.
+
+    The coefficients c_k rho^k come from the trapezoid rule on the
+    circle |z| = rho, an FFT of the samples (Trefethen & Weideman, SIAM
+    Review 2014), and are chopped at their noise plateau.  The error is
+    measured on the circle between the FFT nodes; by the maximum-modulus
+    principle it bounds the error on the whole disk.  A surrogate whose
+    error exceeds _SURROGATE_TOL * max(1, max|beta|) is refused with
+    DomainError: beta is not analytic on the disk, or its series needs
+    a degree beyond the largest sample count.
+    """
+    for size in _FFT_SIZES:
+        # the FFT nodes interleaved with the midpoints between them
+        w = rho * np.exp(1j * np.pi * np.arange(2 * size) / size)
+        vals = eval_expr(beta, w)
+        scaled = np.fft.fft(vals[::2])[: size // 2] / size
+        keep = _chop(np.abs(scaled))
+        if keep is not None:
+            break
+    else:
+        keep = size // 2
+    coeffs = scaled[:keep] / rho ** np.arange(keep)
+    error = float(np.max(np.abs(npoly.polyval(w[1::2], coeffs) - vals[1::2])))
+    bound = _SURROGATE_TOL * max(1.0, float(np.max(np.abs(vals))))
+    text = to_string(beta)
+    if not error <= bound:
+        raise DomainError(
+            f"beta {text} has no Taylor surrogate on |z| <= {rho:.6g}, where"
+            f" it must be analytic: at degree {keep - 1} the circle error is"
+            f" {error:.3e} (tolerance {bound:.3e})"
+        )
+    return coeffs, {"beta": text, "degree": keep - 1, "rho": rho,
+                    "circle_error": error}
+
+
+def _chop(b):
+    """Number of leading coefficients to keep from the magnitudes b,
+    cut where they reach their noise plateau at double precision, or
+    None when they have not reached one (Aurentz & Trefethen, "Chopping
+    a Chebyshev series", ACM TOMS 2017)."""
+    tol = np.finfo(float).eps
+    n = b.size
+    env = np.maximum.accumulate(b[::-1])[::-1]
+    if env[0] == 0:
+        return 1
+    env = env / env[0]
+    # a plateau starts at the first j whose envelope falls by less than
+    # a factor r between j and j2 (1-based, as in the paper)
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = env[j - 1], env[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = 3 * (1 - np.log(e1) / np.log(tol))
+        plateau = (e1 == 0) | (e2 / e1 > r)
+    if not plateau.any():
+        return None
+    first = int(np.argmax(plateau))
+    point, j2 = int(j[first]) - 1, int(j2[first])
+    if env[point - 1] == 0:
+        return point
+    # cut where the envelope, tilted towards the left end, is smallest
+    floor = tol ** (7 / 6)
+    j3 = int(np.sum(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    tilted = np.log10(env[:j2]) + np.linspace(0, -np.log10(tol) / 3, j2)
+    return max(int(np.argmin(tilted)), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,16 @@ The grammar (all binary operators left-associative)::
 
 Implicit multiplication is not accepted, and exponents must be literal
 nonnegative integers.  Trees built only from +, -, *, integer powers and
-literals are polynomials and get exact symbolic treatment; anything with
-a division or one of the entire functions exp/sin/cos falls back to
-path-integral quadrature for antiderivatives.
+literals are polynomials: `poly_coeffs` gives their exact coefficients,
+which is how they enter the chain.  The chain replaces every other tree
+(a division or one of the entire functions exp/sin/cos) by a Taylor
+surrogate taken from its values on a circle (`chain.build_alpha_chain`).
 
 Evaluation accepts scalars or numpy arrays of points.  Differentiation is
-symbolic throughout; antiderivatives of non-polynomial expressions are
-represented by an opaque `Antideriv` node whose derivative is the
-original tree and whose value is an adaptive path integral from the
-domain base point.
+symbolic throughout.  `antiderivative` serves general trees: polynomial
+ones integrate termwise, others become an opaque `Antideriv` node whose
+derivative is the original tree and whose value is an adaptive path
+integral from the domain base point.
 """
 
 from dataclasses import dataclass
@@ -596,6 +597,23 @@ def _trim(c):
     return c[:n]
 
 
+def _canonical(c):
+    """An ascending coefficient array in the form the tree round trip
+    `poly_coeffs(poly_to_expr(c))` gives it: exact trailing zeros
+    trimmed and, unless a single nonzero constant remains, negative
+    zeros cleared."""
+    c = _trim(c)
+    return c.copy() if len(c) == 1 and c[0] != 0 else c + 0.0
+
+
+def _poly_integral(coeffs, constant, base_point):
+    """Ascending coefficients of the antiderivative of `coeffs` that
+    takes the value `constant` at base_point."""
+    shifted = np.concatenate([[0j], coeffs / (1 + np.arange(len(coeffs)))])
+    shifted[0] = constant - np.polynomial.polynomial.polyval(base_point, shifted)
+    return shifted
+
+
 def poly_to_expr(coeffs, var="z"):
     """Canonical expression tree for an ascending coefficient array."""
     terms = []
@@ -639,12 +657,10 @@ class Antiderivative:
         self.abs_tol = abs_tol
         if is_polynomial(expr):
             self.mode = "symbolic"
-            coeffs = poly_coeffs(expr)
-            shifted = np.concatenate([[0j], coeffs / (1 + np.arange(len(coeffs)))])
-            base_val = np.polynomial.polynomial.polyval(domain.base_point, shifted)
-            shifted[0] = self.constant - base_val
-            self._coeffs = shifted
-            self._symbolic = poly_to_expr(shifted)
+            self._coeffs = _poly_integral(
+                poly_coeffs(expr), self.constant, domain.base_point
+            )
+            self._symbolic = poly_to_expr(self._coeffs)
         else:
             self.mode = "quadrature"
             self._coeffs = None

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from .chain import (
     DEFAULT_EPS_SINGULAR,
@@ -32,6 +33,7 @@ from .errors import (
     DomainError,
     SingularPointError,
 )
+from .expr import _canonical, _poly_integral
 from .fd import default_step, field_at, stencil_halfwidth, wirtinger
 from .products import pair_minors_max, principal_angles, symmetric_product
 
@@ -237,18 +239,16 @@ def isotropic_surface_form_residual(chain, z, h=None,
     the s = 1 case of the normal-bundle ladder (higher orders follow
     from the orthogonalization itself).  Returns the relative residual.
     """
-    from .expr import antiderivative
-
     antis = [
-        antiderivative(e, 0j, chain.domain)
-        for e in chain.alpha_exprs[chain.n]
+        _poly_integral(_canonical(c), 0j, chain.domain.base_point)
+        for c in chain.alpha_coeffs[chain.n]
     ]
 
     def f_field(zs):
         zs = np.asarray(zs, dtype=complex).ravel()
         out = np.empty((zs.size, chain.dim))
         for c, a in enumerate(antis):
-            out[:, c] = np.asarray(a.value(zs)).real
+            out[:, c] = npoly.polyval(zs, a).real
         return out
 
     if h is None:
@@ -320,12 +320,13 @@ class DiagnosticsReport:
     passed: bool
     singular_count: int
     counts: dict = field(default_factory=dict)  # family -> evaluated/skipped
+    surrogates: list = field(default_factory=list)  # AlphaChain.surrogates
 
     def failures(self):
         return [f for f, s in self.status.items() if s == "FAIL"]
 
     def to_dict(self):
-        return {
+        doc = {
             "n": self.n,
             "grid": {"rows": self.rows, "cols": self.cols},
             "tolerances": dict(sorted(self.tolerances.items())),
@@ -342,6 +343,9 @@ class DiagnosticsReport:
             "counts": {k: self.counts[k] for k in sorted(self.counts)},
             "points": [r.to_dict() for r in self.records],
         }
+        if self.surrogates:
+            doc["surrogates"] = self.surrogates
+        return doc
 
 
 def _conj_chain_field(chain, eps_singular):
@@ -620,4 +624,5 @@ def verify_all(
         passed=passed,
         singular_count=int(np.sum(~sweep.ok)),
         counts=counts,
+        surrogates=list(chain.surrogates),
     )

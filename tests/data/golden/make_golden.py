@@ -1,11 +1,12 @@
 """Write the golden configs and record the CLI outputs that
 tests/test_golden.py compares against.
 
-    PYTHONPATH=src python tests/data/golden/make_golden.py tests/data/golden
+    PYTHONPATH=src python tests/data/golden/make_golden.py tests/data/golden [CASE ...]
 
 Run it from a checkout of the commit whose outputs are to be recorded.
 Each case gets a directory with config.json, the reports of its
-commands and exit_codes.json.
+commands and exit_codes.json.  Case names after the output directory
+re-record only those cases; without them every case is recorded.
 """
 
 import json
@@ -127,8 +128,12 @@ CASES = [demo2, demo3, degenerate2, degenerate3, disk2, exp2, stencil_hits_singu
          reconstruct1, reconstruct2_gauge, reconstruct3]
 
 
-def record(outdir):
-    for case in CASES:
+def record(outdir, names=()):
+    by_name = {case.__name__: case for case in CASES}
+    unknown = sorted(set(names) - set(by_name))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
+    for case in [by_name[name] for name in names] or CASES:
         doc, commands = case()
         if "reconstruct" not in commands:
             doc.pop("reconstruct", None)
@@ -147,4 +152,6 @@ def record(outdir):
 
 
 if __name__ == "__main__":
-    record(sys.argv[1])
+    if len(sys.argv) < 2:
+        raise SystemExit(__doc__)
+    record(sys.argv[1], sys.argv[2:])

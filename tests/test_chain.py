@@ -1,6 +1,7 @@
 import cmath
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,14 +9,12 @@ from hypothesis import strategies as st
 from holosphere import (
     Domain,
     build_alpha_chain,
-    eval_expr,
     f_chain_eval,
     recursion_crosscheck,
     scan_grid,
 )
 from holosphere.chain import require_regular, surface_vectors
 from holosphere.errors import DomainError, SingularPointError
-from holosphere.expr import poly_coeffs
 from holosphere.products import hermitian_product, symmetric_product
 
 from conftest import oracle_surface_n1
@@ -25,7 +24,7 @@ class TestBuild:
     def test_level_one_components(self, chain_n1):
         # beta = 1 gives phi = z, so the top map is
         # (1 - z^2, i(1 + z^2), 2z)
-        comps = [poly_coeffs(e) for e in chain_n1.alpha_exprs[1]]
+        comps = chain_n1.alpha_coeffs[1]
         assert np.array_equal(comps[0], np.array([1, 0, -1], dtype=complex))
         assert np.array_equal(comps[1], np.array([1j, 0, 1j]))
         assert np.array_equal(comps[2], np.array([0, 2], dtype=complex))
@@ -36,11 +35,11 @@ class TestBuild:
         z = 0.4 - 0.2j
         p = z + c
         expected = np.array([1 - p * p, 1j * (1 + p * p), 2 * p])
-        got = np.array([eval_expr(e, z) for e in shifted.alpha_exprs[1]])
+        got = np.array([npoly.polyval(z, c) for c in shifted.alpha_coeffs[1]])
         assert np.allclose(got, expected, atol=1e-14)
 
     def test_dimensions(self, chain_n3):
-        for r, comps in enumerate(chain_n3.alpha_exprs):
+        for r, comps in enumerate(chain_n3.alpha_coeffs):
             assert len(comps) == 2 * r + 1
         assert chain_n3.dim == 7
 
@@ -54,12 +53,50 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_alpha_chain([])
 
+    @pytest.mark.parametrize("base, power", [(1, 300), (0.5, 500)])
+    def test_dense_polynomial_chain(self, base, power):
+        # a dense degree-500 beta used to overflow the recursion limit on
+        # the 1503-term level-one map; (1+0.5*z)^500 itself overflows
+        # double precision in the top map's coefficients for n = 2
+        beta = f"({base}+0.5*z)^{power}"
+        chain = build_alpha_chain([beta, beta])
+        coeffs = np.array([1.0])
+        for _ in range(power):
+            coeffs = np.convolve(coeffs, [base, 0.5])
+        zs = np.array([0.01 + 0.02j, -0.03j, 0.02 - 0.01j])
+        want = _reference_jets([coeffs, coeffs], zs)
+        got = chain.jets_at(zs)
+        for k in range(3):
+            scale = np.abs(want[:, k]).max()
+            assert np.abs(got[:, k] - want[:, k]).max() <= 1e-12 * scale
+
     def test_string_and_tree_inputs_agree(self):
         from holosphere.expr import parse_expr
 
         a = build_alpha_chain(["z"])
         b = build_alpha_chain([parse_expr("z")])
-        assert a.alpha_exprs == b.alpha_exprs
+        for level_a, level_b in zip(a.alpha_coeffs, b.alpha_coeffs, strict=True):
+            for ca, cb in zip(level_a, level_b, strict=True):
+                assert np.array_equal(ca, cb)
+
+
+def _reference_jets(betas, zs):
+    """Jets of the final map by direct coefficient arithmetic, with zero
+    integration constants at base point 0."""
+    alpha = [np.asarray(betas[0], dtype=complex)]
+    for r in range(len(betas)):
+        phis = [npoly.polyint(a) for a in alpha]
+        q = np.array([0j])
+        for p in phis:
+            q = npoly.polyadd(q, np.convolve(p, p))
+        b = betas[r + 1] if r + 1 < len(betas) else np.array([1.0])
+        alpha = [np.convolve(b, npoly.polysub([1], q)),
+                 np.convolve(b, 1j * npoly.polyadd([1], q))]
+        alpha += [np.convolve(b, 2 * p) for p in phis]
+    return np.stack([
+        np.stack([npoly.polyval(zs, npoly.polyder(a, k)) for a in alpha], axis=1)
+        for k in range(len(betas) + 1)
+    ], axis=1)
 
 
 @st.composite
@@ -85,8 +122,8 @@ def test_alpha_isotropy_identity(b0, b1):
     # every level of the chain is isotropic by construction
     chain = build_alpha_chain([b0, b1])
     for z in (0.3 + 0.4j, -0.6 - 0.1j):
-        for comps in chain.alpha_exprs[1:]:
-            vec = np.array([eval_expr(e, z) for e in comps])
+        for comps in chain.alpha_coeffs[1:]:
+            vec = np.array([npoly.polyval(z, c) for c in comps])
             scale = float(np.real(np.dot(vec, np.conj(vec))))
             if scale == 0:
                 continue
@@ -143,10 +180,10 @@ class TestFChain:
         assert list(f_chain_eval(chain, [0j, 0.5 + 0j]).singular) == [True, False]
 
     def test_nonpolynomial_chain(self):
-        # beta = exp(z): phi = exp(z) - 1 via quadrature, top map still
-        # isotropic and orthogonal
+        # beta = exp(z): phi = exp(z) - 1 via its Taylor surrogate, top
+        # map still isotropic and orthogonal
         chain = build_alpha_chain(["exp(z)"])
-        assert not chain.is_polynomial
+        assert [s["index"] for s in chain.surrogates] == [0]
         z = 0.3 - 0.2j
         p = cmath.exp(z) - 1
         expected = np.array([1 - p * p, 1j * (1 + p * p), 2 * p])
@@ -157,6 +194,53 @@ class TestFChain:
         assert abs(hermitian_product(F[0], F[1])) <= 1e-8 * np.sqrt(
             norms_sq[0] * norms_sq[1]
         )
+
+
+class TestSurrogates:
+    def test_report(self):
+        chain = build_alpha_chain(["1+z", "exp(0.5*z)", "1/(z-3)"])
+        assert [s["index"] for s in chain.surrogates] == [1, 2]
+        for s in chain.surrogates:
+            assert s["rho"] == abs(1 + 1j)
+            assert 0 < s["degree"] < 100
+            assert s["circle_error"] <= 1e-12
+        assert build_alpha_chain(["1+z"]).surrogates == ()
+
+    def test_disk_radius(self):
+        chain = build_alpha_chain(["exp(z)"], domain=Domain.disk(0.3 + 0.4j, 0.5))
+        assert chain.surrogates[0]["rho"] == pytest.approx(1.0)
+
+    def test_pole_near_domain_refused(self):
+        # the pole at 1.2 lies inside the circle |z| = sqrt(2) through
+        # the corners of [-1, 1]^2
+        with pytest.raises(DomainError, match=r"beta 1/\(z-1\.2\) has no Taylor surrogate"):
+            build_alpha_chain(["1", "1/(z-1.2)"])
+
+    def test_matches_series_of_pole(self):
+        # the antiderivative of 1/(z-3) vanishing at 0 is log(1 - z/3)
+        chain = build_alpha_chain(["1/(z-3)"])
+        z = 0.7 - 0.9j
+        phi = cmath.log(1 - z / 3)
+        expected = np.array([1 - phi * phi, 1j * (1 + phi * phi), 2 * phi])
+        assert np.allclose(chain.jets_at([z])[0, 0], expected, rtol=0, atol=1e-13)
+
+    def test_verify_makes_no_quadrature_calls(self, monkeypatch):
+        from holosphere import expr, quadrature
+        from holosphere.geometry import verify_all
+
+        calls = []
+        original = quadrature.integrate_segment
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_segment", counted)
+        monkeypatch.setattr(expr, "integrate_segment", counted)
+        chain = build_alpha_chain(["exp(0.5*z)", "cos(0.4*z)"])
+        report = verify_all(chain, grid=(4, 4), calabi_order=2)
+        assert report.passed
+        assert calls == []
 
 
 class TestRecursionCrosscheck:

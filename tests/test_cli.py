@@ -299,6 +299,30 @@ class TestErrors:
         assert code == 1
         assert "$.betas" in capsys.readouterr().err
 
+    def test_nonanalytic_beta_refused(self, tmp_path, capsys):
+        doc = demo_config(2)
+        doc["betas"] = ["1", "1/(z-1.2)"]
+        cfg = _write(tmp_path, doc)
+        code = main(["generate", "--config", cfg, "--out",
+                     str(tmp_path / "run")])
+        assert code == 1
+        assert "beta 1/(z-1.2) has no Taylor surrogate" in capsys.readouterr().err
+
+
+def test_surrogates_reported_only_for_nonpolynomial_betas(tmp_path):
+    doc = demo_config(2)
+    doc["grid"] = {"rows": 3, "cols": 3}
+    for betas, expected in ((["1", "1"], None), (["1", "exp(0.5*z)"], [1])):
+        doc["betas"] = betas
+        out = tmp_path / betas[1]
+        assert main(["verify", "--config", _write(tmp_path, doc), "--out",
+                     str(out), "--quiet"]) == 0
+        report = json.loads((out / "diagnostics.json").read_text())
+        if expected is None:
+            assert "surrogates" not in report
+        else:
+            assert [s["index"] for s in report["surrogates"]] == expected
+
 
 def test_reports_are_strict_json(tmp_path):
     path = tmp_path / "report.json"
