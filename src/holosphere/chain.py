@@ -107,7 +107,8 @@ def build_alpha_chain(betas, constants=None, domain=None):
     2r+1 complex numbers (defaults to all zeros).  The final multiplier
     is always the constant 1.  A non-polynomial beta must be analytic on
     the disk |z| <= rho around the domain; one whose Taylor surrogate
-    misses the tolerance raises DomainError.
+    misses the tolerance raises DomainError.  A chain whose coefficients
+    leave double range raises EvaluationError at the first such level.
     """
     betas = tuple(_as_expr(b) for b in betas)
     n = len(betas)
@@ -138,37 +139,43 @@ def build_alpha_chain(betas, constants=None, domain=None):
             surrogates.append({"index": index, **report})
     multipliers.append(np.array([1 + 0j]))
 
-    # beta_0 is integrated as it is, every later map in canonical form
+    # beta_0 is integrated as it is, every later map in canonical form.
+    # Overflow is refused level by level below, so numpy's warnings for
+    # it are silenced
     alphas = [(multipliers[0],)]
     level = alphas[0]
-    for r in range(n):
-        phis = [
-            _poly_integral(c, k, domain.base_point)
-            for c, k in zip(level, constants[r])
-        ]
-        q = np.array([0j])
-        for p in phis:
-            q = _padded_sum(q, np.convolve(p, p))
-        bc = multipliers[r + 1]
-        comps = [
-            np.convolve(bc, _padded_sum(np.array([1 + 0j]), -q)),
-            np.convolve(bc, 1j * _padded_sum(np.array([1 + 0j]), q)),
-        ]
-        comps.extend(np.convolve(bc, 2 * p) for p in phis)
-        alphas.append(tuple(comps))
-        level = [_canonical(c) for c in comps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require_finite(level, "chain level 0")
+        for r in range(n):
+            phis = [
+                _poly_integral(c, k, domain.base_point)
+                for c, k in zip(level, constants[r])
+            ]
+            q = np.array([0j])
+            for p in phis:
+                q = _padded_sum(q, np.convolve(p, p))
+            bc = multipliers[r + 1]
+            comps = [
+                np.convolve(bc, _padded_sum(np.array([1 + 0j]), -q)),
+                np.convolve(bc, 1j * _padded_sum(np.array([1 + 0j]), q)),
+            ]
+            comps.extend(np.convolve(bc, 2 * p) for p in phis)
+            _require_finite(comps, f"chain level {r + 1}")
+            alphas.append(tuple(comps))
+            level = [_canonical(c) for c in comps]
 
-    top = alphas[n]
-    width = max(len(c) for c in top)
-    mat = np.zeros((width, 2 * n + 1), dtype=complex)
-    for c, col in enumerate(top):
-        mat[: len(col), c] = col
-    mats = [mat]
-    for _ in range(n):
-        mat = npoly.polyder(mat, axis=0)
-        if mat.shape[0] == 0:
-            mat = np.zeros((1, 2 * n + 1), dtype=complex)
-        mats.append(mat)
+        top = alphas[n]
+        width = max(len(c) for c in top)
+        mat = np.zeros((width, 2 * n + 1), dtype=complex)
+        for c, col in enumerate(top):
+            mat[: len(col), c] = col
+        mats = [mat]
+        for _ in range(n):
+            mat = npoly.polyder(mat, axis=0)
+            if mat.shape[0] == 0:
+                mat = np.zeros((1, 2 * n + 1), dtype=complex)
+            mats.append(mat)
+        _require_finite(mats, "chain jet")
     return AlphaChain(
         n=n,
         betas=betas,
@@ -178,6 +185,19 @@ def build_alpha_chain(betas, constants=None, domain=None):
         jet_coeffs=tuple(mats),
         surrogates=tuple(surrogates),
     )
+
+
+def _require_finite(arrays, what):
+    """Refuse coefficients past double range (they are about z = 0)."""
+    flat = np.concatenate([np.ravel(a) for a in arrays])
+    finite = np.isfinite(flat)
+    if not finite.all():
+        largest = np.abs(flat[finite]).max(initial=0.0)
+        raise EvaluationError(
+            f"{what} has non-finite coefficients (largest finite "
+            f"magnitude {largest:.3e})",
+            0j,
+        )
 
 
 def _padded_sum(a, b):

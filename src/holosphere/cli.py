@@ -33,7 +33,13 @@ from .errors import (
 )
 from .expr import eval_expr, parse_expr
 from .geometry import SurfaceEvaluator, verify_all
-from .meshio import _fmt, mesh_from_grid, write_obj, write_ply, write_surface_csv
+from .meshio import (
+    mesh_from_grid,
+    write_obj,
+    write_ply,
+    write_points_csv,
+    write_surface_csv,
+)
 from .reconstruct import MAX_RECONSTRUCT_N, roundtrip
 
 PASS, ERROR, FAIL = 0, 1, 2
@@ -234,23 +240,6 @@ def cmd_reconstruct(cfg, outdir, quiet):
     return PASS if passed else FAIL
 
 
-def _write_points_csv(path, zs, valid, coords, prefix):
-    R, C = zs.shape
-    dim = coords.shape[2]
-    header = ["z_re", "z_im", "valid"] + [f"{prefix}_{k + 1}" for k in range(dim)]
-    lines = [",".join(header)]
-    for r in range(R):
-        for c in range(C):
-            row = [_fmt(zs[r, c].real), _fmt(zs[r, c].imag), str(int(valid[r, c]))]
-            if valid[r, c]:
-                row += [_fmt(v) for v in coords[r, c]]
-            else:
-                row += [""] * dim
-            lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _grid_points(cfg, chain, params, points):
     """A batched map (`kaehler_points` or `ruled_points`) over the
     in-domain points of the config grid: (zs, valid, coords), with NaN
@@ -272,7 +261,7 @@ def cmd_kaehler(cfg, outdir, quiet):
     params = KaehlerParams.create(kc["gamma"], kc["w"])
     zs, valid, coords = _grid_points(cfg, chain, params, kaehler_points)
     if "csv" in cfg.formats:
-        _write_points_csv(outdir / "kaehler.csv", zs, valid, coords, "psi")
+        write_points_csv(outdir / "kaehler.csv", zs, valid, coords, "psi")
     mesh = mesh_from_grid(valid, coords)
     if "obj" in cfg.formats:
         write_obj(mesh, outdir / "kaehler.obj", components=cfg.obj_components)
@@ -309,11 +298,11 @@ def cmd_ruled(cfg, outdir, quiet):
     rc = cfg.ruled
     params = RuledParams.create(rc["w"])
     zs, valid, coords = _grid_points(cfg, chain, params, ruled_points)
+    x = coords[valid]
     norm_dev = np.full(valid.shape, np.nan)
-    for r, c in zip(*np.nonzero(valid)):
-        norm_dev[r, c] = abs(np.linalg.norm(coords[r, c]) - 1.0)
+    norm_dev[valid] = np.abs(np.sqrt(np.vecdot(x, x)) - 1.0)
     if "csv" in cfg.formats:
-        _write_points_csv(outdir / "ruled.csv", zs, valid, coords, "F")
+        write_points_csv(outdir / "ruled.csv", zs, valid, coords, "F")
     mesh = mesh_from_grid(valid, coords, attributes={"norm_deviation": norm_dev})
     if "obj" in cfg.formats:
         write_obj(mesh, outdir / "ruled.obj", components=cfg.obj_components)

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -14,7 +15,7 @@ from holosphere import (
     scan_grid,
 )
 from holosphere.chain import require_regular, surface_vectors
-from holosphere.errors import DomainError, SingularPointError
+from holosphere.errors import DomainError, EvaluationError, SingularPointError
 from holosphere.products import hermitian_product, symmetric_product
 
 from conftest import oracle_surface_n1
@@ -69,6 +70,21 @@ class TestBuild:
         for k in range(3):
             scale = np.abs(want[:, k]).max()
             assert np.abs(got[:, k] - want[:, k]).max() <= 1e-12 * scale
+
+    def test_non_finite_chain_refused(self):
+        # the exact top-map coefficients of (1+0.5*z)^500 at n = 2 reach
+        # about 1e446; the build names the level instead of returning NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=r"chain level 2 .*8\.033e\+259"):
+                build_alpha_chain(["(1+0.5*z)^500"] * 2)
+
+    def test_largest_finite_chain_builds_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = build_alpha_chain(["(1+0.5*z)^300"] * 2)
+        for mat in chain.jet_coeffs:
+            assert np.all(np.isfinite(mat))
 
     def test_string_and_tree_inputs_agree(self):
         from holosphere.expr import parse_expr
