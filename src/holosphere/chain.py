@@ -18,6 +18,10 @@ its Taylor polynomial about z = 0, taken by the trapezoid rule (an FFT)
 on the circle |z| = rho that encloses the domain and accepted only when
 its error on that circle is within the tolerance.
 
+The holomorphic jet of the final map is one stacked coefficient array,
+row i the z^i coefficients of every derivative, and a batch of points
+takes all n+1 derivatives in one Horner pass over its rows.
+
 At a point, the holomorphic jet of the final map is orthogonalized under
 the Hermitian product (modified Gram-Schmidt with one reorthogonalization
 pass), producing the chain F_1..F_{n+1}.  This is analytically identical
@@ -64,10 +68,12 @@ class AlphaChain:
     """The full chain as coefficient arrays; immutable after construction.
 
     alpha_coeffs[r] holds the ascending coefficients of the 2r+1
-    components of the r-th map, jet_coeffs the n+1 derivative matrices
-    (deg+1, 2n+1) of the final map.  surrogates describes the Taylor
-    surrogate of every non-polynomial beta: its index, text, degree,
-    rho and measured circle error.
+    components of the r-th map.  jet_coeffs is one array (deg+1, n+1,
+    2n+1) for the whole jet of the final map: row i holds the z^i
+    coefficient of every component of every derivative k, and the rows
+    past the end of derivative k are zero.  surrogates describes the
+    Taylor surrogate of every non-polynomial beta: its index, text,
+    degree, rho and measured circle error.
     """
 
     n: int
@@ -75,7 +81,7 @@ class AlphaChain:
     constants: tuple
     domain: Domain
     alpha_coeffs: tuple
-    jet_coeffs: tuple
+    jet_coeffs: np.ndarray
     surrogates: tuple
 
     @property
@@ -84,11 +90,24 @@ class AlphaChain:
 
     def jets_at(self, zs):
         """Holomorphic jet of the final chain map: array (B, n+1, 2n+1)
-        of the k-th derivatives at each point of the flat array zs."""
+        of the k-th derivatives at each point of the flat array zs.
+
+        One Horner pass over the rows of jet_coeffs evaluates every
+        derivative, with the operations of `numpy.polynomial.polynomial.
+        polyval` on each element: the zero rows above derivative k leave
+        the accumulator at +0, so its first row computes c + 0*z as
+        polyval's c + z*0 does, and the result is the same to the bit.
+        Overflow is refused by the finite check, so numpy's warnings for
+        it are silenced."""
         zs = np.asarray(zs, dtype=complex).ravel()
-        out = np.empty((zs.size, self.n + 1, self.dim), dtype=complex)
-        for k, coeffs in enumerate(self.jet_coeffs):
-            out[:, k, :] = npoly.polyval(zs, coeffs).T
+        rows = self.jet_coeffs.reshape(len(self.jet_coeffs), -1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = rows[-1] + zs * 0
+            for row in rows[-2::-1]:
+                acc *= zs
+                acc += row
+        # C order: the reductions downstream round strided rows differently
+        out = np.ascontiguousarray(acc.T).reshape(zs.size, self.n + 1, self.dim)
         if not np.all(np.isfinite(out)):
             bad = np.argwhere(~np.isfinite(out))[0][0]
             raise EvaluationError("non-finite chain value", complex(zs[bad]))
@@ -165,24 +184,21 @@ def build_alpha_chain(betas, constants=None, domain=None):
             level = [_canonical(c) for c in comps]
 
         top = alphas[n]
-        width = max(len(c) for c in top)
-        mat = np.zeros((width, 2 * n + 1), dtype=complex)
+        jet = np.zeros((max(len(c) for c in top), n + 1, 2 * n + 1), dtype=complex)
         for c, col in enumerate(top):
-            mat[: len(col), c] = col
-        mats = [mat]
-        for _ in range(n):
+            jet[: len(col), 0, c] = col
+        mat = jet[:, 0]
+        for k in range(1, n + 1):
             mat = npoly.polyder(mat, axis=0)
-            if mat.shape[0] == 0:
-                mat = np.zeros((1, 2 * n + 1), dtype=complex)
-            mats.append(mat)
-        _require_finite(mats, "chain jet")
+            jet[: len(mat), k] = mat
+        _require_finite([jet], "chain jet")
     return AlphaChain(
         n=n,
         betas=betas,
         constants=constants,
         domain=domain,
         alpha_coeffs=tuple(alphas),
-        jet_coeffs=tuple(mats),
+        jet_coeffs=jet,
         surrogates=tuple(surrogates),
     )
 
@@ -330,19 +346,20 @@ def _gram_schmidt(jets, eps_singular):
     F = np.zeros_like(jets)
     norms = np.zeros((B, m))
     scale_sq = np.max(np.sum(np.abs(jets) ** 2, axis=2), axis=1)
-    F[:, 0] = jets[:, 0]
-    norms[:, 0] = np.sum(np.abs(F[:, 0]) ** 2, axis=1)
-    for s in range(1, m):
+    # per column j, once for all the projections onto it: where its norm
+    # is positive, and the norm with 1 in place of zero
+    positive, safe = [], []
+    for s in range(m):
         v = jets[:, s].copy()
         for _ in range(2):
             for j in range(s):
-                nj = norms[:, j]
-                safe = np.where(nj > 0, nj, 1.0)
-                coef = np.einsum("bd,bd->b", v, np.conj(F[:, j])) / safe
-                coef = np.where(nj > 0, coef, 0.0)
+                coef = np.einsum("bd,bd->b", v, np.conj(F[:, j])) / safe[j]
+                coef = np.where(positive[j], coef, 0.0)
                 v -= coef[:, None] * F[:, j]
         F[:, s] = v
         norms[:, s] = np.sum(np.abs(v) ** 2, axis=1)
+        positive.append(norms[:, s] > 0)
+        safe.append(np.where(positive[s], norms[:, s], 1.0))
     singular = np.any(norms <= eps_singular * scale_sq[:, None], axis=1)
     return F, norms, scale_sq, singular
 

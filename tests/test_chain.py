@@ -83,8 +83,8 @@ class TestBuild:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chain = build_alpha_chain(["(1+0.5*z)^300"] * 2)
-        for mat in chain.jet_coeffs:
-            assert np.all(np.isfinite(mat))
+        assert chain.jet_coeffs.shape == (1807, 3, 5)
+        assert np.all(np.isfinite(chain.jet_coeffs))
 
     def test_string_and_tree_inputs_agree(self):
         from holosphere.expr import parse_expr
@@ -94,6 +94,68 @@ class TestBuild:
         for level_a, level_b in zip(a.alpha_coeffs, b.alpha_coeffs, strict=True):
             for ca, cb in zip(level_a, level_b, strict=True):
                 assert np.array_equal(ca, cb)
+
+
+def _polyval_jets(chain, zs):
+    """The jet by one `npoly.polyval` per derivative matrix, each trimmed
+    to its own rows: the reference for the one-pass kernel."""
+    top = chain.alpha_coeffs[chain.n]
+    mat = np.zeros((max(len(c) for c in top), chain.dim), dtype=complex)
+    for c, col in enumerate(top):
+        mat[: len(col), c] = col
+    out = np.empty((zs.size, chain.n + 1, chain.dim), dtype=complex)
+    for k in range(chain.n + 1):
+        out[:, k, :] = npoly.polyval(zs, mat).T
+        mat = npoly.polyder(mat, axis=0)
+    return out
+
+
+_RECT = Domain.rectangle(-1 - 1j, 1 + 1j, base_point=0j)
+_DISK = Domain.disk(0.6 - 0.3j, 0.7, base_point=0.6 - 0.3j)
+_KERNEL_CHAINS = [
+    *((["1+0.3*z"] + [f"{k}-0.2*z+0.1*z^2" for k in range(1, n)], domain)
+      for n in range(1, 6) for domain in (_RECT, _DISK)),
+    (["exp((0.6+0.3*i)*z)", "1"], _RECT),
+    (["sin((0.7-0.5*i)*z)+2", "1"], _RECT),
+    (["1", "cos((-0.94+0.32*i)*z)"], _RECT),
+    (["1/(z-3)", "1", "1"], _RECT),
+    (["1"], _RECT),
+    (["z"], _RECT),
+    (["z", "1"], _RECT),
+    (["z^3+2"] * 4, _RECT),
+]
+
+
+class TestJetKernel:
+    @pytest.mark.parametrize("betas, domain", _KERNEL_CHAINS)
+    def test_matches_polyval_bit_for_bit(self, betas, domain):
+        chain = build_alpha_chain(betas, domain=domain)
+        n = chain.n
+        assert chain.jet_coeffs.shape[1:] == (n + 1, 2 * n + 1)
+        rng = np.random.default_rng(n)
+        x0, x1, y0, y1 = domain.bounds
+        grid = np.concatenate([domain.grid(128, 128)[0].ravel(),
+                               [0j, complex(-0.0, 0.0)]])
+        for size in (1, 3, 63, None):
+            if size is None:
+                zs = grid
+            else:
+                zs = rng.uniform(x0, x1, size) + 1j * rng.uniform(y0, y1, size)
+            got = chain.jets_at(zs)
+            want = _polyval_jets(chain, zs)
+            assert got.shape == (zs.size, n + 1, 2 * n + 1)
+            assert got.flags.c_contiguous
+            # int64 views, so that -0.0 and +0.0 differ
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_overflow_raises_evaluation_error(self):
+        # the coefficients are finite, the value near z = 20 is not; the
+        # finite check names the point and numpy's warnings stay inside
+        domain = Domain.rectangle(-1 - 1j, 20 + 1j, base_point=0j)
+        chain = build_alpha_chain(["z^120", "1"], domain=domain)
+        with pytest.raises(EvaluationError, match="non-finite chain value") as err:
+            chain.jets_at([1, 20 + 1j])
+        assert err.value.z == 20 + 1j
 
 
 def _reference_jets(betas, zs):

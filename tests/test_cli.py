@@ -308,6 +308,25 @@ class TestErrors:
         assert code == 1
         assert "beta 1/(z-1.2) has no Taylor surrogate" in capsys.readouterr().err
 
+    def test_overflowing_chain_value_refused_without_warnings(self, tmp_path):
+        # finite coefficients whose value overflows near z = 20: the
+        # refusal names the point, and no numpy warning reaches stderr
+        doc = demo_config(2)
+        doc["betas"] = ["z^120", "1"]
+        doc["domain"]["corners"] = [[-1.0, -1.0], [20.0, 1.0]]
+        cfg = _write(tmp_path, doc)
+        src = str(Path(holosphere.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "from holosphere.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "generate", "--config", cfg,
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "non-finite chain value" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
 
 def test_surrogates_reported_only_for_nonpolynomial_betas(tmp_path):
     doc = demo_config(2)
