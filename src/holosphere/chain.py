@@ -18,9 +18,16 @@ its Taylor polynomial about z = 0, taken by the trapezoid rule (an FFT)
 on the circle |z| = rho that encloses the domain and accepted only when
 its error on that circle is within the tolerance.
 
-The holomorphic jet of the final map is one stacked coefficient array,
-row i the z^i coefficients of every derivative, and a batch of points
-takes all n+1 derivatives in one Horner pass over its rows.
+The final map is cut to its significant rows: the fewest leading rows
+such that, for every derivative and component, the dropped terms sum to
+at most 2^-53 of sum_i |c_i| rho^i.  On the disk |z| <= rho around the
+domain this is within the rounding error of Horner's rule on the whole
+polynomial.  A polynomial chain loses the exact zero rows that the
+cancellations of isotropy leave at its tail, and nonzero rows only where
+they too fall under the bound, as in the dense map of (1+0.5*z)^300 at
+n = 2.  The holomorphic jet of the cut map is one stacked coefficient
+array, row i the z^i coefficients of every derivative, and a batch of
+points takes all n+1 derivatives in one Horner pass over its rows.
 
 At a point, the holomorphic jet of the final map is orthogonalized under
 the Hermitian product (modified Gram-Schmidt with one reorthogonalization
@@ -68,12 +75,15 @@ class AlphaChain:
     """The full chain as coefficient arrays; immutable after construction.
 
     alpha_coeffs[r] holds the ascending coefficients of the 2r+1
-    components of the r-th map.  jet_coeffs is one array (deg+1, n+1,
-    2n+1) for the whole jet of the final map: row i holds the z^i
-    coefficient of every component of every derivative k, and the rows
-    past the end of derivative k are zero.  surrogates describes the
-    Taylor surrogate of every non-polynomial beta: its index, text,
-    degree, rho and measured circle error.
+    components of the r-th map; the final map's are cut to its
+    significant rows (see the module docstring), so that the dropped
+    terms of each polynomial of its jet sum to at most 2^-53 of that
+    polynomial's Horner condition sum at any |z| <= rho.  jet_coeffs is
+    one array (deg+1, n+1, 2n+1) for the whole jet of that cut map: row
+    i holds the z^i coefficient of every component of every derivative
+    k, and the rows past the end of derivative k are zero.  surrogates
+    describes the Taylor surrogate of every non-polynomial beta: its
+    index, text, degree, rho and measured circle error.
     """
 
     n: int
@@ -183,15 +193,11 @@ def build_alpha_chain(betas, constants=None, domain=None):
             alphas.append(tuple(comps))
             level = [_canonical(c) for c in comps]
 
-        top = alphas[n]
-        jet = np.zeros((max(len(c) for c in top), n + 1, 2 * n + 1), dtype=complex)
-        for c, col in enumerate(top):
-            jet[: len(col), 0, c] = col
-        mat = jet[:, 0]
-        for k in range(1, n + 1):
-            mat = npoly.polyder(mat, axis=0)
-            jet[: len(mat), k] = mat
+        jet = _jet(alphas[n], n)
         _require_finite([jet], "chain jet")
+    rows = _significant_rows(jet, rho)
+    alphas[n] = tuple(c[:rows] for c in alphas[n])
+    jet = _jet(alphas[n], n)
     return AlphaChain(
         n=n,
         betas=betas,
@@ -201,6 +207,37 @@ def build_alpha_chain(betas, constants=None, domain=None):
         jet_coeffs=jet,
         surrogates=tuple(surrogates),
     )
+
+
+def _jet(top, n):
+    """The jet array (deg+1, n+1, 2n+1) of the map with components top."""
+    jet = np.zeros((max(len(c) for c in top), n + 1, 2 * n + 1), dtype=complex)
+    for c, col in enumerate(top):
+        jet[: len(col), 0, c] = col
+    mat = jet[:, 0]
+    for k in range(1, n + 1):
+        mat = npoly.polyder(mat, axis=0)
+        jet[: len(mat), k] = mat
+    return jet
+
+
+def _significant_rows(jet, rho):
+    """Number of leading rows of the top map to keep: the fewest L such
+    that, for every derivative k and component c, the dropped rows
+    i >= L - k of the jet have a rho-scaled sum sum_i |J[i,k,c]| rho^i
+    within 2^-53 of that of the whole polynomial.  On |z| <= rho this is
+    below the rounding error of Horner's rule (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 5.1).  The weights
+    are taken in logarithms, since rho^i overflows on wide domains."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.abs(jet))
+    logw += np.log(rho) * np.arange(len(jet))[:, None, None]
+    top = logw.max(axis=0)
+    w = np.exp(logw - np.where(np.isfinite(top), top, 0.0))
+    tails = np.cumsum(w[::-1], axis=0)[::-1]
+    # tails fall from row to row, so the rows above the bound lead
+    keep = np.sum(tails > 2.0 ** -53 * tails[0], axis=0)
+    return int(np.max(keep + np.arange(jet.shape[1])[:, None]))
 
 
 def _require_finite(arrays, what):

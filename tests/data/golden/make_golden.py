@@ -6,7 +6,9 @@ tests/test_golden.py compares against.
 Run it from a checkout of the commit whose outputs are to be recorded.
 Each case gets a directory with config.json, the reports of its
 commands and exit_codes.json.  Case names after the output directory
-re-record only those cases; without them every case is recorded.
+re-record only those cases; without them every case is recorded.  For
+every report with a `summary` it prints each family's maximum from the
+file it replaces and from the new recording, one line per family.
 """
 
 import json
@@ -147,8 +149,24 @@ def record(outdir, names=()):
                 codes[command] = main([command, "--config", str(config),
                                        "--out", work, "--quiet"])
                 for name in REPORTS[command]:
+                    old = _summary(dest / name)
                     shutil.copy(Path(work) / name, dest / name)
+                    _print_maxima(f"{case.__name__}/{name}", old,
+                                  _summary(dest / name))
         (dest / "exit_codes.json").write_text(json.dumps(codes, sort_keys=True) + "\n")
+
+
+def _summary(path):
+    """The per-family maxima of a JSON report, or {} when it has none."""
+    if path.suffix != ".json" or not path.exists():
+        return {}
+    doc = json.loads(path.read_text())
+    return doc.get("summary", {}) if isinstance(doc, dict) else {}
+
+
+def _print_maxima(label, old, new):
+    for family in sorted(set(old) | set(new)):
+        print(f"{label} {family}: {old.get(family)!r} -> {new.get(family)!r}")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from holosphere import (
     Domain,
     build_alpha_chain,
+    chain as chain_module,
     f_chain_eval,
     recursion_crosscheck,
     scan_grid,
@@ -83,7 +84,7 @@ class TestBuild:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chain = build_alpha_chain(["(1+0.5*z)^300"] * 2)
-        assert chain.jet_coeffs.shape == (1807, 3, 5)
+        assert chain.jet_coeffs.shape == (642, 3, 5)
         assert np.all(np.isfinite(chain.jet_coeffs))
 
     def test_string_and_tree_inputs_agree(self):
@@ -112,6 +113,8 @@ def _polyval_jets(chain, zs):
 
 _RECT = Domain.rectangle(-1 - 1j, 1 + 1j, base_point=0j)
 _DISK = Domain.disk(0.6 - 0.3j, 0.7, base_point=0.6 - 0.3j)
+_THREE_SURROGATES = ["exp((0.6+0.3*i)*z)", "sin((0.7-0.5*i)*z)+2",
+                     "cos((-0.94+0.32*i)*z)"]
 _KERNEL_CHAINS = [
     *((["1+0.3*z"] + [f"{k}-0.2*z+0.1*z^2" for k in range(1, n)], domain)
       for n in range(1, 6) for domain in (_RECT, _DISK)),
@@ -156,6 +159,72 @@ class TestJetKernel:
         with pytest.raises(EvaluationError, match="non-finite chain value") as err:
             chain.jets_at([1, 20 + 1j])
         assert err.value.z == 20 + 1j
+
+
+def _untrimmed(betas, domain, monkeypatch):
+    """The chain of `betas` with every row of its top map kept."""
+    with monkeypatch.context() as patch:
+        patch.setattr(chain_module, "_significant_rows", lambda jet, rho: len(jet))
+        return build_alpha_chain(betas, domain=domain)
+
+
+def _seeded_linear_betas(seed, n):
+    rng = np.random.default_rng(seed)
+    cs = 0.3 * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+    return [f"1+({c.real:.6f}{c.imag:+.6f}*i)*z" for c in cs]
+
+
+def _is_surrogate_chain(betas):
+    return any(f in b for b in betas for f in ("exp", "sin", "cos", "/"))
+
+
+class TestTopMapTrim:
+    @pytest.mark.parametrize("betas, domain", [
+        *(case for case in _KERNEL_CHAINS if _is_surrogate_chain(case[0])),
+        (_THREE_SURROGATES, _RECT),
+    ])
+    def test_surrogate_jets_match_untrimmed(self, betas, domain, monkeypatch):
+        # the dropped rows lie within Horner's own rounding error; the
+        # largest deviation measured, relative to the jet vector of each
+        # derivative at each point, is 1.9e-15 (three-beta chain, k = 3)
+        chain = build_alpha_chain(betas, domain=domain)
+        full = _untrimmed(betas, domain, monkeypatch)
+        assert chain.surrogates and chain.surrogates == full.surrogates
+        assert len(chain.jet_coeffs) < len(full.jet_coeffs)
+        rng = np.random.default_rng(chain.n)
+        x0, x1, y0, y1 = domain.bounds
+        for size in (1, 3, 63, None):
+            if size is None:
+                zs = domain.grid(128, 128)[0].ravel()
+            else:
+                zs = rng.uniform(x0, x1, size) + 1j * rng.uniform(y0, y1, size)
+            got, want = chain.jets_at(zs), full.jets_at(zs)
+            dev = np.linalg.norm(got - want, axis=2) / np.linalg.norm(want, axis=2)
+            assert dev.max() <= 1e-14
+
+    @pytest.mark.parametrize("betas, rows", [
+        (_THREE_SURROGATES, (195, 41)),
+        (["exp((0.5+0.2*i)*z)", "cos(0.4*z)"], (99, 26)),
+    ])
+    def test_surrogate_row_counts(self, betas, rows, monkeypatch):
+        full = _untrimmed(betas, _RECT, monkeypatch)
+        chain = build_alpha_chain(betas, domain=_RECT)
+        assert (len(full.jet_coeffs), len(chain.jet_coeffs)) == rows
+        assert {len(c) for c in chain.alpha_coeffs[chain.n]} <= {rows[1]}
+
+    @pytest.mark.parametrize("betas, domain", [
+        *(case for case in _KERNEL_CHAINS if not _is_surrogate_chain(case[0])),
+        *((_seeded_linear_betas(n, n), _RECT) for n in (2, 3, 4)),
+    ])
+    def test_polynomial_chains_drop_only_zero_rows(self, betas, domain, monkeypatch):
+        chain = build_alpha_chain(betas, domain=domain)
+        full = _untrimmed(betas, domain, monkeypatch)
+        assert chain.surrogates == ()
+        rows = len(chain.jet_coeffs)
+        # int64 views, so that -0.0 differs from +0.0
+        kept = full.jet_coeffs[:rows].view(np.int64)
+        assert np.array_equal(chain.jet_coeffs.view(np.int64), kept)
+        assert not np.any(full.jet_coeffs[rows:].view(np.int64))
 
 
 def _reference_jets(betas, zs):
