@@ -31,7 +31,8 @@ from .chain import (
 from .errors import DomainError
 from .expr import HoloExpr, differentiate, eval_env, parse_expr
 from .fd import wirtinger
-from .geometry import SurfaceEvaluator
+from .geometry import SurfaceEvaluator, _normal_part
+from .products import _abs, _cmul, _complex, _dot, _norm, _square
 
 
 def _as_gamma(gamma):
@@ -65,11 +66,24 @@ class KaehlerParams:
         )
 
     def gamma_values(self, z):
-        env = {"x": z.real, "y": z.imag}
-        val = complex(eval_env(self.gamma, env)).real
-        gx = complex(eval_env(self.gamma_x, env)).real
-        gy = complex(eval_env(self.gamma_y, env)).real
-        return val, 0.5 * (gx - 1j * gy)  # (gamma, d gamma/dz)
+        """(gamma, d gamma/dz) at the point z, or at every point of an
+        array z.
+
+        The arithmetic is that of Python floats and complex numbers at
+        each point: an array is evaluated as an object array of them,
+        since numpy's array power and complex product round differently.
+        """
+        z = np.asarray(z, dtype=complex)
+        env = {"x": z.real.astype(object), "y": z.imag.astype(object)}
+        val, gx, gy = (
+            np.broadcast_to(np.asarray(eval_env(e, env), dtype=complex), z.shape)
+            .real.astype(object)
+            for e in (self.gamma, self.gamma_x, self.gamma_y)
+        )
+        gamma_z = np.asarray(0.5 * (gx - 1j * gy), dtype=complex)
+        if z.ndim == 0:
+            return float(val), complex(gamma_z)
+        return val.astype(float), gamma_z
 
 
 @dataclass
@@ -143,18 +157,18 @@ def _kaehler_base(batch, g, params):
     point of the batch; NaN rows at degenerate points."""
     n = batch.F.shape[1] - 1
     base = np.full(g.shape, np.nan)
-    for i in np.flatnonzero(~np.isnan(g[:, 0])):
-        F, norms_sq = batch.F[i], batch.norms_sq[i]
-        gamma, gamma_z = params.gamma_values(complex(batch.z[i]))
-        re_top = F[-1].real
-        re_norm = float(np.linalg.norm(re_top))
-        pairing = complex(np.dot(g[i].astype(complex), F[-1]))
-        metric = abs(pairing) ** 2 / norms_sq[n - 1]
-        corr = complex(np.dot(re_top.astype(complex), np.conj(F[-1])))
-        middle = -(2.0 / (metric * norms_sq[n - 1] * re_norm)) * np.real(
-            gamma_z * corr * F[n - 1]
-        )
-        base[i] = gamma * g[i] + middle
+    idx = np.flatnonzero(~np.isnan(g[:, 0]))
+    F, norms_sq, g = batch.F[idx], batch.norms_sq[idx, n - 1], g[idx]
+    gamma, gamma_z = params.gamma_values(batch.z[idx])
+    top = F[:, -1]
+    pairing = _dot(g.astype(complex), top)
+    metric = _square(_abs(pairing)) / norms_sq
+    corr = _dot(top.real.astype(complex), np.conj(top))
+    # gamma_z * corr was a product of two Python complex numbers
+    lead = _complex(*_cmul(gamma_z.real, gamma_z.imag, corr.real, corr.imag))
+    scale = -(2.0 / (metric * norms_sq * _norm(top.real)))
+    middle = scale[:, None] * np.real(lead[:, None] * F[:, n - 1])
+    base[idx] = gamma[:, None] * g + middle
     return base
 
 
@@ -266,29 +280,19 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     if not degenerate.all():
         sigmas[~degenerate] = np.linalg.svd(jac[~degenerate], compute_uv=False)
 
-    records = []
-    flagged = []
-    regular = 0
-    for k, z in enumerate(centres):
-        for c, combo in enumerate(combos):
-            if degenerate[k]:
-                rec = RegularityRecord(complex(z), combo, 0, np.zeros(expected))
-                records.append(rec)
-                flagged.append(rec)
-                continue
-            sigma = sigmas[k, c]
-            top = sigma[0] if sigma[0] > 0 else 1.0
-            rank = int(np.sum(sigma > rank_threshold * top))
-            rec = RegularityRecord(complex(z), combo, rank, sigma)
-            records.append(rec)
-            if rank == expected:
-                regular += 1
-            else:
-                flagged.append(rec)
+    # degenerate cells keep all-zero singular values, hence rank 0
+    top = np.where(sigmas[..., 0] > 0, sigmas[..., 0], 1.0)
+    ranks = np.sum(sigmas > rank_threshold * top[..., None], axis=-1)
+    records = [
+        RegularityRecord(z, combo, rank, sigma)
+        for z, rank_row, sigma_row in zip(centres.tolist(), ranks.tolist(), sigmas)
+        for combo, rank, sigma in zip(combos, rank_row, sigma_row)
+    ]
+    flagged = [rec for rec in records if rec.rank != expected]
     return KaehlerRegularityReport(
         expected_rank=expected,
         records=records,
-        regular_count=regular,
+        regular_count=len(records) - len(flagged),
         flagged=flagged,
     )
 
@@ -332,15 +336,16 @@ def _ruled(chain, params, zs, eps_singular):
         raise ValueError(f"w needs {n - 2} entries, got {len(params.w)}")
     batch, g, collapsed = _chain_surface(chain, zs, eps_singular)
     values = np.full(g.shape, np.nan)
-    for i in np.flatnonzero(~np.isnan(g[:, 0])):
-        values[i] = _ruled_value(batch.F[i], g[i], params.w)
+    idx = np.flatnonzero(~np.isnan(g[:, 0]))
+    values[idx] = _ruled_values(batch.F[idx], g[idx], np.array(params.w, dtype=complex))
     return values, batch, collapsed
 
 
-def _ruled_value(F, g, w):
-    """The ruled map at one point with chain vectors F and surface vector g."""
-    wvec = _normal_terms(F, np.array(w, dtype=complex))
-    t = float(np.linalg.norm(wvec))
+def _ruled_values(F, g, w):
+    """The ruled map at chain vectors F (..., m, d), surface vectors g
+    (..., d) and parameters w (..., k), broadcast against each other."""
+    wvec = _normal_terms(F, w)
+    t = _norm(wvec)[..., None]
     return np.cos(t) * g + np.sinc(t / np.pi) * wvec
 
 
@@ -363,8 +368,12 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
     rescaling the parameters.  Near-degenerate induced metrics, and
     stencils that touch a point where the chain or the surface
     normalization degenerates, are flagged instead of returning a
-    number.  The chain is evaluated once, at the 9 z-offsets of the
-    stencil.
+    number.
+
+    z may also be an array of centres: the result is then a list with
+    one RuledProbeResult per centre, each as a call with that centre
+    alone would return it.  The chain is evaluated once, at the 9
+    z-offsets of every stencil.
     """
     if chain.n != 3:
         raise ValueError("the minimality probe supports n = 3 only")
@@ -373,59 +382,83 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
     if fd_step is None:
         fd_step = 1e-3 * chain.domain.diameter
     h = fd_step
-    if not chain.domain.contains(z, margin=2.5 * h):
-        raise DomainError(f"probe stencil at z={z} leaves the domain")
-    u0, v0 = params.w[0].real, params.w[0].imag
+    scalar = np.ndim(z) == 0
+    zs = np.asarray(z, dtype=complex).ravel()
+    centres = [z] if scalar else zs.tolist()
+    inside = chain.domain.contains(zs, margin=2.5 * h)
+    if not np.all(inside):
+        bad = centres[np.argmin(inside)]
+        raise DomainError(f"probe stencil at z={bad} leaves the domain")
     offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
-    batch, g, _ = _chain_surface(
-        chain, np.array([z + (dx + 1j * dy) for dx, dy in offsets]), eps_singular
-    )
-    if np.isnan(g).any():
-        return RuledProbeResult(z, params.w, None, None, True)
-    row = {offset: i for i, offset in enumerate(offsets)}
+    steps = np.array([dx + 1j * dy for dx, dy in offsets])
+    batch, g, _ = _chain_surface(chain, (zs[:, None] + steps).ravel(), eps_singular)
+    F = batch.F.reshape((zs.size, len(offsets)) + batch.F.shape[1:])
+    g = g.reshape(zs.size, len(offsets), -1)
+    degenerate = np.isnan(g).any(axis=(1, 2))
+    results = [RuledProbeResult(c, params.w, None, None, True) for c in centres]
+    regular = np.flatnonzero(~degenerate)
+    if regular.size:
+        found = _ruled_probe(F[regular], g[regular], params.w[0], h, offsets,
+                             det_threshold)
+        for k, (residual, det, flagged) in zip(regular, zip(*found)):
+            results[k] = RuledProbeResult(centres[k], params.w, residual, det, flagged)
+    return results[0] if scalar else results
 
-    def X(dx=0.0, dy=0.0, du=0.0, dv=0.0):
-        i = row[(dx, dy)]
-        w = (complex(u0 + du, v0 + dv),)
-        return _ruled_value(batch.F[i], g[i], w)
 
-    axes = ("dx", "dy", "du", "dv")
+def _ruled_probe(F, g, w0, h, offsets, det_threshold):
+    """Residuals, Gram determinants and flags of the probe at P centres
+    with the chain vectors F (P, 9, m, d) and surface vectors g (P, 9, d)
+    at their z-offsets, all nine regular; the residual is None where the
+    induced metric is near-degenerate."""
+    # the ruled map at every stencil cell (steps in x, y, u, v) in one
+    # stacked call
+    cells = [_cell()] + [_cell(i, si) for i in range(4) for si in (h, -h)]
+    cells += [_cell(i, si, j, sj) for i in range(4) for j in range(i + 1, 4)
+              for si in (h, -h) for sj in (h, -h)]
+    index = {cell: k for k, cell in enumerate(cells)}
+    row = {offset: k for k, offset in enumerate(offsets)}
+    rows = [row[(dx, dy)] for dx, dy, _, _ in cells]
+    w = np.array([[complex(w0.real + du, w0.imag + dv)] for _, _, du, dv in cells])
+    values = _ruled_values(F[:, rows], g[:, rows], w)   # (P, cells, d)
+
+    def X(*steps):
+        return values[:, index[_cell(*steps)]]
+
     center = X()
-    first = []
-    for a in axes:
-        p = X(**{a: h})
-        m = X(**{a: -h})
-        first.append((p - m) / (2 * h))
-    second = np.empty((4, 4, center.size))
-    for i, ai in enumerate(axes):
-        for j, aj in enumerate(axes):
-            if j < i:
-                second[i, j] = second[j, i]
-                continue
-            if i == j:
-                p = X(**{ai: h})
-                m = X(**{ai: -h})
-                second[i, i] = (p - 2 * center + m) / (h * h)
-            else:
-                pp = X(**{ai: h, aj: h})
-                pm = X(**{ai: h, aj: -h})
-                mp = X(**{ai: -h, aj: h})
-                mm = X(**{ai: -h, aj: -h})
-                second[i, j] = (pp - pm - mp + mm) / (4 * h * h)
+    tangents = np.stack([(X(a, h) - X(a, -h)) / (2 * h) for a in range(4)],
+                        axis=1)                        # (P, 4, d)
+    P, _, d = tangents.shape
+    second = np.empty((P, 4, 4, d))
+    for i in range(4):
+        second[:, i, i] = (X(i, h) - 2 * center + X(i, -h)) / (h * h)
+        for j in range(i + 1, 4):
+            second[:, i, j] = (X(i, h, j, h) - X(i, h, j, -h) - X(i, -h, j, h)
+                               + X(i, -h, j, -h)) / (4 * h * h)
+            second[:, j, i] = second[:, i, j]
 
-    tangents = np.stack(first, axis=0)          # (4, dim)
-    gram = tangents @ tangents.T
-    det = float(np.linalg.det(gram))
-    norm_scale = float(np.prod(np.diag(gram))) or 1.0
-    if det < det_threshold * norm_scale:
-        return RuledProbeResult(z, params.w, None, det, True)
-    ginv = np.linalg.inv(gram)
-    trace_vec = np.einsum("ij,ijd->d", ginv, second)
-    basis = np.concatenate([center[None, :], tangents], axis=0).T  # (dim, 5)
-    q, _ = np.linalg.qr(basis)
-    normal_part = trace_vec - q @ (q.T @ trace_vec)
-    residual = float(np.linalg.norm(normal_part)) / 4.0
-    return RuledProbeResult(z, params.w, residual, det, False)
+    gram = tangents @ np.swapaxes(tangents, 1, 2)
+    det = np.linalg.det(gram)
+    norm_scale = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    norm_scale[norm_scale == 0] = 1.0
+    flagged = det < det_threshold * norm_scale
+    residual = [None] * det.size
+    ok = np.flatnonzero(~flagged)
+    if ok.size:
+        trace_vec = np.einsum("pij,pijd->pd", np.linalg.inv(gram[ok]), second[ok])
+        basis = np.concatenate([center[ok, None], tangents[ok]], axis=1)
+        q = np.linalg.qr(np.swapaxes(basis, 1, 2))[0]
+        for k, value in zip(ok, (_norm(_normal_part(q, trace_vec)) / 4.0).tolist()):
+            residual[k] = value
+    return residual, det.tolist(), flagged.tolist()
+
+
+def _cell(*steps):
+    """The stencil point (dx, dy, du, dv) with the given (axis, step)
+    pairs set and the other steps 0.0."""
+    cell = [0.0] * 4
+    for axis, step in zip(steps[::2], steps[1::2]):
+        cell[axis] = step
+    return tuple(cell)
 
 
 def ruling_geodesic_residual(chain, z, h=1e-4,
@@ -444,11 +477,9 @@ def ruling_geodesic_residual(chain, z, h=1e-4,
         return None
     F, g = batch.F[0], g[0]
 
-    def along(t):
-        return _ruled_value(F, g, (complex(t, 0.0),) + zero[1:])
-
-    center = along(0.0)
-    acc = (along(h) - 2 * center + along(-h)) / (h * h)
+    w = np.array([(complex(t, 0.0),) + zero[1:] for t in (0.0, h, -h)])
+    center, plus, minus = _ruled_values(F, g, w)
+    acc = (plus - 2 * center + minus) / (h * h)
     gx, gy = 2 * dg.real, -2 * dg.imag
     du = F[0].real  # tangent of the ruling at w = 0
     dv = -F[0].imag

@@ -58,6 +58,7 @@ from .expr import (
     to_string,
 )
 from .fd import wirtinger
+from .products import _dot, _max0, _norm
 
 DEFAULT_EPS_SINGULAR = 1e-12
 
@@ -451,21 +452,15 @@ def recursion_residuals(chain, base, h, eps_singular=DEFAULT_EPS_SINGULAR):
         return F
 
     dfield = wirtinger(field, base.z, 1, 0, h=h, richardson=False)
-    derivs = [base.jets[:, 1]] + [dfield[:, idx] for idx in range(1, n)]
-    touched = ~np.isfinite(dfield).reshape(len(dfield), -1).all(axis=1)
-
+    rows = np.flatnonzero(np.isfinite(dfield).reshape(len(dfield), -1).all(axis=1))
+    # the derivative of F_s for s = 1..n along axis 1
+    derivs = np.concatenate([base.jets[rows, 1][:, None], dfield[rows, 1:]], axis=1)
+    F, norms_sq = base.F[rows], base.norms_sq[rows, :n]
+    coef = _dot(derivs, np.conj(F[:, :n])) / norms_sq
+    literal = derivs - coef[..., None] * F[:, :n]
+    ref = F[:, 1:]
     out = np.full(base.z.size, np.nan)
-    for b in np.flatnonzero(~touched):
-        worst = 0.0
-        for idx, dF in enumerate(derivs):
-            dFs = dF[b]
-            Fs = base.F[b, idx]
-            coef = np.dot(dFs, np.conj(Fs)) / base.norms_sq[b, idx]
-            literal = dFs - coef * Fs
-            ref = base.F[b, idx + 1]
-            dev = np.linalg.norm(literal - ref) / np.linalg.norm(ref)
-            worst = max(worst, float(dev))
-        out[b] = worst
+    out[rows] = _max0(_norm(literal - ref) / _norm(ref))
     return out
 
 

@@ -7,6 +7,7 @@ checks pass, 1 error, 2 verification failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,6 +65,7 @@ def _add_common(sub):
     sub.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="holosphere", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -95,9 +97,8 @@ def _load(args, outdir):
 
 def _write_json(path, obj):
     """Strict JSON: non-finite floats are written as null."""
-    with open(path, "w") as fh:
-        json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _finite(obj):
@@ -319,14 +320,14 @@ def cmd_ruled(cfg, outdir, quiet):
         rng = np.random.default_rng(20260809)
         x0, x1, y0, y1 = cfg.domain.bounds
         span_x, span_y = x1 - x0, y1 - y0
-        count = 0
-        while count < rc["probe_points"]:
-            z = complex(
-                x0 + span_x * (0.25 + 0.5 * rng.random()),
-                y0 + span_y * (0.25 + 0.5 * rng.random()),
-            )
-            res = ruled_minimality_probe(chain, params, z,
-                                         eps_singular=cfg.eps_singular)
+        centres = [
+            complex(x0 + span_x * (0.25 + 0.5 * rng.random()),
+                    y0 + span_y * (0.25 + 0.5 * rng.random()))
+            for _ in range(rc["probe_points"])
+        ]
+        found = ruled_minimality_probe(chain, params, np.array(centres),
+                                       eps_singular=cfg.eps_singular)
+        for z, res in zip(centres, found):
             probes.append(
                 {"z": [z.real, z.imag],
                  "residual": res.residual,
@@ -334,7 +335,6 @@ def cmd_ruled(cfg, outdir, quiet):
             )
             if not res.degenerate:
                 probe_ok = probe_ok and res.residual <= 1e-3
-            count += 1
         geo = ruling_geodesic_residual(
             chain, complex((x0 + x1) / 2 + 0.1, (y0 + y1) / 2 + 0.1),
             eps_singular=cfg.eps_singular,
@@ -373,9 +373,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         cfg = _load(args, outdir)

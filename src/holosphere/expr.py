@@ -348,6 +348,9 @@ def to_string(e):
 # Evaluation
 # ---------------------------------------------------------------------------
 
+_UFUNCS = {Exp: np.exp, Sin: np.sin, Cos: np.cos}
+
+
 def _eval(e, env):
     if isinstance(e, Const):
         return e.value
@@ -371,14 +374,16 @@ def _eval(e, env):
     if isinstance(e, Pow):
         base = _eval(e.base, env)
         if e.exponent == 0:
-            return np.ones_like(base) if isinstance(base, np.ndarray) else 1 + 0j
+            numeric = isinstance(base, np.ndarray) and base.dtype != object
+            return np.ones_like(base) if numeric else 1 + 0j
         return base ** e.exponent
-    if isinstance(e, Exp):
-        return np.exp(_eval(e.operand, env))
-    if isinstance(e, Sin):
-        return np.sin(_eval(e.operand, env))
-    if isinstance(e, Cos):
-        return np.cos(_eval(e.operand, env))
+    if type(e) in _UFUNCS:
+        value = _eval(e.operand, env)
+        ufunc = _UFUNCS[type(e)]
+        if isinstance(value, np.ndarray) and value.dtype == object:
+            # entries are Python scalars: each gets the one-point call
+            ufunc = np.frompyfunc(ufunc, 1, 1)
+        return ufunc(value)
     if isinstance(e, Antideriv):
         return e.anti.value(env["z"])
     raise TypeError(f"not an expression node: {e!r}")
@@ -410,7 +415,10 @@ def eval_expr(e, z):
 
 
 def eval_env(e, env):
-    """Evaluate against an explicit variable environment (e.g. x, y)."""
+    """Evaluate against an explicit variable environment (e.g. x, y).
+
+    Object arrays of Python numbers evaluate entry by entry with the
+    arithmetic of a scalar environment, bit for bit."""
     return _eval(e, env)
 
 

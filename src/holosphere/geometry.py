@@ -35,7 +35,17 @@ from .errors import (
 )
 from .expr import _canonical, _poly_integral
 from .fd import default_step, field_at, stencil_halfwidth, wirtinger
-from .products import pair_minors_max, principal_angles, symmetric_product
+from .products import (
+    _abs,
+    _cmul,
+    _complex,
+    _dot,
+    _max0,
+    _norm,
+    _pair_minors_max,
+    _square,
+    principal_angles,
+)
 
 DEFAULT_TOLERANCES = {
     "isotropy": 1e-9,
@@ -148,19 +158,24 @@ def minimality_residuals(f, zs, h):
     gz = field_at(f, zs)
     dg = wirtinger(f, zs, 1, 0, h=h)
     gx, gy = 2.0 * dg.real, -2.0 * dg.imag
-    quarter_lap = wirtinger(f, zs, 1, 1, h=h).real
+    lap = wirtinger(f, zs, 1, 1, h=h)
     resid = np.full(zs.size, np.nan)
     energy = np.full(zs.size, np.nan)
-    for b in np.flatnonzero(_finite_rows(gz, dg, quarter_lap)):
-        e = float(np.dot(gx[b], gx[b]) + np.dot(gy[b], gy[b]))
-        energy[b] = e
-        if e < _DEGENERATE_DIFFERENTIAL:
-            continue
-        basis = np.stack([gz[b], gx[b], gy[b]], axis=1)
-        q, _ = np.linalg.qr(basis)
-        r = quarter_lap[b] - q @ (q.T @ quarter_lap[b])
-        resid[b] = float(np.linalg.norm(r)) / e
+    rows = np.flatnonzero(_finite_rows(gz, dg, lap.real))
+    energy[rows] = np.vecdot(gx[rows], gx[rows]) + np.vecdot(gy[rows], gy[rows])
+    rows = rows[energy[rows] >= _DEGENERATE_DIFFERENTIAL]
+    if rows.size:
+        basis = np.stack([gz[rows], gx[rows], gy[rows]], axis=2)
+        # the quarter Laplacian, as strided real rows
+        r = _normal_part(np.linalg.qr(basis)[0], lap[rows].real)
+        resid[rows] = _norm(r) / energy[rows]
     return resid, energy
+
+
+def _normal_part(q, v):
+    """v minus its projection onto the columns of q, row by row: the
+    stacked form of `v - q @ (q.T @ v)`."""
+    return v - (q @ (np.swapaxes(q, -1, -2) @ v[..., None]))[..., 0]
 
 
 def calabi_check(g, max_order, z, h=None):
@@ -182,21 +197,40 @@ def calabi_tables(f, max_order, zs, h, diameter):
     """`calabi_check` of the field f at an array of centres, with one
     field evaluation per stencil; None where a stencil touches a NaN row.
     With h None the steps follow the per-order default for `diameter`."""
+    pairs, values, found = _calabi_values(f, max_order, zs, h, diameter)
+    return [_calabi_table(pairs, row) if ok else None
+            for row, ok in zip(values.tolist(), found)]
+
+
+def _calabi_pairs(max_order):
+    """The (j, k) of a table with j <= k and 0 < j + k <= max_order."""
+    return [(j, k) for j in range(max_order + 1) for k in range(j, max_order + 1)
+            if 0 < j + k <= max_order]
+
+
+def _calabi_values(f, max_order, zs, h, diameter):
+    """The table entries of `calabi_tables` as an array (centre, pair),
+    with its pairs and the mask of centres whose stencils are finite;
+    rows outside the mask are NaN."""
     derivs = [field_at(f, zs).astype(complex)]
     for j in range(1, max_order + 1):
         derivs.append(wirtinger(f, zs, j, 0, h=h, diameter=diameter))
-    tables = [None] * zs.size
-    for b in np.flatnonzero(_finite_rows(*derivs)):
-        table = {}
-        for j in range(max_order + 1):
-            for k in range(j, max_order + 1):
-                if j + k == 0 or j + k > max_order:
-                    continue
-                val = abs(symmetric_product(derivs[j][b], derivs[k][b]))
-                table[(j, k)] = val
-                table[(k, j)] = val
-        tables[b] = table
-    return tables
+    pairs = _calabi_pairs(max_order)
+    found = _finite_rows(*derivs)
+    rows = np.flatnonzero(found)
+    values = np.full((zs.size, len(pairs)), np.nan)
+    for p, (j, k) in enumerate(pairs):
+        values[rows, p] = _abs(_dot(derivs[j][rows], derivs[k][rows]))
+    return pairs, values, found
+
+
+def _calabi_table(pairs, row):
+    """The symmetric table {(j, k): value} of one row of table entries."""
+    table = {}
+    for (j, k), val in zip(pairs, row):
+        table[(j, k)] = val
+        table[(k, j)] = val
+    return table
 
 
 def _finite_rows(*arrays):
@@ -221,10 +255,26 @@ def chain_fundamental_form(batch, g, i, s=0):
         raise SingularPointError("chain degenerates", complex(batch.z[i]))
     if not 0 <= s <= n - 1:
         raise ValueError(f"order s={s} out of range [0, {n - 1}]")
-    F, norms_sq = batch.F[i], batch.norms_sq[i]
-    pairing = complex(np.dot(g[i].astype(complex), F[-1]))
-    coeff = ((-1) ** (s + 1)) * pairing / norms_sq[n - s - 1]
-    return coeff * np.conj(F[n - s - 1])
+    return _fundamental_forms(batch.F[[i]], batch.norms_sq[[i]], g[[i]], [s])[0, 0]
+
+
+def _fundamental_forms(F, norms_sq, g, orders):
+    """`chain_fundamental_form` at every row of chain vectors F (B, n+1,
+    d) with squared norms (B, n+1) and surface vectors g (B, d), for each
+    order s of `orders`: shape (B, len(orders), d).
+
+    The coefficient (-1)^(s+1) <g, F_{n+1}> / |F_{n-s}|^2 is rounded as
+    the Python complex scalar it was: the sign as the complex number
+    (sign, 0), the division by the real norm as by (norm, 0)."""
+    n = F.shape[1] - 1
+    pairing = _dot(g.astype(complex), F[:, -1])
+    forms = np.empty((F.shape[0], len(orders), F.shape[2]), dtype=complex)
+    for o, s in enumerate(orders):
+        re, im = _cmul(float((-1) ** (s + 1)), 0.0, pairing.real, pairing.imag)
+        r = norms_sq[:, n - s - 1]
+        coeff = _complex((re + im * 0.0) / r, (im - re * 0.0) / r)
+        forms[:, o] = coeff[:, None] * np.conj(F[:, n - s - 1])
+    return forms
 
 
 def isotropic_surface_form_residual(chain, z, h=None,
@@ -363,13 +413,16 @@ def _conj_chain_field(chain, eps_singular):
 
 def _apply_perturbation(F, perturb):
     """Deterministic fault injection: nudge one chain vector toward the
-    first one, breaking Hermitian orthogonality by the given magnitude."""
+    first one, breaking Hermitian orthogonality by the given magnitude.
+    F holds the chain vectors of one point (n+1, d) or of a batch of
+    points (B, n+1, d)."""
     target = perturb.get("target", "F2")
     magnitude = float(perturb.get("magnitude", 1e-3))
     idx = int(target.lstrip("F")) - 1
     F = F.copy()
-    direction = F[0] / np.linalg.norm(F[0])
-    F[idx] = F[idx] + magnitude * np.linalg.norm(F[idx]) * direction
+    direction = F[..., 0, :] / _norm(F[..., 0, :])[..., None]
+    scale = magnitude * _norm(F[..., idx, :])
+    F[..., idx, :] = F[..., idx, :] + scale[..., None] * direction
     return F
 
 
@@ -393,18 +446,19 @@ class _Sweep:
         self.F = self.batch.F
         if perturb:
             self.F = self.F.copy()
-            for i in np.flatnonzero(self.regular):
-                self.F[i] = _apply_perturbation(self.F[i], perturb)
+            self.F[self.regular] = _apply_perturbation(self.F[self.regular], perturb)
         self.norms = np.sqrt(np.sum(np.abs(self.F) ** 2, axis=2))
         self.g, collapsed = surface_vectors(self.batch, eps_singular)
         self.ok = self.regular & ~collapsed
         self.field = SurfaceEvaluator.from_chain(chain, eps_singular).masked
 
-    def each(self, mask, point):
-        """Residuals from point(i) at the points of the mask; NaN elsewhere."""
+    def each(self, mask, rows):
+        """Residuals from rows(idx) at the points idx of the mask; NaN
+        elsewhere."""
         values = np.full(self.z.size, np.nan)
-        for i in np.flatnonzero(mask):
-            values[i] = point(i)
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            values[idx] = rows(idx)
         return values, mask
 
     def centres(self, margin):
@@ -423,62 +477,69 @@ class _Sweep:
         return values, ~np.isnan(values)
 
     @cached_property
-    def calabi_tables(self):
+    def calabi(self):
+        """(pairs, values, found) of the symmetric-derivative tables at
+        every point, as `_calabi_values` returns them; `found` is False
+        where the stencil leaves the domain or touches a masked point."""
         diameter = self.chain.domain.diameter
         top_h = default_step(diameter, self.calabi_order)
         idx = self.centres(stencil_halfwidth(self.calabi_order, top_h))
-        tables = [None] * self.z.size
+        pairs = _calabi_pairs(self.calabi_order)
+        values = np.full((self.z.size, len(pairs)), np.nan)
+        found = np.zeros(self.z.size, dtype=bool)
         if idx.size:
-            found = calabi_tables(self.field, self.calabi_order, self.z[idx],
-                                  None, diameter)
-            for i, table in zip(idx, found):
-                tables[i] = table
-        return tables
+            _, values[idx], found[idx] = _calabi_values(
+                self.field, self.calabi_order, self.z[idx], None, diameter
+            )
+        return pairs, values, found
+
+
+def _pair_residuals(gram, norms, j, k):
+    """|gram[j, k]| / (|F_j| |F_k|) over the index pairs (j, k), and the
+    largest per point."""
+    scale = norms[:, j] * norms[:, k]
+    return _max0(_abs(gram[:, j, k]) / scale)
 
 
 def _isotropy(sw):
-    def point(i):
-        F, norms = sw.F[i], sw.norms[i]
-        iso = 0.0
-        for j in range(sw.chain.n):
-            for k in range(j, sw.chain.n):
-                val = abs(np.dot(F[j], F[k])) / (norms[j] * norms[k])
-                iso = max(iso, val)
-        return iso
+    n = sw.chain.n
 
-    return sw.each(sw.regular, point)
+    def rows(idx):
+        F = sw.F[idx]
+        gram = _dot(F[:, :, None], F[:, None])     # <F_j, F_k>, no conjugate
+        return _pair_residuals(gram, sw.norms[idx], *np.triu_indices(n))
+
+    return sw.each(sw.regular, rows)
 
 
 def _hermitian_orthogonality(sw):
-    def point(i):
-        F, norms = sw.F[i], sw.norms[i]
-        herm = 0.0
-        for j in range(sw.chain.n + 1):
-            for k in range(j + 1, sw.chain.n + 1):
-                val = abs(np.dot(F[j], np.conj(F[k]))) / (norms[j] * norms[k])
-                herm = max(herm, val)
-        return herm
+    n = sw.chain.n
 
-    return sw.each(sw.regular, point)
+    def rows(idx):
+        F = sw.F[idx]
+        gram = _dot(F[:, :, None], np.conj(F)[:, None])
+        return _pair_residuals(gram, sw.norms[idx], *np.triu_indices(n + 1, 1))
+
+    return sw.each(sw.regular, rows)
 
 
 def _collinearity(sw):
-    def point(i):
-        F, norms = sw.F[i], sw.norms[i]
-        return pair_minors_max(F[-1], np.conj(F[-1])) / (norms[-1] ** 2)
+    def rows(idx):
+        top = sw.F[idx, -1]
+        return _pair_minors_max(top, np.conj(top)) / _square(sw.norms[idx, -1])
 
-    return sw.each(sw.regular, point)
+    return sw.each(sw.regular, rows)
 
 
 def _circularity(sw):
-    def point(i):
-        circ = 0.0
-        for s in range(sw.chain.n):
-            a = chain_fundamental_form(sw.batch, sw.g, i, s)
-            circ = max(circ, abs(np.dot(a, a)) / float(np.real(np.dot(a, np.conj(a)))))
-        return circ
+    n = sw.chain.n
 
-    return sw.each(sw.ok, point)
+    def rows(idx):
+        a = _fundamental_forms(sw.batch.F[idx], sw.batch.norms_sq[idx], sw.g[idx],
+                               range(n))
+        return _max0(_abs(_dot(a, a)) / _dot(a, np.conj(a)).real)
+
+    return sw.each(sw.ok, rows)
 
 
 def _recursion(sw):
@@ -497,15 +558,13 @@ def _fbar_identity(sw):
         dbar = wirtinger(_conj_chain_field(sw.chain, sw.eps), sw.z[idx], 1, 0,
                          h=sw.h)
         out = np.full(idx.size, np.nan)
-        for b in np.flatnonzero(_finite_rows(dbar)):
-            F, norms_sq = sw.batch.F[idx[b]], sw.batch.norms_sq[idx[b]]
-            fbar = 0.0
-            for s in range(2, n + 1):
-                ratio = norms_sq[s - 1] / norms_sq[s - 2]
-                resid = np.linalg.norm(dbar[b, s - 2] + ratio * np.conj(F[s - 2]))
-                scale = norms_sq[s - 1] / np.sqrt(norms_sq[s - 2])
-                fbar = max(fbar, float(resid / scale))
-            out[b] = fbar
+        rows = np.flatnonzero(_finite_rows(dbar))
+        F, norms_sq = sw.batch.F[idx[rows]], sw.batch.norms_sq[idx[rows]]
+        # s = 2..n along the last axis: |F_s|^2 over |F_{s-1}|^2
+        ratio = norms_sq[:, 1:n] / norms_sq[:, :n - 1]
+        resid = _norm(dbar[rows] + ratio[..., None] * np.conj(F[:, :n - 1]))
+        scale = norms_sq[:, 1:n] / np.sqrt(norms_sq[:, :n - 1])
+        out[rows] = _max0(resid / scale)
         return out
 
     return sw.over(stencil_halfwidth(1, sw.h), run)
@@ -515,11 +574,11 @@ def _tangent_formula(sw):
     def run(idx):
         dg = wirtinger(sw.field, sw.z[idx], 1, 0, h=sw.h)
         out = np.full(idx.size, np.nan)
-        for b in np.flatnonzero(_finite_rows(dg)):
-            tangent = chain_fundamental_form(sw.batch, sw.g, idx[b], 0)
-            out[b] = float(
-                np.linalg.norm(dg[b] - tangent) / np.linalg.norm(tangent)
-            )
+        rows = np.flatnonzero(_finite_rows(dg))
+        at = idx[rows]
+        tangent = _fundamental_forms(sw.batch.F[at], sw.batch.norms_sq[at],
+                                     sw.g[at], [0])[:, 0]
+        out[rows] = _norm(dg[rows] - tangent) / _norm(tangent)
         return out
 
     return sw.over(stencil_halfwidth(1, sw.h), run)
@@ -535,9 +594,8 @@ def _minimality(sw):
 def _calabi(sw):
     if sw.calabi_order < 1:
         return None
-    tables = sw.calabi_tables
-    found = np.array([t is not None for t in tables], dtype=bool)
-    return sw.each(found, lambda i: max(tables[i].values()))
+    _, values, found = sw.calabi
+    return sw.each(found, lambda idx: np.fmax.reduce(values[idx], axis=1))
 
 
 # Every invariant family: name -> function from a sweep to (residuals,
@@ -588,22 +646,32 @@ def verify_all(
         if found is not None:
             results[fam] = found
 
-    records = []
-    for i, z in enumerate(sweep.z):
-        residuals = {
-            fam: float(values[i])
-            for fam, (values, mask) in results.items() if mask[i]
-        }
-        table = (sweep.calabi_tables[i] if calabi_order >= 1 else None) or {}
-        records.append(PointRecord(complex(z), not sweep.ok[i], residuals, table))
+    columns = {fam: (values.tolist(), mask.tolist())
+               for fam, (values, mask) in results.items()}
+    tables = [{} for _ in range(sweep.z.size)]
+    if calabi_order >= 1:
+        pairs, calabi, found = sweep.calabi
+        for i in np.flatnonzero(found):
+            tables[i] = _calabi_table(pairs, calabi[i].tolist())
+    records = [
+        PointRecord(
+            z, not ok,
+            {fam: values[i] for fam, (values, mask) in columns.items() if mask[i]},
+            tables[i],
+        )
+        for i, (z, ok) in enumerate(zip(sweep.z.tolist(), sweep.ok.tolist()))
+    ]
 
     summary = {}
     worst = {}
-    for rec in records:
-        for fam, val in rec.residuals.items():
-            if fam not in summary or val > summary[fam]:
-                summary[fam] = val
-                worst[fam] = rec.z
+    for fam, (values, mask) in results.items():
+        vals = values[mask]
+        if vals.size:
+            # the first point of the largest value, as a running
+            # `value > best` scan finds it: NaN only when it comes first
+            i = 0 if np.isnan(vals[0]) else int(np.argmax(vals == np.nanmax(vals)))
+            summary[fam] = float(vals[i])
+            worst[fam] = complex(sweep.z[mask][i])
     status = {}
     for fam, val in summary.items():
         status[fam] = "PASS" if val <= tols.get(fam, np.inf) else "FAIL"

@@ -2,32 +2,49 @@
 
 Each batched entry point is compared, bit for bit, with its single-point
 counterpart, and masking is checked to reach only the centres whose
-stencil touches a degenerate point.
+stencil touches a degenerate point.  The reductions after the chain
+evaluation (invariant families, Kaehler base, ruled map and probes) are
+compared with the one-point loops they replaced, kept below as reference
+code.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from holosphere import Domain, build_alpha_chain, f_chain_eval, recursion_crosscheck
+from holosphere import (
+    Domain,
+    applications,
+    build_alpha_chain,
+    f_chain_eval,
+    geometry,
+    recursion_crosscheck,
+)
 from holosphere.applications import (
     KaehlerParams,
     RuledParams,
     kaehler_point,
     kaehler_points,
+    ruled_minimality_probe,
     ruled_point,
     ruled_points,
 )
 from holosphere.chain import recursion_residuals
-from holosphere.errors import SingularPointError
-from holosphere.fd import wirtinger
+from holosphere.config import load_config
+from holosphere.errors import DomainError, SingularPointError
+from holosphere.expr import eval_env
+from holosphere.fd import default_step, stencil_halfwidth, wirtinger
 from holosphere.geometry import (
     SurfaceEvaluator,
     calabi_check,
     calabi_tables,
+    chain_fundamental_form,
     minimality_residual,
     minimality_residuals,
     verify_all,
 )
+from holosphere.products import pair_minors_max, symmetric_product
 
 CENTRES = np.array([0.31 + 0.17j, -0.42 + 0.33j, 0.05 - 0.61j, -0.2 - 0.1j])
 
@@ -102,3 +119,527 @@ def test_counts_match_records(chain_n2):
         assert count == {"evaluated": evaluated, "skipped": 49 - evaluated}
     assert report.to_dict()["counts"] == report.counts
 
+
+# ---------------------------------------------------------------------------
+# Oracle: the one-point loops that the batched reductions replaced, kept
+# here as reference code.  Every batched result must equal them bit for
+# bit; values are compared as int64 views, so even -0.0 against 0.0
+# counts as a difference.
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def _bits(a):
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        a = a.view(float)
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+# -- reference code ---------------------------------------------------------
+
+def ref_apply_perturbation(F, perturb):
+    target = perturb.get("target", "F2")
+    magnitude = float(perturb.get("magnitude", 1e-3))
+    idx = int(target.lstrip("F")) - 1
+    F = F.copy()
+    direction = F[0] / np.linalg.norm(F[0])
+    F[idx] = F[idx] + magnitude * np.linalg.norm(F[idx]) * direction
+    return F
+
+
+def ref_fundamental_form(batch, g, i, s=0):
+    n = batch.F.shape[1] - 1
+    F, norms_sq = batch.F[i], batch.norms_sq[i]
+    pairing = complex(np.dot(g[i].astype(complex), F[-1]))
+    coeff = ((-1) ** (s + 1)) * pairing / norms_sq[n - s - 1]
+    return coeff * np.conj(F[n - s - 1])
+
+
+def ref_each(sw, mask, point):
+    values = np.full(sw.z.size, np.nan)
+    for i in np.flatnonzero(mask):
+        values[i] = point(i)
+    return values
+
+
+def ref_isotropy(sw):
+    def point(i):
+        F, norms = sw.F[i], sw.norms[i]
+        iso = 0.0
+        for j in range(sw.chain.n):
+            for k in range(j, sw.chain.n):
+                iso = max(iso, abs(np.dot(F[j], F[k])) / (norms[j] * norms[k]))
+        return iso
+
+    return ref_each(sw, sw.regular, point)
+
+
+def ref_hermitian_orthogonality(sw):
+    def point(i):
+        F, norms = sw.F[i], sw.norms[i]
+        herm = 0.0
+        for j in range(sw.chain.n + 1):
+            for k in range(j + 1, sw.chain.n + 1):
+                val = abs(np.dot(F[j], np.conj(F[k]))) / (norms[j] * norms[k])
+                herm = max(herm, val)
+        return herm
+
+    return ref_each(sw, sw.regular, point)
+
+
+def ref_collinearity(sw):
+    def point(i):
+        F, norms = sw.F[i], sw.norms[i]
+        u, v = F[-1], np.conj(F[-1])
+        minors = np.abs(u[:, None] * v[None, :] - u[None, :] * v[:, None])
+        return float(minors.max()) / (norms[-1] ** 2)
+
+    return ref_each(sw, sw.regular, point)
+
+
+def ref_circularity(sw):
+    def point(i):
+        circ = 0.0
+        for s in range(sw.chain.n):
+            a = ref_fundamental_form(sw.batch, sw.g, i, s)
+            circ = max(circ, abs(np.dot(a, a)) / float(np.real(np.dot(a, np.conj(a)))))
+        return circ
+
+    return ref_each(sw, sw.ok, point)
+
+
+def ref_over(sw, margin, run):
+    idx = sw.centres(margin)
+    values = np.full(sw.z.size, np.nan)
+    if idx.size:
+        values[idx] = run(idx)
+    return values
+
+
+def ref_recursion_residuals(chain, base, h, eps_singular):
+    n = chain.n
+
+    def field(zs):
+        batch = f_chain_eval(chain, zs, eps_singular)
+        F = batch.F[:, :n].copy()
+        F[batch.singular] = np.nan
+        return F
+
+    dfield = wirtinger(field, base.z, 1, 0, h=h, richardson=False)
+    derivs = [base.jets[:, 1]] + [dfield[:, idx] for idx in range(1, n)]
+    touched = ~np.isfinite(dfield).reshape(len(dfield), -1).all(axis=1)
+    out = np.full(base.z.size, np.nan)
+    for b in np.flatnonzero(~touched):
+        worst = 0.0
+        for idx, dF in enumerate(derivs):
+            dFs, Fs = dF[b], base.F[b, idx]
+            coef = np.dot(dFs, np.conj(Fs)) / base.norms_sq[b, idx]
+            literal = dFs - coef * Fs
+            ref = base.F[b, idx + 1]
+            dev = np.linalg.norm(literal - ref) / np.linalg.norm(ref)
+            worst = max(worst, float(dev))
+        out[b] = worst
+    return out
+
+
+def ref_recursion(sw):
+    def run(idx):
+        return ref_recursion_residuals(sw.chain, sw.batch.take(idx), sw.h, sw.eps)
+
+    return ref_over(sw, stencil_halfwidth(1, sw.h), run)
+
+
+def ref_fbar_identity(sw):
+    n = sw.chain.n
+
+    def run(idx):
+        dbar = wirtinger(geometry._conj_chain_field(sw.chain, sw.eps), sw.z[idx],
+                         1, 0, h=sw.h)
+        out = np.full(idx.size, np.nan)
+        for b in np.flatnonzero(geometry._finite_rows(dbar)):
+            F, norms_sq = sw.batch.F[idx[b]], sw.batch.norms_sq[idx[b]]
+            fbar = 0.0
+            for s in range(2, n + 1):
+                ratio = norms_sq[s - 1] / norms_sq[s - 2]
+                resid = np.linalg.norm(dbar[b, s - 2] + ratio * np.conj(F[s - 2]))
+                scale = norms_sq[s - 1] / np.sqrt(norms_sq[s - 2])
+                fbar = max(fbar, float(resid / scale))
+            out[b] = fbar
+        return out
+
+    return ref_over(sw, stencil_halfwidth(1, sw.h), run)
+
+
+def ref_tangent_formula(sw):
+    def run(idx):
+        dg = wirtinger(sw.field, sw.z[idx], 1, 0, h=sw.h)
+        out = np.full(idx.size, np.nan)
+        for b in np.flatnonzero(geometry._finite_rows(dg)):
+            tangent = ref_fundamental_form(sw.batch, sw.g, idx[b], 0)
+            out[b] = float(np.linalg.norm(dg[b] - tangent) / np.linalg.norm(tangent))
+        return out
+
+    return ref_over(sw, stencil_halfwidth(1, sw.h), run)
+
+
+def ref_minimality_residuals(f, zs, h):
+    gz = geometry.field_at(f, zs)
+    dg = wirtinger(f, zs, 1, 0, h=h)
+    gx, gy = 2.0 * dg.real, -2.0 * dg.imag
+    quarter_lap = wirtinger(f, zs, 1, 1, h=h).real
+    resid = np.full(zs.size, np.nan)
+    energy = np.full(zs.size, np.nan)
+    for b in np.flatnonzero(geometry._finite_rows(gz, dg, quarter_lap)):
+        e = float(np.dot(gx[b], gx[b]) + np.dot(gy[b], gy[b]))
+        energy[b] = e
+        if e < geometry._DEGENERATE_DIFFERENTIAL:
+            continue
+        q, _ = np.linalg.qr(np.stack([gz[b], gx[b], gy[b]], axis=1))
+        r = quarter_lap[b] - q @ (q.T @ quarter_lap[b])
+        resid[b] = float(np.linalg.norm(r)) / e
+    return resid, energy
+
+
+def ref_minimality(sw):
+    def run(idx):
+        return ref_minimality_residuals(sw.field, sw.z[idx], sw.h)[0]
+
+    return ref_over(sw, stencil_halfwidth(2, sw.h), run)
+
+
+def ref_calabi_tables(f, max_order, zs, h, diameter):
+    derivs = [geometry.field_at(f, zs).astype(complex)]
+    for j in range(1, max_order + 1):
+        derivs.append(wirtinger(f, zs, j, 0, h=h, diameter=diameter))
+    tables = [None] * zs.size
+    for b in np.flatnonzero(geometry._finite_rows(*derivs)):
+        table = {}
+        for j in range(max_order + 1):
+            for k in range(j, max_order + 1):
+                if j + k == 0 or j + k > max_order:
+                    continue
+                val = abs(symmetric_product(derivs[j][b], derivs[k][b]))
+                table[(j, k)] = val
+                table[(k, j)] = val
+        tables[b] = table
+    return tables
+
+
+def ref_sweep_tables(sw):
+    diameter = sw.chain.domain.diameter
+    top_h = default_step(diameter, sw.calabi_order)
+    idx = sw.centres(stencil_halfwidth(sw.calabi_order, top_h))
+    tables = [None] * sw.z.size
+    if idx.size:
+        found = ref_calabi_tables(sw.field, sw.calabi_order, sw.z[idx], None, diameter)
+        for i, table in zip(idx, found):
+            tables[i] = table
+    return tables
+
+
+def ref_calabi(sw):
+    tables = ref_sweep_tables(sw)
+    found = np.array([t is not None for t in tables], dtype=bool)
+    return ref_each(sw, found, lambda i: max(tables[i].values()))
+
+
+REFERENCE_FAMILIES = {
+    "isotropy": ref_isotropy,
+    "hermitian_orthogonality": ref_hermitian_orthogonality,
+    "collinearity": ref_collinearity,
+    "circularity": ref_circularity,
+    "recursion": ref_recursion,
+    "fbar_identity": ref_fbar_identity,
+    "tangent_formula": ref_tangent_formula,
+    "minimality": ref_minimality,
+    "calabi": ref_calabi,
+}
+
+
+def ref_gamma_values(params, z):
+    env = {"x": z.real, "y": z.imag}
+    val = complex(eval_env(params.gamma, env)).real
+    gx = complex(eval_env(params.gamma_x, env)).real
+    gy = complex(eval_env(params.gamma_y, env)).real
+    return val, 0.5 * (gx - 1j * gy)
+
+
+def ref_kaehler_base(batch, g, params):
+    n = batch.F.shape[1] - 1
+    base = np.full(g.shape, np.nan)
+    for i in np.flatnonzero(~np.isnan(g[:, 0])):
+        F, norms_sq = batch.F[i], batch.norms_sq[i]
+        gamma, gamma_z = ref_gamma_values(params, complex(batch.z[i]))
+        re_top = F[-1].real
+        re_norm = float(np.linalg.norm(re_top))
+        pairing = complex(np.dot(g[i].astype(complex), F[-1]))
+        metric = abs(pairing) ** 2 / norms_sq[n - 1]
+        corr = complex(np.dot(re_top.astype(complex), np.conj(F[-1])))
+        middle = -(2.0 / (metric * norms_sq[n - 1] * re_norm)) * np.real(
+            gamma_z * corr * F[n - 1]
+        )
+        base[i] = gamma * g[i] + middle
+    return base
+
+
+def ref_ruled_value(F, g, w):
+    wvec = applications._normal_terms(F, np.array(w, dtype=complex))
+    t = float(np.linalg.norm(wvec))
+    return np.cos(t) * g + np.sinc(t / np.pi) * wvec
+
+
+def ref_ruled_probe(chain, params, z, h, det_threshold=1e-10, eps_singular=1e-12):
+    u0, v0 = params.w[0].real, params.w[0].imag
+    offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
+    batch, g, _ = applications._chain_surface(
+        chain, np.array([z + (dx + 1j * dy) for dx, dy in offsets]), eps_singular
+    )
+    if np.isnan(g).any():
+        return None, None, True
+    row = {offset: i for i, offset in enumerate(offsets)}
+
+    def X(dx=0.0, dy=0.0, du=0.0, dv=0.0):
+        i = row[(dx, dy)]
+        return ref_ruled_value(batch.F[i], g[i], (complex(u0 + du, v0 + dv),))
+
+    axes = ("dx", "dy", "du", "dv")
+    center = X()
+    first = [(X(**{a: h}) - X(**{a: -h})) / (2 * h) for a in axes]
+    second = np.empty((4, 4, center.size))
+    for i, ai in enumerate(axes):
+        for j, aj in enumerate(axes):
+            if j < i:
+                second[i, j] = second[j, i]
+            elif i == j:
+                second[i, i] = (X(**{ai: h}) - 2 * center + X(**{ai: -h})) / (h * h)
+            else:
+                pp = X(**{ai: h, aj: h})
+                pm = X(**{ai: h, aj: -h})
+                mp = X(**{ai: -h, aj: h})
+                mm = X(**{ai: -h, aj: -h})
+                second[i, j] = (pp - pm - mp + mm) / (4 * h * h)
+    tangents = np.stack(first, axis=0)
+    gram = tangents @ tangents.T
+    det = float(np.linalg.det(gram))
+    norm_scale = float(np.prod(np.diag(gram))) or 1.0
+    if det < det_threshold * norm_scale:
+        return None, det, True
+    trace_vec = np.einsum("ij,ijd->d", np.linalg.inv(gram), second)
+    basis = np.concatenate([center[None, :], tangents], axis=0).T
+    q, _ = np.linalg.qr(basis)
+    normal_part = trace_vec - q @ (q.T @ trace_vec)
+    return float(np.linalg.norm(normal_part)) / 4.0, det, False
+
+
+# -- cases ------------------------------------------------------------------
+
+def _golden_sweep(case):
+    cfg = load_config(GOLDEN / case / "config.json")
+    chain = build_alpha_chain(cfg.betas, cfg.constants, cfg.domain)
+    return chain, cfg.grid, cfg.fd_step, cfg.calabi_order, cfg.perturb
+
+
+SWEEPS = {
+    # singular at the grid centre z = 0
+    "degenerate2": lambda: (build_alpha_chain(["z", "1"]), (9, 9), None, 2, None),
+    "degenerate3": lambda: (build_alpha_chain(["z", "1", "1"]), (9, 9), None, 3,
+                            {"target": "F2", "magnitude": 1e-3}),
+    # perturb F3 by 1e-6, calabi table to order 4, a disk domain
+    "disk2": lambda: _golden_sweep("disk2"),
+    # stencils of h = 0.5 reach the singular point from four centres
+    "stencil_hits_singular": lambda: _golden_sweep("stencil_hits_singular"),
+    "poly3": lambda: (build_alpha_chain(["1+0.2*z", "z^2+1", "1-0.4*i*z"]), (8, 8),
+                      None, 2, None),
+}
+
+
+def _sweep(name):
+    chain, grid, fd_step, calabi_order, perturb = SWEEPS[name]()
+    h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
+    zs, inside = chain.domain.grid(*grid)
+    return geometry._Sweep(chain, zs[inside], 1e-12, h, calabi_order, perturb), perturb
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_families_match_one_point_loops(name):
+    sw, perturb = _sweep(name)
+    if name.startswith("degenerate"):
+        assert sw.batch.singular.any()
+    if perturb:
+        want = sw.batch.F.copy()
+        for i in np.flatnonzero(sw.regular):
+            want[i] = ref_apply_perturbation(want[i], perturb)
+        assert_same_bits(sw.F, want)
+    for fam, family in geometry.FAMILIES.items():
+        found = family(sw)
+        if found is None:
+            continue
+        assert_same_bits(found[0], REFERENCE_FAMILIES[fam](sw))
+    pairs, values, found = sw.calabi
+    for table, row, ok in zip(ref_sweep_tables(sw), values, found):
+        assert (table is not None) == ok
+        if ok:
+            got = geometry._calabi_table(pairs, row.tolist())
+            assert list(got) == list(table)
+            assert_same_bits(list(got.values()), list(table.values()))
+
+
+def _random_points(count, seed):
+    rng = np.random.default_rng(seed)
+    return 0.95 * (rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count))
+
+
+@pytest.mark.parametrize("betas", [["1+0.2*z", "z^2+1"], ["z", "1", "1"]])
+def test_algebraic_families_match_loops_at_many_points(betas):
+    # a few thousand points reach the rare squares and products that
+    # numpy's array forms round differently from the scalar ones
+    chain = build_alpha_chain(betas)
+    zs = _random_points(3000, len(betas))
+    sw = geometry._Sweep(chain, zs, 1e-12, 1e-4, 0, {"target": "F2", "magnitude": 1e-3})
+    for fam in ("isotropy", "hermitian_orthogonality", "collinearity", "circularity"):
+        assert_same_bits(geometry.FAMILIES[fam](sw)[0], REFERENCE_FAMILIES[fam](sw))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_report_summary_matches_record_scan(name):
+    chain, grid, fd_step, calabi_order, perturb = SWEEPS[name]()
+    report = verify_all(chain, grid=grid, fd_step=fd_step, calabi_order=calabi_order,
+                        perturb=perturb)
+    summary, worst = {}, {}
+    for rec in report.records:
+        for fam, val in rec.residuals.items():
+            if fam not in summary or val > summary[fam]:
+                summary[fam] = val
+                worst[fam] = rec.z
+    assert report.summary == summary and report.worst_point == worst
+    assert_same_bits(list(report.summary.values()),
+                     [summary[fam] for fam in report.summary])
+
+
+@pytest.mark.parametrize("name", ["degenerate2", "degenerate3", "poly3"])
+def test_fundamental_forms_match_one_point_formula(name):
+    sw, _ = _sweep(name)
+    for i in np.flatnonzero(sw.ok):
+        for s in range(sw.chain.n):
+            assert_same_bits(chain_fundamental_form(sw.batch, sw.g, i, s),
+                             ref_fundamental_form(sw.batch, sw.g, i, s))
+
+
+@pytest.mark.parametrize("name", ["degenerate2", "degenerate3", "poly3"])
+def test_recursion_and_minimality_over_centres_match_loops(name):
+    sw, _ = _sweep(name)
+    idx = sw.centres(stencil_halfwidth(2, sw.h))
+    assert_same_bits(recursion_residuals(sw.chain, sw.batch.take(idx), sw.h),
+                     ref_recursion_residuals(sw.chain, sw.batch.take(idx), sw.h, 1e-12))
+    for got, want in zip(minimality_residuals(sw.field, sw.z[idx], sw.h),
+                         ref_minimality_residuals(sw.field, sw.z[idx], sw.h)):
+        assert_same_bits(got, want)
+
+
+def test_pair_minors_max_matches_one_pair():
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(50, 7)) + 1j * rng.normal(size=(50, 7))
+    for row in u:
+        minors = np.abs(row[:, None] * np.conj(row)[None, :]
+                        - row[None, :] * np.conj(row)[:, None])
+        assert_same_bits(pair_minors_max(row, np.conj(row)), float(minors.max()))
+
+
+GAMMAS = ["1+x^2+y^2", "2+x-0.5*y^2"]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS + ["exp(x)*cos(y)+1", "(1+x)^3/(2+y)"])
+def test_gamma_values_on_arrays_match_scalar_calls(gamma):
+    params = KaehlerParams.create(gamma, [0j])
+    rng = np.random.default_rng(11)
+    zs = rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)
+    val, gz = params.gamma_values(zs)
+    want = [ref_gamma_values(params, complex(z)) for z in zs]
+    assert_same_bits(val, [v for v, _ in want])
+    assert_same_bits(gz, [d for _, d in want])
+    one = params.gamma_values(complex(zs[0]))
+    assert type(one[0]) is float and type(one[1]) is complex
+    assert_same_bits(one, want[0])
+
+
+KAEHLER_CHAINS = {
+    "demo2": (["1", "1"], [0.05 + 0.02j]),
+    "degenerate2": (["z", "1"], [0.05 + 0.02j]),
+    "poly3": (["1+0.2*z", "z^2+1", "1-0.4*i*z"], [0.05 + 0.02j, -0.03 + 0.01j]),
+}
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("name", sorted(KAEHLER_CHAINS))
+def test_kaehler_base_matches_one_point_loop(name, gamma):
+    betas, w = KAEHLER_CHAINS[name]
+    chain = build_alpha_chain(betas)
+    params = KaehlerParams.create(gamma, w)
+    zs, inside = chain.domain.grid(11, 11)
+    batch, g, _ = applications._chain_surface(chain, zs[inside], 1e-12)
+    assert_same_bits(applications._kaehler_base(batch, g, params),
+                     ref_kaehler_base(batch, g, params))
+
+
+def test_kaehler_base_matches_one_point_loop_at_many_points():
+    chain = build_alpha_chain(["1+0.2*z", "z^2+1"])
+    params = KaehlerParams.create(GAMMAS[0], [0.05 + 0.02j])
+    batch, g, _ = applications._chain_surface(chain, _random_points(3000, 7),
+                                              1e-12)
+    assert_same_bits(applications._kaehler_base(batch, g, params),
+                     ref_kaehler_base(batch, g, params))
+
+
+@pytest.mark.parametrize("betas", [["1", "1", "1"], ["z", "1", "1"],
+                                   ["1+0.2*z", "z^2+1", "1-0.4*i*z"]])
+def test_ruled_map_matches_one_point_loop(betas):
+    chain = build_alpha_chain(betas)
+    params = RuledParams.create([0.07 + 0.03j])
+    zs, inside = chain.domain.grid(11, 11)
+    values, batch, _ = applications._ruled(chain, params, zs[inside], 1e-12)
+    _, g, _ = applications._chain_surface(chain, zs[inside], 1e-12)
+    want = np.full(g.shape, np.nan)
+    for i in np.flatnonzero(~np.isnan(g[:, 0])):
+        want[i] = ref_ruled_value(batch.F[i], g[i], params.w)
+    assert_same_bits(values, want)
+
+
+@pytest.mark.parametrize("det_threshold", [1e-10, 1e12])
+def test_ruled_probes_match_one_probe_loop(det_threshold):
+    # five probes of the chain of betas (z, 1, 1), singular at z = 0: the
+    # stencil of the second probe reaches it
+    chain = build_alpha_chain(["z", "1", "1"])
+    params = RuledParams.create([0.07 + 0.03j])
+    h = 1e-3 * chain.domain.diameter
+    centres = np.array([0.31 + 0.17j, h + h * 1j, -0.4 + 0.25j, 0.1 - 0.3j,
+                        -0.22 - 0.41j])
+    found = ruled_minimality_probe(chain, params, centres, det_threshold=det_threshold)
+    assert [res.degenerate for res in found][1]
+    for z, res in zip(centres, found):
+        residual, det, degenerate = ref_ruled_probe(chain, params, z, h, det_threshold)
+        assert res.z == z and res.degenerate == degenerate
+        assert (res.residual is None) == (residual is None)
+        assert (res.gram_det is None) == (det is None)
+        if residual is not None:
+            assert_same_bits(res.residual, residual)
+        if det is not None:
+            assert_same_bits(res.gram_det, det)
+        one = ruled_minimality_probe(chain, params, complex(z),
+                                     det_threshold=det_threshold)
+        assert (one.residual, one.gram_det, one.degenerate) == (
+            res.residual, res.gram_det, res.degenerate)
+
+
+def test_ruled_probes_leave_the_domain_at_the_first_bad_centre():
+    chain = build_alpha_chain(["1", "1", "1"])
+    params = RuledParams.create([0.07 + 0.03j])
+    with pytest.raises(DomainError, match=r"z=\(0\.9999"):
+        ruled_minimality_probe(chain, params, np.array([0.2j, 0.9999 + 0j, 2j]))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import holosphere
-from holosphere.cli import _write_json, main
+from holosphere import cli
+from holosphere.cli import ERROR, _write_json, main
 from holosphere.config import RECONSTRUCT_TOLERANCES, demo_config, validate_config
 from holosphere.errors import ConfigError
 
@@ -353,6 +354,46 @@ def test_reports_are_strict_json(tmp_path):
 
     doc = json.loads(path.read_text(), parse_constant=refuse)
     assert doc == {"a": None, "b": [None, 1.5, None], "c": {"d": None, "e": [2.0, None]}}
+
+
+@pytest.mark.parametrize("command, n", [("generate", 3), ("verify", 1), ("verify", 3),
+                                        ("kaehler", 3)])
+def test_demo_configs_exit_zero(tmp_path, command, n):
+    assert main([command, "--seed-demo", str(n), "--out", str(tmp_path), "--quiet"]) == 0
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    runs = [
+        ["verify", "--seed-demo", "2", "--bogus"],
+        ["verify", "--seed-demo", "2", "--out", str(tmp_path / "a")],
+        ["verify", "--seed-demo", "2", "--out", str(tmp_path / "b"), "--quiet"],
+        ["verify", "--seed-demo", "2", "--out", str(tmp_path / "c")],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    reused = [run(argv) for argv in runs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [ERROR, 0, 0, 0]
+    assert "unrecognized arguments: --bogus" in reused[0][2]
+    assert "[PASS]" in reused[1][1] and reused[2][1] == "" and reused[3][1] == reused[1][1]
+
+
+def test_cli_import_builds_no_parser():
+    src = str(Path(holosphere.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import holosphere.cli as c; "
+            "assert c._build_parser.cache_info().currsize == 0")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_imports_without_scipy():
