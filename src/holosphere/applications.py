@@ -26,6 +26,7 @@ from .chain import (
     DEFAULT_EPS_SINGULAR,
     f_chain_eval,
     require_regular,
+    stencil_field,
     surface_vectors,
 )
 from .errors import DomainError
@@ -183,7 +184,7 @@ def kaehler_point_reference(chain, params, z, h=None,
     batch, g, collapsed = _chain_surface(chain, np.array([z]), eps_singular)
     require_regular(batch, collapsed)
     gamma, gamma_z = params.gamma_values(complex(z))
-    dg = wirtinger(g_eval, z, 1, 0, h=h)
+    dg, = wirtinger(g_eval, z, [(1, 0)], h=h)
     metric = float(np.sum(np.abs(dg) ** 2))
     grad_push = (2.0 / metric) * np.real(np.conj(gamma_z) * dg)
     w = np.array(params.w, dtype=complex)
@@ -471,8 +472,9 @@ def ruling_geodesic_residual(chain, z, h=1e-4,
         raise ValueError("the ruled map requires n >= 3")
     zero = tuple(0j for _ in range(chain.n - 2))
     batch, g, _ = _chain_surface(chain, np.array([z]), eps_singular)
-    field = SurfaceEvaluator.from_chain(chain, eps_singular).masked
-    dg = wirtinger(field, z, 1, 0, h=1e-4 * chain.domain.diameter)
+    dfield, = wirtinger(stencil_field(chain, eps_singular), z, [(1, 0)],
+                        h=1e-4 * chain.domain.diameter)
+    dg = dfield[0]   # the surface part
     if np.isnan(g).any() or np.isnan(dg).any():
         return None
     F, g = batch.F[0], g[0]

@@ -430,31 +430,23 @@ def recursion_crosscheck(chain, z, h=None, eps_singular=DEFAULT_EPS_SINGULAR):
     stencil = np.array([z + h, z - h, z + 1j * h, z - 1j * h])
     if not np.all(chain.domain.contains(stencil)):
         raise DomainError(f"crosscheck stencil at z={z} leaves the domain")
-    worst = recursion_residuals(chain, base, h, eps_singular)[0]
+    dfield, = wirtinger(stencil_field(chain, eps_singular), base.z, [(1, 0)], h=h)
+    worst = recursion_residuals(base, dfield[:, 1:chain.n + 1])[0]
     if np.isnan(worst):
         raise SingularPointError("chain degenerates on the stencil", z)
     return float(worst)
 
 
-def recursion_residuals(chain, base, h, eps_singular=DEFAULT_EPS_SINGULAR):
+def recursion_residuals(base, dF):
     """`recursion_crosscheck` at every point of the non-singular batch
-    `base`, with one chain evaluation for all four stencils.  Points
-    whose stencil touches a singular point get NaN."""
-    n = chain.n
-
-    def field(zs):
-        # F_1 is differentiated from the symbolic jet; it is in the field
-        # so that a stencil touching a singular point masks its centre for
-        # n = 1 as well
-        batch = f_chain_eval(chain, zs, eps_singular)
-        F = batch.F[:, :n].copy()
-        F[batch.singular] = np.nan
-        return F
-
-    dfield = wirtinger(field, base.z, 1, 0, h=h, richardson=False)
-    rows = np.flatnonzero(np.isfinite(dfield).reshape(len(dfield), -1).all(axis=1))
+    `base`, from dF (B, n, 2n+1), the finite-difference z-derivatives of
+    F_1..F_n there.  The derivative of F_1 is taken from the jet; its
+    finite difference only masks: points where a row of dF is not
+    finite, because the stencil touches a singular point, get NaN."""
+    n = dF.shape[1]
+    rows = np.flatnonzero(np.isfinite(dF).reshape(len(dF), -1).all(axis=1))
     # the derivative of F_s for s = 1..n along axis 1
-    derivs = np.concatenate([base.jets[rows, 1][:, None], dfield[rows, 1:]], axis=1)
+    derivs = np.concatenate([base.jets[rows, 1][:, None], dF[rows, 1:]], axis=1)
     F, norms_sq = base.F[rows], base.norms_sq[rows, :n]
     coef = _dot(derivs, np.conj(F[:, :n])) / norms_sq
     literal = derivs - coef[..., None] * F[:, :n]
@@ -478,6 +470,25 @@ def surface_vectors(batch, eps_singular=DEFAULT_EPS_SINGULAR):
     g = np.full(re.shape, np.nan)
     g[ok] = re[ok] / np.sqrt(nsq[ok])[:, None]
     return g, collapsed
+
+
+def stencil_field(chain, eps_singular=DEFAULT_EPS_SINGULAR):
+    """The field that every finite-difference check differentiates: from
+    a flat array of points to complex rows (B, 2n, 2n+1) holding, in
+    order, the surface vector of `surface_vectors`, F_1..F_n and
+    conj(F_2)..conj(F_n).  The chain vectors are NaN where the chain
+    degenerates, the surface vector also where its normalization
+    collapses, so a stencil touching such a point masks exactly the
+    derivatives of the parts it concerns."""
+
+    def field(zs):
+        batch = f_chain_eval(chain, zs, eps_singular)
+        g = surface_vectors(batch, eps_singular)[0]
+        F = batch.F[:, :chain.n].copy()
+        F[batch.singular] = np.nan
+        return np.concatenate([g[:, None], F, np.conj(F[:, 1:])], axis=1)
+
+    return field
 
 
 def require_regular(batch, collapsed):

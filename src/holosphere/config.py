@@ -172,11 +172,13 @@ def validate_config(doc):
         tolerances[fam] = _as_real(val, f"$.tolerances.{fam}", positive=True)
 
     calabi = _get(doc, "calabi", "$", {})
+    _expect(isinstance(calabi, dict), "$.calabi", "expected an object")
     calabi_order = _as_int(_get(calabi, "max_order", "$.calabi", 2),
                            "$.calabi.max_order")
     _expect(0 <= calabi_order <= 4, "$.calabi.max_order", "must be in [0, 4]")
 
     output = _get(doc, "output", "$", {})
+    _expect(isinstance(output, dict), "$.output", "expected an object")
     comps = _get(output, "obj_components", "$.output", [1, 2, 3])
     _expect(isinstance(comps, list) and len(comps) == 3,
             "$.output.obj_components", "need exactly three 1-based indices")
@@ -217,7 +219,9 @@ def validate_config(doc):
         box = _get(kaehler, "w_box", path, [-0.1, 0.1])
         _expect(isinstance(box, list) and len(box) == 2, f"{path}.w_box",
                 "expected [min, max]")
-        kaehler["w_box"] = (float(box[0]), float(box[1]))
+        kaehler["w_box"] = tuple(
+            _as_real(v, f"{path}.w_box[{k}]") for k, v in enumerate(box)
+        )
         kaehler["w_samples"] = _as_int(_get(kaehler, "w_samples", path, 3),
                                        f"{path}.w_samples", minimum=1)
         zg = _get(kaehler, "z_grid", path)
@@ -227,6 +231,8 @@ def validate_config(doc):
                  DEFAULT_MIN_REGULAR_FRACTION),
             f"{path}.min_regular_fraction",
         )
+        _expect(0 <= kaehler["min_regular_fraction"] <= 1,
+                f"{path}.min_regular_fraction", "must be in [0, 1]")
 
     ruled = _get(doc, "ruled", "$")
     if ruled is not None:

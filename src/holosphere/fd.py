@@ -9,17 +9,20 @@ mixed partials:
     d/dconj(z) = (d/dx + i d/dy) / 2
 
 Central stencils are second-order accurate; one level of Richardson
-extrapolation is applied by default for total order >= 2.  Step sizes
-grow with the derivative order, balancing truncation against roundoff
-amplification (~eps / h^order), which is what keeps fourth-order checks
-above the double-precision noise floor.
+extrapolation is applied for total order >= 2.  Step sizes grow with the
+derivative order, balancing truncation against roundoff amplification
+(~eps / h^order), which is what keeps fourth-order checks above the
+double-precision noise floor.
+
+`wirtinger` takes every order a check needs in one call and evaluates
+the field once per distinct step for all of them, so the checks of a
+chain surface share one evaluation per stencil step (see
+`chain.stencil_field`).
 """
 
 from math import comb
 
 import numpy as np
-
-from .errors import DomainError
 
 # Central-difference stencils (offsets, weights); divide by h**order.
 _STENCILS = {
@@ -44,7 +47,7 @@ def default_step(diameter, order):
     return _STEP_FRACTION[order] * diameter
 
 
-def stencil_halfwidth(order, h, richardson=True):
+def stencil_halfwidth(order, h):
     """Radius of the sampling stencil around the expansion point."""
     reach = 2 if order >= 3 else 1
     return reach * h * np.sqrt(2.0)
@@ -95,48 +98,47 @@ def _mixed_partials(f, z, keys, h):
     return out
 
 
-def wirtinger(f, z, holo_order, anti_order=0, h=None, diameter=1.0,
-              richardson=None, domain=None):
-    """d^j/dz^j d^k/dconj(z)^k of the field f at the point z.
+def wirtinger(f, z, orders, h=None, diameter=1.0):
+    """d^j/dz^j d^k/dconj(z)^k of the field f at the point z for each
+    order (j, k) of `orders`, as a list in that order.
 
-    z may also be an array of centres: the field is then evaluated once
-    per stencil for all of them, and the result carries the centre axes
-    in front of the field's value axes.  Each centre gets the same
-    arithmetic as a call with that centre alone.
-
-    When h is omitted it follows the per-order default for `diameter`.
-    With `domain` given, the full stencil is required to stay inside it.
+    An order of total j + k >= 1 is taken at the step h (by default the
+    per-order step for `diameter`), from total 2 on with one level of
+    Richardson extrapolation from half that step; order (0, 0) is the
+    field's value.  The field is evaluated once per distinct step for all
+    orders, and each order gets the arithmetic of a call with it alone.
+    z may be an array of centres: each result then carries the centre
+    axes in front of the field's value axes, and each centre gets the
+    arithmetic of a call with it alone.
     """
     z = np.asarray(z, dtype=complex)
-    order = holo_order + anti_order
-    if order == 0:
-        return field_at(f, z)
-    if order > MAX_ORDER:
-        raise ValueError(f"derivative order {order} exceeds {MAX_ORDER}")
-    if h is None:
-        h = default_step(diameter, order)
-    if richardson is None:
-        richardson = order >= 2
-    if domain is not None:
-        margin = stencil_halfwidth(order, h, richardson)
-        inside = np.asarray(domain.contains(z, margin=margin))
-        if not inside.all():
-            bad = complex(z.ravel()[np.argmin(inside.ravel())])
-            raise DomainError(
-                f"finite-difference stencil at z={bad} leaves the domain"
-            )
-    weights = _wirtinger_weights(holo_order, anti_order)
-    keys = list(weights)
-    scale = 0.5 ** order
+    plan, keys = [], {}
+    for j, k in orders:
+        order = j + k
+        if order > MAX_ORDER:
+            raise ValueError(f"derivative order {order} exceeds {MAX_ORDER}")
+        steps = ()
+        if order:
+            step = h if h is not None else default_step(diameter, order)
+            steps = (step, 0.5 * step) if order >= 2 else (step,)
+        weights = _wirtinger_weights(j, k)
+        for step in steps:
+            keys.setdefault(step, {}).update(dict.fromkeys(weights))
+        plan.append((weights, 0.5 ** order, steps))
+    parts = {step: _mixed_partials(f, z, list(need), step)
+             for step, need in keys.items()}
 
-    def combine(parts):
-        acc = weights[keys[0]] * parts[keys[0]]
-        for key in keys[1:]:
-            acc = acc + weights[key] * parts[key]
+    def combine(weights, scale, step):
+        first, *rest = weights
+        acc = weights[first] * parts[step][first]
+        for key in rest:
+            acc = acc + weights[key] * parts[step][key]
         return scale * acc
 
-    d_h = combine(_mixed_partials(f, z, keys, h))
-    if not richardson:
-        return d_h
-    d_h2 = combine(_mixed_partials(f, z, keys, 0.5 * h))
-    return (4.0 * d_h2 - d_h) / 3.0
+    out = []
+    for weights, scale, steps in plan:
+        d = [combine(weights, scale, step) for step in steps]   # at h, h/2
+        if len(d) == 2:
+            d = [(4.0 * d[1] - d[0]) / 3.0]
+        out.append(d[0] if d else field_at(f, z))
+    return out

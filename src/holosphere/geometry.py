@@ -25,6 +25,7 @@ from .chain import (
     f_chain_eval,
     recursion_residuals,
     require_regular,
+    stencil_field,
     surface_vectors,
 )
 from .domain import Domain
@@ -34,7 +35,7 @@ from .errors import (
     SingularPointError,
 )
 from .expr import _canonical, _poly_integral
-from .fd import default_step, field_at, stencil_halfwidth, wirtinger
+from .fd import default_step, stencil_halfwidth, wirtinger
 from .products import (
     _abs,
     _cmul,
@@ -67,71 +68,34 @@ class SurfaceEvaluator:
     """A black-box unit-sphere surface: a pure map from points of the
     domain to unit vectors, batched over numpy arrays.
 
-    `masked`, when set, is the same map returning NaN rows at degenerate
-    points instead of raising; batched checks use it so that one bad
-    point masks only the centres whose stencils touch it.
+    A chain surface (`from_chain`) is normalized by `surface_vectors`,
+    the package's one surface normalization, and raises at degenerate
+    points.  The checks of `verify_all` differentiate
+    `chain.stencil_field` instead, which masks them.
     """
 
     func: object          # zs (B,) complex -> (B, dim) float
     domain: Domain
     dim: int
     n: int = None         # chain length when known (dim == 2n+1)
-    fd_step: float = None
-    masked: object = None  # zs (B,) complex -> (B, dim) float, NaN rows
 
     def __call__(self, zs):
         zs = np.asarray(zs, dtype=complex).ravel()
         return np.asarray(self.func(zs), dtype=float)
 
-    def at(self, z):
-        return self(np.array([z]))[0]
-
     def step(self, order=1):
-        if self.fd_step is not None:
-            return self.fd_step
+        """The default finite-difference step of the given order."""
         return default_step(self.domain.diameter, order)
 
     @classmethod
-    def from_chain(cls, chain, eps_singular=DEFAULT_EPS_SINGULAR, fd_step=None):
-        def rows(zs):
-            batch = f_chain_eval(chain, zs, eps_singular)
-            return batch, _surface_rows(batch, eps_singular)
-
+    def from_chain(cls, chain, eps_singular=DEFAULT_EPS_SINGULAR):
         def func(zs):
-            batch, (g, collapsed) = rows(zs)
+            batch = f_chain_eval(chain, zs, eps_singular)
+            g, collapsed = surface_vectors(batch, eps_singular)
             require_regular(batch, collapsed)
             return g
 
-        def masked(zs):
-            batch, (g, collapsed) = rows(zs)
-            g[batch.singular | collapsed] = np.nan
-            return g
-
-        return cls(
-            func=func, domain=chain.domain, dim=chain.dim, n=chain.n,
-            fd_step=fd_step, masked=masked,
-        )
-
-
-def _surface_rows(batch, eps_singular=DEFAULT_EPS_SINGULAR):
-    """Unit vectors along Re(F_{n+1}) for a chain batch, and the mask of
-    rows whose real part collapses below the relative threshold.  Rows of
-    singular or collapsed points hold no meaningful value.
-
-    This is the finite-difference field: its row sums round differently
-    from `surface_vectors`, and the recorded residuals depend on them."""
-    re = batch.F[:, -1, :].real
-    nsq = np.sum(re * re, axis=1)
-    collapsed = nsq <= eps_singular * batch.scale_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return re / np.sqrt(nsq)[:, None], collapsed
-
-
-def _first_partials(g, z, h):
-    """(g(z), g_x, g_y) from one Wirtinger derivative of the real field."""
-    gz = g.at(z)
-    dg = wirtinger(g, z, 1, 0, h=h)
-    return gz, 2.0 * dg.real, -2.0 * dg.imag
+        return cls(func=func, domain=chain.domain, dim=chain.dim, n=chain.n)
 
 
 def minimality_residual(g, z, h=None):
@@ -143,24 +107,24 @@ def minimality_residual(g, z, h=None):
         h = g.step(1)
     if not g.domain.contains(z, margin=stencil_halfwidth(2, h)):
         raise DomainError(f"stencil at z={z} leaves the domain")
-    resid, energy = minimality_residuals(g, np.array([z]), h)
+    zs = np.array([z])
+    dg, lap = wirtinger(g, zs, [(1, 0), (1, 1)], h=h)
+    resid, energy = minimality_residuals(g(zs), dg, lap)
     if energy[0] < _DEGENERATE_DIFFERENTIAL:
         raise DegenerateSurfaceError(f"degenerate differential at z={z}")
     return float(resid[0])
 
 
-def minimality_residuals(f, zs, h):
-    """`minimality_residual` of the field f at an array of centres, with
-    one field evaluation per stencil.  Returns (residuals, energies):
-    both are NaN where a stencil touches a NaN row of f, and a residual
-    is NaN where the differential degenerates.
+def minimality_residuals(gz, dg, lap):
+    """`minimality_residual` at an array of centres, from the surface
+    vectors gz there and the Wirtinger derivatives dg = d/dz and lap =
+    d^2/dz dconj(z) (a quarter of the Laplacian).  Returns (residuals,
+    energies): both are NaN where a row of the input is not finite, and
+    a residual is NaN where the differential degenerates.
     """
-    gz = field_at(f, zs)
-    dg = wirtinger(f, zs, 1, 0, h=h)
     gx, gy = 2.0 * dg.real, -2.0 * dg.imag
-    lap = wirtinger(f, zs, 1, 1, h=h)
-    resid = np.full(zs.size, np.nan)
-    energy = np.full(zs.size, np.nan)
+    resid = np.full(len(gz), np.nan)
+    energy = np.full(len(gz), np.nan)
     rows = np.flatnonzero(_finite_rows(gz, dg, lap.real))
     energy[rows] = np.vecdot(gx[rows], gx[rows]) + np.vecdot(gy[rows], gy[rows])
     rows = rows[energy[rows] >= _DEGENERATE_DIFFERENTIAL]
@@ -190,16 +154,11 @@ def calabi_check(g, max_order, z, h=None):
     top_h = h if h is not None else default_step(g.domain.diameter, max_order)
     if not g.domain.contains(z, margin=stencil_halfwidth(max_order, top_h)):
         raise DomainError(f"stencil at z={z} leaves the domain")
-    return calabi_tables(g, max_order, np.array([z]), h, g.domain.diameter)[0]
-
-
-def calabi_tables(f, max_order, zs, h, diameter):
-    """`calabi_check` of the field f at an array of centres, with one
-    field evaluation per stencil; None where a stencil touches a NaN row.
-    With h None the steps follow the per-order default for `diameter`."""
-    pairs, values, found = _calabi_values(f, max_order, zs, h, diameter)
-    return [_calabi_table(pairs, row) if ok else None
-            for row, ok in zip(values.tolist(), found)]
+    zs = np.array([z])
+    derivs = wirtinger(g, zs, [(j, 0) for j in range(1, max_order + 1)], h=h,
+                       diameter=g.domain.diameter)
+    pairs, values, _ = _calabi_values([g(zs).astype(complex)] + derivs)
+    return _calabi_table(pairs, values[0].tolist())
 
 
 def _calabi_pairs(max_order):
@@ -208,17 +167,16 @@ def _calabi_pairs(max_order):
             if 0 < j + k <= max_order]
 
 
-def _calabi_values(f, max_order, zs, h, diameter):
-    """The table entries of `calabi_tables` as an array (centre, pair),
-    with its pairs and the mask of centres whose stencils are finite;
-    rows outside the mask are NaN."""
-    derivs = [field_at(f, zs).astype(complex)]
-    for j in range(1, max_order + 1):
-        derivs.append(wirtinger(f, zs, j, 0, h=h, diameter=diameter))
-    pairs = _calabi_pairs(max_order)
+def _calabi_values(derivs):
+    """The entries of the symmetric-derivative tables at an array of
+    centres, from derivs[j], the j-th z-derivative of the surface there
+    (j = 0..max_order): the table's pairs, the entries as an array
+    (centre, pair), and the mask of centres whose derivatives are all
+    finite; rows outside the mask are NaN."""
+    pairs = _calabi_pairs(len(derivs) - 1)
     found = _finite_rows(*derivs)
     rows = np.flatnonzero(found)
-    values = np.full((zs.size, len(pairs)), np.nan)
+    values = np.full((len(found), len(pairs)), np.nan)
     for p, (j, k) in enumerate(pairs):
         values[rows, p] = _abs(_dot(derivs[j][rows], derivs[k][rows]))
     return pairs, values, found
@@ -306,7 +264,7 @@ def isotropic_surface_form_residual(chain, z, h=None,
     batch = f_chain_eval(chain, np.array([z]), eps_singular)
     if batch.singular[0]:
         raise SingularPointError("chain degenerates", z)
-    v = 2.0 * wirtinger(f_field, z, 2, 0, h=h)
+    v = 2.0 * wirtinger(f_field, z, [(2, 0)], h=h)[0]
     F1 = batch.F[0, 0]
     F1bar = np.conj(F1)
     nsq = batch.norms_sq[0, 0]
@@ -324,10 +282,9 @@ def second_normal_space_angle(chain, z, h=None, eps_singular=DEFAULT_EPS_SINGULA
     g = SurfaceEvaluator.from_chain(chain, eps_singular)
     if h is None:
         h = g.step(1)
-    gz, gx, gy = _first_partials(g, z, h)
-    basis = np.stack([gz, gx, gy], axis=1)
+    dg, d2 = wirtinger(g, z, [(1, 0), (2, 0)], h=h)
+    basis = np.stack([g(np.array([z]))[0], 2.0 * dg.real, -2.0 * dg.imag], axis=1)
     q, _ = np.linalg.qr(basis)
-    d2 = wirtinger(g, z, 2, 0, h=h)
     v1 = d2 - q.astype(complex) @ (q.T.astype(complex) @ d2)
     F = f_chain_eval(chain, np.array([z]), eps_singular).F[0]
     fd_basis = np.stack([v1, np.conj(v1)], axis=1)
@@ -398,19 +355,6 @@ class DiagnosticsReport:
         return doc
 
 
-def _conj_chain_field(chain, eps_singular):
-    """Field z -> conj(F_2), ..., conj(F_n) for FD use, NaN rows at
-    singular points."""
-
-    def func(zs):
-        batch = f_chain_eval(chain, zs, eps_singular)
-        rows = np.conj(batch.F[:, 1:chain.n, :])
-        rows[batch.singular] = np.nan
-        return rows
-
-    return func
-
-
 def _apply_perturbation(F, perturb):
     """Deterministic fault injection: nudge one chain vector toward the
     first one, breaking Hermitian orthogonality by the given magnitude.
@@ -431,13 +375,13 @@ class _Sweep:
     evaluated in one call, and the settings the families share.
 
     `ok` marks points where both the chain and the surface normalization
-    are regular; `field` is the masked surface map for FD stencils.
+    are regular; `field` is the chain's stencil field, which every FD
+    family differentiates.
     """
 
     def __init__(self, chain, zs, eps_singular, h, calabi_order, perturb):
         self.chain = chain
         self.z = zs
-        self.eps = eps_singular
         self.h = h
         self.calabi_order = calabi_order
         self.batch = f_chain_eval(chain, zs, eps_singular)
@@ -450,7 +394,15 @@ class _Sweep:
         self.norms = np.sqrt(np.sum(np.abs(self.F) ** 2, axis=2))
         self.g, collapsed = surface_vectors(self.batch, eps_singular)
         self.ok = self.regular & ~collapsed
-        self.field = SurfaceEvaluator.from_chain(chain, eps_singular).masked
+        self.field = stencil_field(chain, eps_singular)
+        # (centre margin, step, order) of each field derivative read: the
+        # FD families' at step h, the Calabi table's at its default steps
+        margin = stencil_halfwidth(1, h)
+        self.fd_plan = [(margin, h, (1, 0)), (margin, h, (1, 1))]
+        steps = [default_step(chain.domain.diameter, j)
+                 for j in range(1, calabi_order + 1)]
+        self.calabi_plan = [(stencil_halfwidth(calabi_order, steps[-1]), step, (j, 0))
+                            for j, step in enumerate(steps, 1)]
 
     def each(self, mask, rows):
         """Residuals from rows(idx) at the points idx of the mask; NaN
@@ -467,13 +419,44 @@ class _Sweep:
             self.ok & self.chain.domain.contains(self.z, margin=margin)
         )
 
-    def over(self, margin, run):
-        """Residuals from run(idx) at the centres for this stencil
-        half-width; run returns NaN for masked centres."""
-        idx = self.centres(margin)
+    @cached_property
+    def stencils(self):
+        """Every derivative of the stencil field that the FD families
+        read, by (centre margin, step, order), over the centres of that
+        margin: one `wirtinger` call per distinct (step, centres), which
+        at default settings and Calabi order <= 2 is one call."""
+        plan = {}
+        for margin, step, order in self.fd_plan + self.calabi_plan:
+            plan.setdefault((margin, step), {})[order] = None
+        found = {}
+        for (margin, step), orders in plan.items():
+            derivs = wirtinger(self.field, self.z[self.centres(margin)], list(orders),
+                               h=step)
+            found.update(((margin, step, o), d) for o, d in zip(orders, derivs))
+        return found
+
+    @property
+    def fd(self):
+        """(centres, d/dz, d^2/dz dconj(z)) of the field for the FD
+        families, at step h."""
+        return (self.centres(self.fd_plan[0][0]),
+                *(self.stencils[key] for key in self.fd_plan))
+
+    @property
+    def calabi_fd(self):
+        """(centres, derivs) of the Calabi table: derivs[j] is the j-th
+        z-derivative of the surface there, derivs[0] the surface."""
+        idx = self.centres(self.calabi_plan[0][0])
+        return idx, [self.g[idx].astype(complex)] + [
+            self.stencils[key][:, 0] for key in self.calabi_plan]
+
+    def over(self, run):
+        """Residuals from run(idx, dz, dzdbar) at the FD centres (see
+        `fd`); run returns NaN for masked centres."""
+        idx, dz, dzdbar = self.fd
         values = np.full(self.z.size, np.nan)
         if idx.size:
-            values[idx] = run(idx)
+            values[idx] = run(idx, dz, dzdbar)
         return values, ~np.isnan(values)
 
     @cached_property
@@ -481,16 +464,12 @@ class _Sweep:
         """(pairs, values, found) of the symmetric-derivative tables at
         every point, as `_calabi_values` returns them; `found` is False
         where the stencil leaves the domain or touches a masked point."""
-        diameter = self.chain.domain.diameter
-        top_h = default_step(diameter, self.calabi_order)
-        idx = self.centres(stencil_halfwidth(self.calabi_order, top_h))
+        idx, derivs = self.calabi_fd
         pairs = _calabi_pairs(self.calabi_order)
         values = np.full((self.z.size, len(pairs)), np.nan)
         found = np.zeros(self.z.size, dtype=bool)
         if idx.size:
-            _, values[idx], found[idx] = _calabi_values(
-                self.field, self.calabi_order, self.z[idx], None, diameter
-            )
+            _, values[idx], found[idx] = _calabi_values(derivs)
         return pairs, values, found
 
 
@@ -543,10 +522,9 @@ def _circularity(sw):
 
 
 def _recursion(sw):
-    def run(idx):
-        return recursion_residuals(sw.chain, sw.batch.take(idx), sw.h, sw.eps)
-
-    return sw.over(stencil_halfwidth(1, sw.h), run)
+    n = sw.chain.n
+    return sw.over(lambda idx, dz, _: recursion_residuals(sw.batch.take(idx),
+                                                          dz[:, 1:n + 1]))
 
 
 def _fbar_identity(sw):
@@ -554,9 +532,8 @@ def _fbar_identity(sw):
     if n < 2:
         return None
 
-    def run(idx):
-        dbar = wirtinger(_conj_chain_field(sw.chain, sw.eps), sw.z[idx], 1, 0,
-                         h=sw.h)
+    def run(idx, dz, _):
+        dbar = dz[:, n + 1:]   # the z-derivatives of conj(F_2)..conj(F_n)
         out = np.full(idx.size, np.nan)
         rows = np.flatnonzero(_finite_rows(dbar))
         F, norms_sq = sw.batch.F[idx[rows]], sw.batch.norms_sq[idx[rows]]
@@ -567,12 +544,12 @@ def _fbar_identity(sw):
         out[rows] = _max0(resid / scale)
         return out
 
-    return sw.over(stencil_halfwidth(1, sw.h), run)
+    return sw.over(run)
 
 
 def _tangent_formula(sw):
-    def run(idx):
-        dg = wirtinger(sw.field, sw.z[idx], 1, 0, h=sw.h)
+    def run(idx, dz, _):
+        dg = dz[:, 0]
         out = np.full(idx.size, np.nan)
         rows = np.flatnonzero(_finite_rows(dg))
         at = idx[rows]
@@ -581,14 +558,12 @@ def _tangent_formula(sw):
         out[rows] = _norm(dg[rows] - tangent) / _norm(tangent)
         return out
 
-    return sw.over(stencil_halfwidth(1, sw.h), run)
+    return sw.over(run)
 
 
 def _minimality(sw):
-    def run(idx):
-        return minimality_residuals(sw.field, sw.z[idx], sw.h)[0]
-
-    return sw.over(stencil_halfwidth(2, sw.h), run)
+    return sw.over(lambda idx, dz, dzdbar: minimality_residuals(
+        sw.g[idx], dz[:, 0], dzdbar[:, 0])[0])
 
 
 def _calabi(sw):
@@ -629,9 +604,11 @@ def verify_all(
     finite-difference families (conjugate descent, recursion, minimality,
     tangent formula, symmetric-derivative table) only where the stencil
     fits inside the domain and touches no degenerate point.  The chain is
-    evaluated once at all grid points and once per stencil for all
-    centres.  `perturb`, when given, injects a fault into the per-point
-    algebraic analysis so that detection can be tested.
+    evaluated once at all grid points, and the FD families differentiate
+    one field (`chain.stencil_field`) evaluated once per stencil step for
+    all centres: at default settings, nine points per centre at each of
+    the steps h and h/2.  `perturb`, when given, injects a fault into the
+    per-point algebraic analysis so that detection can be tested.
     """
     rows, cols = grid
     tols = dict(DEFAULT_TOLERANCES)

@@ -7,8 +7,10 @@ Run it from a checkout of the commit whose outputs are to be recorded.
 Each case gets a directory with config.json, the reports of its
 commands and exit_codes.json.  Case names after the output directory
 re-record only those cases; without them every case is recorded.  For
-every report with a `summary` it prints each family's maximum from the
-file it replaces and from the new recording, one line per family.
+every JSON report it prints each number that a re-recording may move,
+from the file it replaces and from the new recording, one line each:
+every family's maximum, the reconstruct distances and residuals, the
+ruled deviation and probe residuals, and the Kaehler regular count.
 """
 
 import json
@@ -149,24 +151,34 @@ def record(outdir, names=()):
                 codes[command] = main([command, "--config", str(config),
                                        "--out", work, "--quiet"])
                 for name in REPORTS[command]:
-                    old = _summary(dest / name)
+                    old = _numbers(dest / name)
                     shutil.copy(Path(work) / name, dest / name)
-                    _print_maxima(f"{case.__name__}/{name}", old,
-                                  _summary(dest / name))
+                    _print_numbers(f"{case.__name__}/{name}", old,
+                                   _numbers(dest / name))
         (dest / "exit_codes.json").write_text(json.dumps(codes, sort_keys=True) + "\n")
 
 
-def _summary(path):
-    """The per-family maxima of a JSON report, or {} when it has none."""
+# Top-level numbers of the reconstruct, ruled and kaehler reports
+NUMBERS = ("sup_distance", "termination_residual", "holomorphy_residual",
+           "max_norm_deviation", "ruling_geodesic_residual", "regular")
+
+
+def _numbers(path):
+    """The numbers of a JSON report that a re-recording may move, by
+    label, or {} for other files."""
     if path.suffix != ".json" or not path.exists():
         return {}
     doc = json.loads(path.read_text())
-    return doc.get("summary", {}) if isinstance(doc, dict) else {}
+    found = dict(doc.get("summary", {}))
+    found.update((key, doc[key]) for key in NUMBERS if key in doc)
+    for i, probe in enumerate(doc.get("probes", [])):
+        found[f"probes[{i}].residual"] = probe["residual"]
+    return found
 
 
-def _print_maxima(label, old, new):
-    for family in sorted(set(old) | set(new)):
-        print(f"{label} {family}: {old.get(family)!r} -> {new.get(family)!r}")
+def _print_numbers(label, old, new):
+    for key in sorted(set(old) | set(new)):
+        print(f"{label} {key}: {old.get(key)!r} -> {new.get(key)!r}")
 
 
 if __name__ == "__main__":

@@ -163,7 +163,7 @@ def test_criterion_07_tangent_and_higher_forms(chains, surfaces):
             batch = f_chain_eval(chain, [z])
             g, _ = surface_vectors(batch)
             tangent = chain_fundamental_form(batch, g, 0, 0)
-            fd = wirtinger(surfaces[n], z, 1, 0, h=surfaces[n].step(1))
+            fd, = wirtinger(surfaces[n], z, [(1, 0)], h=surfaces[n].step(1))
             worst_tangent = max(
                 worst_tangent,
                 float(np.linalg.norm(fd - tangent) / np.linalg.norm(tangent)),

@@ -30,15 +30,14 @@ from holosphere.applications import (
     ruled_point,
     ruled_points,
 )
-from holosphere.chain import recursion_residuals
+from holosphere.chain import recursion_residuals, stencil_field, surface_vectors
 from holosphere.config import load_config
 from holosphere.errors import DomainError, SingularPointError
 from holosphere.expr import eval_env
-from holosphere.fd import default_step, stencil_halfwidth, wirtinger
+from holosphere.fd import default_step, wirtinger
 from holosphere.geometry import (
     SurfaceEvaluator,
     calabi_check,
-    calabi_tables,
     chain_fundamental_form,
     minimality_residual,
     minimality_residuals,
@@ -49,29 +48,57 @@ from holosphere.products import pair_minors_max, symmetric_product
 CENTRES = np.array([0.31 + 0.17j, -0.42 + 0.33j, 0.05 - 0.61j, -0.2 - 0.1j])
 
 
-@pytest.mark.parametrize("order", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0), (4, 0)])
-def test_wirtinger_over_centres_matches_one_centre(surface_n2, order):
-    together = wirtinger(surface_n2, CENTRES, *order, diameter=2.0)
-    assert together.shape == (CENTRES.size, surface_n2.dim)
-    for z, row in zip(CENTRES, together):
-        assert np.array_equal(row, wirtinger(surface_n2, z, *order, diameter=2.0))
+ORDERS = [[(0, 0)], [(1, 0)], [(0, 1)], [(1, 1)], [(2, 0)], [(3, 0)], [(4, 0)],
+          [(0, 0), (1, 0), (1, 1), (2, 0)]]
+
+
+@pytest.mark.parametrize("orders", ORDERS,
+                         ids=[f"order{i}" for i in range(len(ORDERS))])
+def test_wirtinger_over_centres_matches_one_centre(surface_n2, orders):
+    together = wirtinger(surface_n2, CENTRES, orders, diameter=2.0)
+    assert len(together) == len(orders)
+    for order, found in zip(orders, together):
+        assert found.shape == (CENTRES.size, surface_n2.dim)
+        # the orders of one call get the arithmetic of one-order calls
+        alone, = wirtinger(surface_n2, CENTRES, [order], diameter=2.0)
+        assert_same_bits(found, alone)
+        for z, row in zip(CENTRES, found):
+            assert_same_bits(row, wirtinger(surface_n2, z, [order], diameter=2.0)[0])
 
 
 def test_minimality_and_calabi_over_centres(surface_n2):
     h = surface_n2.step(1)
-    resid, _ = minimality_residuals(surface_n2, CENTRES, h)
-    tables = calabi_tables(surface_n2, 3, CENTRES, None, surface_n2.domain.diameter)
-    for z, r, table in zip(CENTRES, resid, tables):
+    gz = surface_n2(CENTRES)
+    dg, lap = wirtinger(surface_n2, CENTRES, [(1, 0), (1, 1)], h=h)
+    resid, _ = minimality_residuals(gz, dg, lap)
+    derivs = wirtinger(surface_n2, CENTRES, [(1, 0), (2, 0), (3, 0)],
+                       diameter=surface_n2.domain.diameter)
+    pairs, values, found = geometry._calabi_values([gz.astype(complex)] + derivs)
+    assert found.all()
+    for z, r, row in zip(CENTRES, resid, values):
         assert r == minimality_residual(surface_n2, z, h)
+        table = geometry._calabi_table(pairs, row.tolist())
         assert table == calabi_check(surface_n2, 3, z)
 
 
 def test_recursion_over_centres(chain_n3):
     base = f_chain_eval(chain_n3, CENTRES)
     h = 1e-4 * chain_n3.domain.diameter
-    together = recursion_residuals(chain_n3, base, h)
+    dfield, = wirtinger(stencil_field(chain_n3), CENTRES, [(1, 0)], h=h)
+    together = recursion_residuals(base, dfield[:, 1:4])
     for z, value in zip(CENTRES, together):
         assert value == recursion_crosscheck(chain_n3, z, h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_surface_evaluator_matches_surface_vectors(n):
+    # one surface normalization: the black-box surface and the FD field
+    # round exactly as the grid scan does
+    chain = build_alpha_chain(["1+0.2*z", "z^2+1", "1-0.4*i*z", "2+z", "1"][:n])
+    zs, inside = chain.domain.grid(30, 30)
+    g = surface_vectors(f_chain_eval(chain, zs[inside]))[0]
+    assert_same_bits(SurfaceEvaluator.from_chain(chain)(zs[inside]), g)
+    assert_same_bits(stencil_field(chain)(zs[inside])[:, 0], g.astype(complex))
 
 
 def test_kaehler_and_ruled_over_points(chain_n2, chain_n3):
@@ -104,9 +131,16 @@ def test_masking_reaches_only_centres_touching_a_degenerate_point():
     chain = build_alpha_chain(["z", "1"], domain=Domain.rectangle(-2 - 2j, 2 + 2j, 0j))
     g = SurfaceEvaluator.from_chain(chain)
     centres = np.array([0.5 + 0j, 1.0 + 0.5j, 0.5j])
-    resid, _ = minimality_residuals(g.masked, centres, 0.5)
+
+    def residuals(zs):
+        dz, dzdbar = wirtinger(stencil_field(chain), zs, [(1, 0), (1, 1)], h=0.5)
+        gz = surface_vectors(f_chain_eval(chain, zs))[0]
+        return minimality_residuals(gz, dz[:, 0], dzdbar[:, 0])[0]
+
+    resid = residuals(centres)
     assert np.isnan(resid[0]) and np.isnan(resid[2])
-    assert resid[1] == minimality_residual(g, 1.0 + 0.5j, 0.5)
+    assert resid[1] == residuals(centres[1:2])[0]
+    assert resid[1] == pytest.approx(minimality_residual(g, 1.0 + 0.5j, 0.5), rel=1e-9)
     with pytest.raises(SingularPointError):
         minimality_residual(g, 0.5 + 0j, 0.5)
 
@@ -216,31 +250,23 @@ def ref_circularity(sw):
     return ref_each(sw, sw.ok, point)
 
 
-def ref_over(sw, margin, run):
-    idx = sw.centres(margin)
+def ref_over(sw, run):
+    idx, dz, dzdbar = sw.fd
     values = np.full(sw.z.size, np.nan)
     if idx.size:
-        values[idx] = run(idx)
+        values[idx] = run(idx, dz, dzdbar)
     return values
 
 
-def ref_recursion_residuals(chain, base, h, eps_singular):
-    n = chain.n
-
-    def field(zs):
-        batch = f_chain_eval(chain, zs, eps_singular)
-        F = batch.F[:, :n].copy()
-        F[batch.singular] = np.nan
-        return F
-
-    dfield = wirtinger(field, base.z, 1, 0, h=h, richardson=False)
-    derivs = [base.jets[:, 1]] + [dfield[:, idx] for idx in range(1, n)]
-    touched = ~np.isfinite(dfield).reshape(len(dfield), -1).all(axis=1)
+def ref_recursion_residuals(base, dF):
+    n = dF.shape[1]
+    derivs = [base.jets[:, 1]] + [dF[:, idx] for idx in range(1, n)]
+    touched = ~np.isfinite(dF).reshape(len(dF), -1).all(axis=1)
     out = np.full(base.z.size, np.nan)
     for b in np.flatnonzero(~touched):
         worst = 0.0
-        for idx, dF in enumerate(derivs):
-            dFs, Fs = dF[b], base.F[b, idx]
+        for idx, dFs in enumerate(derivs):
+            dFs, Fs = dFs[b], base.F[b, idx]
             coef = np.dot(dFs, np.conj(Fs)) / base.norms_sq[b, idx]
             literal = dFs - coef * Fs
             ref = base.F[b, idx + 1]
@@ -251,18 +277,16 @@ def ref_recursion_residuals(chain, base, h, eps_singular):
 
 
 def ref_recursion(sw):
-    def run(idx):
-        return ref_recursion_residuals(sw.chain, sw.batch.take(idx), sw.h, sw.eps)
-
-    return ref_over(sw, stencil_halfwidth(1, sw.h), run)
+    n = sw.chain.n
+    return ref_over(sw, lambda idx, dz, _: ref_recursion_residuals(sw.batch.take(idx),
+                                                                   dz[:, 1:n + 1]))
 
 
 def ref_fbar_identity(sw):
     n = sw.chain.n
 
-    def run(idx):
-        dbar = wirtinger(geometry._conj_chain_field(sw.chain, sw.eps), sw.z[idx],
-                         1, 0, h=sw.h)
+    def run(idx, dz, _):
+        dbar = dz[:, n + 1:]
         out = np.full(idx.size, np.nan)
         for b in np.flatnonzero(geometry._finite_rows(dbar)):
             F, norms_sq = sw.batch.F[idx[b]], sw.batch.norms_sq[idx[b]]
@@ -275,28 +299,26 @@ def ref_fbar_identity(sw):
             out[b] = fbar
         return out
 
-    return ref_over(sw, stencil_halfwidth(1, sw.h), run)
+    return ref_over(sw, run)
 
 
 def ref_tangent_formula(sw):
-    def run(idx):
-        dg = wirtinger(sw.field, sw.z[idx], 1, 0, h=sw.h)
+    def run(idx, dz, _):
+        dg = dz[:, 0]
         out = np.full(idx.size, np.nan)
         for b in np.flatnonzero(geometry._finite_rows(dg)):
             tangent = ref_fundamental_form(sw.batch, sw.g, idx[b], 0)
             out[b] = float(np.linalg.norm(dg[b] - tangent) / np.linalg.norm(tangent))
         return out
 
-    return ref_over(sw, stencil_halfwidth(1, sw.h), run)
+    return ref_over(sw, run)
 
 
-def ref_minimality_residuals(f, zs, h):
-    gz = geometry.field_at(f, zs)
-    dg = wirtinger(f, zs, 1, 0, h=h)
+def ref_minimality_residuals(gz, dg, lap):
     gx, gy = 2.0 * dg.real, -2.0 * dg.imag
-    quarter_lap = wirtinger(f, zs, 1, 1, h=h).real
-    resid = np.full(zs.size, np.nan)
-    energy = np.full(zs.size, np.nan)
+    quarter_lap = lap.real
+    resid = np.full(len(gz), np.nan)
+    energy = np.full(len(gz), np.nan)
     for b in np.flatnonzero(geometry._finite_rows(gz, dg, quarter_lap)):
         e = float(np.dot(gx[b], gx[b]) + np.dot(gy[b], gy[b]))
         energy[b] = e
@@ -309,17 +331,13 @@ def ref_minimality_residuals(f, zs, h):
 
 
 def ref_minimality(sw):
-    def run(idx):
-        return ref_minimality_residuals(sw.field, sw.z[idx], sw.h)[0]
-
-    return ref_over(sw, stencil_halfwidth(2, sw.h), run)
+    return ref_over(sw, lambda idx, dz, dzdbar: ref_minimality_residuals(
+        sw.g[idx], dz[:, 0], dzdbar[:, 0])[0])
 
 
-def ref_calabi_tables(f, max_order, zs, h, diameter):
-    derivs = [geometry.field_at(f, zs).astype(complex)]
-    for j in range(1, max_order + 1):
-        derivs.append(wirtinger(f, zs, j, 0, h=h, diameter=diameter))
-    tables = [None] * zs.size
+def ref_calabi_tables(derivs):
+    max_order = len(derivs) - 1
+    tables = [None] * len(derivs[0])
     for b in np.flatnonzero(geometry._finite_rows(*derivs)):
         table = {}
         for j in range(max_order + 1):
@@ -334,14 +352,10 @@ def ref_calabi_tables(f, max_order, zs, h, diameter):
 
 
 def ref_sweep_tables(sw):
-    diameter = sw.chain.domain.diameter
-    top_h = default_step(diameter, sw.calabi_order)
-    idx = sw.centres(stencil_halfwidth(sw.calabi_order, top_h))
+    idx, derivs = sw.calabi_fd
     tables = [None] * sw.z.size
-    if idx.size:
-        found = ref_calabi_tables(sw.field, sw.calabi_order, sw.z[idx], None, diameter)
-        for i, table in zip(idx, found):
-            tables[i] = table
+    for i, table in zip(idx, ref_calabi_tables(derivs)):
+        tables[i] = table
     return tables
 
 
@@ -483,6 +497,17 @@ def test_families_match_one_point_loops(name):
         if found is None:
             continue
         assert_same_bits(found[0], REFERENCE_FAMILIES[fam](sw))
+    # the sweep's derivatives are those of one-order calls on its field
+    idx, dz, dzdbar = sw.fd
+    for order, found in (((1, 0), dz), ((1, 1), dzdbar)):
+        assert_same_bits(found, wirtinger(stencil_field(sw.chain), sw.z[idx], [order],
+                                          h=sw.h)[0])
+    idx, derivs = sw.calabi_fd
+    assert_same_bits(derivs[0], sw.g[idx].astype(complex))
+    for j, found in enumerate(derivs[1:], 1):
+        want, = wirtinger(stencil_field(sw.chain), sw.z[idx], [(j, 0)],
+                          diameter=sw.chain.domain.diameter)
+        assert_same_bits(found, want[:, 0])
     pairs, values, found = sw.calabi
     for table, row, ok in zip(ref_sweep_tables(sw), values, found):
         assert (table is not None) == ok
@@ -536,11 +561,12 @@ def test_fundamental_forms_match_one_point_formula(name):
 @pytest.mark.parametrize("name", ["degenerate2", "degenerate3", "poly3"])
 def test_recursion_and_minimality_over_centres_match_loops(name):
     sw, _ = _sweep(name)
-    idx = sw.centres(stencil_halfwidth(2, sw.h))
-    assert_same_bits(recursion_residuals(sw.chain, sw.batch.take(idx), sw.h),
-                     ref_recursion_residuals(sw.chain, sw.batch.take(idx), sw.h, 1e-12))
-    for got, want in zip(minimality_residuals(sw.field, sw.z[idx], sw.h),
-                         ref_minimality_residuals(sw.field, sw.z[idx], sw.h)):
+    idx, dz, dzdbar = sw.fd
+    dF = dz[:, 1:sw.chain.n + 1]
+    assert_same_bits(recursion_residuals(sw.batch.take(idx), dF),
+                     ref_recursion_residuals(sw.batch.take(idx), dF))
+    for got, want in zip(minimality_residuals(sw.g[idx], dz[:, 0], dzdbar[:, 0]),
+                         ref_minimality_residuals(sw.g[idx], dz[:, 0], dzdbar[:, 0])):
         assert_same_bits(got, want)
 
 

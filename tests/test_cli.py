@@ -300,6 +300,31 @@ class TestErrors:
         assert code == 1
         assert "$.betas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, path", [
+        ("w_box", ["a", 1], "$.kaehler.w_box[0]"),
+        ("w_box", [True, 0.1], "$.kaehler.w_box[0]"),
+        ("w_box", [-0.1, None], "$.kaehler.w_box[1]"),
+        ("min_regular_fraction", 1.5, "$.kaehler.min_regular_fraction"),
+        ("min_regular_fraction", -1, "$.kaehler.min_regular_fraction"),
+    ])
+    def test_bad_kaehler_field_named(self, tmp_path, capsys, key, value, path):
+        doc = demo_config(2)
+        doc["kaehler"][key] = value
+        code = main(["kaehler", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "run")])
+        assert code == 1
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", ["calabi", "output"])
+    @pytest.mark.parametrize("value", [[3], "x"])
+    def test_blocks_must_be_objects(self, tmp_path, capsys, block, value):
+        doc = demo_config(1)
+        doc[block] = value
+        code = main(["verify", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "run")])
+        assert code == 1
+        assert f"$.{block}" in capsys.readouterr().err
+
     def test_nonanalytic_beta_refused(self, tmp_path, capsys):
         doc = demo_config(2)
         doc["betas"] = ["1", "1/(z-1.2)"]

@@ -92,7 +92,7 @@ class TestFundamentalForms:
         z = 0.28 - 0.41j
         batch = f_chain_eval(chain_n2, [z])
         formula = chain_fundamental_form(batch, surface_vectors(batch)[0], 0, 0)
-        fd = wirtinger(surface_n2, z, 1, 0, h=surface_n2.step(1))
+        fd, = wirtinger(surface_n2, z, [(1, 0)], h=surface_n2.step(1))
         assert np.linalg.norm(fd - formula) <= 1e-5 * np.linalg.norm(formula)
 
     @pytest.mark.parametrize("s", [0, 1])

@@ -1,11 +1,6 @@
 """Outputs of generate, verify, reconstruct, kaehler and ruled on fixed
-configs, compared with recorded files.  Every value must match exactly.
-The verify, kaehler and ruled cases were recorded before the batched
-verification engine replaced the per-point loops, and their
-diagnostics.json has no `counts` block, so it is left out there; the
-generate cases were recorded before the per-point chain samples were
-removed, the reconstruct cases with the spectral (Chebyshev grid)
-reconstruction at the demo sample grids.
+configs, compared byte for byte with recorded files, so that a change
+of sign of a zero, of float text or of layout shows as well.
 
 The recordings were made with numpy 2.4.6 (bundled OpenBLAS 0.3.31) on
 x86-64; no recorded command uses scipy.  Another BLAS build can move
@@ -16,6 +11,7 @@ records them.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from holosphere import build_alpha_chain, chain as chain_module, geometry
@@ -42,30 +38,32 @@ def test_outputs_match_recording(case, tmp_path):
         assert code == expected, command
         for name in REPORTS[command]:
             got, want = tmp_path / name, src / name
-            if not name.endswith(".json"):
-                assert got.read_text() == want.read_text(), name
-                continue
-            doc, recorded = json.loads(got.read_text()), json.loads(want.read_text())
-            if "counts" not in recorded:
-                doc.pop("counts", None)
-            assert doc == recorded, name
+            assert got.read_bytes() == want.read_bytes(), name
 
 
 def test_verify_call_count_independent_of_grid(monkeypatch):
-    calls = []
+    points = []   # the size of each chain evaluation
     original = chain_module.f_chain_eval
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(chain, zs, *args, **kwargs):
+        points.append(np.size(zs))
+        return original(chain, zs, *args, **kwargs)
 
     monkeypatch.setattr(chain_module, "f_chain_eval", counted)
     monkeypatch.setattr(geometry, "f_chain_eval", counted)
     chain = build_alpha_chain(["1+0.2*z", "1", "1"])
     per_grid = []
     for side in (6, 12):
-        calls.clear()
+        points.clear()
         geometry.verify_all(chain, grid=(side, side), calabi_order=3)
-        per_grid.append(len(calls))
+        per_grid.append(len(points))
     assert per_grid[0] == per_grid[1]
     assert per_grid[0] < 20
+    # at default settings every FD family reads one field evaluation of
+    # nine points per centre at each of the steps h and h/2
+    points.clear()
+    report = geometry.verify_all(build_alpha_chain(["1", "1"]), grid=(10, 10))
+    centres = report.counts["minimality"]["evaluated"]
+    assert report.counts["calabi"]["evaluated"] == centres == 64
+    assert sum(points) == 100 + 18 * centres == 1252
+    assert len(points) == 3
