@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    DEFAULT_EPS_SINGULAR,
-    f_chain_eval,
-    require_regular,
-    stencil_field,
-    surface_vectors,
-)
+from .chain import DEFAULT_EPS_SINGULAR, f_chain_eval, require_regular, stencil_field
 from .errors import DomainError
 from .expr import HoloExpr, differentiate, eval_env, parse_expr
 from .fd import wirtinger
@@ -110,14 +104,6 @@ def _normal_terms(F, w):
     return out
 
 
-def _chain_surface(chain, zs, eps_singular):
-    """One chain evaluation at the flat array zs: the batch, the surface
-    vectors (NaN rows at degenerate points) and the mask of points where
-    the surface normalization collapses."""
-    batch = f_chain_eval(chain, zs, eps_singular)
-    return (batch,) + surface_vectors(batch, eps_singular)
-
-
 def kaehler_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
     """Closed-form evaluation of the hypersurface map at (z, w).
 
@@ -125,9 +111,8 @@ def kaehler_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
     the tangent formula of the chain, so everything comes from the chain
     data at z plus symbolic partials of gamma.
     """
-    values, batch, collapsed = _kaehler(chain, params, np.array([z]),
-                                        eps_singular)
-    require_regular(batch, collapsed)
+    values, batch = _kaehler(chain, params, np.array([z]), eps_singular)
+    require_regular(batch)
     return values[0]
 
 
@@ -135,31 +120,30 @@ def kaehler_points(chain, params, zs, eps_singular=DEFAULT_EPS_SINGULAR):
     """`kaehler_point` at a flat array of points, with one chain
     evaluation.  Returns (values, valid): the rows of degenerate points
     are NaN and `valid` is False there."""
-    values, batch, collapsed = _kaehler(chain, params, zs, eps_singular)
-    return values, ~(batch.singular | collapsed)
+    values, batch = _kaehler(chain, params, zs, eps_singular)
+    return values, batch.ok
 
 
 def _kaehler(chain, params, zs, eps_singular):
     """The hypersurface map at the flat array zs, NaN rows at degenerate
-    points, with the chain batch and collapse mask it was built from."""
+    points, with the chain batch it was built from."""
     n = chain.n
     if n < 2:
         raise ValueError("the hypersurface map requires n >= 2")
     if len(params.w) != n - 1:
         raise ValueError(f"w needs {n - 1} entries, got {len(params.w)}")
-    batch, g, collapsed = _chain_surface(chain, zs, eps_singular)
-    base = _kaehler_base(batch, g, params)
+    batch = f_chain_eval(chain, zs, eps_singular)
     w = np.array(params.w, dtype=complex)
-    return base + _normal_terms(batch.F, w), batch, collapsed
+    return _kaehler_base(batch, params) + _normal_terms(batch.F, w), batch
 
 
-def _kaehler_base(batch, g, params):
+def _kaehler_base(batch, params):
     """The w-independent part of the map, gamma g + gradient term, at each
     point of the batch; NaN rows at degenerate points."""
     n = batch.F.shape[1] - 1
-    base = np.full(g.shape, np.nan)
-    idx = np.flatnonzero(~np.isnan(g[:, 0]))
-    F, norms_sq, g = batch.F[idx], batch.norms_sq[idx, n - 1], g[idx]
+    base = np.full(batch.g.shape, np.nan)
+    idx = np.flatnonzero(batch.ok)
+    F, norms_sq, g = batch.F[idx], batch.norms_sq[idx, n - 1], batch.g[idx]
     gamma, gamma_z = params.gamma_values(batch.z[idx])
     top = F[:, -1]
     pairing = _dot(g.astype(complex), top)
@@ -181,14 +165,14 @@ def kaehler_point_reference(chain, params, z, h=None,
     g_eval = SurfaceEvaluator.from_chain(chain, eps_singular)
     if h is None:
         h = g_eval.step(1)
-    batch, g, collapsed = _chain_surface(chain, np.array([z]), eps_singular)
-    require_regular(batch, collapsed)
+    batch = f_chain_eval(chain, np.array([z]), eps_singular)
+    require_regular(batch)
     gamma, gamma_z = params.gamma_values(complex(z))
     dg, = wirtinger(g_eval, z, [(1, 0)], h=h)
     metric = float(np.sum(np.abs(dg) ** 2))
     grad_push = (2.0 / metric) * np.real(np.conj(gamma_z) * dg)
     w = np.array(params.w, dtype=complex)
-    return gamma * g[0] + grad_push + _normal_terms(batch.F[0], w)
+    return gamma * batch.g[0] + grad_push + _normal_terms(batch.F[0], w)
 
 
 @dataclass
@@ -238,9 +222,10 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     rank equals 2n (full parameter count); cells below full rank are
     flagged, and so are all cells at a z whose stencil touches a
     degenerate point.  The z-grid is shrunk slightly so the z-stencil
-    stays inside the domain.  The chain is evaluated once on the
-    z-stencils of the whole grid; the map is affine in w, so the
-    w-differences reuse those values.
+    stays inside the domain, and a z-grid with no point inside it (a
+    coarse grid on a disk) raises DomainError.  The chain is evaluated
+    once on the z-stencils of the whole grid; the map is affine in w, so
+    the w-differences reuse those values.
     """
     n = chain.n
     if n < 2:
@@ -252,6 +237,9 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
         z_grid[0], z_grid[1], margin=4 * h_z
     )
     centres = zs[inside]
+    if not centres.size:
+        raise DomainError(f"no point of the {z_grid[0]}x{z_grid[1]} z_grid lies "
+                          "inside the domain")
     w_vals = np.linspace(w_box[0], w_box[1], w_samples)
     w_axes = [(u, v) for u in w_vals for v in w_vals]
     combos = _w_combinations(w_axes, n - 1)
@@ -260,8 +248,8 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     # stencil rows: z, z + h, z - h, z + ih, z - ih
     pts = np.stack([centres, centres + h_z, centres - h_z,
                     centres + 1j * h_z, centres - 1j * h_z])
-    batch, g, _ = _chain_surface(chain, pts.ravel(), eps_singular)
-    base = _kaehler_base(batch, g, params).reshape(pts.shape + (-1,))
+    batch = f_chain_eval(chain, pts.ravel(), eps_singular)
+    base = _kaehler_base(batch, params).reshape(pts.shape + (-1,))
     F = batch.F.reshape(pts.shape + batch.F.shape[1:])
     degenerate = np.isnan(base[..., 0]).any(axis=0)
 
@@ -316,16 +304,16 @@ def _w_combinations(w_axes, count):
 def ruled_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
     """Sphere-exponential of the normal vector w at g(z):
     cos(|w|) g + sinc(|w|) w.  Unit norm by construction."""
-    values, batch, collapsed = _ruled(chain, params, np.array([z]), eps_singular)
-    require_regular(batch, collapsed)
+    values, batch = _ruled(chain, params, np.array([z]), eps_singular)
+    require_regular(batch)
     return values[0]
 
 
 def ruled_points(chain, params, zs, eps_singular=DEFAULT_EPS_SINGULAR):
     """`ruled_point` at a flat array of points, with one chain evaluation;
     returns (values, valid) as `kaehler_points` does."""
-    values, batch, collapsed = _ruled(chain, params, zs, eps_singular)
-    return values, ~(batch.singular | collapsed)
+    values, batch = _ruled(chain, params, zs, eps_singular)
+    return values, batch.ok
 
 
 def _ruled(chain, params, zs, eps_singular):
@@ -335,11 +323,12 @@ def _ruled(chain, params, zs, eps_singular):
         raise ValueError("the ruled map requires n >= 3")
     if len(params.w) != n - 2:
         raise ValueError(f"w needs {n - 2} entries, got {len(params.w)}")
-    batch, g, collapsed = _chain_surface(chain, zs, eps_singular)
-    values = np.full(g.shape, np.nan)
-    idx = np.flatnonzero(~np.isnan(g[:, 0]))
-    values[idx] = _ruled_values(batch.F[idx], g[idx], np.array(params.w, dtype=complex))
-    return values, batch, collapsed
+    batch = f_chain_eval(chain, zs, eps_singular)
+    values = np.full(batch.g.shape, np.nan)
+    idx = np.flatnonzero(batch.ok)
+    values[idx] = _ruled_values(batch.F[idx], batch.g[idx],
+                                np.array(params.w, dtype=complex))
+    return values, batch
 
 
 def _ruled_values(F, g, w):
@@ -392,10 +381,10 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
         raise DomainError(f"probe stencil at z={bad} leaves the domain")
     offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
     steps = np.array([dx + 1j * dy for dx, dy in offsets])
-    batch, g, _ = _chain_surface(chain, (zs[:, None] + steps).ravel(), eps_singular)
+    batch = f_chain_eval(chain, (zs[:, None] + steps).ravel(), eps_singular)
     F = batch.F.reshape((zs.size, len(offsets)) + batch.F.shape[1:])
-    g = g.reshape(zs.size, len(offsets), -1)
-    degenerate = np.isnan(g).any(axis=(1, 2))
+    g = batch.g.reshape(zs.size, len(offsets), -1)
+    degenerate = ~batch.ok.reshape(zs.size, len(offsets)).all(axis=1)
     results = [RuledProbeResult(c, params.w, None, None, True) for c in centres]
     regular = np.flatnonzero(~degenerate)
     if regular.size:
@@ -471,13 +460,13 @@ def ruling_geodesic_residual(chain, z, h=1e-4,
     if chain.n < 3:
         raise ValueError("the ruled map requires n >= 3")
     zero = tuple(0j for _ in range(chain.n - 2))
-    batch, g, _ = _chain_surface(chain, np.array([z]), eps_singular)
+    batch = f_chain_eval(chain, np.array([z]), eps_singular)
     dfield, = wirtinger(stencil_field(chain, eps_singular), z, [(1, 0)],
                         h=1e-4 * chain.domain.diameter)
     dg = dfield[0]   # the surface part
-    if np.isnan(g).any() or np.isnan(dg).any():
+    if not batch.ok[0] or np.isnan(dg).any():
         return None
-    F, g = batch.F[0], g[0]
+    F, g = batch.F[0], batch.g[0]
 
     w = np.array([(complex(t, 0.0),) + zero[1:] for t in (0.0, h, -h)])
     center, plus, minus = _ruled_values(F, g, w)

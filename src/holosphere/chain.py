@@ -349,31 +349,49 @@ def _chop(b):
 # ---------------------------------------------------------------------------
 
 class FChainBatch:
-    """Chain data over a flat array of points: row i of `jets` (n+1, 2n+1)
-    holds the holomorphic jet at z[i], row i of `F` the orthogonalized
-    vectors F_1..F_{n+1}, `norms_sq` their squared norms, `singular`
-    the degeneracy flag and `scale_sq` the largest squared jet norm, the
-    reference scale of the degeneracy tests."""
+    """Chain data over a flat array of points, built from their jets.
 
-    __slots__ = ("z", "jets", "F", "norms_sq", "singular", "scale_sq")
+    Row i of `jets` (n+1, 2n+1) holds the holomorphic jet at z[i], row i
+    of `F` the orthogonalized vectors F_1..F_{n+1}, `norms_sq` their
+    squared norms, `singular` the degeneracy flag and `scale_sq` the
+    largest squared jet norm, the reference scale of the degeneracy
+    tests.  `g` holds the surface: the unit vector along Re(F_{n+1}),
+    the package's one surface normalization; `collapsed` marks points
+    where that real part falls below the relative threshold, and `g` is
+    NaN wherever the point is not `ok`."""
 
-    def __init__(self, z, jets, F, norms_sq, singular, scale_sq):
+    __slots__ = ("z", "jets", "F", "norms_sq", "singular", "scale_sq", "g",
+                 "collapsed")
+
+    def __init__(self, z, jets, eps_singular=DEFAULT_EPS_SINGULAR):
         self.z = z
         self.jets = jets
-        self.F = F
-        self.norms_sq = norms_sq
-        self.singular = singular
-        self.scale_sq = scale_sq
+        # through the module global, so that a wrapper bound there is seen
+        self.F, self.norms_sq, self.scale_sq, self.singular = _gram_schmidt(
+            jets, eps_singular)
+        re = self.F[:, -1, :].real
+        # vecdot reduces each row with the same dot product as np.dot on the
+        # row; a plain sum would round differently in the last bit
+        nsq = np.vecdot(re, re)
+        self.collapsed = nsq <= eps_singular * self.scale_sq
+        ok = self.ok
+        self.g = np.full(re.shape, np.nan)
+        self.g[ok] = re[ok] / np.sqrt(nsq[ok])[:, None]
+
+    @property
+    def ok(self):
+        """Where both the chain and the surface normalization are regular."""
+        return ~(self.singular | self.collapsed)
 
     def __len__(self):
         return self.z.size
 
     def take(self, idx):
-        """The sub-batch at the given indices."""
-        return FChainBatch(
-            self.z[idx], self.jets[idx], self.F[idx], self.norms_sq[idx],
-            self.singular[idx], self.scale_sq[idx],
-        )
+        """The sub-batch at the given indices, every field kept."""
+        part = object.__new__(FChainBatch)
+        for name in self.__slots__:
+            setattr(part, name, getattr(self, name)[idx])
+        return part
 
 
 def _gram_schmidt(jets, eps_singular):
@@ -410,9 +428,7 @@ def f_chain_eval(chain, zs, eps_singular=DEFAULT_EPS_SINGULAR):
     if not np.all(inside):
         bad = zs[np.argmin(inside)]
         raise DomainError(f"point {bad} is outside the chain domain")
-    jets = chain.jets_at(zs)
-    F, norms, scale_sq, singular = _gram_schmidt(jets, eps_singular)
-    return FChainBatch(zs, jets, F, norms, singular, scale_sq)
+    return FChainBatch(zs, chain.jets_at(zs), eps_singular)
 
 
 def recursion_crosscheck(chain, z, h=None, eps_singular=DEFAULT_EPS_SINGULAR):
@@ -456,26 +472,10 @@ def recursion_residuals(base, dF):
     return out
 
 
-def surface_vectors(batch, eps_singular=DEFAULT_EPS_SINGULAR):
-    """Unit vectors along the real part of the last chain vector at every
-    point of the batch, and the mask of points where that real part
-    collapses below the relative threshold.  Rows where the chain is
-    singular or the real part collapses are NaN."""
-    re = batch.F[:, -1, :].real
-    # vecdot reduces each row with the same dot product as np.dot on the
-    # row; a plain sum would round differently in the last bit
-    nsq = np.vecdot(re, re)
-    collapsed = nsq <= eps_singular * batch.scale_sq
-    ok = ~(batch.singular | collapsed)
-    g = np.full(re.shape, np.nan)
-    g[ok] = re[ok] / np.sqrt(nsq[ok])[:, None]
-    return g, collapsed
-
-
 def stencil_field(chain, eps_singular=DEFAULT_EPS_SINGULAR):
     """The field that every finite-difference check differentiates: from
     a flat array of points to complex rows (B, 2n, 2n+1) holding, in
-    order, the surface vector of `surface_vectors`, F_1..F_n and
+    order, the surface vector `g` of the batch, F_1..F_n and
     conj(F_2)..conj(F_n).  The chain vectors are NaN where the chain
     degenerates, the surface vector also where its normalization
     collapses, so a stencil touching such a point masks exactly the
@@ -483,23 +483,22 @@ def stencil_field(chain, eps_singular=DEFAULT_EPS_SINGULAR):
 
     def field(zs):
         batch = f_chain_eval(chain, zs, eps_singular)
-        g = surface_vectors(batch, eps_singular)[0]
         F = batch.F[:, :chain.n].copy()
         F[batch.singular] = np.nan
-        return np.concatenate([g[:, None], F, np.conj(F[:, 1:])], axis=1)
+        return np.concatenate([batch.g[:, None], F, np.conj(F[:, 1:])], axis=1)
 
     return field
 
 
-def require_regular(batch, collapsed):
+def require_regular(batch):
     """Raise SingularPointError at the first point of the batch where the
     chain degenerates, else at the first where the surface normalization
     collapses."""
     if np.any(batch.singular):
         bad = batch.z[np.argmax(batch.singular)]
         raise SingularPointError("chain degenerates", complex(bad))
-    if np.any(collapsed):
-        bad = batch.z[np.argmax(collapsed)]
+    if np.any(batch.collapsed):
+        bad = batch.z[np.argmax(batch.collapsed)]
         raise SingularPointError("surface normalization degenerates", complex(bad))
 
 
@@ -524,6 +523,19 @@ class GridScan:
     def shape(self):
         return self.zs.shape
 
+    @classmethod
+    def scatter(cls, zs, inside, batch):
+        """The scan of the grid zs from the batch at its inside points
+        zs[inside], in row-major order."""
+        valid = np.zeros(zs.shape, dtype=bool)
+        valid[inside] = batch.ok
+        surface = np.full(zs.shape + batch.g.shape[1:], np.nan)
+        surface[inside] = batch.g
+        norms = np.full(zs.shape + batch.norms_sq.shape[1:], np.nan)
+        norms[inside] = batch.norms_sq
+        return cls(zs=zs, inside=inside, singular=inside & ~valid, valid=valid,
+                   surface=surface, norms_sq=norms)
+
 
 def scan_grid(chain, rows, cols, eps_singular=DEFAULT_EPS_SINGULAR):
     """Evaluate chain and surface over a rows x cols grid of the domain.
@@ -531,28 +543,5 @@ def scan_grid(chain, rows, cols, eps_singular=DEFAULT_EPS_SINGULAR):
     Grid order is row-major and the result is deterministic for fixed
     inputs.  Degenerate points are masked, never raised.
     """
-    if rows < 2 or cols < 2:
-        raise DomainError("grid too small: need at least 2x2")
     zs, inside = chain.domain.grid(rows, cols)
-    R, C = zs.shape
-    d = chain.dim
-    flat_idx = np.flatnonzero(inside.ravel())
-    surface = np.full((R * C, d), np.nan)
-    singular = np.zeros(R * C, dtype=bool)
-    norms = np.full((R * C, chain.n + 1), np.nan)
-
-    if flat_idx.size:
-        batch = f_chain_eval(chain, zs.ravel()[flat_idx], eps_singular)
-        g, collapsed = surface_vectors(batch, eps_singular)
-        norms[flat_idx] = batch.norms_sq
-        singular[flat_idx] = batch.singular | collapsed
-        surface[flat_idx] = g
-    valid = inside.ravel() & ~singular
-    return GridScan(
-        zs=zs,
-        inside=inside,
-        singular=singular.reshape(R, C),
-        valid=valid.reshape(R, C),
-        surface=surface.reshape(R, C, d),
-        norms_sq=norms.reshape(R, C, chain.n + 1),
-    )
+    return GridScan.scatter(zs, inside, f_chain_eval(chain, zs[inside], eps_singular))

@@ -25,7 +25,7 @@ from .applications import (
     ruled_points,
     ruling_geodesic_residual,
 )
-from .chain import build_alpha_chain, scan_grid
+from .chain import build_alpha_chain
 from .config import demo_config, load_config, validate_config
 from .errors import (
     ConfigError,
@@ -133,41 +133,40 @@ def _report_lines(report, quiet):
         _say(quiet, line)
 
 
-def _write_meshes(cfg, scan, records, outdir, stem="surface"):
+def _write_meshes(cfg, report, outdir):
+    """The surface mesh and table of `generate`, from the report's scan:
+    each vertex carries the largest residual of its point."""
+    scan = report.scan
     if "csv" in cfg.formats:
-        write_surface_csv(scan, outdir / f"{stem}.csv", records)
-    residual_grid = None
-    if records:
-        R, C = scan.shape
-        residual_grid = np.full((R, C), np.nan)
-        for r in range(R):
-            for c in range(C):
-                res = records.get(complex(scan.zs[r, c]))
-                if res:
-                    vals = [v for v in res.values() if v is not None]
-                    if vals:
-                        residual_grid[r, c] = max(vals)
+        records = {rec.z: rec.residuals for rec in report.records}
+        write_surface_csv(scan, outdir / "surface.csv", records)
+    residual = None
+    if report.records:
+        # the records follow the inside points of the scan in order
+        residual = np.full(scan.shape, np.nan)
+        residual[scan.inside] = [max(rec.residuals.values(), default=np.nan)
+                                 for rec in report.records]
     mesh = mesh_from_grid(
         scan.valid,
         scan.surface,
-        attributes={"residual": residual_grid} if residual_grid is not None else None,
+        attributes={"residual": residual} if residual is not None else None,
     )
     if "obj" in cfg.formats:
-        write_obj(mesh, outdir / f"{stem}.obj", components=cfg.obj_components)
+        write_obj(mesh, outdir / "surface.obj", components=cfg.obj_components)
     if "ply" in cfg.formats:
         write_ply(
             mesh,
-            outdir / f"{stem}.ply",
+            outdir / "surface.ply",
             components=cfg.obj_components,
-            attribute="residual" if residual_grid is not None else None,
+            attribute="residual" if residual is not None else None,
         )
 
 
-def cmd_generate(cfg, outdir, quiet):
-    chain = _chain(cfg)
-    scan = scan_grid(chain, *cfg.grid, eps_singular=cfg.eps_singular)
+def _diagnose(cfg, outdir, quiet):
+    """Run every invariant check over the config grid, write the
+    diagnostics and report the results."""
     report = verify_all(
-        chain,
+        _chain(cfg),
         grid=cfg.grid,
         tolerances=cfg.tolerances,
         eps_singular=cfg.eps_singular,
@@ -175,28 +174,20 @@ def cmd_generate(cfg, outdir, quiet):
         calabi_order=cfg.calabi_order,
         perturb=cfg.perturb,
     )
-    records = {rec.z: rec.residuals for rec in report.records}
-    _write_meshes(cfg, scan, records, outdir)
     _write_json(outdir / "diagnostics.json", report.to_dict())
     _report_lines(report, quiet)
+    return report
+
+
+def cmd_generate(cfg, outdir, quiet):
+    report = _diagnose(cfg, outdir, quiet)
+    _write_meshes(cfg, report, outdir)
     _say(quiet, f"outputs written to {outdir}")
     return PASS if report.passed else FAIL
 
 
 def cmd_verify(cfg, outdir, quiet):
-    chain = _chain(cfg)
-    report = verify_all(
-        chain,
-        grid=cfg.grid,
-        tolerances=cfg.tolerances,
-        eps_singular=cfg.eps_singular,
-        fd_step=cfg.fd_step,
-        calabi_order=cfg.calabi_order,
-        perturb=cfg.perturb,
-    )
-    _write_json(outdir / "diagnostics.json", report.to_dict())
-    _report_lines(report, quiet)
-    return PASS if report.passed else FAIL
+    return PASS if _diagnose(cfg, outdir, quiet).passed else FAIL
 
 
 def cmd_reconstruct(cfg, outdir, quiet):
@@ -335,8 +326,10 @@ def cmd_ruled(cfg, outdir, quiet):
             )
             if not res.degenerate:
                 probe_ok = probe_ok and res.residual <= 1e-3
+        # 0.1 off the centre, less where the domain is too small for it
+        offset = min(0.1, span_x / 8, span_y / 8)
         geo = ruling_geodesic_residual(
-            chain, complex((x0 + x1) / 2 + 0.1, (y0 + y1) / 2 + 0.1),
+            chain, complex((x0 + x1) / 2 + offset, (y0 + y1) / 2 + offset),
             eps_singular=cfg.eps_singular,
         )
         if geo is not None:

@@ -22,11 +22,11 @@ import numpy.polynomial.polynomial as npoly
 
 from .chain import (
     DEFAULT_EPS_SINGULAR,
+    GridScan,
     f_chain_eval,
     recursion_residuals,
     require_regular,
     stencil_field,
-    surface_vectors,
 )
 from .domain import Domain
 from .errors import (
@@ -68,9 +68,9 @@ class SurfaceEvaluator:
     """A black-box unit-sphere surface: a pure map from points of the
     domain to unit vectors, batched over numpy arrays.
 
-    A chain surface (`from_chain`) is normalized by `surface_vectors`,
-    the package's one surface normalization, and raises at degenerate
-    points.  The checks of `verify_all` differentiate
+    A chain surface (`from_chain`) returns the surface `g` of its chain
+    batch, the package's one surface normalization, and raises at
+    degenerate points.  The checks of `verify_all` differentiate
     `chain.stencil_field` instead, which masks them.
     """
 
@@ -91,9 +91,8 @@ class SurfaceEvaluator:
     def from_chain(cls, chain, eps_singular=DEFAULT_EPS_SINGULAR):
         def func(zs):
             batch = f_chain_eval(chain, zs, eps_singular)
-            g, collapsed = surface_vectors(batch, eps_singular)
-            require_regular(batch, collapsed)
-            return g
+            require_regular(batch)
+            return batch.g
 
         return cls(func=func, domain=chain.domain, dim=chain.dim, n=chain.n)
 
@@ -198,11 +197,10 @@ def _finite_rows(*arrays):
     )
 
 
-def chain_fundamental_form(batch, g, i, s=0):
+def chain_fundamental_form(batch, i, s=0):
     """Value of the order-(s+1) fundamental form of the surface along the
     repeated z-direction at point i of the chain batch, via the closed
-    chain formula; g holds the surface vectors of the batch
-    (`surface_vectors`).
+    chain formula from the batch's chain vectors and surface `g`.
 
     s = 0 returns the tangent vector dg/dz; 1 <= s <= n-1 returns the
     higher forms, which are isotropic multiples of the conjugated chain
@@ -213,7 +211,8 @@ def chain_fundamental_form(batch, g, i, s=0):
         raise SingularPointError("chain degenerates", complex(batch.z[i]))
     if not 0 <= s <= n - 1:
         raise ValueError(f"order s={s} out of range [0, {n - 1}]")
-    return _fundamental_forms(batch.F[[i]], batch.norms_sq[[i]], g[[i]], [s])[0, 0]
+    return _fundamental_forms(batch.F[[i]], batch.norms_sq[[i]], batch.g[[i]],
+                              [s])[0, 0]
 
 
 def _fundamental_forms(F, norms_sq, g, orders):
@@ -326,6 +325,7 @@ class DiagnosticsReport:
     status: dict
     passed: bool
     singular_count: int
+    scan: GridScan      # the grid; records follow its inside points in order
     counts: dict = field(default_factory=dict)  # family -> evaluated/skipped
     surrogates: list = field(default_factory=list)  # AlphaChain.surrogates
 
@@ -392,8 +392,8 @@ class _Sweep:
             self.F = self.F.copy()
             self.F[self.regular] = _apply_perturbation(self.F[self.regular], perturb)
         self.norms = np.sqrt(np.sum(np.abs(self.F) ** 2, axis=2))
-        self.g, collapsed = surface_vectors(self.batch, eps_singular)
-        self.ok = self.regular & ~collapsed
+        self.g = self.batch.g
+        self.ok = self.batch.ok
         self.field = stencil_field(chain, eps_singular)
         # (centre margin, step, order) of each field derivative read: the
         # FD families' at step h, the Calabi table's at its default steps
@@ -422,25 +422,34 @@ class _Sweep:
     @cached_property
     def stencils(self):
         """Every derivative of the stencil field that the FD families
-        read, by (centre margin, step, order), over the centres of that
-        margin: one `wirtinger` call per distinct (step, centres), which
-        at default settings and Calabi order <= 2 is one call."""
+        read, by (step, order): (centres, values) over the centres of the
+        smallest margin that reads the step, with one `wirtinger` call
+        per distinct step.  The centres of a larger margin are a subset,
+        and `wirtinger` gives each centre the arithmetic of a call with
+        it alone, so every family reads its rows from that call."""
         plan = {}
         for margin, step, order in self.fd_plan + self.calabi_plan:
-            plan.setdefault((margin, step), {})[order] = None
+            margins, orders = plan.setdefault(step, ([], {}))
+            margins.append(margin)
+            orders[order] = None
         found = {}
-        for (margin, step), orders in plan.items():
-            derivs = wirtinger(self.field, self.z[self.centres(margin)], list(orders),
-                               h=step)
-            found.update(((margin, step, o), d) for o, d in zip(orders, derivs))
+        for step, (margins, orders) in plan.items():
+            idx = self.centres(min(margins))
+            derivs = wirtinger(self.field, self.z[idx], list(orders), h=step)
+            found.update(((step, o), (idx, d)) for o, d in zip(orders, derivs))
         return found
 
-    @property
+    def derivative(self, margin, step, order):
+        """The field derivative of `stencils` at the centres of the margin."""
+        idx, values = self.stencils[step, order]
+        return values[np.searchsorted(idx, self.centres(margin))]
+
+    @cached_property
     def fd(self):
         """(centres, d/dz, d^2/dz dconj(z)) of the field for the FD
         families, at step h."""
         return (self.centres(self.fd_plan[0][0]),
-                *(self.stencils[key] for key in self.fd_plan))
+                *(self.derivative(*key) for key in self.fd_plan))
 
     @property
     def calabi_fd(self):
@@ -448,7 +457,7 @@ class _Sweep:
         z-derivative of the surface there, derivs[0] the surface."""
         idx = self.centres(self.calabi_plan[0][0])
         return idx, [self.g[idx].astype(complex)] + [
-            self.stencils[key][:, 0] for key in self.calabi_plan]
+            self.derivative(*key)[:, 0] for key in self.calabi_plan]
 
     def over(self, run):
         """Residuals from run(idx, dz, dzdbar) at the FD centres (see
@@ -604,10 +613,11 @@ def verify_all(
     finite-difference families (conjugate descent, recursion, minimality,
     tangent formula, symmetric-derivative table) only where the stencil
     fits inside the domain and touches no degenerate point.  The chain is
-    evaluated once at all grid points, and the FD families differentiate
-    one field (`chain.stencil_field`) evaluated once per stencil step for
-    all centres: at default settings, nine points per centre at each of
-    the steps h and h/2.  `perturb`, when given, injects a fault into the
+    evaluated once at all grid points, which the report also carries as
+    its `scan`, and the FD families differentiate one field
+    (`chain.stencil_field`) evaluated once per stencil step for all
+    centres: at default settings, nine points per centre at each of the
+    steps h and h/2.  `perturb`, when given, injects a fault into the
     per-point algebraic analysis so that detection can be tested.
     """
     rows, cols = grid
@@ -668,6 +678,7 @@ def verify_all(
         status=status,
         passed=passed,
         singular_count=int(np.sum(~sweep.ok)),
+        scan=GridScan.scatter(zs, inside, sweep.batch),
         counts=counts,
         surrogates=list(chain.surrogates),
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEFAULT_EPS_SINGULAR, _gram_schmidt
+from .chain import FChainBatch
 from .errors import (
     DegenerateSurfaceError,
     DomainError,
@@ -329,9 +329,12 @@ def roundtrip(
     ratios and the recovered field.  The field is optionally multiplied
     by a gauge factor (any nowhere-zero holomorphic function; the surface
     must not care), interpolated, differentiated, and pushed through the
-    forward orthogonalization.  Per-point distances use min over the
-    sign ambiguity of the normalized real part.  Surfaces whose chain
-    fails to terminate are refused.
+    forward orthogonalization of `chain.FChainBatch`, whose surface is
+    the normalized real part, as for every chain surface.  Per-point
+    distances use min over its sign ambiguity.  Surfaces whose chain
+    fails to terminate are refused, and reconstructed jets that
+    degenerate, or whose real part collapses, raise
+    DegenerateSurfaceError.
     """
     n = _depth(g, n)
     rows, cols = grid
@@ -358,13 +361,10 @@ def roundtrip(
     eval_pts = exs[None, :] + 1j * eys[:, None]
     flat = eval_pts.ravel()
 
-    jets = xi.jet(flat, n)
-    F, norms, scale_sq, singular = _gram_schmidt(jets, DEFAULT_EPS_SINGULAR)
-    if np.any(singular):
+    batch = FChainBatch(flat, xi.jet(flat, n))
+    if not batch.ok.all():
         raise DegenerateSurfaceError("reconstructed jet degenerates on the grid")
-    re = F[:, -1, :].real
-    nrm = np.linalg.norm(re, axis=1)
-    ghat = re / nrm[:, None]
+    ghat = batch.g
     gtrue = g(flat)
     dplus = np.linalg.norm(ghat - gtrue, axis=1)
     dminus = np.linalg.norm(ghat + gtrue, axis=1)

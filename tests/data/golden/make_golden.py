@@ -132,19 +132,25 @@ CASES = [demo2, demo3, degenerate2, degenerate3, disk2, exp2, stencil_hits_singu
          reconstruct1, reconstruct2_gauge, reconstruct3]
 
 
+def case_config(case):
+    """The config.json text of a case, and its commands."""
+    doc, commands = case()
+    if "reconstruct" not in commands:
+        doc.pop("reconstruct", None)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", commands
+
+
 def record(outdir, names=()):
     by_name = {case.__name__: case for case in CASES}
     unknown = sorted(set(names) - set(by_name))
     if unknown:
         raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
     for case in [by_name[name] for name in names] or CASES:
-        doc, commands = case()
-        if "reconstruct" not in commands:
-            doc.pop("reconstruct", None)
+        text, commands = case_config(case)
         dest = Path(outdir) / case.__name__
         dest.mkdir(parents=True, exist_ok=True)
         config = dest / "config.json"
-        config.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        config.write_text(text)
         codes = {}
         with tempfile.TemporaryDirectory() as work:
             for command in commands:

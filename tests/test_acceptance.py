@@ -23,7 +23,6 @@ from holosphere.applications import (
     ruled_point,
     ruling_geodesic_residual,
 )
-from holosphere.chain import surface_vectors
 from holosphere.fd import wirtinger
 from holosphere.geometry import (
     SurfaceEvaluator,
@@ -128,7 +127,7 @@ def test_criterion_04_closed_form_n1(chains):
     zs, _ = chain.domain.grid(*GRID)
     worst = 0.0
     for z in zs.ravel():
-        g = surface_vectors(f_chain_eval(chain, [z]))[0][0]
+        g = f_chain_eval(chain, [z]).g[0]
         worst = max(
             worst,
             float(np.linalg.norm(g - oracle_surface_n1(complex(z), 1 + 0j))),
@@ -161,15 +160,14 @@ def test_criterion_07_tangent_and_higher_forms(chains, surfaces):
         chain = chains[n]
         for z in _interior_points(chain)[::7]:
             batch = f_chain_eval(chain, [z])
-            g, _ = surface_vectors(batch)
-            tangent = chain_fundamental_form(batch, g, 0, 0)
+            tangent = chain_fundamental_form(batch, 0, 0)
             fd, = wirtinger(surfaces[n], z, [(1, 0)], h=surfaces[n].step(1))
             worst_tangent = max(
                 worst_tangent,
                 float(np.linalg.norm(fd - tangent) / np.linalg.norm(tangent)),
             )
             for s in range(n):
-                vec = chain_fundamental_form(batch, g, 0, s)
+                vec = chain_fundamental_form(batch, 0, s)
                 scale = float(np.real(np.dot(vec, np.conj(vec))))
                 worst_circular = max(worst_circular, abs(np.dot(vec, vec)) / scale)
     _report(7, "tangent formula vs FD", worst_tangent, 1e-5)

@@ -12,7 +12,6 @@ from holosphere.applications import (
     ruled_point,
     ruling_geodesic_residual,
 )
-from holosphere.chain import surface_vectors
 from holosphere.errors import SingularPointError
 
 Z0 = 0.31 + 0.17j
@@ -22,7 +21,7 @@ class TestKaehlerPoint:
     def test_constant_weight_reduces_to_surface(self, chain_n2):
         p = KaehlerParams.create("1", [0j])
         psi = kaehler_point(chain_n2, p, Z0)
-        g = surface_vectors(f_chain_eval(chain_n2, [Z0]))[0][0]
+        g = f_chain_eval(chain_n2, [Z0]).g[0]
         assert np.allclose(psi, g, atol=1e-14)
 
     def test_normal_shift(self, chain_n2):
@@ -30,7 +29,7 @@ class TestKaehlerPoint:
         psi = kaehler_point(chain_n2, p, Z0)
         s = f_chain_eval(chain_n2, [Z0])
         assert np.allclose(
-            psi, surface_vectors(s)[0][0] + s.F[0, 0].real, atol=1e-14
+            psi, s.g[0] + s.F[0, 0].real, atol=1e-14
         )
 
     def test_affine_in_parameters(self, chain_n2):
@@ -99,7 +98,7 @@ class TestImmersionCheck:
 class TestRuledPoint:
     def test_zero_offset_reproduces_surface(self, chain_n3):
         F = ruled_point(chain_n3, RuledParams.create([0j]), Z0)
-        g = surface_vectors(f_chain_eval(chain_n3, [Z0]))[0][0]
+        g = f_chain_eval(chain_n3, [Z0]).g[0]
         assert np.allclose(F, g, atol=1e-15)
 
     def test_unit_norm_everywhere(self, chain_n3):
@@ -110,7 +109,7 @@ class TestRuledPoint:
 
     def test_rays_are_great_circles(self, chain_n3):
         s = f_chain_eval(chain_n3, [Z0])
-        g = surface_vectors(s)[0][0]
+        g = s.g[0]
         w = 1.0 + 0.5j
         wvec = w.real * s.F[0, 0].real - w.imag * s.F[0, 0].imag
         what = wvec / np.linalg.norm(wvec)

@@ -8,6 +8,7 @@ compared with the one-point loops they replaced, kept below as reference
 code.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from holosphere import (
     f_chain_eval,
     geometry,
     recursion_crosscheck,
+    scan_grid,
 )
 from holosphere.applications import (
     KaehlerParams,
@@ -30,7 +32,7 @@ from holosphere.applications import (
     ruled_point,
     ruled_points,
 )
-from holosphere.chain import recursion_residuals, stencil_field, surface_vectors
+from holosphere.chain import GridScan, recursion_residuals, stencil_field
 from holosphere.config import load_config
 from holosphere.errors import DomainError, SingularPointError
 from holosphere.expr import eval_env
@@ -96,7 +98,7 @@ def test_surface_evaluator_matches_surface_vectors(n):
     # round exactly as the grid scan does
     chain = build_alpha_chain(["1+0.2*z", "z^2+1", "1-0.4*i*z", "2+z", "1"][:n])
     zs, inside = chain.domain.grid(30, 30)
-    g = surface_vectors(f_chain_eval(chain, zs[inside]))[0]
+    g = f_chain_eval(chain, zs[inside]).g
     assert_same_bits(SurfaceEvaluator.from_chain(chain)(zs[inside]), g)
     assert_same_bits(stencil_field(chain)(zs[inside])[:, 0], g.astype(complex))
 
@@ -134,7 +136,7 @@ def test_masking_reaches_only_centres_touching_a_degenerate_point():
 
     def residuals(zs):
         dz, dzdbar = wirtinger(stencil_field(chain), zs, [(1, 0), (1, 1)], h=0.5)
-        gz = surface_vectors(f_chain_eval(chain, zs))[0]
+        gz = f_chain_eval(chain, zs).g
         return minimality_residuals(gz, dz[:, 0], dzdbar[:, 0])[0]
 
     resid = residuals(centres)
@@ -143,6 +145,23 @@ def test_masking_reaches_only_centres_touching_a_degenerate_point():
     assert resid[1] == pytest.approx(minimality_residual(g, 1.0 + 0.5j, 0.5), rel=1e-9)
     with pytest.raises(SingularPointError):
         minimality_residual(g, 0.5 + 0j, 0.5)
+
+
+@pytest.mark.parametrize("betas", [["1+0.2*z"], ["1+0.2*z", "z^2+1"],
+                                   ["1+0.2*z", "z^2+1", "1-0.4*i*z"],
+                                   ["z", "1"], ["z", "1", "1"]])
+@pytest.mark.parametrize("domain", [Domain.rectangle(-1 - 1j, 1 + 1j, 0j),
+                                    Domain.disk(0j, 1.0)],
+                         ids=["rectangle", "disk"])
+def test_report_scan_matches_scan_grid(betas, domain):
+    # the grid of verify_all is the grid of scan_grid, evaluated once;
+    # on the 9 x 9 grid the chains of beta_0 = z degenerate at z = 0
+    chain = build_alpha_chain(betas, domain=domain)
+    got = verify_all(chain, grid=(9, 9)).scan
+    want = scan_grid(chain, 9, 9)
+    for field in dataclasses.fields(GridScan):
+        assert_same_bits(getattr(got, field.name), getattr(want, field.name))
+    assert got.singular[4, 4] == (betas[0] == "z")
 
 
 def test_counts_match_records(chain_n2):
@@ -413,9 +432,10 @@ def ref_ruled_value(F, g, w):
 def ref_ruled_probe(chain, params, z, h, det_threshold=1e-10, eps_singular=1e-12):
     u0, v0 = params.w[0].real, params.w[0].imag
     offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
-    batch, g, _ = applications._chain_surface(
+    batch = f_chain_eval(
         chain, np.array([z + (dx + 1j * dy) for dx, dy in offsets]), eps_singular
     )
+    g = batch.g
     if np.isnan(g).any():
         return None, None, True
     row = {offset: i for i, offset in enumerate(offsets)}
@@ -554,7 +574,7 @@ def test_fundamental_forms_match_one_point_formula(name):
     sw, _ = _sweep(name)
     for i in np.flatnonzero(sw.ok):
         for s in range(sw.chain.n):
-            assert_same_bits(chain_fundamental_form(sw.batch, sw.g, i, s),
+            assert_same_bits(chain_fundamental_form(sw.batch, i, s),
                              ref_fundamental_form(sw.batch, sw.g, i, s))
 
 
@@ -610,18 +630,17 @@ def test_kaehler_base_matches_one_point_loop(name, gamma):
     chain = build_alpha_chain(betas)
     params = KaehlerParams.create(gamma, w)
     zs, inside = chain.domain.grid(11, 11)
-    batch, g, _ = applications._chain_surface(chain, zs[inside], 1e-12)
-    assert_same_bits(applications._kaehler_base(batch, g, params),
-                     ref_kaehler_base(batch, g, params))
+    batch = f_chain_eval(chain, zs[inside], 1e-12)
+    assert_same_bits(applications._kaehler_base(batch, params),
+                     ref_kaehler_base(batch, batch.g, params))
 
 
 def test_kaehler_base_matches_one_point_loop_at_many_points():
     chain = build_alpha_chain(["1+0.2*z", "z^2+1"])
     params = KaehlerParams.create(GAMMAS[0], [0.05 + 0.02j])
-    batch, g, _ = applications._chain_surface(chain, _random_points(3000, 7),
-                                              1e-12)
-    assert_same_bits(applications._kaehler_base(batch, g, params),
-                     ref_kaehler_base(batch, g, params))
+    batch = f_chain_eval(chain, _random_points(3000, 7), 1e-12)
+    assert_same_bits(applications._kaehler_base(batch, params),
+                     ref_kaehler_base(batch, batch.g, params))
 
 
 @pytest.mark.parametrize("betas", [["1", "1", "1"], ["z", "1", "1"],
@@ -630,8 +649,8 @@ def test_ruled_map_matches_one_point_loop(betas):
     chain = build_alpha_chain(betas)
     params = RuledParams.create([0.07 + 0.03j])
     zs, inside = chain.domain.grid(11, 11)
-    values, batch, _ = applications._ruled(chain, params, zs[inside], 1e-12)
-    _, g, _ = applications._chain_surface(chain, zs[inside], 1e-12)
+    values, batch = applications._ruled(chain, params, zs[inside], 1e-12)
+    g = f_chain_eval(chain, zs[inside], 1e-12).g
     want = np.full(g.shape, np.nan)
     for i in np.flatnonzero(~np.isnan(g[:, 0])):
         want[i] = ref_ruled_value(batch.F[i], g[i], params.w)

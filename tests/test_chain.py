@@ -15,7 +15,7 @@ from holosphere import (
     recursion_crosscheck,
     scan_grid,
 )
-from holosphere.chain import require_regular, surface_vectors
+from holosphere.chain import FChainBatch, require_regular
 from holosphere.errors import DomainError, EvaluationError, SingularPointError
 from holosphere.products import hermitian_product, symmetric_product
 
@@ -409,7 +409,7 @@ class TestRecursionCrosscheck:
 
 class TestSurface:
     def test_unit_norm(self, chain_n2):
-        g, _ = surface_vectors(f_chain_eval(chain_n2, [0j, 0.25 - 0.75j, -1 + 1j]))
+        g = f_chain_eval(chain_n2, [0j, 0.25 - 0.75j, -1 + 1j]).g
         for row in g:
             assert abs(np.linalg.norm(row) - 1) <= 1e-14
 
@@ -417,17 +417,16 @@ class TestSurface:
         zs, _ = chain_n1.domain.grid(10, 10)
         worst = 0.0
         for z in zs.ravel():
-            g = surface_vectors(f_chain_eval(chain_n1, [z]))[0][0]
+            g = f_chain_eval(chain_n1, [z]).g[0]
             worst = max(worst, np.linalg.norm(g - oracle_surface_n1(complex(z), 1 + 0j)))
         assert worst <= 1e-10
 
     def test_degenerate_chain_point_raises(self):
         chain = build_alpha_chain(["z"])
         batch = f_chain_eval(chain, [0j])
-        g, collapsed = surface_vectors(batch)
-        assert batch.singular[0] and np.isnan(g[0]).all()
+        assert batch.singular[0] and np.isnan(batch.g[0]).all()
         with pytest.raises(SingularPointError, match="chain degenerates"):
-            require_regular(batch, collapsed)
+            require_regular(batch)
 
     def test_normalization_collapse_raises(self):
         # for beta = z the chain is fine at z = 0.2i but the real part of
@@ -435,10 +434,24 @@ class TestSurface:
         chain = build_alpha_chain(["z"])
         s = f_chain_eval(chain, [0.2j])
         assert not s.singular[0]
-        g, collapsed = surface_vectors(s)
-        assert collapsed[0] and np.isnan(g[0]).all()
+        assert s.collapsed[0] and not s.ok[0] and np.isnan(s.g[0]).all()
         with pytest.raises(SingularPointError, match="normalization degenerates"):
-            require_regular(s, collapsed)
+            require_regular(s)
+
+    def test_take_keeps_every_field(self):
+        # for beta = z the chain degenerates at 0 and the normalization
+        # collapses at 0.2i
+        chain = build_alpha_chain(["z"])
+        batch = f_chain_eval(chain, [0j, 0.2j, 0.5 + 0.25j, -0.3 + 0.1j])
+        idx = [3, 1, 0]
+        part = batch.take(idx)
+        for name in FChainBatch.__slots__:
+            np.testing.assert_array_equal(getattr(part, name),
+                                          getattr(batch, name)[idx])
+        assert part.singular.tolist() == [False, False, True]
+        assert part.collapsed[1] and not part.collapsed[0]
+        assert part.ok.tolist() == [True, False, False]
+        assert np.isnan(part.g[1:]).all() and np.isfinite(part.g[0]).all()
 
 
 class TestScanGrid:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import holosphere
-from holosphere import cli
+from holosphere import chain as chain_module, cli, geometry
 from holosphere.cli import ERROR, _write_json, main
 from holosphere.config import RECONSTRUCT_TOLERANCES, demo_config, validate_config
 from holosphere.errors import ConfigError
@@ -17,6 +17,17 @@ def _write(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# a disk, and two domains too small for an offset of 0.1 from the centre
+DOMAINS = {
+    "unit_disk": {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0,
+                  "base_point": [0.0, 0.0]},
+    "small_square": {"shape": "rectangle", "corners": [[-0.08, -0.08], [0.08, 0.08]],
+                     "base_point": [0.0, 0.0]},
+    "small_disk": {"shape": "disk", "center": [0.0, 0.0], "radius": 0.12,
+                   "base_point": [0.0, 0.0]},
+}
 
 
 class TestConfigValidation:
@@ -260,6 +271,28 @@ class TestKaehlerAndRuled:
         assert len(report["probes"]) == 5
         assert all(p["residual"] <= 1e-3 for p in report["probes"])
 
+    def test_kaehler_z_grid_missing_the_disk_is_refused(self, tmp_path, capsys):
+        # the four points of a 2 x 2 z-grid are the corners of the box
+        # around the disk
+        doc = demo_config(2)
+        doc["domain"] = DOMAINS["unit_disk"]
+        doc["kaehler"]["z_grid"] = {"rows": 2, "cols": 2}
+        code = main(["kaehler", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "run")])
+        assert code == 1
+        assert "2x2 z_grid lies inside the domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", ["small_square", "small_disk"])
+    def test_ruled_geodesic_point_stays_in_small_domains(self, tmp_path, domain):
+        doc = demo_config(3)
+        doc["domain"] = DOMAINS[domain]
+        out = tmp_path / "run"
+        code = main(["ruled", "--config", _write(tmp_path, doc), "--out",
+                     str(out), "--quiet"])
+        assert code == 0
+        report = json.loads((out / "ruled_report.json").read_text())
+        assert report["ruling_geodesic_residual"] is not None
+
     def test_ruled_needs_depth_three(self, tmp_path, capsys):
         code = main(["ruled", "--seed-demo", "2", "--out",
                      str(tmp_path / "run")])
@@ -385,6 +418,46 @@ def test_reports_are_strict_json(tmp_path):
                                         ("kaehler", 3)])
 def test_demo_configs_exit_zero(tmp_path, command, n):
     assert main([command, "--seed-demo", str(n), "--out", str(tmp_path), "--quiet"]) == 0
+
+
+def _commands(n):
+    """The subcommands that apply to chains of length n."""
+    return (["generate", "verify", "reconstruct"] + ["kaehler"] * (n >= 2)
+            + ["ruled"] * (n >= 3))
+
+
+# a known defect: with 41 nodes the roundoff of the spectral descent
+# grows as the sampling box shrinks (sup distance 1.15e-2 against 1e-2)
+_SMALL_DISK_N3 = pytest.mark.xfail(strict=True, reason="reconstruct loses "
+                                   "accuracy on small domains")
+
+
+@pytest.mark.parametrize("command, n, domain", [
+    pytest.param(command, n, domain, marks=_SMALL_DISK_N3
+                 if (command, n, domain) == ("reconstruct", 3, "small_disk") else ())
+    for domain in DOMAINS for n in (1, 2, 3) for command in _commands(n)
+])
+def test_commands_exit_zero_on_disks_and_small_domains(tmp_path, command, n, domain):
+    doc = demo_config(n)
+    doc["domain"] = DOMAINS[domain]
+    assert main([command, "--config", _write(tmp_path, doc), "--out",
+                 str(tmp_path / "run"), "--quiet"]) == 0
+
+
+def test_generate_evaluates_its_grid_once(tmp_path, monkeypatch):
+    points = []   # the size of each chain evaluation
+    original = chain_module.f_chain_eval
+
+    def counted(chain, zs, *args, **kwargs):
+        points.append(np.size(zs))
+        return original(chain, zs, *args, **kwargs)
+
+    monkeypatch.setattr(chain_module, "f_chain_eval", counted)
+    monkeypatch.setattr(geometry, "f_chain_eval", counted)
+    assert main(["generate", "--seed-demo", "2", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    # the 10 x 10 grid once, then nine points per FD centre at h and h/2
+    assert (sum(points), len(points)) == (1252, 3)
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from holosphere import Domain, build_alpha_chain, f_chain_eval
-from holosphere.chain import surface_vectors
 from holosphere.errors import (
     DegenerateSurfaceError,
     DomainError,
@@ -91,24 +90,23 @@ class TestFundamentalForms:
     def test_tangent_formula_matches_fd(self, chain_n2, surface_n2):
         z = 0.28 - 0.41j
         batch = f_chain_eval(chain_n2, [z])
-        formula = chain_fundamental_form(batch, surface_vectors(batch)[0], 0, 0)
+        formula = chain_fundamental_form(batch, 0, 0)
         fd, = wirtinger(surface_n2, z, [(1, 0)], h=surface_n2.step(1))
         assert np.linalg.norm(fd - formula) <= 1e-5 * np.linalg.norm(formula)
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_isotropy_of_forms(self, chain_n2, s):
         batch = f_chain_eval(chain_n2, [0.45 + 0.12j])
-        vec = chain_fundamental_form(batch, surface_vectors(batch)[0], 0, s)
+        vec = chain_fundamental_form(batch, 0, s)
         scale = float(np.real(np.dot(vec, np.conj(vec))))
         assert abs(np.dot(vec, vec)) <= 1e-9 * scale
 
     def test_order_out_of_range(self, chain_n2):
         batch = f_chain_eval(chain_n2, [0.2 + 0.2j])
-        g, _ = surface_vectors(batch)
         with pytest.raises(ValueError):
-            chain_fundamental_form(batch, g, 0, 2)  # s = n is out of range
+            chain_fundamental_form(batch, 0, 2)  # s = n is out of range
         with pytest.raises(ValueError):
-            chain_fundamental_form(batch, g, 0, -1)
+            chain_fundamental_form(batch, 0, -1)
 
     def test_second_normal_space_span(self, chain_n2):
         angle = second_normal_space_angle(chain_n2, 0.3 + 0.4j)

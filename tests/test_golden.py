@@ -8,6 +8,7 @@ residuals in their last bits.  `make_golden.py` writes the configs and
 records them.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -59,6 +60,14 @@ def test_verify_call_count_independent_of_grid(monkeypatch):
         per_grid.append(len(points))
     assert per_grid[0] == per_grid[1]
     assert per_grid[0] < 20
+    # every distinct Calabi step is evaluated once, over the centres of
+    # the families that read it: at order 3 the FD step h serves both
+    # the FD families and the table's first two orders
+    demo3 = build_alpha_chain(["1", "1", "1"])
+    for order, total, calls in ((3, 2788, 5), (4, 5476, 7)):
+        points.clear()
+        geometry.verify_all(demo3, grid=(10, 10), calabi_order=order)
+        assert (sum(points), len(points)) == (total, calls)
     # at default settings every FD family reads one field evaluation of
     # nine points per centre at each of the steps h and h/2
     points.clear()
@@ -67,3 +76,22 @@ def test_verify_call_count_independent_of_grid(monkeypatch):
     assert report.counts["calabi"]["evaluated"] == centres == 64
     assert sum(points) == 100 + 18 * centres == 1252
     assert len(points) == 3
+
+
+def _recorder():
+    spec = importlib.util.spec_from_file_location("make_golden",
+                                                  GOLDEN / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_recorder_writes_the_committed_configs():
+    recorder = _recorder()
+    assert sorted(case.__name__ for case in recorder.CASES) == CASES
+    for case in recorder.CASES:
+        text, commands = recorder.case_config(case)
+        src = GOLDEN / case.__name__
+        assert (src / "config.json").read_bytes() == text.encode(), case.__name__
+        codes = json.loads((src / "exit_codes.json").read_text())
+        assert sorted(codes) == sorted(commands), case.__name__

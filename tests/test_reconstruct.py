@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from holosphere import Domain, f_chain_eval
-from holosphere.chain import surface_vectors
 from holosphere.errors import (
     DegenerateSurfaceError,
     DomainError,
@@ -26,7 +25,7 @@ class TestGChain:
         z = 0.3 + 0.2j
         sample = g_chain_at(surface_n1, z)
         batch = f_chain_eval(chain_n1, [z])
-        ref = chain_fundamental_form(batch, surface_vectors(batch)[0], 0, 0)
+        ref = chain_fundamental_form(batch, 0, 0)
         dev = np.linalg.norm(sample.G[1] - ref) / np.linalg.norm(ref)
         assert dev <= 1e-5
 
