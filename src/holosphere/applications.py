@@ -14,10 +14,12 @@ Two constructions ride on the chain data of a generating surface g:
 * a unit-sphere ruled map obtained by following sphere geodesics from
   g(z) in the directions of a normal subbundle: cos(|w|) g + sinc(|w|) w.
 
-Both evaluate pointwise from the chain data at a point; regularity and
-minimality are probed by finite differences in the full parameter space.
+Both evaluate pointwise from the chain data at a point.  Regularity is
+probed by a Jacobian with exact w-columns and finite-difference
+z-columns, minimality by finite differences in the full parameter space.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,38 +178,41 @@ def kaehler_point_reference(chain, params, z, h=None,
 
 
 @dataclass
-class RegularityRecord:
-    z: complex
-    w: tuple
-    rank: int
-    singular_values: np.ndarray
-
-
-@dataclass
 class KaehlerRegularityReport:
+    """The result of `kaehler_immersion_check`: the Jacobian rank at every
+    (z, w) cell, `ranks[i, k]` at the z-centre `centres[i]` and the
+    parameters `w[k]`; the cells are regular where the rank is the
+    expected one."""
+
     expected_rank: int
-    records: list
-    regular_count: int
-    flagged: list  # records with rank < expected
+    centres: np.ndarray   # (C,) complex
+    w: np.ndarray         # (cells, n-1) complex
+    ranks: np.ndarray     # (C, cells) int
 
     @property
     def total(self):
-        return len(self.records)
+        return self.ranks.size
+
+    @property
+    def regular_count(self):
+        return int(np.count_nonzero(self.ranks == self.expected_rank))
 
     @property
     def fraction_regular(self):
         return self.regular_count / max(1, self.total)
 
     def to_dict(self):
+        centres, w = self.centres.tolist(), self.w.tolist()
         return {
             "expected_rank": self.expected_rank,
             "total": self.total,
             "regular": self.regular_count,
             "fraction_regular": self.fraction_regular,
             "flagged": [
-                {"z": [r.z.real, r.z.imag], "w": [[c.real, c.imag] for c in r.w],
-                 "rank": r.rank}
-                for r in self.flagged
+                {"z": [centres[i].real, centres[i].imag],
+                 "w": [[c.real, c.imag] for c in w[k]],
+                 "rank": int(self.ranks[i, k])}
+                for i, k in np.argwhere(self.ranks != self.expected_rank).tolist()
             ],
         }
 
@@ -215,56 +220,51 @@ class KaehlerRegularityReport:
 def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
                             w_samples=3, rank_threshold=1e-8,
                             eps_singular=DEFAULT_EPS_SINGULAR):
-    """Rank of the FD Jacobian over a (z, w) sample box.
+    """Rank of the Jacobian over a (z, w) sample box.
 
-    The Jacobian is central-difference in the map's 2n real parameters
-    (x, y, u_1, v_1, ..., u_{n-1}, v_{n-1}).  A cell is regular when the
-    rank equals 2n (full parameter count); cells below full rank are
+    The Jacobian is taken in the map's 2n real parameters (x, y, u_1,
+    v_1, ..., u_{n-1}, v_{n-1}).  The map is affine in w, so its
+    w-columns are exactly Re F_j and -Im F_j at the centre; its
+    z-columns are central differences of the base map and of
+    F_1..F_{n-1}, once per centre.  A cell is regular when the rank
+    equals 2n (full parameter count); cells below full rank are
     flagged, and so are all cells at a z whose stencil touches a
     degenerate point.  The z-grid is shrunk slightly so the z-stencil
     stays inside the domain, and a z-grid with no point inside it (a
     coarse grid on a disk) raises DomainError.  The chain is evaluated
-    once on the z-stencils of the whole grid; the map is affine in w, so
-    the w-differences reuse those values.
+    once on the z-stencils of the whole grid.
     """
     n = chain.n
     if n < 2:
         raise ValueError("the hypersurface map requires n >= 2")
     expected = 2 * n
     h_z = 1e-5 * chain.domain.diameter
-    h_w = 1e-5
-    zs, inside = chain.domain.interior_margin_grid(
-        z_grid[0], z_grid[1], margin=4 * h_z
-    )
+    zs, inside = chain.domain.grid(*z_grid, margin=4 * h_z)
     centres = zs[inside]
     if not centres.size:
         raise DomainError(f"no point of the {z_grid[0]}x{z_grid[1]} z_grid lies "
                           "inside the domain")
     w_vals = np.linspace(w_box[0], w_box[1], w_samples)
-    w_axes = [(u, v) for u in w_vals for v in w_vals]
-    combos = _w_combinations(w_axes, n - 1)
-    w = np.array(combos, dtype=complex)
+    axis = [complex(u, v) for u in w_vals for v in w_vals]
+    w = np.array(list(itertools.product(axis, repeat=n - 1)), dtype=complex)
 
     # stencil rows: z, z + h, z - h, z + ih, z - ih
     pts = np.stack([centres, centres + h_z, centres - h_z,
                     centres + 1j * h_z, centres - 1j * h_z])
     batch = f_chain_eval(chain, pts.ravel(), eps_singular)
     base = _kaehler_base(batch, params).reshape(pts.shape + (-1,))
-    F = batch.F.reshape(pts.shape + batch.F.shape[1:])
+    F = batch.F.reshape(pts.shape + batch.F.shape[1:])[:, :, :n - 1]
     degenerate = np.isnan(base[..., 0]).any(axis=0)
 
-    def psi(row, w):  # (centre, cell, dim)
-        return base[row][:, None] + _normal_terms(F[row][:, None], w[None])
-
-    cols = [(psi(1, w) - psi(2, w)) / (2 * h_z),
-            (psi(3, w) - psi(4, w)) / (2 * h_z)]
-    for j in range(n - 1):
-        for part in (1.0, 1j):
-            wp, wm = w.copy(), w.copy()
-            wp[:, j] += part * h_w
-            wm[:, j] -= part * h_w
-            cols.append((psi(0, wp) - psi(0, wm)) / (2 * h_w))
-    jac = np.stack(cols, axis=-1)
+    cols = []
+    for plus, minus in ((1, 2), (3, 4)):   # d/dx, d/dy
+        dbase = (base[plus] - base[minus]) / (2 * h_z)
+        dF = (F[plus] - F[minus]) / (2 * h_z)
+        cols.append(dbase[:, None] + _normal_terms(dF[:, None], w[None]))
+    for j in range(n - 1):                 # d/du_j, d/dv_j
+        for part in (F[0, :, j].real, -F[0, :, j].imag):
+            cols.append(np.broadcast_to(part[:, None], cols[0].shape))
+    jac = np.stack(cols, axis=-1)          # (centre, cell, dim, 2n)
     sigmas = np.zeros(jac.shape[:2] + (expected,))
     if not degenerate.all():
         sigmas[~degenerate] = np.linalg.svd(jac[~degenerate], compute_uv=False)
@@ -272,29 +272,8 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     # degenerate cells keep all-zero singular values, hence rank 0
     top = np.where(sigmas[..., 0] > 0, sigmas[..., 0], 1.0)
     ranks = np.sum(sigmas > rank_threshold * top[..., None], axis=-1)
-    records = [
-        RegularityRecord(z, combo, rank, sigma)
-        for z, rank_row, sigma_row in zip(centres.tolist(), ranks.tolist(), sigmas)
-        for combo, rank, sigma in zip(combos, rank_row, sigma_row)
-    ]
-    flagged = [rec for rec in records if rec.rank != expected]
-    return KaehlerRegularityReport(
-        expected_rank=expected,
-        records=records,
-        regular_count=len(records) - len(flagged),
-        flagged=flagged,
-    )
-
-
-def _w_combinations(w_axes, count):
-    """Tensor product of per-parameter (u, v) samples, as complex tuples."""
-    if count == 1:
-        return [(complex(u, v),) for (u, v) in w_axes]
-    out = []
-    for head in w_axes:
-        for tail in _w_combinations(w_axes, count - 1):
-            out.append((complex(*head),) + tail)
-    return out
+    return KaehlerRegularityReport(expected_rank=expected, centres=centres, w=w,
+                                   ranks=ranks)
 
 
 # ---------------------------------------------------------------------------

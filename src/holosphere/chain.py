@@ -517,7 +517,6 @@ class GridScan:
     singular: np.ndarray  # (R, C) bool
     valid: np.ndarray     # (R, C) bool: inside, non-singular, normalizable
     surface: np.ndarray   # (R, C, 2n+1) float
-    norms_sq: np.ndarray  # (R, C, n+1)
 
     @property
     def shape(self):
@@ -531,10 +530,8 @@ class GridScan:
         valid[inside] = batch.ok
         surface = np.full(zs.shape + batch.g.shape[1:], np.nan)
         surface[inside] = batch.g
-        norms = np.full(zs.shape + batch.norms_sq.shape[1:], np.nan)
-        norms[inside] = batch.norms_sq
         return cls(zs=zs, inside=inside, singular=inside & ~valid, valid=valid,
-                   surface=surface, norms_sq=norms)
+                   surface=surface)
 
 
 def scan_grid(chain, rows, cols, eps_singular=DEFAULT_EPS_SINGULAR):

@@ -133,33 +133,20 @@ def _report_lines(report, quiet):
         _say(quiet, line)
 
 
-def _write_meshes(cfg, report, outdir):
-    """The surface mesh and table of `generate`, from the report's scan:
-    each vertex carries the largest residual of its point."""
-    scan = report.scan
+def _write_grid(cfg, outdir, name, table, valid, coords, attribute=None):
+    """A grid result in the config's formats: <name>.csv through
+    table(path), and <name>.obj and <name>.ply from the mesh of the
+    valid points.  `attribute` is a (name, grid) pair that the PLY
+    writes as a per-vertex scalar."""
     if "csv" in cfg.formats:
-        records = {rec.z: rec.residuals for rec in report.records}
-        write_surface_csv(scan, outdir / "surface.csv", records)
-    residual = None
-    if report.records:
-        # the records follow the inside points of the scan in order
-        residual = np.full(scan.shape, np.nan)
-        residual[scan.inside] = [max(rec.residuals.values(), default=np.nan)
-                                 for rec in report.records]
-    mesh = mesh_from_grid(
-        scan.valid,
-        scan.surface,
-        attributes={"residual": residual} if residual is not None else None,
-    )
+        table(outdir / f"{name}.csv")
+    mesh = mesh_from_grid(valid, coords, attributes=dict([attribute]) if attribute
+                          else None)
     if "obj" in cfg.formats:
-        write_obj(mesh, outdir / "surface.obj", components=cfg.obj_components)
+        write_obj(mesh, outdir / f"{name}.obj", components=cfg.obj_components)
     if "ply" in cfg.formats:
-        write_ply(
-            mesh,
-            outdir / "surface.ply",
-            components=cfg.obj_components,
-            attribute="residual" if residual is not None else None,
-        )
+        write_ply(mesh, outdir / f"{name}.ply", components=cfg.obj_components,
+                  attribute=attribute[0] if attribute else None)
 
 
 def _diagnose(cfg, outdir, quiet):
@@ -181,7 +168,14 @@ def _diagnose(cfg, outdir, quiet):
 
 def cmd_generate(cfg, outdir, quiet):
     report = _diagnose(cfg, outdir, quiet)
-    _write_meshes(cfg, report, outdir)
+    scan, grids = report.scan, report.grids()
+    # each vertex carries the largest residual of its point
+    attribute = None
+    if scan.inside.any():
+        attribute = ("residual", np.fmax.reduce(list(grids.values())))
+    _write_grid(cfg, outdir, "surface",
+                lambda path: write_surface_csv(scan, path, grids),
+                scan.valid, scan.surface, attribute)
     _say(quiet, f"outputs written to {outdir}")
     return PASS if report.passed else FAIL
 
@@ -252,11 +246,9 @@ def cmd_kaehler(cfg, outdir, quiet):
     kc = cfg.kaehler
     params = KaehlerParams.create(kc["gamma"], kc["w"])
     zs, valid, coords = _grid_points(cfg, chain, params, kaehler_points)
-    if "csv" in cfg.formats:
-        write_points_csv(outdir / "kaehler.csv", zs, valid, coords, "psi")
-    mesh = mesh_from_grid(valid, coords)
-    if "obj" in cfg.formats:
-        write_obj(mesh, outdir / "kaehler.obj", components=cfg.obj_components)
+    _write_grid(cfg, outdir, "kaehler",
+                lambda path: write_points_csv(path, zs, valid, coords, "psi"),
+                valid, coords)
 
     regularity = kaehler_immersion_check(
         chain,
@@ -293,14 +285,9 @@ def cmd_ruled(cfg, outdir, quiet):
     x = coords[valid]
     norm_dev = np.full(valid.shape, np.nan)
     norm_dev[valid] = np.abs(np.sqrt(np.vecdot(x, x)) - 1.0)
-    if "csv" in cfg.formats:
-        write_points_csv(outdir / "ruled.csv", zs, valid, coords, "F")
-    mesh = mesh_from_grid(valid, coords, attributes={"norm_deviation": norm_dev})
-    if "obj" in cfg.formats:
-        write_obj(mesh, outdir / "ruled.obj", components=cfg.obj_components)
-    if "ply" in cfg.formats:
-        write_ply(mesh, outdir / "ruled.ply", components=cfg.obj_components,
-                  attribute="norm_deviation")
+    _write_grid(cfg, outdir, "ruled",
+                lambda path: write_points_csv(path, zs, valid, coords, "F"),
+                valid, coords, ("norm_deviation", norm_dev))
 
     max_dev = float(np.nanmax(norm_dev)) if valid.any() else np.nan
     unit_ok = bool(max_dev <= 1e-12)

@@ -6,7 +6,7 @@ sample documents for n = 1, 2, 3.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chain import DEFAULT_EPS_SINGULAR
 from .domain import Domain
@@ -31,6 +31,14 @@ def _get(doc, key, path, default=None, required=False):
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
     return doc[key]
+
+
+def _fields(doc, path, known):
+    """Require doc to be an object whose fields are all in known."""
+    _expect(isinstance(doc, dict), path, "expected an object")
+    for key in doc:
+        _expect(key in known, f"{path}.{key}",
+                f"unknown field (known: {sorted(known)})")
 
 
 def _as_complex(value, path):
@@ -64,8 +72,16 @@ def _as_real(value, path, positive=False):
     return float(value)
 
 
+# the fields of a domain of each shape besides "shape" and "base_point"
+_SHAPE_FIELDS = {"rectangle": ("corners",), "disk": ("center", "radius")}
+
+
 def _parse_domain(doc, path):
+    _expect(isinstance(doc, dict), path, "expected an object")
     shape = _get(doc, "shape", path, required=True)
+    _expect(isinstance(shape, str) and shape in _SHAPE_FIELDS, f"{path}.shape",
+            f"unknown shape {shape!r}")
+    _fields(doc, path, ("shape", "base_point") + _SHAPE_FIELDS[shape])
     base = _as_complex(_get(doc, "base_point", path, required=True),
                        f"{path}.base_point")
     try:
@@ -76,18 +92,17 @@ def _parse_domain(doc, path):
             c0 = _as_complex(corners[0], f"{path}.corners[0]")
             c1 = _as_complex(corners[1], f"{path}.corners[1]")
             return Domain.rectangle(c0, c1, base_point=base)
-        if shape == "disk":
-            center = _as_complex(_get(doc, "center", path, required=True),
-                                 f"{path}.center")
-            radius = _as_real(_get(doc, "radius", path, required=True),
-                              f"{path}.radius", positive=True)
-            return Domain.disk(center, radius, base_point=base)
+        center = _as_complex(_get(doc, "center", path, required=True),
+                             f"{path}.center")
+        radius = _as_real(_get(doc, "radius", path, required=True),
+                          f"{path}.radius", positive=True)
+        return Domain.disk(center, radius, base_point=base)
     except DomainError as exc:
         raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.shape", f"unknown shape {shape!r}")
 
 
 def _parse_grid(doc, path):
+    _fields(doc, path, ("rows", "cols"))
     rows = _as_int(_get(doc, "rows", path, required=True), f"{path}.rows")
     cols = _as_int(_get(doc, "cols", path, required=True), f"{path}.cols")
     _expect(rows >= 2 and cols >= 2, path, "grid too small: need at least 2x2")
@@ -121,12 +136,14 @@ class JobConfig:
     kaehler: dict
     ruled: dict
     reconstruct: dict
-    raw: dict = field(repr=False, default=None)
 
 
 def validate_config(doc):
     """Validate a parsed JSON document into a JobConfig."""
     _expect(isinstance(doc, dict), "$", "config must be a JSON object")
+    _fields(doc, "$", ("n", "betas", "integration_constants", "domain", "grid",
+                       "eps_singular", "fd_step", "tolerances", "calabi", "output",
+                       "perturb", "kaehler", "ruled", "reconstruct"))
     n = _as_int(_get(doc, "n", "$", required=True), "$.n", minimum=1)
 
     betas = _get(doc, "betas", "$", required=True)
@@ -172,13 +189,13 @@ def validate_config(doc):
         tolerances[fam] = _as_real(val, f"$.tolerances.{fam}", positive=True)
 
     calabi = _get(doc, "calabi", "$", {})
-    _expect(isinstance(calabi, dict), "$.calabi", "expected an object")
+    _fields(calabi, "$.calabi", ("max_order",))
     calabi_order = _as_int(_get(calabi, "max_order", "$.calabi", 2),
                            "$.calabi.max_order")
     _expect(0 <= calabi_order <= 4, "$.calabi.max_order", "must be in [0, 4]")
 
     output = _get(doc, "output", "$", {})
-    _expect(isinstance(output, dict), "$.output", "expected an object")
+    _fields(output, "$.output", ("obj_components", "formats"))
     comps = _get(output, "obj_components", "$.output", [1, 2, 3])
     _expect(isinstance(comps, list) and len(comps) == 3,
             "$.output.obj_components", "need exactly three 1-based indices")
@@ -194,7 +211,7 @@ def validate_config(doc):
 
     perturb = _get(doc, "perturb", "$")
     if perturb is not None:
-        _expect(isinstance(perturb, dict), "$.perturb", "expected an object")
+        _fields(perturb, "$.perturb", ("target", "magnitude"))
         target = _get(perturb, "target", "$.perturb", "F2")
         _expect(
             isinstance(target, str) and target.startswith("F")
@@ -207,7 +224,8 @@ def validate_config(doc):
     kaehler = _get(doc, "kaehler", "$")
     if kaehler is not None:
         path = "$.kaehler"
-        _expect(isinstance(kaehler, dict), path, "expected an object")
+        _fields(kaehler, path, ("gamma", "w", "w_box", "w_samples", "z_grid",
+                                "min_regular_fraction"))
         _expect(n >= 2, path, "the hypersurface map requires n >= 2")
         _check_expr(_get(kaehler, "gamma", path, required=True),
                     f"{path}.gamma", variables=("x", "y"))
@@ -237,7 +255,7 @@ def validate_config(doc):
     ruled = _get(doc, "ruled", "$")
     if ruled is not None:
         path = "$.ruled"
-        _expect(isinstance(ruled, dict), path, "expected an object")
+        _fields(ruled, path, ("w", "probe_points"))
         _expect(n >= 3, path, "the ruled map requires n >= 3")
         w = _get(ruled, "w", path, required=True)
         _expect(isinstance(w, list) and len(w) == n - 2, f"{path}.w",
@@ -251,7 +269,8 @@ def validate_config(doc):
     if reconstruct is not None or n <= MAX_RECONSTRUCT_N:
         path = "$.reconstruct"
         reconstruct = {} if reconstruct is None else reconstruct
-        _expect(isinstance(reconstruct, dict), path, "expected an object")
+        _fields(reconstruct, path, ("sample_grid", "eval_grid", "gauge", "tolerance",
+                                    "refusal_threshold"))
         _expect(n <= MAX_RECONSTRUCT_N, path,
                 f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})")
         reconstruct = dict(reconstruct)
@@ -292,7 +311,6 @@ def validate_config(doc):
         kaehler=kaehler,
         ruled=ruled,
         reconstruct=reconstruct,
-        raw=doc,
     )
 
 

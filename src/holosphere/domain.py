@@ -104,28 +104,16 @@ class Domain:
             ok = np.abs(z - self.center) <= self.radius - margin
         return bool(ok) if ok.ndim == 0 else ok
 
-    def grid(self, rows, cols):
-        """Row-major sample grid over the bounding rectangle.
+    def grid(self, rows, cols, margin=0.0):
+        """Row-major sample grid over the bounding rectangle, shrunk by
+        `margin` on every side.
 
         Returns (zs, inside) where zs has shape (rows, cols), row index
         sweeping the imaginary axis bottom-to-top, column index the real
-        axis left-to-right, and inside marks points belonging to the
-        domain (always all-true for rectangles).
+        axis left-to-right, and inside marks points of the domain shrunk
+        by `margin` (room for finite-difference stencils; always all-true
+        for rectangles).
         """
-        if rows < 2 or cols < 2:
-            raise DomainError("grid too small: need at least 2x2")
-        x0, x1, y0, y1 = self.bounds
-        xs = np.linspace(x0, x1, cols)
-        ys = np.linspace(y0, y1, rows)
-        zs = xs[None, :] + 1j * ys[:, None]
-        inside = np.asarray(self.contains(zs))
-        if inside.ndim == 0:
-            inside = np.full(zs.shape, bool(inside))
-        return zs, inside
-
-    def interior_margin_grid(self, rows, cols, margin):
-        """Like `grid` but shrunk so every point keeps `margin` clearance
-        to the boundary (room for finite-difference stencils)."""
         if rows < 2 or cols < 2:
             raise DomainError("grid too small: need at least 2x2")
         x0, x1, y0, y1 = self.bounds
@@ -134,7 +122,4 @@ class Domain:
         xs = np.linspace(x0 + margin, x1 - margin, cols)
         ys = np.linspace(y0 + margin, y1 - margin, rows)
         zs = xs[None, :] + 1j * ys[:, None]
-        inside = np.asarray(self.contains(zs, margin=margin))
-        if inside.ndim == 0:
-            inside = np.full(zs.shape, bool(inside))
-        return zs, inside
+        return zs, self.contains(zs, margin=margin)

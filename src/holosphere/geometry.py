@@ -156,7 +156,7 @@ def calabi_check(g, max_order, z, h=None):
     zs = np.array([z])
     derivs = wirtinger(g, zs, [(j, 0) for j in range(1, max_order + 1)], h=h,
                        diameter=g.domain.diameter)
-    pairs, values, _ = _calabi_values([g(zs).astype(complex)] + derivs)
+    pairs, values = _calabi_values([g(zs).astype(complex)] + derivs)
     return _calabi_table(pairs, values[0].tolist())
 
 
@@ -169,16 +169,15 @@ def _calabi_pairs(max_order):
 def _calabi_values(derivs):
     """The entries of the symmetric-derivative tables at an array of
     centres, from derivs[j], the j-th z-derivative of the surface there
-    (j = 0..max_order): the table's pairs, the entries as an array
-    (centre, pair), and the mask of centres whose derivatives are all
-    finite; rows outside the mask are NaN."""
+    (j = 0..max_order): the table's pairs and the entries as an array
+    (centre, pair), NaN rows at the centres where a derivative is not
+    finite."""
     pairs = _calabi_pairs(len(derivs) - 1)
-    found = _finite_rows(*derivs)
-    rows = np.flatnonzero(found)
-    values = np.full((len(found), len(pairs)), np.nan)
+    rows = np.flatnonzero(_finite_rows(*derivs))
+    values = np.full((len(derivs[0]), len(pairs)), np.nan)
     for p, (j, k) in enumerate(pairs):
         values[rows, p] = _abs(_dot(derivs[j][rows], derivs[k][rows]))
-    return pairs, values, found
+    return pairs, values
 
 
 def _calabi_table(pairs, row):
@@ -296,41 +295,64 @@ def second_normal_space_angle(chain, z, h=None, eps_singular=DEFAULT_EPS_SINGULA
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PointRecord:
-    z: complex
-    singular: bool
-    residuals: dict
-    calabi_table: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "z": [self.z.real, self.z.imag],
-            "singular": self.singular,
-            "residuals": {
-                k: v for k, v in self.residuals.items() if v is not None
-            },
-            "calabi": {f"{j},{k}": v for (j, k), v in self.calabi_table.items()},
-        }
-
-
-@dataclass
 class DiagnosticsReport:
+    """The result of `verify_all`.
+
+    `residuals` maps each family that applies to its residuals at the
+    inside points of `scan`, in row-major order: one float array, NaN
+    exactly where the family was not evaluated.  `calabi` holds the
+    symmetric-derivative tables as (pairs, values): the (j, k) pairs with
+    j <= k and the entries per point (inside points, pairs), NaN rows
+    where the table was not evaluated.  `grids()` scatters the residuals
+    onto the scan's grid.
+    """
+
     n: int
     rows: int
     cols: int
     tolerances: dict
-    records: list
+    residuals: dict     # family -> (inside points,) float, NaN: not evaluated
+    calabi: tuple       # (pairs, (inside points, pairs) float)
     summary: dict
     worst_point: dict
     status: dict
     passed: bool
     singular_count: int
-    scan: GridScan      # the grid; records follow its inside points in order
+    scan: GridScan
     counts: dict = field(default_factory=dict)  # family -> evaluated/skipped
     surrogates: list = field(default_factory=list)  # AlphaChain.surrogates
 
     def failures(self):
         return [f for f, s in self.status.items() if s == "FAIL"]
+
+    def grids(self):
+        """{family: residuals on the scan's (R, C) grid}, NaN outside the
+        domain and where the family was not evaluated."""
+        found = {}
+        for fam, values in self.residuals.items():
+            found[fam] = np.full(self.scan.shape, np.nan)
+            found[fam][self.scan.inside] = values
+        return found
+
+    def _points(self):
+        """The JSON record of every inside point of the scan."""
+        inside = self.scan.inside
+        zs = self.scan.zs[inside]
+        columns = [(fam, values.tolist(), (~np.isnan(values)).tolist())
+                   for fam, values in self.residuals.items()]
+        pairs, values = self.calabi
+        tables = [_calabi_table(pairs, row) if found else {} for row, found in
+                  zip(values.tolist(), (~np.isnan(values).all(axis=1)).tolist())]
+        return [
+            {
+                "z": [re, im],
+                "singular": singular,
+                "residuals": {fam: col[i] for fam, col, keep in columns if keep[i]},
+                "calabi": {f"{j},{k}": v for (j, k), v in tables[i].items()},
+            }
+            for i, (re, im, singular) in enumerate(zip(
+                zs.real.tolist(), zs.imag.tolist(), self.scan.singular[inside].tolist()))
+        ]
 
     def to_dict(self):
         doc = {
@@ -348,7 +370,7 @@ class DiagnosticsReport:
             "passed": self.passed,
             "singular_count": self.singular_count,
             "counts": {k: self.counts[k] for k in sorted(self.counts)},
-            "points": [r.to_dict() for r in self.records],
+            "points": self._points(),
         }
         if self.surrogates:
             doc["surrogates"] = self.surrogates
@@ -411,7 +433,7 @@ class _Sweep:
         idx = np.flatnonzero(mask)
         if idx.size:
             values[idx] = rows(idx)
-        return values, mask
+        return values
 
     def centres(self, margin):
         """The `ok` points whose stencil of the given half-width fits."""
@@ -466,20 +488,21 @@ class _Sweep:
         values = np.full(self.z.size, np.nan)
         if idx.size:
             values[idx] = run(idx, dz, dzdbar)
-        return values, ~np.isnan(values)
+        return values
 
     @cached_property
     def calabi(self):
-        """(pairs, values, found) of the symmetric-derivative tables at
-        every point, as `_calabi_values` returns them; `found` is False
-        where the stencil leaves the domain or touches a masked point."""
-        idx, derivs = self.calabi_fd
+        """(pairs, values) of the symmetric-derivative tables at every
+        point, as `_calabi_values` returns them: NaN rows where the
+        stencil leaves the domain or touches a masked point, and no
+        pairs at Calabi order 0."""
         pairs = _calabi_pairs(self.calabi_order)
         values = np.full((self.z.size, len(pairs)), np.nan)
-        found = np.zeros(self.z.size, dtype=bool)
-        if idx.size:
-            _, values[idx], found[idx] = _calabi_values(derivs)
-        return pairs, values, found
+        if pairs:
+            idx, derivs = self.calabi_fd
+            if idx.size:
+                values[idx] = _calabi_values(derivs)[1]
+        return pairs, values
 
 
 def _pair_residuals(gram, norms, j, k):
@@ -578,12 +601,12 @@ def _minimality(sw):
 def _calabi(sw):
     if sw.calabi_order < 1:
         return None
-    _, values, found = sw.calabi
-    return sw.each(found, lambda idx: np.fmax.reduce(values[idx], axis=1))
+    return np.fmax.reduce(sw.calabi[1], axis=1)
 
 
-# Every invariant family: name -> function from a sweep to (residuals,
-# evaluated mask) over its points, or None where the family does not apply.
+# Every invariant family: name -> function from a sweep to its residuals
+# over the sweep's points, NaN where not evaluated, or None where the
+# family does not apply.
 FAMILIES = {
     "isotropy": _isotropy,
     "hermitian_orthogonality": _hermitian_orthogonality,
@@ -627,52 +650,34 @@ def verify_all(
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
     zs, inside = chain.domain.grid(rows, cols)
     sweep = _Sweep(chain, zs[inside], eps_singular, h, calabi_order, perturb)
-    results = {}
+    residuals = {}
     for fam, family in FAMILIES.items():
-        found = family(sweep)
-        if found is not None:
-            results[fam] = found
-
-    columns = {fam: (values.tolist(), mask.tolist())
-               for fam, (values, mask) in results.items()}
-    tables = [{} for _ in range(sweep.z.size)]
-    if calabi_order >= 1:
-        pairs, calabi, found = sweep.calabi
-        for i in np.flatnonzero(found):
-            tables[i] = _calabi_table(pairs, calabi[i].tolist())
-    records = [
-        PointRecord(
-            z, not ok,
-            {fam: values[i] for fam, (values, mask) in columns.items() if mask[i]},
-            tables[i],
-        )
-        for i, (z, ok) in enumerate(zip(sweep.z.tolist(), sweep.ok.tolist()))
-    ]
+        values = family(sweep)
+        if values is not None:
+            residuals[fam] = values
 
     summary = {}
     worst = {}
-    for fam, (values, mask) in results.items():
-        vals = values[mask]
-        if vals.size:
-            # the first point of the largest value, as a running
-            # `value > best` scan finds it: NaN only when it comes first
-            i = 0 if np.isnan(vals[0]) else int(np.argmax(vals == np.nanmax(vals)))
-            summary[fam] = float(vals[i])
-            worst[fam] = complex(sweep.z[mask][i])
+    counts = {}
+    for fam, values in residuals.items():
+        evaluated = int(np.count_nonzero(~np.isnan(values)))
+        counts[fam] = {"evaluated": evaluated, "skipped": values.size - evaluated}
+        if evaluated:
+            # the first point of the largest value
+            i = int(np.nanargmax(values))
+            summary[fam] = float(values[i])
+            worst[fam] = complex(sweep.z[i])
     status = {}
     for fam, val in summary.items():
         status[fam] = "PASS" if val <= tols.get(fam, np.inf) else "FAIL"
     passed = all(s == "PASS" for s in status.values())
-    counts = {
-        fam: {"evaluated": int(mask.sum()), "skipped": int(mask.size - mask.sum())}
-        for fam, (_, mask) in results.items()
-    }
     return DiagnosticsReport(
         n=chain.n,
         rows=rows,
         cols=cols,
         tolerances=tols,
-        records=records,
+        residuals=residuals,
+        calabi=sweep.calabi,
         summary=summary,
         worst_point=worst,
         status=status,

@@ -191,34 +191,28 @@ def write_points_csv(path, zs, valid, coords, prefix):
     _write_grid_csv(path, header, zs, [valid], valid, coords)
 
 
-def write_surface_csv(scan, path, records=None):
+def write_surface_csv(scan, path, residuals=None):
     """One row per grid point (row-major): the point, validity flags, the
     full surface coordinates, and any per-point residuals.
 
-    `records` maps complex grid points to {family: residual} dicts (from
-    a diagnostics report); families are united across points and written
-    as res_<family> columns, blank where unavailable.
+    `residuals` maps families to residual grids of the scan's shape (as
+    `DiagnosticsReport.grids` returns them), NaN where a family has no
+    value.  Every family with a value somewhere is written, in sorted
+    order, as a res_<family> column, blank where NaN.
     """
     dim = scan.surface.shape[2]
-    families = []
-    if records:
-        seen = set()
-        for res in records.values():
-            for fam, val in res.items():
-                if val is not None and fam not in seen:
-                    seen.add(fam)
-        families = sorted(seen)
+    residuals = residuals or {}
+    families = [fam for fam in sorted(residuals) if not np.isnan(residuals[fam]).all()]
     header = ["z_re", "z_im", "inside", "valid", "singular"]
     header += [f"g_{k + 1}" for k in range(dim)]
     header += [f"res_{fam}" for fam in families]
     extra = None
-    if families:
-        extra = np.empty(scan.zs.size, dtype=object)
-        for i, z in enumerate(scan.zs.ravel().tolist()):
-            res = records.get(z, {})
-            vals = (res.get(fam) for fam in families)
-            extra[i] = "".join("," if v is None else "," + repr(float(v))
-                               for v in vals)
+    for fam in families:
+        values = np.ravel(residuals[fam])
+        text = np.full(values.size, ",", dtype=object)
+        found = ~np.isnan(values)
+        text[found] = "," + np.array(_floats(values[found]), dtype=object)
+        extra = text if extra is None else extra + text
     _write_grid_csv(path, header, scan.zs,
                     [scan.inside, scan.valid, scan.singular],
                     scan.valid, scan.surface, extra)

@@ -25,8 +25,8 @@ from holosphere.config import demo_config
 REPORTS = {
     "generate": ["diagnostics.json", "surface.csv", "surface.obj"],
     "verify": ["diagnostics.json"],
-    "kaehler": ["kaehler_report.json", "kaehler.csv"],
-    "ruled": ["ruled_report.json", "ruled.csv"],
+    "kaehler": ["kaehler_report.json", "kaehler.csv", "kaehler.obj"],
+    "ruled": ["ruled_report.json", "ruled.csv", "ruled.obj"],
     "reconstruct": ["reconstruct_report.json"],
 }
 

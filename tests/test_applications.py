@@ -84,15 +84,16 @@ class TestImmersionCheck:
             chain_n2, p, z_grid=(2, 2), w_box=(0.0, 0.0), w_samples=1
         )
         assert report.regular_count == 0
-        assert all(r.rank < 4 for r in report.records)
-        assert len(report.flagged) == report.total
+        assert (report.ranks < 4).all()
+        assert len(report.to_dict()["flagged"]) == report.total
 
     def test_rank_bounded_by_parameter_count(self, chain_n2):
         p = KaehlerParams.create("1+x^2+y^2", [0.03 - 0.01j])
         report = kaehler_immersion_check(
             chain_n2, p, z_grid=(2, 2), w_box=(-0.05, 0.05), w_samples=2
         )
-        assert all(r.rank <= 4 for r in report.records)
+        assert report.ranks.shape == (report.centres.size, len(report.w)) == (4, 4)
+        assert (report.ranks <= 4).all()
 
 
 class TestRuledPoint:

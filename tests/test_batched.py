@@ -75,8 +75,8 @@ def test_minimality_and_calabi_over_centres(surface_n2):
     resid, _ = minimality_residuals(gz, dg, lap)
     derivs = wirtinger(surface_n2, CENTRES, [(1, 0), (2, 0), (3, 0)],
                        diameter=surface_n2.domain.diameter)
-    pairs, values, found = geometry._calabi_values([gz.astype(complex)] + derivs)
-    assert found.all()
+    pairs, values = geometry._calabi_values([gz.astype(complex)] + derivs)
+    assert not np.isnan(values).any()
     for z, r, row in zip(CENTRES, resid, values):
         assert r == minimality_residual(surface_n2, z, h)
         table = geometry._calabi_table(pairs, row.tolist())
@@ -166,9 +166,11 @@ def test_report_scan_matches_scan_grid(betas, domain):
 
 def test_counts_match_records(chain_n2):
     report = verify_all(chain_n2, grid=(7, 7))
-    assert set(report.counts) == set(report.summary)
+    assert set(report.counts) == set(report.summary) == set(report.residuals)
+    points = report.to_dict()["points"]
     for fam, count in report.counts.items():
-        evaluated = sum(fam in rec.residuals for rec in report.records)
+        evaluated = sum(fam in point["residuals"] for point in points)
+        assert evaluated == np.count_nonzero(~np.isnan(report.residuals[fam]))
         assert count == {"evaluated": evaluated, "skipped": 49 - evaluated}
     assert report.to_dict()["counts"] == report.counts
 
@@ -516,7 +518,7 @@ def test_families_match_one_point_loops(name):
         found = family(sw)
         if found is None:
             continue
-        assert_same_bits(found[0], REFERENCE_FAMILIES[fam](sw))
+        assert_same_bits(found, REFERENCE_FAMILIES[fam](sw))
     # the sweep's derivatives are those of one-order calls on its field
     idx, dz, dzdbar = sw.fd
     for order, found in (((1, 0), dz), ((1, 1), dzdbar)):
@@ -528,10 +530,10 @@ def test_families_match_one_point_loops(name):
         want, = wirtinger(stencil_field(sw.chain), sw.z[idx], [(j, 0)],
                           diameter=sw.chain.domain.diameter)
         assert_same_bits(found, want[:, 0])
-    pairs, values, found = sw.calabi
-    for table, row, ok in zip(ref_sweep_tables(sw), values, found):
-        assert (table is not None) == ok
-        if ok:
+    pairs, values = sw.calabi
+    for table, row in zip(ref_sweep_tables(sw), values):
+        assert (table is not None) == (not np.isnan(row).all())
+        if table is not None:
             got = geometry._calabi_table(pairs, row.tolist())
             assert list(got) == list(table)
             assert_same_bits(list(got.values()), list(table.values()))
@@ -550,7 +552,7 @@ def test_algebraic_families_match_loops_at_many_points(betas):
     zs = _random_points(3000, len(betas))
     sw = geometry._Sweep(chain, zs, 1e-12, 1e-4, 0, {"target": "F2", "magnitude": 1e-3})
     for fam in ("isotropy", "hermitian_orthogonality", "collinearity", "circularity"):
-        assert_same_bits(geometry.FAMILIES[fam](sw)[0], REFERENCE_FAMILIES[fam](sw))
+        assert_same_bits(geometry.FAMILIES[fam](sw), REFERENCE_FAMILIES[fam](sw))
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -559,11 +561,11 @@ def test_report_summary_matches_record_scan(name):
     report = verify_all(chain, grid=grid, fd_step=fd_step, calabi_order=calabi_order,
                         perturb=perturb)
     summary, worst = {}, {}
-    for rec in report.records:
-        for fam, val in rec.residuals.items():
+    for point in report.to_dict()["points"]:
+        for fam, val in point["residuals"].items():
             if fam not in summary or val > summary[fam]:
                 summary[fam] = val
-                worst[fam] = rec.z
+                worst[fam] = complex(*point["z"])
     assert report.summary == summary and report.worst_point == worst
     assert_same_bits(list(report.summary.values()),
                      [summary[fam] for fam in report.summary])

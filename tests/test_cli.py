@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -110,6 +111,49 @@ class TestConfigValidation:
         for block in ("ruled", "kaehler", "reconstruct"):
             doc.pop(block)
         assert validate_config(doc).reconstruct is None
+
+    @pytest.mark.parametrize("path", [
+        "$.tolerence", "$.domain.radius", "$.grid.row", "$.calabi.order",
+        "$.output.format", "$.perturb.size", "$.kaehler.gama", "$.kaehler.z_grid.colz",
+        "$.ruled.probes", "$.reconstruct.sample_grd", "$.reconstruct.eval_grid.row",
+    ])
+    def test_unknown_field_refused(self, path):
+        # a misspelt key would otherwise leave its default in force
+        doc = demo_config(3)
+        doc["perturb"] = {"target": "F2"}
+        *blocks, key = path[2:].split(".")
+        target = doc
+        for block in blocks:
+            target = target[block]
+        target[key] = 1
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert err.value.path == path
+        assert "unknown field (known: [" in str(err.value)
+
+    def test_unknown_field_lists_the_known_ones(self):
+        doc = demo_config(1)
+        doc["output"]["format"] = ["ply"]
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert str(err.value) == ("$.output.format: unknown field "
+                                  "(known: ['formats', 'obj_components'])")
+
+    def test_disk_refuses_rectangle_fields(self):
+        doc = demo_config(1)
+        doc["domain"] = dict(DOMAINS["unit_disk"], corners=[[-1, -1], [1, 1]])
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert err.value.path == "$.domain.corners"
+
+    @pytest.mark.parametrize("block, value", [("domain", "shape"), ("grid", "rows")])
+    def test_block_that_is_a_string_refused(self, block, value):
+        # `key in doc` on a string tests substrings, so this reached a TypeError
+        doc = demo_config(1)
+        doc[block] = value
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert err.value.path == f"$.{block}"
 
     def test_obj_components_range(self):
         doc = demo_config(1)
@@ -442,6 +486,25 @@ def test_commands_exit_zero_on_disks_and_small_domains(tmp_path, command, n, dom
     doc["domain"] = DOMAINS[domain]
     assert main([command, "--config", _write(tmp_path, doc), "--out",
                  str(tmp_path / "run"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("command, name", [
+    ("generate", "surface"), ("kaehler", "kaehler"), ("ruled", "ruled"),
+])
+def test_grid_commands_write_exactly_the_requested_formats(tmp_path, command, name):
+    doc = demo_config(3)
+    doc["grid"] = {"rows": 4, "cols": 4}
+    doc["kaehler"].update(z_grid={"rows": 2, "cols": 2}, w_samples=1)
+    doc["ruled"]["probe_points"] = 0
+    report = "diagnostics.json" if command == "generate" else f"{name}_report.json"
+    for size in range(4):
+        for formats in itertools.combinations(("obj", "csv", "ply"), size):
+            doc["output"]["formats"] = list(formats)
+            out = tmp_path / "-".join(("run",) + formats)
+            assert main([command, "--config", _write(tmp_path, doc), "--out",
+                         str(out), "--quiet"]) == 0
+            written = sorted(p.name for p in out.iterdir())
+            assert written == sorted([report] + [f"{name}.{f}" for f in formats])
 
 
 def test_generate_evaluates_its_grid_once(tmp_path, monkeypatch):

@@ -62,6 +62,6 @@ class TestGrids:
 
     def test_margin_grid_keeps_clearance(self):
         d = Domain.rectangle(-1 - 1j, 1 + 1j)
-        zs, inside = d.interior_margin_grid(4, 4, margin=0.25)
+        zs, inside = d.grid(4, 4, margin=0.25)
         assert inside.all()
         assert zs.real.min() == -0.75 and zs.real.max() == 0.75

@@ -144,9 +144,9 @@ class TestVerifyAll:
         report = verify_all(chain_n2, grid=(6, 6))
         for fam, val in report.summary.items():
             best = max(
-                rec.residuals[fam]
-                for rec in report.records
-                if rec.residuals.get(fam) is not None
+                point["residuals"][fam]
+                for point in report.to_dict()["points"]
+                if fam in point["residuals"]
             )
             assert val == best
 

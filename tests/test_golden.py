@@ -17,14 +17,15 @@ import pytest
 
 from holosphere import build_alpha_chain, chain as chain_module, geometry
 from holosphere.cli import main
+from holosphere.config import load_config
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
 REPORTS = {
     "generate": ("diagnostics.json", "surface.csv", "surface.obj"),
     "verify": ("diagnostics.json",),
-    "kaehler": ("kaehler_report.json", "kaehler.csv"),
-    "ruled": ("ruled_report.json", "ruled.csv"),
+    "kaehler": ("kaehler_report.json", "kaehler.csv", "kaehler.obj"),
+    "ruled": ("ruled_report.json", "ruled.csv", "ruled.obj"),
     "reconstruct": ("reconstruct_report.json",),
 }
 
@@ -40,6 +41,26 @@ def test_outputs_match_recording(case, tmp_path):
         for name in REPORTS[command]:
             got, want = tmp_path / name, src / name
             assert got.read_bytes() == want.read_bytes(), name
+
+
+@pytest.mark.parametrize("case", [case for case in CASES
+                                  if (GOLDEN / case / "diagnostics.json").exists()])
+def test_point_residuals_follow_the_arrays(case):
+    # a family appears in a point's recorded residuals exactly where its
+    # residual array is not NaN, and the counts agree with both
+    cfg = load_config(GOLDEN / case / "config.json")
+    report = geometry.verify_all(
+        build_alpha_chain(cfg.betas, cfg.constants, cfg.domain), grid=cfg.grid,
+        tolerances=cfg.tolerances, eps_singular=cfg.eps_singular,
+        fd_step=cfg.fd_step, calabi_order=cfg.calabi_order, perturb=cfg.perturb)
+    doc = json.loads((GOLDEN / case / "diagnostics.json").read_text())
+    assert sorted(report.residuals) == sorted(doc["counts"])
+    for fam, values in report.residuals.items():
+        present = [fam in point["residuals"] for point in doc["points"]]
+        assert present == (~np.isnan(values)).tolist(), fam
+        evaluated = sum(present)
+        assert (doc["counts"][fam] == report.counts[fam]
+                == {"evaluated": evaluated, "skipped": len(present) - evaluated})
 
 
 def test_verify_call_count_independent_of_grid(monkeypatch):

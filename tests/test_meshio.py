@@ -97,15 +97,16 @@ def ref_write_ply(mesh, path, components=(1, 2, 3), attribute=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def ref_write_surface_csv(scan, path, records=None):
+def ref_write_surface_csv(scan, path, residuals=None):
     R, C, dim = scan.surface.shape
     families = []
-    if records:
+    if residuals:
         seen = set()
-        for res in records.values():
-            for fam, val in res.items():
-                if val is not None and fam not in seen:
-                    seen.add(fam)
+        for fam, grid in residuals.items():
+            for r in range(R):
+                for c in range(C):
+                    if not np.isnan(grid[r, c]) and fam not in seen:
+                        seen.add(fam)
         families = sorted(seen)
     header = ["z_re", "z_im", "inside", "valid", "singular"]
     header += [f"g_{k + 1}" for k in range(dim)]
@@ -125,11 +126,9 @@ def ref_write_surface_csv(scan, path, records=None):
                 row += [_fmt(v) for v in scan.surface[r, c]]
             else:
                 row += [""] * dim
-            if families:
-                res = records.get(complex(z), {}) if records else {}
-                for fam in families:
-                    val = res.get(fam)
-                    row.append(_fmt(val) if val is not None else "")
+            for fam in families:
+                val = residuals[fam][r, c]
+                row.append(_fmt(val) if not np.isnan(val) else "")
             lines.append(",".join(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -208,18 +207,15 @@ def _attribute(scan):
     return vals
 
 
-def _records(scan):
-    """Residuals at every third grid point: family 'c' is never set, 'b'
-    only at some points, and one key is off the grid."""
-    records = {}
-    for i, z in enumerate(scan.zs.ravel()[::3]):
-        records[complex(z)] = {
-            "a": 1e-12 * (i + 1),
-            "b": None if i % 4 else -2.5e-300 * i,
-            "c": None,
-        }
-    records[5 + 5j] = {"a": 1.0}
-    return records
+def _residuals(scan):
+    """Residual grids with values at every third grid point: family 'c'
+    is never set, 'b' only at some points (a signed zero among them)."""
+    residuals = {fam: np.full(scan.zs.size, np.nan) for fam in "bac"}
+    for i in range(0, scan.zs.size, 3):
+        residuals["a"][i] = 1e-12 * (i // 3 + 1)
+        if i % 12 == 0:
+            residuals["b"][i] = -2.5e-300 * (i // 3)
+    return {fam: grid.reshape(scan.shape) for fam, grid in residuals.items()}
 
 
 @pytest.fixture(params=["default", "uneven"])
@@ -267,9 +263,9 @@ def test_obj_and_ply_match_reference(case, components, blocks, tmp_path):
 @pytest.mark.parametrize("case", CASES)
 def test_surface_csv_matches_reference(case, with_records, blocks, tmp_path):
     scan = CASES[case]
-    records = _records(scan) if with_records else None
-    write_surface_csv(scan, tmp_path / "got.csv", records)
-    ref_write_surface_csv(scan, tmp_path / "want.csv", records)
+    residuals = _residuals(scan) if with_records else None
+    write_surface_csv(scan, tmp_path / "got.csv", residuals)
+    ref_write_surface_csv(scan, tmp_path / "want.csv", residuals)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
