@@ -24,12 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DEFAULT_EPS_SINGULAR, f_chain_eval, require_regular, stencil_field
+from .chain import f_chain_eval, require_regular, stencil_field
 from .errors import DomainError
 from .expr import HoloExpr, differentiate, eval_env, parse_expr
-from .fd import wirtinger
+from .fd import default_step, wirtinger
 from .geometry import SurfaceEvaluator, _normal_part
 from .products import _abs, _cmul, _complex, _dot, _norm, _square
+
+_RANK_THRESHOLD = 1e-8   # Kaehler Jacobian rank: sigma > this * largest sigma
+_DET_THRESHOLD = 1e-10   # ruled probe metric: det > this * product of diagonal
+_GEODESIC_STEP = 1e-4    # w-step of the ruling geodesic's second difference
 
 
 def _as_gamma(gamma):
@@ -106,27 +110,27 @@ def _normal_terms(F, w):
     return out
 
 
-def kaehler_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
+def kaehler_point(chain, params, z):
     """Closed-form evaluation of the hypersurface map at (z, w).
 
     Requires n >= 2 and len(w) == n-1.  The middle (gradient) term uses
     the tangent formula of the chain, so everything comes from the chain
     data at z plus symbolic partials of gamma.
     """
-    values, batch = _kaehler(chain, params, np.array([z]), eps_singular)
+    values, batch = _kaehler(chain, params, np.array([z]))
     require_regular(batch)
     return values[0]
 
 
-def kaehler_points(chain, params, zs, eps_singular=DEFAULT_EPS_SINGULAR):
+def kaehler_points(chain, params, zs):
     """`kaehler_point` at a flat array of points, with one chain
     evaluation.  Returns (values, valid): the rows of degenerate points
     are NaN and `valid` is False there."""
-    values, batch = _kaehler(chain, params, zs, eps_singular)
+    values, batch = _kaehler(chain, params, zs)
     return values, batch.ok
 
 
-def _kaehler(chain, params, zs, eps_singular):
+def _kaehler(chain, params, zs):
     """The hypersurface map at the flat array zs, NaN rows at degenerate
     points, with the chain batch it was built from."""
     n = chain.n
@@ -134,7 +138,7 @@ def _kaehler(chain, params, zs, eps_singular):
         raise ValueError("the hypersurface map requires n >= 2")
     if len(params.w) != n - 1:
         raise ValueError(f"w needs {n - 1} entries, got {len(params.w)}")
-    batch = f_chain_eval(chain, zs, eps_singular)
+    batch = f_chain_eval(chain, zs)
     w = np.array(params.w, dtype=complex)
     return _kaehler_base(batch, params) + _normal_terms(batch.F, w), batch
 
@@ -159,18 +163,15 @@ def _kaehler_base(batch, params):
     return base
 
 
-def kaehler_point_reference(chain, params, z, h=None,
-                            eps_singular=DEFAULT_EPS_SINGULAR):
+def kaehler_point_reference(chain, params, z):
     """Independent assembly of the same map: gamma g + pushforward of the
     metric gradient of gamma (from a finite-difference tangent vector)
     plus the normal term.  Used to cross-check the closed formula."""
-    g_eval = SurfaceEvaluator.from_chain(chain, eps_singular)
-    if h is None:
-        h = g_eval.step(1)
-    batch = f_chain_eval(chain, np.array([z]), eps_singular)
+    g_eval = SurfaceEvaluator.from_chain(chain)
+    batch = f_chain_eval(chain, np.array([z]))
     require_regular(batch)
     gamma, gamma_z = params.gamma_values(complex(z))
-    dg, = wirtinger(g_eval, z, [(1, 0)], h=h)
+    dg, = wirtinger(g_eval, z, [(1, 0)], h=g_eval.step(1))
     metric = float(np.sum(np.abs(dg) ** 2))
     grad_push = (2.0 / metric) * np.real(np.conj(gamma_z) * dg)
     w = np.array(params.w, dtype=complex)
@@ -218,8 +219,7 @@ class KaehlerRegularityReport:
 
 
 def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
-                            w_samples=3, rank_threshold=1e-8,
-                            eps_singular=DEFAULT_EPS_SINGULAR):
+                            w_samples=3):
     """Rank of the Jacobian over a (z, w) sample box.
 
     The Jacobian is taken in the map's 2n real parameters (x, y, u_1,
@@ -227,7 +227,8 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     w-columns are exactly Re F_j and -Im F_j at the centre; its
     z-columns are central differences of the base map and of
     F_1..F_{n-1}, once per centre.  A cell is regular when the rank
-    equals 2n (full parameter count); cells below full rank are
+    equals 2n (full parameter count), counting the singular values
+    above _RANK_THRESHOLD times the largest; cells below full rank are
     flagged, and so are all cells at a z whose stencil touches a
     degenerate point.  The z-grid is shrunk slightly so the z-stencil
     stays inside the domain, and a z-grid with no point inside it (a
@@ -251,7 +252,7 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     # stencil rows: z, z + h, z - h, z + ih, z - ih
     pts = np.stack([centres, centres + h_z, centres - h_z,
                     centres + 1j * h_z, centres - 1j * h_z])
-    batch = f_chain_eval(chain, pts.ravel(), eps_singular)
+    batch = f_chain_eval(chain, pts.ravel())
     base = _kaehler_base(batch, params).reshape(pts.shape + (-1,))
     F = batch.F.reshape(pts.shape + batch.F.shape[1:])[:, :, :n - 1]
     degenerate = np.isnan(base[..., 0]).any(axis=0)
@@ -271,7 +272,7 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
 
     # degenerate cells keep all-zero singular values, hence rank 0
     top = np.where(sigmas[..., 0] > 0, sigmas[..., 0], 1.0)
-    ranks = np.sum(sigmas > rank_threshold * top[..., None], axis=-1)
+    ranks = np.sum(sigmas > _RANK_THRESHOLD * top[..., None], axis=-1)
     return KaehlerRegularityReport(expected_rank=expected, centres=centres, w=w,
                                    ranks=ranks)
 
@@ -280,29 +281,29 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
 # Ruled minimal submanifolds
 # ---------------------------------------------------------------------------
 
-def ruled_point(chain, params, z, eps_singular=DEFAULT_EPS_SINGULAR):
+def ruled_point(chain, params, z):
     """Sphere-exponential of the normal vector w at g(z):
     cos(|w|) g + sinc(|w|) w.  Unit norm by construction."""
-    values, batch = _ruled(chain, params, np.array([z]), eps_singular)
+    values, batch = _ruled(chain, params, np.array([z]))
     require_regular(batch)
     return values[0]
 
 
-def ruled_points(chain, params, zs, eps_singular=DEFAULT_EPS_SINGULAR):
+def ruled_points(chain, params, zs):
     """`ruled_point` at a flat array of points, with one chain evaluation;
     returns (values, valid) as `kaehler_points` does."""
-    values, batch = _ruled(chain, params, zs, eps_singular)
+    values, batch = _ruled(chain, params, zs)
     return values, batch.ok
 
 
-def _ruled(chain, params, zs, eps_singular):
+def _ruled(chain, params, zs):
     """The ruled map at the flat array zs, as `_kaehler` returns it."""
     n = chain.n
     if n < 3:
         raise ValueError("the ruled map requires n >= 3")
     if len(params.w) != n - 2:
         raise ValueError(f"w needs {n - 2} entries, got {len(params.w)}")
-    batch = f_chain_eval(chain, zs, eps_singular)
+    batch = f_chain_eval(chain, zs)
     values = np.full(batch.g.shape, np.nan)
     idx = np.flatnonzero(batch.ok)
     values[idx] = _ruled_values(batch.F[idx], batch.g[idx],
@@ -327,15 +328,15 @@ class RuledProbeResult:
     degenerate: bool
 
 
-def ruled_minimality_probe(chain, params, z, fd_step=None,
-                           det_threshold=1e-10,
-                           eps_singular=DEFAULT_EPS_SINGULAR):
+def ruled_minimality_probe(chain, params, z):
     """Mean curvature (inside the sphere) of the 4-parameter ruled map at
-    one point, estimated by central differences over (x, y, u, v).
+    one point, estimated by central differences over (x, y, u, v) with
+    the step 1e-3 times the domain diameter.
 
     Only the n = 3 case is supported; the result is invariant under
-    rescaling the parameters.  Near-degenerate induced metrics, and
-    stencils that touch a point where the chain or the surface
+    rescaling the parameters.  Near-degenerate induced metrics (Gram
+    determinant below _DET_THRESHOLD times the product of its diagonal),
+    and stencils that touch a point where the chain or the surface
     normalization degenerates, are flagged instead of returning a
     number.
 
@@ -348,9 +349,7 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
         raise ValueError("the minimality probe supports n = 3 only")
     if len(params.w) != 1:
         raise ValueError("w needs exactly 1 entry for n = 3")
-    if fd_step is None:
-        fd_step = 1e-3 * chain.domain.diameter
-    h = fd_step
+    h = 1e-3 * chain.domain.diameter
     scalar = np.ndim(z) == 0
     zs = np.asarray(z, dtype=complex).ravel()
     centres = [z] if scalar else zs.tolist()
@@ -360,21 +359,20 @@ def ruled_minimality_probe(chain, params, z, fd_step=None,
         raise DomainError(f"probe stencil at z={bad} leaves the domain")
     offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
     steps = np.array([dx + 1j * dy for dx, dy in offsets])
-    batch = f_chain_eval(chain, (zs[:, None] + steps).ravel(), eps_singular)
+    batch = f_chain_eval(chain, (zs[:, None] + steps).ravel())
     F = batch.F.reshape((zs.size, len(offsets)) + batch.F.shape[1:])
     g = batch.g.reshape(zs.size, len(offsets), -1)
     degenerate = ~batch.ok.reshape(zs.size, len(offsets)).all(axis=1)
     results = [RuledProbeResult(c, params.w, None, None, True) for c in centres]
     regular = np.flatnonzero(~degenerate)
     if regular.size:
-        found = _ruled_probe(F[regular], g[regular], params.w[0], h, offsets,
-                             det_threshold)
+        found = _ruled_probe(F[regular], g[regular], params.w[0], h, offsets)
         for k, (residual, det, flagged) in zip(regular, zip(*found)):
             results[k] = RuledProbeResult(centres[k], params.w, residual, det, flagged)
     return results[0] if scalar else results
 
 
-def _ruled_probe(F, g, w0, h, offsets, det_threshold):
+def _ruled_probe(F, g, w0, h, offsets):
     """Residuals, Gram determinants and flags of the probe at P centres
     with the chain vectors F (P, 9, m, d) and surface vectors g (P, 9, d)
     at their z-offsets, all nine regular; the residual is None where the
@@ -409,7 +407,7 @@ def _ruled_probe(F, g, w0, h, offsets, det_threshold):
     det = np.linalg.det(gram)
     norm_scale = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
     norm_scale[norm_scale == 0] = 1.0
-    flagged = det < det_threshold * norm_scale
+    flagged = det < _DET_THRESHOLD * norm_scale
     residual = [None] * det.size
     ok = np.flatnonzero(~flagged)
     if ok.size:
@@ -430,8 +428,7 @@ def _cell(*steps):
     return tuple(cell)
 
 
-def ruling_geodesic_residual(chain, z, h=1e-4,
-                             eps_singular=DEFAULT_EPS_SINGULAR):
+def ruling_geodesic_residual(chain, z):
     """Normal component of the second derivative along a ruling direction
     at w = 0: zero means the rulings are geodesic circles.  None where
     the chain or the surface normalization degenerates at z or on the
@@ -439,14 +436,15 @@ def ruling_geodesic_residual(chain, z, h=1e-4,
     if chain.n < 3:
         raise ValueError("the ruled map requires n >= 3")
     zero = tuple(0j for _ in range(chain.n - 2))
-    batch = f_chain_eval(chain, np.array([z]), eps_singular)
-    dfield, = wirtinger(stencil_field(chain, eps_singular), z, [(1, 0)],
-                        h=1e-4 * chain.domain.diameter)
+    batch = f_chain_eval(chain, np.array([z]))
+    dfield, = wirtinger(stencil_field(chain), z, [(1, 0)],
+                        h=default_step(chain.domain.diameter, 1))
     dg = dfield[0]   # the surface part
     if not batch.ok[0] or np.isnan(dg).any():
         return None
     F, g = batch.F[0], batch.g[0]
 
+    h = _GEODESIC_STEP
     w = np.array([(complex(t, 0.0),) + zero[1:] for t in (0.0, h, -h)])
     center, plus, minus = _ruled_values(F, g, w)
     acc = (plus - 2 * center + minus) / (h * h)

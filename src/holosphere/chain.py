@@ -57,7 +57,7 @@ from .expr import (
     poly_coeffs,
     to_string,
 )
-from .fd import wirtinger
+from .fd import default_step, wirtinger
 from .products import _dot, _max0, _norm
 
 DEFAULT_EPS_SINGULAR = 1e-12
@@ -84,7 +84,8 @@ class AlphaChain:
     i holds the z^i coefficient of every component of every derivative
     k, and the rows past the end of derivative k are zero.  surrogates
     describes the Taylor surrogate of every non-polynomial beta: its
-    index, text, degree, rho and measured circle error.
+    index, text, degree, rho and measured circle error.  eps_singular is
+    the degeneracy threshold of every evaluation (`f_chain_eval`).
     """
 
     n: int
@@ -94,6 +95,7 @@ class AlphaChain:
     alpha_coeffs: tuple
     jet_coeffs: np.ndarray
     surrogates: tuple
+    eps_singular: float
 
     @property
     def dim(self):
@@ -129,7 +131,8 @@ def _as_expr(b):
     return parse_expr(b) if isinstance(b, str) else b
 
 
-def build_alpha_chain(betas, constants=None, domain=None):
+def build_alpha_chain(betas, constants=None, domain=None,
+                      eps_singular=DEFAULT_EPS_SINGULAR):
     """Construct the chain from n holomorphic functions.
 
     betas: sequence of n expression trees or strings (beta_0..beta_{n-1}).
@@ -139,6 +142,9 @@ def build_alpha_chain(betas, constants=None, domain=None):
     the disk |z| <= rho around the domain; one whose Taylor surrogate
     misses the tolerance raises DomainError.  A chain whose coefficients
     leave double range raises EvaluationError at the first such level.
+    eps_singular is the chain's degeneracy threshold: a point is singular
+    where a squared chain norm, or the squared real part of F_{n+1},
+    falls to eps_singular times the largest squared jet norm there.
     """
     betas = tuple(_as_expr(b) for b in betas)
     n = len(betas)
@@ -207,6 +213,7 @@ def build_alpha_chain(betas, constants=None, domain=None):
         alpha_coeffs=tuple(alphas),
         jet_coeffs=jet,
         surrogates=tuple(surrogates),
+        eps_singular=eps_singular,
     )
 
 
@@ -420,33 +427,33 @@ def _gram_schmidt(jets, eps_singular):
     return F, norms, scale_sq, singular
 
 
-def f_chain_eval(chain, zs, eps_singular=DEFAULT_EPS_SINGULAR):
-    """Batched chain evaluation at a flat array of in-domain points."""
+def f_chain_eval(chain, zs):
+    """Batched chain evaluation at a flat array of in-domain points, with
+    the chain's own degeneracy threshold `chain.eps_singular`."""
     zs = np.asarray(zs, dtype=complex).ravel()
     slack = -1e-12 * chain.domain.diameter
     inside = chain.domain.contains(zs, margin=slack)
     if not np.all(inside):
         bad = zs[np.argmin(inside)]
         raise DomainError(f"point {bad} is outside the chain domain")
-    return FChainBatch(zs, chain.jets_at(zs), eps_singular)
+    return FChainBatch(zs, chain.jets_at(zs), chain.eps_singular)
 
 
-def recursion_crosscheck(chain, z, h=None, eps_singular=DEFAULT_EPS_SINGULAR):
+def recursion_crosscheck(chain, z):
     """Maximum relative deviation between the Gram-Schmidt chain vectors
     and the literal first-order recursion evaluated with a 4-point
     finite-difference Wirtinger derivative of each (non-holomorphic)
     chain field.  The first step is holomorphic, so its derivative comes
     from the symbolic jet and agrees to roundoff.
     """
-    if h is None:
-        h = 1e-4 * chain.domain.diameter
-    base = f_chain_eval(chain, np.array([z]), eps_singular)
+    h = default_step(chain.domain.diameter, 1)
+    base = f_chain_eval(chain, np.array([z]))
     if base.singular[0]:
         raise SingularPointError("chain degenerates", z)
     stencil = np.array([z + h, z - h, z + 1j * h, z - 1j * h])
     if not np.all(chain.domain.contains(stencil)):
         raise DomainError(f"crosscheck stencil at z={z} leaves the domain")
-    dfield, = wirtinger(stencil_field(chain, eps_singular), base.z, [(1, 0)], h=h)
+    dfield, = wirtinger(stencil_field(chain), base.z, [(1, 0)], h=h)
     worst = recursion_residuals(base, dfield[:, 1:chain.n + 1])[0]
     if np.isnan(worst):
         raise SingularPointError("chain degenerates on the stencil", z)
@@ -472,7 +479,7 @@ def recursion_residuals(base, dF):
     return out
 
 
-def stencil_field(chain, eps_singular=DEFAULT_EPS_SINGULAR):
+def stencil_field(chain):
     """The field that every finite-difference check differentiates: from
     a flat array of points to complex rows (B, 2n, 2n+1) holding, in
     order, the surface vector `g` of the batch, F_1..F_n and
@@ -482,7 +489,7 @@ def stencil_field(chain, eps_singular=DEFAULT_EPS_SINGULAR):
     derivatives of the parts it concerns."""
 
     def field(zs):
-        batch = f_chain_eval(chain, zs, eps_singular)
+        batch = f_chain_eval(chain, zs)
         F = batch.F[:, :chain.n].copy()
         F[batch.singular] = np.nan
         return np.concatenate([batch.g[:, None], F, np.conj(F[:, 1:])], axis=1)
@@ -534,11 +541,11 @@ class GridScan:
                    surface=surface)
 
 
-def scan_grid(chain, rows, cols, eps_singular=DEFAULT_EPS_SINGULAR):
+def scan_grid(chain, rows, cols):
     """Evaluate chain and surface over a rows x cols grid of the domain.
 
     Grid order is row-major and the result is deterministic for fixed
     inputs.  Degenerate points are masked, never raised.
     """
     zs, inside = chain.domain.grid(rows, cols)
-    return GridScan.scatter(zs, inside, f_chain_eval(chain, zs[inside], eps_singular))
+    return GridScan.scatter(zs, inside, f_chain_eval(chain, zs[inside]))

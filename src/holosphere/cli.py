@@ -3,7 +3,8 @@
 Subcommands: generate, verify, reconstruct, kaehler, ruled.  Every run
 takes a JSON config (--config) or a built-in sample (--seed-demo N for
 n = 1, 2, 3) and writes its outputs into --out.  Exit codes: 0 all
-checks pass, 1 error, 2 verification failure.
+checks pass, 1 error (a verification that checks no point is one),
+2 verification failure.
 """
 
 import argparse
@@ -117,7 +118,7 @@ def _say(quiet, *parts):
 
 
 def _chain(cfg):
-    return build_alpha_chain(cfg.betas, cfg.constants, cfg.domain)
+    return build_alpha_chain(cfg.betas, cfg.constants, cfg.domain, cfg.eps_singular)
 
 
 def _report_lines(report, quiet):
@@ -156,7 +157,6 @@ def _diagnose(cfg, outdir, quiet):
         _chain(cfg),
         grid=cfg.grid,
         tolerances=cfg.tolerances,
-        eps_singular=cfg.eps_singular,
         fd_step=cfg.fd_step,
         calabi_order=cfg.calabi_order,
         perturb=cfg.perturb,
@@ -170,12 +170,10 @@ def cmd_generate(cfg, outdir, quiet):
     report = _diagnose(cfg, outdir, quiet)
     scan, grids = report.scan, report.grids()
     # each vertex carries the largest residual of its point
-    attribute = None
-    if scan.inside.any():
-        attribute = ("residual", np.fmax.reduce(list(grids.values())))
     _write_grid(cfg, outdir, "surface",
                 lambda path: write_surface_csv(scan, path, grids),
-                scan.valid, scan.surface, attribute)
+                scan.valid, scan.surface,
+                ("residual", np.fmax.reduce(list(grids.values()))))
     _say(quiet, f"outputs written to {outdir}")
     return PASS if report.passed else FAIL
 
@@ -191,8 +189,7 @@ def cmd_reconstruct(cfg, outdir, quiet):
             f"unsupported n for reconstruction: {cfg.n} (max {MAX_RECONSTRUCT_N})",
         )
     rc = cfg.reconstruct
-    chain = _chain(cfg)
-    g = SurfaceEvaluator.from_chain(chain, cfg.eps_singular)
+    g = SurfaceEvaluator.from_chain(_chain(cfg))
     gauge = None
     if rc.get("gauge"):
         gauge_expr = parse_expr(rc["gauge"])
@@ -231,7 +228,7 @@ def _grid_points(cfg, chain, params, points):
     in-domain points of the config grid: (zs, valid, coords), with NaN
     coordinates where the point is outside or degenerate."""
     zs, inside = cfg.domain.grid(*cfg.grid)
-    values, regular = points(chain, params, zs[inside], cfg.eps_singular)
+    values, regular = points(chain, params, zs[inside])
     valid = np.zeros(zs.shape, dtype=bool)
     valid[inside] = regular
     coords = np.full(zs.shape + (chain.dim,), np.nan)
@@ -256,7 +253,6 @@ def cmd_kaehler(cfg, outdir, quiet):
         z_grid=kc["z_grid"],
         w_box=kc["w_box"],
         w_samples=kc["w_samples"],
-        eps_singular=cfg.eps_singular,
     )
     min_fraction = kc["min_regular_fraction"]
     passed = regularity.fraction_regular >= min_fraction
@@ -303,8 +299,7 @@ def cmd_ruled(cfg, outdir, quiet):
                     y0 + span_y * (0.25 + 0.5 * rng.random()))
             for _ in range(rc["probe_points"])
         ]
-        found = ruled_minimality_probe(chain, params, np.array(centres),
-                                       eps_singular=cfg.eps_singular)
+        found = ruled_minimality_probe(chain, params, np.array(centres))
         for z, res in zip(centres, found):
             probes.append(
                 {"z": [z.real, z.imag],
@@ -316,9 +311,7 @@ def cmd_ruled(cfg, outdir, quiet):
         # 0.1 off the centre, less where the domain is too small for it
         offset = min(0.1, span_x / 8, span_y / 8)
         geo = ruling_geodesic_residual(
-            chain, complex((x0 + x1) / 2 + offset, (y0 + y1) / 2 + offset),
-            eps_singular=cfg.eps_singular,
-        )
+            chain, complex((x0 + x1) / 2 + offset, (y0 + y1) / 2 + offset))
         if geo is not None:
             probe_ok = probe_ok and geo <= 1e-6
     else:

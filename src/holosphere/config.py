@@ -6,6 +6,7 @@ sample documents for n = 1, 2, 3.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .chain import DEFAULT_EPS_SINGULAR
@@ -47,13 +48,7 @@ def _as_complex(value, path):
         path,
         "complex numbers are [re, im] pairs",
     )
-    re, im = value
-    _expect(
-        isinstance(re, (int, float)) and isinstance(im, (int, float)),
-        path,
-        "complex components must be numbers",
-    )
-    return complex(re, im)
+    return complex(*(_as_real(part, path) for part in value))
 
 
 def _as_int(value, path, minimum=None):
@@ -67,6 +62,8 @@ def _as_int(value, path, minimum=None):
 def _as_real(value, path, positive=False):
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             path, "expected a number")
+    # false for NaN and infinities, and for integers past double range
+    _expect(abs(value) <= sys.float_info.max, path, "must be a finite number")
     if positive:
         _expect(value > 0, path, "must be positive")
     return float(value)

@@ -21,7 +21,6 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .chain import (
-    DEFAULT_EPS_SINGULAR,
     GridScan,
     f_chain_eval,
     recursion_residuals,
@@ -88,22 +87,21 @@ class SurfaceEvaluator:
         return default_step(self.domain.diameter, order)
 
     @classmethod
-    def from_chain(cls, chain, eps_singular=DEFAULT_EPS_SINGULAR):
+    def from_chain(cls, chain):
         def func(zs):
-            batch = f_chain_eval(chain, zs, eps_singular)
+            batch = f_chain_eval(chain, zs)
             require_regular(batch)
             return batch.g
 
         return cls(func=func, domain=chain.domain, dim=chain.dim, n=chain.n)
 
 
-def minimality_residual(g, z, h=None):
+def minimality_residual(g, z):
     """Norm of the component of the Laplacian orthogonal to the surface
     and to the sphere position, normalized by the first-derivative
     energy.  Vanishes (to FD accuracy) exactly for minimal surfaces.
     """
-    if h is None:
-        h = g.step(1)
+    h = g.step(1)
     if not g.domain.contains(z, margin=stencil_halfwidth(2, h)):
         raise DomainError(f"stencil at z={z} leaves the domain")
     zs = np.array([z])
@@ -141,7 +139,7 @@ def _normal_part(q, v):
     return v - (q @ (np.swapaxes(q, -1, -2) @ v[..., None]))[..., 0]
 
 
-def calabi_check(g, max_order, z, h=None):
+def calabi_check(g, max_order, z):
     """Table of |<d^j g, d^k g>| (symmetric product of iterated Wirtinger
     z-derivatives) for all 0 < j+k <= max_order.
 
@@ -150,11 +148,11 @@ def calabi_check(g, max_order, z, h=None):
     """
     if not 1 <= max_order <= 4:
         raise ValueError("max_order must be between 1 and 4")
-    top_h = h if h is not None else default_step(g.domain.diameter, max_order)
+    top_h = default_step(g.domain.diameter, max_order)
     if not g.domain.contains(z, margin=stencil_halfwidth(max_order, top_h)):
         raise DomainError(f"stencil at z={z} leaves the domain")
     zs = np.array([z])
-    derivs = wirtinger(g, zs, [(j, 0) for j in range(1, max_order + 1)], h=h,
+    derivs = wirtinger(g, zs, [(j, 0) for j in range(1, max_order + 1)],
                        diameter=g.domain.diameter)
     pairs, values = _calabi_values([g(zs).astype(complex)] + derivs)
     return _calabi_table(pairs, values[0].tolist())
@@ -233,8 +231,7 @@ def _fundamental_forms(F, norms_sq, g, orders):
     return forms
 
 
-def isotropic_surface_form_residual(chain, z, h=None,
-                                    eps_singular=DEFAULT_EPS_SINGULAR):
+def isotropic_surface_form_residual(chain, z):
     """Check, by finite differences, that twice the second fundamental
     form of the auxiliary isotropic map f = Re(antiderivative of the top
     chain map) along the repeated z-direction equals the second chain
@@ -257,9 +254,8 @@ def isotropic_surface_form_residual(chain, z, h=None,
             out[:, c] = npoly.polyval(zs, a).real
         return out
 
-    if h is None:
-        h = default_step(chain.domain.diameter, 1)
-    batch = f_chain_eval(chain, np.array([z]), eps_singular)
+    h = default_step(chain.domain.diameter, 1)
+    batch = f_chain_eval(chain, np.array([z]))
     if batch.singular[0]:
         raise SingularPointError("chain degenerates", z)
     v = 2.0 * wirtinger(f_field, z, [(2, 0)], h=h)[0]
@@ -271,20 +267,18 @@ def isotropic_surface_form_residual(chain, z, h=None,
     return float(np.linalg.norm(v - ref) / np.linalg.norm(ref))
 
 
-def second_normal_space_angle(chain, z, h=None, eps_singular=DEFAULT_EPS_SINGULAR):
+def second_normal_space_angle(chain, z):
     """Largest principal angle between the FD second-order normal space
     of the surface and the span of the (n-1)-th chain vector and its
     conjugate.  Requires n >= 2."""
     if chain.n < 2:
         raise ValueError("second normal space needs n >= 2")
-    g = SurfaceEvaluator.from_chain(chain, eps_singular)
-    if h is None:
-        h = g.step(1)
-    dg, d2 = wirtinger(g, z, [(1, 0), (2, 0)], h=h)
+    g = SurfaceEvaluator.from_chain(chain)
+    dg, d2 = wirtinger(g, z, [(1, 0), (2, 0)], h=g.step(1))
     basis = np.stack([g(np.array([z]))[0], 2.0 * dg.real, -2.0 * dg.imag], axis=1)
     q, _ = np.linalg.qr(basis)
     v1 = d2 - q.astype(complex) @ (q.T.astype(complex) @ d2)
-    F = f_chain_eval(chain, np.array([z]), eps_singular).F[0]
+    F = f_chain_eval(chain, np.array([z])).F[0]
     fd_basis = np.stack([v1, np.conj(v1)], axis=1)
     chain_basis = np.stack([F[chain.n - 2], np.conj(F[chain.n - 2])], axis=1)
     return float(principal_angles(fd_basis, chain_basis).max())
@@ -401,12 +395,12 @@ class _Sweep:
     family differentiates.
     """
 
-    def __init__(self, chain, zs, eps_singular, h, calabi_order, perturb):
+    def __init__(self, chain, zs, h, calabi_order, perturb):
         self.chain = chain
         self.z = zs
         self.h = h
         self.calabi_order = calabi_order
-        self.batch = f_chain_eval(chain, zs, eps_singular)
+        self.batch = f_chain_eval(chain, zs)
         self.regular = ~self.batch.singular
         # chain vectors of the algebraic families, perturbed if asked
         self.F = self.batch.F
@@ -416,7 +410,7 @@ class _Sweep:
         self.norms = np.sqrt(np.sum(np.abs(self.F) ** 2, axis=2))
         self.g = self.batch.g
         self.ok = self.batch.ok
-        self.field = stencil_field(chain, eps_singular)
+        self.field = stencil_field(chain)
         # (centre margin, step, order) of each field derivative read: the
         # FD families' at step h, the Calabi table's at its default steps
         margin = stencil_halfwidth(1, h)
@@ -624,7 +618,6 @@ def verify_all(
     chain,
     grid=(10, 10),
     tolerances=None,
-    eps_singular=DEFAULT_EPS_SINGULAR,
     fd_step=None,
     calabi_order=2,
     perturb=None,
@@ -641,7 +634,9 @@ def verify_all(
     (`chain.stencil_field`) evaluated once per stencil step for all
     centres: at default settings, nine points per centre at each of the
     steps h and h/2.  `perturb`, when given, injects a fault into the
-    per-point algebraic analysis so that detection can be tested.
+    per-point algebraic analysis so that detection can be tested.  A
+    sweep that checks nothing is refused: DomainError when no grid point
+    lies inside the domain, DegenerateSurfaceError when all are singular.
     """
     rows, cols = grid
     tols = dict(DEFAULT_TOLERANCES)
@@ -649,7 +644,10 @@ def verify_all(
         tols.update(tolerances)
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
     zs, inside = chain.domain.grid(rows, cols)
-    sweep = _Sweep(chain, zs[inside], eps_singular, h, calabi_order, perturb)
+    if not inside.any():
+        raise DomainError(f"no point of the {rows}x{cols} grid lies inside the "
+                          "domain")
+    sweep = _Sweep(chain, zs[inside], h, calabi_order, perturb)
     residuals = {}
     for fam, family in FAMILIES.items():
         values = family(sweep)
@@ -667,6 +665,11 @@ def verify_all(
             i = int(np.nanargmax(values))
             summary[fam] = float(values[i])
             worst[fam] = complex(sweep.z[i])
+    singular_count = int(np.sum(~sweep.ok))
+    if not summary:
+        raise DegenerateSurfaceError(
+            f"no invariant was checked: {singular_count} of the {sweep.z.size} "
+            f"grid points inside the domain are singular")
     status = {}
     for fam, val in summary.items():
         status[fam] = "PASS" if val <= tols.get(fam, np.inf) else "FAIL"
@@ -682,7 +685,7 @@ def verify_all(
         worst_point=worst,
         status=status,
         passed=passed,
-        singular_count=int(np.sum(~sweep.ok)),
+        singular_count=singular_count,
         scan=GridScan.scatter(zs, inside, sweep.batch),
         counts=counts,
         surrogates=list(chain.surrogates),

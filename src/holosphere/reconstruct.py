@@ -149,9 +149,8 @@ def _xi_rows(bottom, where):
     return np.conj(bottom) / nsq
 
 
-def _depth(g, n):
-    if n is None:
-        n = g.n
+def _depth(g):
+    n = g.n
     if n is None:
         raise ValueError("chain depth n is required for a black-box surface")
     if n > MAX_RECONSTRUCT_N:
@@ -177,7 +176,7 @@ class GChainSample:
         return self.G.shape[0] - 1
 
 
-def g_chain_at(g, z, n=None):
+def g_chain_at(g, z):
     """The descending chain at one point, read from one sweep of the
     sampling grid.
 
@@ -185,7 +184,7 @@ def g_chain_at(g, z, n=None):
     constant map at level 1), DomainError when z lies outside the
     sampling box.
     """
-    n = _depth(g, n)
+    n = _depth(g)
     grid = _point_grid(g, z)
     G = grid.at(np.stack(_descend(g, grid, n + 1), axis=2), np.array([z]))[0]
     norms = np.sum(np.abs(G) ** 2, axis=1)
@@ -274,18 +273,18 @@ class XiField:
         return float(np.linalg.norm(dbar) / max(np.linalg.norm(self(zs)[0]), 1e-300))
 
 
-def probe_termination(g, n=None, samples=_POINT_NODES):
+def probe_termination(g, samples=_POINT_NODES):
     """Relative size of G_{n+1} against G_n at the samples x samples
     grid points: the termination test that certifies
     pseudoholomorphicity."""
-    n = _depth(g, n)
+    n = _depth(g)
     grid = _sampling_grid(g, samples, samples)
     return _termination_ratios(*_descend(g, grid, n + 1)[-2:])
 
 
-def sample_xi(g, n=None, rows=41, cols=41):
+def sample_xi(g, rows=41, cols=41):
     """The recovered holomorphic field on a rows x cols sampling grid."""
-    n = _depth(g, n)
+    n = _depth(g)
     grid = _sampling_grid(g, rows, cols)
     bottom = _descend(g, grid, n)[-1]
     return XiField(grid.xs, grid.ys, _xi_rows(bottom, "on the grid"))
@@ -318,25 +317,26 @@ class RoundtripResult:
 def roundtrip(
     g,
     grid=(8, 8),
-    n=None,
     sample_grid=(41, 41),
     gauge=None,
     refusal_threshold=1e-2,
 ):
     """Reconstruct the surface from itself and measure the sup distance.
 
-    One sweep of the sampling grid to level n+1 gives the termination
-    ratios and the recovered field.  The field is optionally multiplied
-    by a gauge factor (any nowhere-zero holomorphic function; the surface
-    must not care), interpolated, differentiated, and pushed through the
-    forward orthogonalization of `chain.FChainBatch`, whose surface is
+    The chain depth n is the surface's own, `g.n`.  One sweep of the
+    sampling grid to level n+1 gives the termination ratios and the
+    recovered field.  The field is optionally multiplied by a gauge
+    factor (any nowhere-zero holomorphic function; the surface must not
+    care), interpolated, differentiated, and pushed through the forward
+    orthogonalization of `chain.FChainBatch` at the default degeneracy
+    threshold (the recovered jets belong to no chain), whose surface is
     the normalized real part, as for every chain surface.  Per-point
     distances use min over its sign ambiguity.  Surfaces whose chain
     fails to terminate are refused, and reconstructed jets that
     degenerate, or whose real part collapses, raise
     DegenerateSurfaceError.
     """
-    n = _depth(g, n)
+    n = _depth(g)
     rows, cols = grid
     srows, scols = sample_grid
     nodes = _sampling_grid(g, srows, scols)

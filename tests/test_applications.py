@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holosphere import build_alpha_chain, f_chain_eval
+from holosphere import applications, build_alpha_chain, f_chain_eval
 from holosphere.applications import (
     KaehlerParams,
     RuledParams,
@@ -154,9 +154,10 @@ class TestRuledProbes:
     def test_ruling_second_form_vanishes(self, chain_n3):
         assert ruling_geodesic_residual(chain_n3, Z0) <= 1e-6
 
-    def test_degenerate_metric_flagged(self, chain_n3):
+    def test_degenerate_metric_flagged(self, chain_n3, monkeypatch):
         params = RuledParams.create([0.07 + 0.03j])
-        res = ruled_minimality_probe(chain_n3, params, Z0, det_threshold=1e12)
+        monkeypatch.setattr(applications, "_DET_THRESHOLD", 1e12)
+        res = ruled_minimality_probe(chain_n3, params, Z0)
         assert res.degenerate
         assert res.residual is None
 

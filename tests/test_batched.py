@@ -78,7 +78,7 @@ def test_minimality_and_calabi_over_centres(surface_n2):
     pairs, values = geometry._calabi_values([gz.astype(complex)] + derivs)
     assert not np.isnan(values).any()
     for z, r, row in zip(CENTRES, resid, values):
-        assert r == minimality_residual(surface_n2, z, h)
+        assert r == minimality_residual(surface_n2, z)
         table = geometry._calabi_table(pairs, row.tolist())
         assert table == calabi_check(surface_n2, 3, z)
 
@@ -89,7 +89,7 @@ def test_recursion_over_centres(chain_n3):
     dfield, = wirtinger(stencil_field(chain_n3), CENTRES, [(1, 0)], h=h)
     together = recursion_residuals(base, dfield[:, 1:4])
     for z, value in zip(CENTRES, together):
-        assert value == recursion_crosscheck(chain_n3, z, h)
+        assert value == recursion_crosscheck(chain_n3, z)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -142,9 +142,13 @@ def test_masking_reaches_only_centres_touching_a_degenerate_point():
     resid = residuals(centres)
     assert np.isnan(resid[0]) and np.isnan(resid[2])
     assert resid[1] == residuals(centres[1:2])[0]
-    assert resid[1] == pytest.approx(minimality_residual(g, 1.0 + 0.5j, 0.5), rel=1e-9)
+    # the black-box surface, differentiated at the same step, agrees where
+    # the stencil misses z = 0 and raises where it reaches it
+    dg, lap = wirtinger(g, centres[1:2], [(1, 0), (1, 1)], h=0.5)
+    assert resid[1] == pytest.approx(
+        minimality_residuals(g(centres[1:2]), dg, lap)[0][0], rel=1e-9)
     with pytest.raises(SingularPointError):
-        minimality_residual(g, 0.5 + 0j, 0.5)
+        wirtinger(g, centres[:1], [(1, 0), (1, 1)], h=0.5)
 
 
 @pytest.mark.parametrize("betas", [["1+0.2*z"], ["1+0.2*z", "z^2+1"],
@@ -431,11 +435,11 @@ def ref_ruled_value(F, g, w):
     return np.cos(t) * g + np.sinc(t / np.pi) * wvec
 
 
-def ref_ruled_probe(chain, params, z, h, det_threshold=1e-10, eps_singular=1e-12):
+def ref_ruled_probe(chain, params, z, h, det_threshold=1e-10):
     u0, v0 = params.w[0].real, params.w[0].imag
     offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
     batch = f_chain_eval(
-        chain, np.array([z + (dx + 1j * dy) for dx, dy in offsets]), eps_singular
+        chain, np.array([z + (dx + 1j * dy) for dx, dy in offsets])
     )
     g = batch.g
     if np.isnan(g).any():
@@ -501,7 +505,7 @@ def _sweep(name):
     chain, grid, fd_step, calabi_order, perturb = SWEEPS[name]()
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
     zs, inside = chain.domain.grid(*grid)
-    return geometry._Sweep(chain, zs[inside], 1e-12, h, calabi_order, perturb), perturb
+    return geometry._Sweep(chain, zs[inside], h, calabi_order, perturb), perturb
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -550,7 +554,7 @@ def test_algebraic_families_match_loops_at_many_points(betas):
     # numpy's array forms round differently from the scalar ones
     chain = build_alpha_chain(betas)
     zs = _random_points(3000, len(betas))
-    sw = geometry._Sweep(chain, zs, 1e-12, 1e-4, 0, {"target": "F2", "magnitude": 1e-3})
+    sw = geometry._Sweep(chain, zs, 1e-4, 0, {"target": "F2", "magnitude": 1e-3})
     for fam in ("isotropy", "hermitian_orthogonality", "collinearity", "circularity"):
         assert_same_bits(geometry.FAMILIES[fam](sw), REFERENCE_FAMILIES[fam](sw))
 
@@ -632,7 +636,7 @@ def test_kaehler_base_matches_one_point_loop(name, gamma):
     chain = build_alpha_chain(betas)
     params = KaehlerParams.create(gamma, w)
     zs, inside = chain.domain.grid(11, 11)
-    batch = f_chain_eval(chain, zs[inside], 1e-12)
+    batch = f_chain_eval(chain, zs[inside])
     assert_same_bits(applications._kaehler_base(batch, params),
                      ref_kaehler_base(batch, batch.g, params))
 
@@ -640,7 +644,7 @@ def test_kaehler_base_matches_one_point_loop(name, gamma):
 def test_kaehler_base_matches_one_point_loop_at_many_points():
     chain = build_alpha_chain(["1+0.2*z", "z^2+1"])
     params = KaehlerParams.create(GAMMAS[0], [0.05 + 0.02j])
-    batch = f_chain_eval(chain, _random_points(3000, 7), 1e-12)
+    batch = f_chain_eval(chain, _random_points(3000, 7))
     assert_same_bits(applications._kaehler_base(batch, params),
                      ref_kaehler_base(batch, batch.g, params))
 
@@ -651,8 +655,8 @@ def test_ruled_map_matches_one_point_loop(betas):
     chain = build_alpha_chain(betas)
     params = RuledParams.create([0.07 + 0.03j])
     zs, inside = chain.domain.grid(11, 11)
-    values, batch = applications._ruled(chain, params, zs[inside], 1e-12)
-    g = f_chain_eval(chain, zs[inside], 1e-12).g
+    values, batch = applications._ruled(chain, params, zs[inside])
+    g = f_chain_eval(chain, zs[inside]).g
     want = np.full(g.shape, np.nan)
     for i in np.flatnonzero(~np.isnan(g[:, 0])):
         want[i] = ref_ruled_value(batch.F[i], g[i], params.w)
@@ -660,7 +664,7 @@ def test_ruled_map_matches_one_point_loop(betas):
 
 
 @pytest.mark.parametrize("det_threshold", [1e-10, 1e12])
-def test_ruled_probes_match_one_probe_loop(det_threshold):
+def test_ruled_probes_match_one_probe_loop(det_threshold, monkeypatch):
     # five probes of the chain of betas (z, 1, 1), singular at z = 0: the
     # stencil of the second probe reaches it
     chain = build_alpha_chain(["z", "1", "1"])
@@ -668,7 +672,8 @@ def test_ruled_probes_match_one_probe_loop(det_threshold):
     h = 1e-3 * chain.domain.diameter
     centres = np.array([0.31 + 0.17j, h + h * 1j, -0.4 + 0.25j, 0.1 - 0.3j,
                         -0.22 - 0.41j])
-    found = ruled_minimality_probe(chain, params, centres, det_threshold=det_threshold)
+    monkeypatch.setattr(applications, "_DET_THRESHOLD", det_threshold)
+    found = ruled_minimality_probe(chain, params, centres)
     assert [res.degenerate for res in found][1]
     for z, res in zip(centres, found):
         residual, det, degenerate = ref_ruled_probe(chain, params, z, h, det_threshold)
@@ -679,8 +684,7 @@ def test_ruled_probes_match_one_probe_loop(det_threshold):
             assert_same_bits(res.residual, residual)
         if det is not None:
             assert_same_bits(res.gram_det, det)
-        one = ruled_minimality_probe(chain, params, complex(z),
-                                     det_threshold=det_threshold)
+        one = ruled_minimality_probe(chain, params, complex(z))
         assert (one.residual, one.gram_det, one.degenerate) == (
             res.residual, res.gram_det, res.degenerate)
 

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import subprocess
@@ -411,6 +412,41 @@ class TestErrors:
         assert code == 1
         assert "beta 1/(z-1.2) has no Taylor surrogate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, block, key, value, path", [
+        ("kaehler", "kaehler", "w_box", [float("nan"), 0.1], "$.kaehler.w_box[0]"),
+        ("verify", None, "eps_singular", float("inf"), "$.eps_singular"),
+        ("verify", None, "fd_step", float("inf"), "$.fd_step"),
+        ("verify", None, "fd_step", 10 ** 400, "$.fd_step"),
+        ("ruled", "ruled", "w", [[float("nan"), 0]], "$.ruled.w[0]"),
+    ], ids=["nan_w_box", "infinite_eps", "infinite_step", "huge_integer_step",
+            "nan_ruled_w"])
+    def test_non_finite_number_refused(self, tmp_path, capsys, command, block, key,
+                                       value, path):
+        # Python's JSON reader takes NaN and Infinity; the config must not
+        doc = demo_config(3)
+        (doc[block] if block else doc)[key] = value
+        code = main([command, "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "run")])
+        assert code == ERROR
+        assert f"{path}: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    @pytest.mark.parametrize("change, message", [
+        ({"betas": ["0", "1"]}, "100 of the 100 grid points inside the domain are "
+                                "singular"),
+        ({"eps_singular": 1.0}, "100 of the 100 grid points inside the domain are "
+                                "singular"),
+        ({"domain": DOMAINS["unit_disk"], "grid": {"rows": 2, "cols": 2}},
+         "no point of the 2x2 grid lies inside the domain"),
+    ], ids=["zero_beta", "unit_threshold", "grid_missing_the_disk"])
+    def test_verification_that_checks_nothing_is_refused(self, tmp_path, capsys,
+                                                         command, change, message):
+        doc = dict(demo_config(2), **change)
+        code = main([command, "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "run")])
+        assert code == ERROR
+        assert message in capsys.readouterr().err
+
     def test_overflowing_chain_value_refused_without_warnings(self, tmp_path):
         # finite coefficients whose value overflows near z = 20: the
         # refusal names the point, and no numpy warning reaches stderr
@@ -505,6 +541,29 @@ def test_grid_commands_write_exactly_the_requested_formats(tmp_path, command, na
                          str(out), "--quiet"]) == 0
             written = sorted(p.name for p in out.iterdir())
             assert written == sorted([report] + [f"{name}.{f}" for f in formats])
+
+
+def _valid_column(path):
+    with open(path, newline="") as fh:
+        return [row["valid"] for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("eps, singular", [(1e-12, 9), (1e-2, 13)])
+def test_config_threshold_reaches_every_command(tmp_path, eps, singular):
+    # the chain of betas (z, 1, 1) masks more points of the 9 x 9 grid as
+    # eps_singular grows, and every command masks the same ones
+    doc = demo_config(3)
+    doc.update(betas=["z", "1", "1"], grid={"rows": 9, "cols": 9}, eps_singular=eps)
+    doc["output"]["formats"] = ["csv"]
+    cfg = _write(tmp_path, doc)
+    for command in ("verify", "generate", "kaehler", "ruled"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path), "--quiet"]) != ERROR
+    report = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert report["singular_count"] == singular
+    surface, kaehler, ruled = (_valid_column(tmp_path / f"{name}.csv")
+                               for name in ("surface", "kaehler", "ruled"))
+    assert surface == kaehler == ruled
+    assert surface.count("0") == singular
 
 
 def test_generate_evaluates_its_grid_once(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,7 @@ class TestRoundtrip:
 
     def test_unsupported_depth(self, surface_n1):
         with pytest.raises(ValueError):
-            roundtrip(surface_n1, n=4)
+            roundtrip(dataclasses.replace(surface_n1, n=4))
 
 
 class TestEvaluationCount:
