@@ -57,8 +57,6 @@ class KaehlerParams:
         gamma = _as_gamma(gamma)
         gx = differentiate(gamma, "x")
         gy = differentiate(gamma, "y")
-        # second partials must also exist (smoothness contract)
-        differentiate(gx, "x"), differentiate(gy, "y")
         return cls(
             gamma=gamma,
             w=tuple(complex(c) for c in w),
@@ -171,7 +169,7 @@ def kaehler_point_reference(chain, params, z):
     batch = f_chain_eval(chain, np.array([z]))
     require_regular(batch)
     gamma, gamma_z = params.gamma_values(complex(z))
-    dg, = wirtinger(g_eval, z, [(1, 0)], h=g_eval.step(1))
+    dg, = wirtinger(g_eval, z, [(1, 0)], default_step(chain.domain.diameter, 1))
     metric = float(np.sum(np.abs(dg) ** 2))
     grad_push = (2.0 / metric) * np.real(np.conj(gamma_z) * dg)
     w = np.array(params.w, dtype=complex)

@@ -390,9 +390,6 @@ class FChainBatch:
         """Where both the chain and the surface normalization are regular."""
         return ~(self.singular | self.collapsed)
 
-    def __len__(self):
-        return self.z.size
-
     def take(self, idx):
         """The sub-batch at the given indices, every field kept."""
         part = object.__new__(FChainBatch)

@@ -124,6 +124,10 @@ def _chain(cfg):
 def _report_lines(report, quiet):
     for fam in sorted(report.status):
         status = report.status[fam]
+        if status == "UNCHECKED":
+            _say(quiet, f"[{status}] {fam}: checked at no point "
+                        f"({report.counts[fam]['skipped']} skipped)")
+            continue
         line = (
             f"[{status}] {fam}: max residual {report.summary[fam]:.3e}"
             f" (tolerance {report.tolerances[fam]:.1e})"

@@ -18,10 +18,9 @@ which is how they enter the chain.  The chain replaces every other tree
 surrogate taken from its values on a circle (`chain.build_alpha_chain`).
 
 Evaluation accepts scalars or numpy arrays of points.  Differentiation is
-symbolic throughout.  `antiderivative` serves general trees: polynomial
-ones integrate termwise, others become an opaque `Antideriv` node whose
-derivative is the original tree and whose value is an adaptive path
-integral from the domain base point.
+symbolic throughout.  `antiderivative` evaluates the antiderivative of a
+general tree: polynomial ones integrate termwise, the others by an
+adaptive path integral from the domain base point.
 """
 
 from dataclasses import dataclass
@@ -104,17 +103,6 @@ class Sin(HoloExpr):
 @dataclass(frozen=True)
 class Cos(HoloExpr):
     operand: HoloExpr
-
-
-@dataclass(frozen=True)
-class Antideriv(HoloExpr):
-    """Opaque antiderivative node (never produced by the parser).
-
-    Evaluates through the attached `Antiderivative`; differentiates back
-    to the integrand.
-    """
-
-    anti: "Antiderivative"
 
 
 ZERO = Const(0j)
@@ -329,9 +317,6 @@ def _to_string(e):
         return f"sin({_to_string(e.operand)[0]})", _PREC_ATOM
     if isinstance(e, Cos):
         return f"cos({_to_string(e.operand)[0]})", _PREC_ATOM
-    if isinstance(e, Antideriv):
-        # Diagnostic form only; antiderivative nodes are not reparseable.
-        return f"antideriv({_to_string(e.anti.expr)[0]})", _PREC_ATOM
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -384,8 +369,6 @@ def _eval(e, env):
             # entries are Python scalars: each gets the one-point call
             ufunc = np.frompyfunc(ufunc, 1, 1)
         return ufunc(value)
-    if isinstance(e, Antideriv):
-        return e.anti.value(env["z"])
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -427,8 +410,7 @@ def eval_env(e, env):
 # ---------------------------------------------------------------------------
 
 def is_polynomial(e):
-    """True iff the tree contains no division, entire function, or opaque
-    antiderivative node."""
+    """True iff the tree contains no division or entire function."""
     if isinstance(e, (Const, Var)):
         return True
     if isinstance(e, (Add, Sub, Mul)):
@@ -451,7 +433,7 @@ def _is_one(e):
 def simplify(e):
     """Light bottom-up cleanup: constant folding on +,-,*,/ and pruning of
     zero/one identities.  Keeps transcendental nodes untouched."""
-    if isinstance(e, (Const, Var, Antideriv)):
+    if isinstance(e, (Const, Var)):
         return e
     if isinstance(e, Neg):
         a = simplify(e.operand)
@@ -545,10 +527,6 @@ def _diff(e, var):
         return Mul(Cos(e.operand), _diff(e.operand, var))
     if isinstance(e, Cos):
         return Mul(Neg(Sin(e.operand)), _diff(e.operand, var))
-    if isinstance(e, Antideriv):
-        if var != "z":
-            raise ValueError("path antiderivatives differentiate in z only")
-        return e.anti.expr
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -606,9 +584,8 @@ def _trim(c):
 
 
 def _canonical(c):
-    """An ascending coefficient array in the form the tree round trip
-    `poly_coeffs(poly_to_expr(c))` gives it: exact trailing zeros
-    trimmed and, unless a single nonzero constant remains, negative
+    """An ascending coefficient array in canonical form: exact trailing
+    zeros trimmed and, unless a single nonzero constant remains, negative
     zeros cleared."""
     c = _trim(c)
     return c.copy() if len(c) == 1 and c[0] != 0 else c + 0.0
@@ -622,27 +599,6 @@ def _poly_integral(coeffs, constant, base_point):
     return shifted
 
 
-def poly_to_expr(coeffs, var="z"):
-    """Canonical expression tree for an ascending coefficient array."""
-    terms = []
-    v = Var(var)
-    for k, c in enumerate(coeffs):
-        c = complex(c)
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(Const(c))
-        else:
-            power = v if k == 1 else Pow(v, k)
-            terms.append(power if c == 1 else Mul(Const(c), power))
-    if not terms:
-        return ZERO
-    node = terms[0]
-    for t in terms[1:]:
-        node = Add(node, t)
-    return node
-
-
 # ---------------------------------------------------------------------------
 # Antiderivatives
 # ---------------------------------------------------------------------------
@@ -651,7 +607,7 @@ class Antiderivative:
     """Antiderivative of a one-variable tree, anchored at the domain base
     point: value(base_point) == constant.
 
-    Polynomial integrands integrate termwise into a new polynomial tree
+    Polynomial integrands integrate termwise into polynomial coefficients
     (mode "symbolic").  Everything else evaluates by adaptive quadrature
     along the straight segment from the base point (mode "quadrature");
     results are cached per point, which keeps nested antiderivatives
@@ -668,11 +624,9 @@ class Antiderivative:
             self._coeffs = _poly_integral(
                 poly_coeffs(expr), self.constant, domain.base_point
             )
-            self._symbolic = poly_to_expr(self._coeffs)
         else:
             self.mode = "quadrature"
             self._coeffs = None
-            self._symbolic = None
             self._cache = {}
 
     def value(self, z):
@@ -700,13 +654,6 @@ class Antiderivative:
         )
         self._cache[z] = val
         return val
-
-    def as_expr(self):
-        """The antiderivative as an expression tree (symbolic polynomial,
-        or an opaque Antideriv node in quadrature mode)."""
-        if self.mode == "symbolic":
-            return self._symbolic
-        return Antideriv(self)
 
 
 def antiderivative(e, c, d: Domain, abs_tol=1e-12):

@@ -14,10 +14,13 @@ derivative order, balancing truncation against roundoff amplification
 (~eps / h^order), which is what keeps fourth-order checks above the
 double-precision noise floor.
 
-`wirtinger` takes every order a check needs in one call and evaluates
-the field once per distinct step for all of them, so the checks of a
-chain surface share one evaluation per stencil step (see
-`chain.stencil_field`).
+`wirtinger` takes every order of one step h in one call and evaluates
+the field once at h, and once at h/2 if an order of 2 or more needs it,
+for all of them.  `derivatives` is the one read plan of the checks: it
+takes every (margin, step, order) read of a set of centres, groups the
+reads by step, and returns whole arrays, NaN where a read's stencil does
+not fit, so the checks of a chain surface share one evaluation per
+stencil step (see `chain.stencil_field`).
 """
 
 from math import comb
@@ -98,18 +101,18 @@ def _mixed_partials(f, z, keys, h):
     return out
 
 
-def wirtinger(f, z, orders, h=None, diameter=1.0):
+def wirtinger(f, z, orders, h):
     """d^j/dz^j d^k/dconj(z)^k of the field f at the point z for each
     order (j, k) of `orders`, as a list in that order.
 
-    An order of total j + k >= 1 is taken at the step h (by default the
-    per-order step for `diameter`), from total 2 on with one level of
-    Richardson extrapolation from half that step; order (0, 0) is the
-    field's value.  The field is evaluated once per distinct step for all
-    orders, and each order gets the arithmetic of a call with it alone.
-    z may be an array of centres: each result then carries the centre
-    axes in front of the field's value axes, and each centre gets the
-    arithmetic of a call with it alone.
+    An order of total j + k >= 1 is taken at the step h, from total 2 on
+    with one level of Richardson extrapolation from half that step; order
+    (0, 0) is the field's value.  The field is evaluated once at each of
+    h and h/2 that an order needs, for all orders, and each order gets the
+    arithmetic of a call with it alone.  z may be an array of centres:
+    each result then carries the centre axes in front of the field's
+    value axes, and each centre gets the arithmetic of a call with it
+    alone.
     """
     z = np.asarray(z, dtype=complex)
     plan, keys = [], {}
@@ -117,10 +120,7 @@ def wirtinger(f, z, orders, h=None, diameter=1.0):
         order = j + k
         if order > MAX_ORDER:
             raise ValueError(f"derivative order {order} exceeds {MAX_ORDER}")
-        steps = ()
-        if order:
-            step = h if h is not None else default_step(diameter, order)
-            steps = (step, 0.5 * step) if order >= 2 else (step,)
+        steps = () if not order else (h,) if order == 1 else (h, 0.5 * h)
         weights = _wirtinger_weights(j, k)
         for step in steps:
             keys.setdefault(step, {}).update(dict.fromkeys(weights))
@@ -141,4 +141,39 @@ def wirtinger(f, z, orders, h=None, diameter=1.0):
         if len(d) == 2:
             d = [(4.0 * d[1] - d[0]) / 3.0]
         out.append(d[0] if d else field_at(f, z))
+    return out
+
+
+def derivatives(f, z, reads, domain, where=None):
+    """The derivatives of the field f that the reads ask for, at a flat
+    array of centres z: one array per read (margin, h, (j, k)), over all
+    of z, NaN except at the centres of the mask `where` (all, by default)
+    that lie in the domain shrunk by the margin.
+
+    The field is differentiated with one `wirtinger` call per distinct
+    step, over the centres of the smallest margin that reads the step.
+    The centres of a larger margin are a subset, and `wirtinger` gives
+    each centre the arithmetic of a call with it alone, so every read gets
+    the bits of a one-order call at its own centres.
+    """
+    z = np.asarray(z, dtype=complex)
+    if where is None:
+        where = np.ones(z.shape, dtype=bool)
+    plan = {}
+    for margin, h, order in reads:
+        margins, orders = plan.setdefault(h, ([], {}))
+        margins.append(margin)
+        orders[order] = None
+    found = {}
+    for h, (margins, orders) in plan.items():
+        idx = np.flatnonzero(where & domain.contains(z, margin=min(margins)))
+        derivs = wirtinger(f, z[idx], list(orders), h)
+        found.update(((h, o), (idx, d)) for o, d in zip(orders, derivs))
+    out = []
+    for margin, h, order in reads:
+        idx, d = found[h, order]
+        values = np.full(z.shape + d.shape[1:], np.nan, dtype=d.dtype)
+        fits = domain.contains(z[idx], margin=margin)
+        values[idx[fits]] = d[fits]
+        out.append(values)
     return out

@@ -12,10 +12,16 @@ tolerances.
 Tolerances are tiered by computation path: identities evaluated through
 the symbolic chain are held to 1e-9 (relative), first-order finite
 differences to 1e-5, second and higher order to 1e-4.
+
+The finite-difference families take their derivatives from one read
+plan, `fd.derivatives`, as whole arrays over the sweep's points.  Two
+read lists say what they read: `_fd_reads` (d/dz and d^2/dz dconj(z) at
+the FD step) and `_calabi_reads` (the z-derivatives of the symmetric
+table), and the one-point checks `minimality_residual` and
+`calabi_check` use the same lists.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -34,7 +40,7 @@ from .errors import (
     SingularPointError,
 )
 from .expr import _canonical, _poly_integral
-from .fd import default_step, stencil_halfwidth, wirtinger
+from .fd import default_step, derivatives, stencil_halfwidth, wirtinger
 from .products import (
     _abs,
     _cmul,
@@ -82,10 +88,6 @@ class SurfaceEvaluator:
         zs = np.asarray(zs, dtype=complex).ravel()
         return np.asarray(self.func(zs), dtype=float)
 
-    def step(self, order=1):
-        """The default finite-difference step of the given order."""
-        return default_step(self.domain.diameter, order)
-
     @classmethod
     def from_chain(cls, chain):
         def func(zs):
@@ -96,17 +98,39 @@ class SurfaceEvaluator:
         return cls(func=func, domain=chain.domain, dim=chain.dim, n=chain.n)
 
 
+def _fd_reads(h):
+    """The (margin, step, order) reads of the FD families at the step h:
+    d/dz and d^2/dz dconj(z)."""
+    margin = stencil_halfwidth(1, h)
+    return [(margin, h, (1, 0)), (margin, h, (1, 1))]
+
+
+def _calabi_reads(domain, max_order):
+    """The reads of the symmetric-derivative table to max_order: the j-th
+    z-derivative at its default step, every order at the top order's
+    margin."""
+    steps = [default_step(domain.diameter, j) for j in range(1, max_order + 1)]
+    return [(stencil_halfwidth(max_order, steps[-1]), step, (j, 0))
+            for j, step in enumerate(steps, 1)]
+
+
+def _derivatives_at(g, z, reads):
+    """The derivatives of the reads of the surface g at the one point z,
+    each with its centre axis; DomainError where a stencil does not fit."""
+    found = derivatives(g, np.array([z]), reads, g.domain)
+    if any(np.isnan(d).all() for d in found):
+        raise DomainError(f"stencil at z={z} leaves the domain")
+    return found
+
+
 def minimality_residual(g, z):
     """Norm of the component of the Laplacian orthogonal to the surface
     and to the sphere position, normalized by the first-derivative
     energy.  Vanishes (to FD accuracy) exactly for minimal surfaces.
+    The derivatives are the FD families' reads at the default step.
     """
-    h = g.step(1)
-    if not g.domain.contains(z, margin=stencil_halfwidth(2, h)):
-        raise DomainError(f"stencil at z={z} leaves the domain")
-    zs = np.array([z])
-    dg, lap = wirtinger(g, zs, [(1, 0), (1, 1)], h=h)
-    resid, energy = minimality_residuals(g(zs), dg, lap)
+    dg, lap = _derivatives_at(g, z, _fd_reads(default_step(g.domain.diameter, 1)))
+    resid, energy = minimality_residuals(g(np.array([z])), dg, lap)
     if energy[0] < _DEGENERATE_DIFFERENTIAL:
         raise DegenerateSurfaceError(f"degenerate differential at z={z}")
     return float(resid[0])
@@ -144,17 +168,14 @@ def calabi_check(g, max_order, z):
     z-derivatives) for all 0 < j+k <= max_order.
 
     FD noise makes orders beyond 4 meaningless in double precision, so
-    max_order must be <= 4.  Step sizes scale with the derivative order.
+    max_order must be <= 4.  The derivatives are the sweep's Calabi reads:
+    step sizes scale with the derivative order, and every stencil must
+    fit at the top order's margin.
     """
     if not 1 <= max_order <= 4:
         raise ValueError("max_order must be between 1 and 4")
-    top_h = default_step(g.domain.diameter, max_order)
-    if not g.domain.contains(z, margin=stencil_halfwidth(max_order, top_h)):
-        raise DomainError(f"stencil at z={z} leaves the domain")
-    zs = np.array([z])
-    derivs = wirtinger(g, zs, [(j, 0) for j in range(1, max_order + 1)],
-                       diameter=g.domain.diameter)
-    pairs, values = _calabi_values([g(zs).astype(complex)] + derivs)
+    derivs = _derivatives_at(g, z, _calabi_reads(g.domain, max_order))
+    pairs, values = _calabi_values([g(np.array([z])).astype(complex)] + derivs)
     return _calabi_table(pairs, values[0].tolist())
 
 
@@ -274,7 +295,7 @@ def second_normal_space_angle(chain, z):
     if chain.n < 2:
         raise ValueError("second normal space needs n >= 2")
     g = SurfaceEvaluator.from_chain(chain)
-    dg, d2 = wirtinger(g, z, [(1, 0), (2, 0)], h=g.step(1))
+    dg, d2 = wirtinger(g, z, [(1, 0), (2, 0)], default_step(chain.domain.diameter, 1))
     basis = np.stack([g(np.array([z]))[0], 2.0 * dg.real, -2.0 * dg.imag], axis=1)
     q, _ = np.linalg.qr(basis)
     v1 = d2 - q.astype(complex) @ (q.T.astype(complex) @ d2)
@@ -315,9 +336,6 @@ class DiagnosticsReport:
     scan: GridScan
     counts: dict = field(default_factory=dict)  # family -> evaluated/skipped
     surrogates: list = field(default_factory=list)  # AlphaChain.surrogates
-
-    def failures(self):
-        return [f for f, s in self.status.items() if s == "FAIL"]
 
     def grids(self):
         """{family: residuals on the scan's (R, C) grid}, NaN outside the
@@ -391,14 +409,16 @@ class _Sweep:
     evaluated in one call, and the settings the families share.
 
     `ok` marks points where both the chain and the surface normalization
-    are regular; `field` is the chain's stencil field, which every FD
-    family differentiates.
+    are regular.  The FD families read whole arrays of derivatives of the
+    chain's stencil field, NaN where a stencil leaves the domain, starts
+    at a masked point or touches one: `dz` and `dzdbar` (d/dz and
+    d^2/dz dconj(z)) at the step h, and `calabi_derivs`, where entry j is
+    the j-th z-derivative of the surface and entry 0 the surface.
     """
 
     def __init__(self, chain, zs, h, calabi_order, perturb):
         self.chain = chain
         self.z = zs
-        self.h = h
         self.calabi_order = calabi_order
         self.batch = f_chain_eval(chain, zs)
         self.regular = ~self.batch.singular
@@ -410,15 +430,13 @@ class _Sweep:
         self.norms = np.sqrt(np.sum(np.abs(self.F) ** 2, axis=2))
         self.g = self.batch.g
         self.ok = self.batch.ok
-        self.field = stencil_field(chain)
-        # (centre margin, step, order) of each field derivative read: the
-        # FD families' at step h, the Calabi table's at its default steps
-        margin = stencil_halfwidth(1, h)
-        self.fd_plan = [(margin, h, (1, 0)), (margin, h, (1, 1))]
-        steps = [default_step(chain.domain.diameter, j)
-                 for j in range(1, calabi_order + 1)]
-        self.calabi_plan = [(stencil_halfwidth(calabi_order, steps[-1]), step, (j, 0))
-                            for j, step in enumerate(steps, 1)]
+        self.dz, self.dzdbar, *derivs = derivatives(
+            stencil_field(chain), zs,
+            _fd_reads(h) + _calabi_reads(chain.domain, calabi_order),
+            chain.domain, where=self.ok)
+        self.calabi_derivs = [self.g.astype(complex)] + [d[:, 0] for d in derivs]
+        # the symmetric-derivative tables, as `_calabi_values` returns them
+        self.calabi = _calabi_values(self.calabi_derivs)
 
     def each(self, mask, rows):
         """Residuals from rows(idx) at the points idx of the mask; NaN
@@ -428,75 +446,6 @@ class _Sweep:
         if idx.size:
             values[idx] = rows(idx)
         return values
-
-    def centres(self, margin):
-        """The `ok` points whose stencil of the given half-width fits."""
-        return np.flatnonzero(
-            self.ok & self.chain.domain.contains(self.z, margin=margin)
-        )
-
-    @cached_property
-    def stencils(self):
-        """Every derivative of the stencil field that the FD families
-        read, by (step, order): (centres, values) over the centres of the
-        smallest margin that reads the step, with one `wirtinger` call
-        per distinct step.  The centres of a larger margin are a subset,
-        and `wirtinger` gives each centre the arithmetic of a call with
-        it alone, so every family reads its rows from that call."""
-        plan = {}
-        for margin, step, order in self.fd_plan + self.calabi_plan:
-            margins, orders = plan.setdefault(step, ([], {}))
-            margins.append(margin)
-            orders[order] = None
-        found = {}
-        for step, (margins, orders) in plan.items():
-            idx = self.centres(min(margins))
-            derivs = wirtinger(self.field, self.z[idx], list(orders), h=step)
-            found.update(((step, o), (idx, d)) for o, d in zip(orders, derivs))
-        return found
-
-    def derivative(self, margin, step, order):
-        """The field derivative of `stencils` at the centres of the margin."""
-        idx, values = self.stencils[step, order]
-        return values[np.searchsorted(idx, self.centres(margin))]
-
-    @cached_property
-    def fd(self):
-        """(centres, d/dz, d^2/dz dconj(z)) of the field for the FD
-        families, at step h."""
-        return (self.centres(self.fd_plan[0][0]),
-                *(self.derivative(*key) for key in self.fd_plan))
-
-    @property
-    def calabi_fd(self):
-        """(centres, derivs) of the Calabi table: derivs[j] is the j-th
-        z-derivative of the surface there, derivs[0] the surface."""
-        idx = self.centres(self.calabi_plan[0][0])
-        return idx, [self.g[idx].astype(complex)] + [
-            self.derivative(*key)[:, 0] for key in self.calabi_plan]
-
-    def over(self, run):
-        """Residuals from run(idx, dz, dzdbar) at the FD centres (see
-        `fd`); run returns NaN for masked centres."""
-        idx, dz, dzdbar = self.fd
-        values = np.full(self.z.size, np.nan)
-        if idx.size:
-            values[idx] = run(idx, dz, dzdbar)
-        return values
-
-    @cached_property
-    def calabi(self):
-        """(pairs, values) of the symmetric-derivative tables at every
-        point, as `_calabi_values` returns them: NaN rows where the
-        stencil leaves the domain or touches a masked point, and no
-        pairs at Calabi order 0."""
-        pairs = _calabi_pairs(self.calabi_order)
-        values = np.full((self.z.size, len(pairs)), np.nan)
-        if pairs:
-            idx, derivs = self.calabi_fd
-            if idx.size:
-                values[idx] = _calabi_values(derivs)[1]
-        return pairs, values
 
 
 def _pair_residuals(gram, norms, j, k):
@@ -548,48 +497,37 @@ def _circularity(sw):
 
 
 def _recursion(sw):
-    n = sw.chain.n
-    return sw.over(lambda idx, dz, _: recursion_residuals(sw.batch.take(idx),
-                                                          dz[:, 1:n + 1]))
+    return recursion_residuals(sw.batch, sw.dz[:, 1:sw.chain.n + 1])
 
 
 def _fbar_identity(sw):
     n = sw.chain.n
     if n < 2:
         return None
-
-    def run(idx, dz, _):
-        dbar = dz[:, n + 1:]   # the z-derivatives of conj(F_2)..conj(F_n)
-        out = np.full(idx.size, np.nan)
-        rows = np.flatnonzero(_finite_rows(dbar))
-        F, norms_sq = sw.batch.F[idx[rows]], sw.batch.norms_sq[idx[rows]]
-        # s = 2..n along the last axis: |F_s|^2 over |F_{s-1}|^2
-        ratio = norms_sq[:, 1:n] / norms_sq[:, :n - 1]
-        resid = _norm(dbar[rows] + ratio[..., None] * np.conj(F[:, :n - 1]))
-        scale = norms_sq[:, 1:n] / np.sqrt(norms_sq[:, :n - 1])
-        out[rows] = _max0(resid / scale)
-        return out
-
-    return sw.over(run)
+    dbar = sw.dz[:, n + 1:]   # the z-derivatives of conj(F_2)..conj(F_n)
+    out = np.full(sw.z.size, np.nan)
+    rows = np.flatnonzero(_finite_rows(dbar))
+    F, norms_sq = sw.batch.F[rows], sw.batch.norms_sq[rows]
+    # s = 2..n along the last axis: |F_s|^2 over |F_{s-1}|^2
+    ratio = norms_sq[:, 1:n] / norms_sq[:, :n - 1]
+    resid = _norm(dbar[rows] + ratio[..., None] * np.conj(F[:, :n - 1]))
+    scale = norms_sq[:, 1:n] / np.sqrt(norms_sq[:, :n - 1])
+    out[rows] = _max0(resid / scale)
+    return out
 
 
 def _tangent_formula(sw):
-    def run(idx, dz, _):
-        dg = dz[:, 0]
-        out = np.full(idx.size, np.nan)
-        rows = np.flatnonzero(_finite_rows(dg))
-        at = idx[rows]
-        tangent = _fundamental_forms(sw.batch.F[at], sw.batch.norms_sq[at],
-                                     sw.g[at], [0])[:, 0]
-        out[rows] = _norm(dg[rows] - tangent) / _norm(tangent)
-        return out
-
-    return sw.over(run)
+    dg = sw.dz[:, 0]
+    out = np.full(sw.z.size, np.nan)
+    rows = np.flatnonzero(_finite_rows(dg))
+    tangent = _fundamental_forms(sw.batch.F[rows], sw.batch.norms_sq[rows],
+                                 sw.g[rows], [0])[:, 0]
+    out[rows] = _norm(dg[rows] - tangent) / _norm(tangent)
+    return out
 
 
 def _minimality(sw):
-    return sw.over(lambda idx, dz, dzdbar: minimality_residuals(
-        sw.g[idx], dz[:, 0], dzdbar[:, 0])[0])
+    return minimality_residuals(sw.g, sw.dz[:, 0], sw.dzdbar[:, 0])[0]
 
 
 def _calabi(sw):
@@ -630,13 +568,17 @@ def verify_all(
     tangent formula, symmetric-derivative table) only where the stencil
     fits inside the domain and touches no degenerate point.  The chain is
     evaluated once at all grid points, which the report also carries as
-    its `scan`, and the FD families differentiate one field
+    its `scan`, and the FD families read whole arrays from
+    `fd.derivatives`, which differentiates one field
     (`chain.stencil_field`) evaluated once per stencil step for all
     centres: at default settings, nine points per centre at each of the
     steps h and h/2.  `perturb`, when given, injects a fault into the
     per-point algebraic analysis so that detection can be tested.  A
     sweep that checks nothing is refused: DomainError when no grid point
     lies inside the domain, DegenerateSurfaceError when all are singular.
+    A family that applies but is checked at no point, because no stencil
+    fits or each touches a degenerate point, gets status UNCHECKED, and
+    the report does not pass.
     """
     rows, cols = grid
     tols = dict(DEFAULT_TOLERANCES)
@@ -671,8 +613,13 @@ def verify_all(
             f"no invariant was checked: {singular_count} of the {sweep.z.size} "
             f"grid points inside the domain are singular")
     status = {}
-    for fam, val in summary.items():
-        status[fam] = "PASS" if val <= tols.get(fam, np.inf) else "FAIL"
+    for fam in residuals:
+        if fam not in summary:
+            status[fam] = "UNCHECKED"
+        elif summary[fam] <= tols.get(fam, np.inf):
+            status[fam] = "PASS"
+        else:
+            status[fam] = "FAIL"
     passed = all(s == "PASS" for s in status.values())
     return DiagnosticsReport(
         n=chain.n,

@@ -23,7 +23,7 @@ from holosphere.applications import (
     ruled_point,
     ruling_geodesic_residual,
 )
-from holosphere.fd import wirtinger
+from holosphere.fd import default_step, wirtinger
 from holosphere.geometry import (
     SurfaceEvaluator,
     calabi_check,
@@ -161,7 +161,7 @@ def test_criterion_07_tangent_and_higher_forms(chains, surfaces):
         for z in _interior_points(chain)[::7]:
             batch = f_chain_eval(chain, [z])
             tangent = chain_fundamental_form(batch, 0, 0)
-            fd, = wirtinger(surfaces[n], z, [(1, 0)], h=surfaces[n].step(1))
+            fd, = wirtinger(surfaces[n], z, [(1, 0)], default_step(chain.domain.diameter, 1))
             worst_tangent = max(
                 worst_tangent,
                 float(np.linalg.norm(fd - tangent) / np.linalg.norm(tangent)),

@@ -36,7 +36,7 @@ from holosphere.chain import GridScan, recursion_residuals, stencil_field
 from holosphere.config import load_config
 from holosphere.errors import DomainError, SingularPointError
 from holosphere.expr import eval_env
-from holosphere.fd import default_step, wirtinger
+from holosphere.fd import default_step, derivatives, stencil_halfwidth, wirtinger
 from holosphere.geometry import (
     SurfaceEvaluator,
     calabi_check,
@@ -57,24 +57,67 @@ ORDERS = [[(0, 0)], [(1, 0)], [(0, 1)], [(1, 1)], [(2, 0)], [(3, 0)], [(4, 0)],
 @pytest.mark.parametrize("orders", ORDERS,
                          ids=[f"order{i}" for i in range(len(ORDERS))])
 def test_wirtinger_over_centres_matches_one_centre(surface_n2, orders):
-    together = wirtinger(surface_n2, CENTRES, orders, diameter=2.0)
+    # the default step of the highest order, which every order shares
+    h = default_step(2.0, max(max(j + k for j, k in orders), 1))
+    together = wirtinger(surface_n2, CENTRES, orders, h)
     assert len(together) == len(orders)
     for order, found in zip(orders, together):
         assert found.shape == (CENTRES.size, surface_n2.dim)
         # the orders of one call get the arithmetic of one-order calls
-        alone, = wirtinger(surface_n2, CENTRES, [order], diameter=2.0)
+        alone, = wirtinger(surface_n2, CENTRES, [order], h)
         assert_same_bits(found, alone)
         for z, row in zip(CENTRES, found):
-            assert_same_bits(row, wirtinger(surface_n2, z, [order], diameter=2.0)[0])
+            assert_same_bits(row, wirtinger(surface_n2, z, [order], h)[0])
+
+
+# centres that fit both margins, only the smaller, neither, and one that
+# the mask drops
+PLANNED = np.array([0.31 + 0.17j, 1 - 2e-3 + 0.1j, -0.4 + 0.3j, 1 - 1e-3 - 0.2j,
+                    0.5j])
+PLANNED_WHERE = np.array([True, True, True, True, False])
+
+
+def test_derivatives_give_each_read_its_one_order_call(surface_n2):
+    h = 1e-3
+    small, large = stencil_halfwidth(1, h), stencil_halfwidth(3, h)
+    reads = [(large, h, (1, 0)), (small, h, (1, 1)), (large, h, (2, 0))]
+    found = derivatives(surface_n2, PLANNED, reads, surface_n2.domain,
+                        where=PLANNED_WHERE)
+    assert len(found) == len(reads)
+    for (margin, step, order), values in zip(reads, found):
+        fits = PLANNED_WHERE & surface_n2.domain.contains(PLANNED, margin=margin)
+        assert fits.any() and not fits.all()
+        want, = wirtinger(surface_n2, PLANNED[fits], [order], step)
+        assert_same_bits(values[fits], want)
+        assert np.isnan(values[~fits]).all()
+
+
+def test_derivatives_evaluate_each_step_once(surface_n2):
+    sizes = []
+
+    def counted(zs):
+        sizes.append(zs.size)
+        return surface_n2(zs)
+
+    h1, h2 = 1e-3, 4e-3
+    small, large = stencil_halfwidth(1, h1), stencil_halfwidth(1, h2)
+    reads = [(large, h1, (1, 0)), (small, h1, (0, 1)), (large, h2, (1, 0))]
+    derivatives(counted, PLANNED, reads, surface_n2.domain, where=PLANNED_WHERE)
+    # a first-order stencil has four points, and each step is evaluated
+    # over the centres of the smallest margin that reads it
+    centres = [np.count_nonzero(PLANNED_WHERE & surface_n2.domain.contains(
+        PLANNED, margin=margin)) for margin in (small, large)]
+    assert centres == [3, 2]
+    assert sizes == [4 * centres[0], 4 * centres[1]]
 
 
 def test_minimality_and_calabi_over_centres(surface_n2):
-    h = surface_n2.step(1)
+    diameter = surface_n2.domain.diameter
     gz = surface_n2(CENTRES)
-    dg, lap = wirtinger(surface_n2, CENTRES, [(1, 0), (1, 1)], h=h)
+    dg, lap = wirtinger(surface_n2, CENTRES, [(1, 0), (1, 1)], default_step(diameter, 1))
     resid, _ = minimality_residuals(gz, dg, lap)
-    derivs = wirtinger(surface_n2, CENTRES, [(1, 0), (2, 0), (3, 0)],
-                       diameter=surface_n2.domain.diameter)
+    derivs = [wirtinger(surface_n2, CENTRES, [(j, 0)], default_step(diameter, j))[0]
+              for j in (1, 2, 3)]
     pairs, values = geometry._calabi_values([gz.astype(complex)] + derivs)
     assert not np.isnan(values).any()
     for z, r, row in zip(CENTRES, resid, values):
@@ -276,11 +319,7 @@ def ref_circularity(sw):
 
 
 def ref_over(sw, run):
-    idx, dz, dzdbar = sw.fd
-    values = np.full(sw.z.size, np.nan)
-    if idx.size:
-        values[idx] = run(idx, dz, dzdbar)
-    return values
+    return run(np.arange(sw.z.size), sw.dz, sw.dzdbar)
 
 
 def ref_recursion_residuals(base, dF):
@@ -377,11 +416,7 @@ def ref_calabi_tables(derivs):
 
 
 def ref_sweep_tables(sw):
-    idx, derivs = sw.calabi_fd
-    tables = [None] * sw.z.size
-    for i, table in zip(idx, ref_calabi_tables(derivs)):
-        tables[i] = table
-    return tables
+    return ref_calabi_tables(sw.calabi_derivs)
 
 
 def ref_calabi(sw):
@@ -523,17 +558,25 @@ def test_families_match_one_point_loops(name):
         if found is None:
             continue
         assert_same_bits(found, REFERENCE_FAMILIES[fam](sw))
-    # the sweep's derivatives are those of one-order calls on its field
-    idx, dz, dzdbar = sw.fd
-    for order, found in (((1, 0), dz), ((1, 1), dzdbar)):
-        assert_same_bits(found, wirtinger(stencil_field(sw.chain), sw.z[idx], [order],
-                                          h=sw.h)[0])
-    idx, derivs = sw.calabi_fd
-    assert_same_bits(derivs[0], sw.g[idx].astype(complex))
-    for j, found in enumerate(derivs[1:], 1):
-        want, = wirtinger(stencil_field(sw.chain), sw.z[idx], [(j, 0)],
-                          diameter=sw.chain.domain.diameter)
-        assert_same_bits(found, want[:, 0])
+    # the sweep's derivatives are those of one-order calls on its field at
+    # the centres whose stencil fits, NaN elsewhere
+    chain, _, fd_step, calabi_order, _ = SWEEPS[name]()
+    diameter = chain.domain.diameter
+    h = fd_step if fd_step is not None else default_step(diameter, 1)
+
+    def one_order(order, step, margin):
+        idx = np.flatnonzero(sw.ok & chain.domain.contains(sw.z, margin=margin))
+        want, = wirtinger(stencil_field(sw.chain), sw.z[idx], [order], step)
+        values = np.full((sw.z.size,) + want.shape[1:], np.nan, dtype=complex)
+        values[idx] = want
+        return values
+
+    for order, found in (((1, 0), sw.dz), ((1, 1), sw.dzdbar)):
+        assert_same_bits(found, one_order(order, h, stencil_halfwidth(1, h)))
+    top = stencil_halfwidth(calabi_order, default_step(diameter, calabi_order))
+    assert_same_bits(sw.calabi_derivs[0], sw.g.astype(complex))
+    for j, found in enumerate(sw.calabi_derivs[1:], 1):
+        assert_same_bits(found, one_order((j, 0), default_step(diameter, j), top)[:, 0])
     pairs, values = sw.calabi
     for table, row in zip(ref_sweep_tables(sw), values):
         assert (table is not None) == (not np.isnan(row).all())
@@ -587,12 +630,11 @@ def test_fundamental_forms_match_one_point_formula(name):
 @pytest.mark.parametrize("name", ["degenerate2", "degenerate3", "poly3"])
 def test_recursion_and_minimality_over_centres_match_loops(name):
     sw, _ = _sweep(name)
-    idx, dz, dzdbar = sw.fd
-    dF = dz[:, 1:sw.chain.n + 1]
-    assert_same_bits(recursion_residuals(sw.batch.take(idx), dF),
-                     ref_recursion_residuals(sw.batch.take(idx), dF))
-    for got, want in zip(minimality_residuals(sw.g[idx], dz[:, 0], dzdbar[:, 0]),
-                         ref_minimality_residuals(sw.g[idx], dz[:, 0], dzdbar[:, 0])):
+    dF = sw.dz[:, 1:sw.chain.n + 1]
+    assert_same_bits(recursion_residuals(sw.batch, dF),
+                     ref_recursion_residuals(sw.batch, dF))
+    for got, want in zip(minimality_residuals(sw.g, sw.dz[:, 0], sw.dzdbar[:, 0]),
+                         ref_minimality_residuals(sw.g, sw.dz[:, 0], sw.dzdbar[:, 0])):
         assert_same_bits(got, want)
 
 

@@ -467,6 +467,33 @@ class TestErrors:
         assert "RuntimeWarning" not in proc.stderr
 
 
+FD_FAMILIES = ["fbar_identity", "minimality", "recursion", "tangent_formula"]
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+@pytest.mark.parametrize("change, unchecked, skipped", [
+    ({"grid": {"rows": 2, "cols": 2}}, ["calabi"] + FD_FAMILIES, 4),
+    ({"fd_step": 5.0}, FD_FAMILIES, 100),
+    # singular at the centre of the grid, and every stencil leaves the domain
+    ({"betas": ["z", "1"], "grid": {"rows": 3, "cols": 3}}, ["calabi"] + FD_FAMILIES,
+     9),
+], ids=["grid_2x2", "step_5", "singular_3x3"])
+def test_family_checked_at_no_point_fails(tmp_path, capsys, command, change,
+                                          unchecked, skipped):
+    doc = dict(demo_config(2), **change)
+    out = tmp_path / "run"
+    code = main([command, "--config", _write(tmp_path, doc), "--out", str(out)])
+    assert code == cli.FAIL
+    report = json.loads((out / "diagnostics.json").read_text())
+    assert report["passed"] is False
+    assert sorted(f for f, s in report["status"].items() if s == "UNCHECKED") == unchecked
+    assert set(report["status"].values()) == {"PASS", "UNCHECKED"}
+    stdout = capsys.readouterr().out
+    for fam in unchecked:
+        assert report["counts"][fam] == {"evaluated": 0, "skipped": skipped}
+        assert f"[UNCHECKED] {fam}: checked at no point ({skipped} skipped)" in stdout
+
+
 def test_surrogates_reported_only_for_nonpolynomial_betas(tmp_path):
     doc = demo_config(2)
     doc["grid"] = {"rows": 3, "cols": 3}

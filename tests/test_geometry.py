@@ -7,7 +7,7 @@ from holosphere.errors import (
     DomainError,
     SingularPointError,
 )
-from holosphere.fd import wirtinger
+from holosphere.fd import default_step, wirtinger
 from holosphere.geometry import (
     SurfaceEvaluator,
     calabi_check,
@@ -46,6 +46,14 @@ class TestMinimality:
         with pytest.raises(DomainError):
             minimality_residual(surface_n1, 1 + 1j)
 
+    def test_refusal_boundary_is_the_stencil_margin(self, surface_n2):
+        # the stencil of d/dz and d^2/dz dconj(z) at the default step h
+        # reaches h sqrt(2) from its centre
+        margin = default_step(surface_n2.domain.diameter, 1) * np.sqrt(2.0)
+        assert minimality_residual(surface_n2, 1 - 1.01 * margin + 0.2j) <= 1e-5
+        with pytest.raises(DomainError, match="stencil at z=.* leaves the domain"):
+            minimality_residual(surface_n2, 1 - 0.99 * margin + 0.2j)
+
 
 class TestCalabi:
     def test_first_order_entry_vanishes_for_any_unit_map(self, small_sphere_surface):
@@ -81,6 +89,14 @@ class TestCalabi:
         table = calabi_check(g, 2, 0.4 + 0.3j)
         assert table[(1, 1)] > 1e-3
 
+    def test_refusal_boundary_follows_the_top_order(self, surface_n2):
+        # every order reads at the top order's margin: 0.016 at order 3,
+        # 0.064 at order 4
+        z = 0.97 + 0.2j
+        assert max(calabi_check(surface_n2, 3, z).values()) <= 1e-4
+        with pytest.raises(DomainError, match="stencil at z=.* leaves the domain"):
+            calabi_check(surface_n2, 4, z)
+
     def test_max_order_capped(self, surface_n2):
         with pytest.raises(ValueError):
             calabi_check(surface_n2, 5, 0j)
@@ -91,7 +107,7 @@ class TestFundamentalForms:
         z = 0.28 - 0.41j
         batch = f_chain_eval(chain_n2, [z])
         formula = chain_fundamental_form(batch, 0, 0)
-        fd, = wirtinger(surface_n2, z, [(1, 0)], h=surface_n2.step(1))
+        fd, = wirtinger(surface_n2, z, [(1, 0)], default_step(surface_n2.domain.diameter, 1))
         assert np.linalg.norm(fd - formula) <= 1e-5 * np.linalg.norm(formula)
 
     @pytest.mark.parametrize("s", [0, 1])
