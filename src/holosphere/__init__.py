@@ -31,7 +31,6 @@ from .expr import (
     Antiderivative,
     HoloExpr,
     antiderivative,
-    differentiate,
     eval_expr,
     parse_expr,
     to_string,
@@ -72,7 +71,6 @@ __all__ = [
     "build_alpha_chain",
     "calabi_check",
     "chain_fundamental_form",
-    "differentiate",
     "eval_expr",
     "extract_xi",
     "f_chain_eval",

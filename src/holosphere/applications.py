@@ -25,64 +25,59 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import f_chain_eval, require_regular, stencil_field
-from .errors import DomainError
-from .expr import HoloExpr, differentiate, eval_env, parse_expr
+from .errors import DomainError, ParseError
+from .expr import HoloExpr, _tokenize, eval_env, parse_expr
 from .fd import default_step, wirtinger
 from .geometry import SurfaceEvaluator, _normal_part
-from .products import _abs, _cmul, _complex, _dot, _norm, _square
+from .products import _dot
 
 _RANK_THRESHOLD = 1e-8   # Kaehler Jacobian rank: sigma > this * largest sigma
 _DET_THRESHOLD = 1e-10   # ruled probe metric: det > this * product of diagonal
 _GEODESIC_STEP = 1e-4    # w-step of the ruling geodesic's second difference
+_COMPLEX_STEP = 1e-20    # imaginary step of gamma's partials
 
 
-def _as_gamma(gamma):
-    if isinstance(gamma, str):
-        return parse_expr(gamma, variables=("x", "y"))
+def _as_gamma(text):
+    """The parsed weight gamma(x, y).  Its partials are complex steps,
+    which need a real function, so the imaginary unit (the grammar's
+    only non-real constant) is refused where it first appears."""
+    gamma = parse_expr(text, variables=("x", "y"))
+    for kind, name, offset in _tokenize(text):
+        if (kind, name) == ("name", "i"):
+            raise ParseError("gamma must be real: 'i' is not allowed", offset)
     return gamma
 
 
 @dataclass
 class KaehlerParams:
-    """Weight function gamma(x, y) with its symbolic partials, plus the
-    n-1 complex normal-bundle parameters."""
+    """Real weight function gamma(x, y), plus the n-1 complex
+    normal-bundle parameters."""
 
     gamma: HoloExpr
     w: tuple
-    gamma_x: HoloExpr = None
-    gamma_y: HoloExpr = None
 
     @classmethod
     def create(cls, gamma, w):
-        gamma = _as_gamma(gamma)
-        gx = differentiate(gamma, "x")
-        gy = differentiate(gamma, "y")
-        return cls(
-            gamma=gamma,
-            w=tuple(complex(c) for c in w),
-            gamma_x=gx,
-            gamma_y=gy,
-        )
+        return cls(gamma=_as_gamma(gamma), w=tuple(complex(c) for c in w))
 
     def gamma_values(self, z):
         """(gamma, d gamma/dz) at the point z, or at every point of an
         array z.
 
-        The arithmetic is that of Python floats and complex numbers at
-        each point: an array is evaluated as an object array of them,
-        since numpy's array power and complex product round differently.
+        gamma is evaluated at (x, y) first, so that a zero denominator
+        raises there; its partials are complex steps: gamma_x is
+        Im gamma(x + ih, y) / h, and gamma_y likewise, exact to roundoff.
         """
         z = np.asarray(z, dtype=complex)
-        env = {"x": z.real.astype(object), "y": z.imag.astype(object)}
+        x, y, h = z.real, z.imag, _COMPLEX_STEP
         val, gx, gy = (
-            np.broadcast_to(np.asarray(eval_env(e, env), dtype=complex), z.shape)
-            .real.astype(object)
-            for e in (self.gamma, self.gamma_x, self.gamma_y)
+            np.broadcast_to(eval_env(self.gamma, {"x": xs, "y": ys}), z.shape)
+            for xs, ys in ((x, y), (x + 1j * h, y), (x, y + 1j * h))
         )
-        gamma_z = np.asarray(0.5 * (gx - 1j * gy), dtype=complex)
+        gamma_z = 0.5 * (gx.imag - 1j * gy.imag) / h
         if z.ndim == 0:
-            return float(val), complex(gamma_z)
-        return val.astype(float), gamma_z
+            return float(val.real), complex(gamma_z)
+        return val.real, gamma_z
 
 
 @dataclass
@@ -113,7 +108,7 @@ def kaehler_point(chain, params, z):
 
     Requires n >= 2 and len(w) == n-1.  The middle (gradient) term uses
     the tangent formula of the chain, so everything comes from the chain
-    data at z plus symbolic partials of gamma.
+    data at z plus the partials of gamma.
     """
     values, batch = _kaehler(chain, params, np.array([z]))
     require_regular(batch)
@@ -150,13 +145,11 @@ def _kaehler_base(batch, params):
     F, norms_sq, g = batch.F[idx], batch.norms_sq[idx, n - 1], batch.g[idx]
     gamma, gamma_z = params.gamma_values(batch.z[idx])
     top = F[:, -1]
-    pairing = _dot(g.astype(complex), top)
-    metric = _square(_abs(pairing)) / norms_sq
-    corr = _dot(top.real.astype(complex), np.conj(top))
-    # gamma_z * corr was a product of two Python complex numbers
-    lead = _complex(*_cmul(gamma_z.real, gamma_z.imag, corr.real, corr.imag))
-    scale = -(2.0 / (metric * norms_sq * _norm(top.real)))
-    middle = scale[:, None] * np.real(lead[:, None] * F[:, n - 1])
+    pairing = _dot(g, top)
+    metric = np.abs(pairing) ** 2 / norms_sq
+    corr = _dot(top.real, np.conj(top))
+    scale = -(2.0 / (metric * norms_sq * np.linalg.norm(top.real, axis=-1)))
+    middle = scale[:, None] * np.real((gamma_z * corr)[:, None] * F[:, n - 1])
     base[idx] = gamma[:, None] * g + middle
     return base
 
@@ -313,7 +306,7 @@ def _ruled_values(F, g, w):
     """The ruled map at chain vectors F (..., m, d), surface vectors g
     (..., d) and parameters w (..., k), broadcast against each other."""
     wvec = _normal_terms(F, w)
-    t = _norm(wvec)[..., None]
+    t = np.linalg.norm(wvec, axis=-1)[..., None]
     return np.cos(t) * g + np.sinc(t / np.pi) * wvec
 
 
@@ -412,7 +405,8 @@ def _ruled_probe(F, g, w0, h, offsets):
         trace_vec = np.einsum("pij,pijd->pd", np.linalg.inv(gram[ok]), second[ok])
         basis = np.concatenate([center[ok, None], tangents[ok]], axis=1)
         q = np.linalg.qr(np.swapaxes(basis, 1, 2))[0]
-        for k, value in zip(ok, (_norm(_normal_part(q, trace_vec)) / 4.0).tolist()):
+        normal = np.linalg.norm(_normal_part(q, trace_vec), axis=-1)
+        for k, value in zip(ok, (normal / 4.0).tolist()):
             residual[k] = value
     return residual, det.tolist(), flagged.tolist()
 

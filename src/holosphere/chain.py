@@ -58,7 +58,7 @@ from .expr import (
     to_string,
 )
 from .fd import default_step, wirtinger
-from .products import _dot, _max0, _norm
+from .products import _dot, _max0
 
 DEFAULT_EPS_SINGULAR = 1e-12
 
@@ -472,7 +472,8 @@ def recursion_residuals(base, dF):
     literal = derivs - coef[..., None] * F[:, :n]
     ref = F[:, 1:]
     out = np.full(base.z.size, np.nan)
-    out[rows] = _max0(_norm(literal - ref) / _norm(ref))
+    out[rows] = _max0(np.linalg.norm(literal - ref, axis=-1)
+                      / np.linalg.norm(ref, axis=-1))
     return out
 
 

@@ -9,6 +9,7 @@ import json
 import sys
 from dataclasses import dataclass
 
+from .applications import _as_gamma
 from .chain import DEFAULT_EPS_SINGULAR
 from .domain import Domain
 from .errors import ConfigError, DomainError, ParseError
@@ -106,11 +107,11 @@ def _parse_grid(doc, path):
     return rows, cols
 
 
-def _check_expr(text, path, variables=("z",)):
+def _check_expr(text, path, parse=parse_expr):
     _expect(isinstance(text, str) and text.strip(), path,
             "expected a nonempty expression string")
     try:
-        parse_expr(text, variables=variables)
+        parse(text)
     except ParseError as exc:
         raise ConfigError(path, f"bad expression: {exc}") from exc
     return text
@@ -225,7 +226,7 @@ def validate_config(doc):
                                 "min_regular_fraction"))
         _expect(n >= 2, path, "the hypersurface map requires n >= 2")
         _check_expr(_get(kaehler, "gamma", path, required=True),
-                    f"{path}.gamma", variables=("x", "y"))
+                    f"{path}.gamma", parse=_as_gamma)
         w = _get(kaehler, "w", path, required=True)
         _expect(isinstance(w, list) and len(w) == n - 1, f"{path}.w",
                 f"need n-1 = {n - 1} complex parameters")

@@ -17,10 +17,10 @@ which is how they enter the chain.  The chain replaces every other tree
 (a division or one of the entire functions exp/sin/cos) by a Taylor
 surrogate taken from its values on a circle (`chain.build_alpha_chain`).
 
-Evaluation accepts scalars or numpy arrays of points.  Differentiation is
-symbolic throughout.  `antiderivative` evaluates the antiderivative of a
-general tree: polynomial ones integrate termwise, the others by an
-adaptive path integral from the domain base point.
+Evaluation accepts scalars or numpy arrays of points.  `antiderivative`
+evaluates the antiderivative of a general tree: polynomial ones
+integrate termwise, the others by an adaptive path integral from the
+domain base point.
 """
 
 from dataclasses import dataclass
@@ -104,9 +104,6 @@ class Sin(HoloExpr):
 class Cos(HoloExpr):
     operand: HoloExpr
 
-
-ZERO = Const(0j)
-ONE = Const(1 + 0j)
 
 _FUNCTIONS = {"exp": Exp, "sin": Sin, "cos": Cos}
 
@@ -359,16 +356,10 @@ def _eval(e, env):
     if isinstance(e, Pow):
         base = _eval(e.base, env)
         if e.exponent == 0:
-            numeric = isinstance(base, np.ndarray) and base.dtype != object
-            return np.ones_like(base) if numeric else 1 + 0j
+            return np.ones_like(base) if isinstance(base, np.ndarray) else 1 + 0j
         return base ** e.exponent
     if type(e) in _UFUNCS:
-        value = _eval(e.operand, env)
-        ufunc = _UFUNCS[type(e)]
-        if isinstance(value, np.ndarray) and value.dtype == object:
-            # entries are Python scalars: each gets the one-point call
-            ufunc = np.frompyfunc(ufunc, 1, 1)
-        return ufunc(value)
+        return _UFUNCS[type(e)](_eval(e.operand, env))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -398,15 +389,13 @@ def eval_expr(e, z):
 
 
 def eval_env(e, env):
-    """Evaluate against an explicit variable environment (e.g. x, y).
-
-    Object arrays of Python numbers evaluate entry by entry with the
-    arithmetic of a scalar environment, bit for bit."""
+    """Evaluate against an explicit variable environment (e.g. x, y) of
+    scalars or numpy arrays, real or complex."""
     return _eval(e, env)
 
 
 # ---------------------------------------------------------------------------
-# Structure predicates and simplification
+# Structure predicates
 # ---------------------------------------------------------------------------
 
 def is_polynomial(e):
@@ -420,119 +409,6 @@ def is_polynomial(e):
     if isinstance(e, Pow):
         return is_polynomial(e.base)
     return False
-
-
-def _is_zero(e):
-    return isinstance(e, Const) and e.value == 0
-
-
-def _is_one(e):
-    return isinstance(e, Const) and e.value == 1
-
-
-def simplify(e):
-    """Light bottom-up cleanup: constant folding on +,-,*,/ and pruning of
-    zero/one identities.  Keeps transcendental nodes untouched."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Neg):
-        a = simplify(e.operand)
-        if isinstance(a, Const):
-            return Const(-a.value)
-        if isinstance(a, Neg):
-            return a.operand
-        return Neg(a)
-    if isinstance(e, (Exp, Sin, Cos)):
-        return type(e)(simplify(e.operand))
-    if isinstance(e, Pow):
-        base = simplify(e.base)
-        if e.exponent == 0:
-            return ONE
-        if e.exponent == 1:
-            return base
-        if isinstance(base, Const):
-            return Const(base.value ** e.exponent)
-        return Pow(base, e.exponent)
-    a = simplify(e.left)
-    b = simplify(e.right)
-    if isinstance(e, Add):
-        if _is_zero(a):
-            return b
-        if _is_zero(b):
-            return a
-        if isinstance(a, Const) and isinstance(b, Const):
-            return Const(a.value + b.value)
-        return Add(a, b)
-    if isinstance(e, Sub):
-        if _is_zero(b):
-            return a
-        if _is_zero(a):
-            return simplify(Neg(b))
-        if isinstance(a, Const) and isinstance(b, Const):
-            return Const(a.value - b.value)
-        return Sub(a, b)
-    if isinstance(e, Mul):
-        if _is_zero(a) or _is_zero(b):
-            return ZERO
-        if _is_one(a):
-            return b
-        if _is_one(b):
-            return a
-        if isinstance(a, Const) and isinstance(b, Const):
-            return Const(a.value * b.value)
-        return Mul(a, b)
-    if isinstance(e, Div):
-        if _is_zero(a):
-            return ZERO
-        if _is_one(b):
-            return a
-        if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-            return Const(a.value / b.value)
-        return Div(a, b)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
-
-def _diff(e, var):
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
-    if isinstance(e, Add):
-        return Add(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Sub):
-        return Sub(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Neg):
-        return Neg(_diff(e.operand, var))
-    if isinstance(e, Mul):
-        return Add(
-            Mul(_diff(e.left, var), e.right), Mul(e.left, _diff(e.right, var))
-        )
-    if isinstance(e, Div):
-        num = Sub(
-            Mul(_diff(e.left, var), e.right), Mul(e.left, _diff(e.right, var))
-        )
-        return Div(num, Pow(e.right, 2))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ZERO
-        inner = _diff(e.base, var)
-        return Mul(Mul(Const(complex(e.exponent)), Pow(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Exp):
-        return Mul(Exp(e.operand), _diff(e.operand, var))
-    if isinstance(e, Sin):
-        return Mul(Cos(e.operand), _diff(e.operand, var))
-    if isinstance(e, Cos):
-        return Mul(Neg(Sin(e.operand)), _diff(e.operand, var))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def differentiate(e, var="z"):
-    """Symbolic derivative with literal-zero subtrees pruned."""
-    return simplify(_diff(e, var))
 
 
 # ---------------------------------------------------------------------------

@@ -41,17 +41,7 @@ from .errors import (
 )
 from .expr import _canonical, _poly_integral
 from .fd import default_step, derivatives, stencil_halfwidth, wirtinger
-from .products import (
-    _abs,
-    _cmul,
-    _complex,
-    _dot,
-    _max0,
-    _norm,
-    _pair_minors_max,
-    _square,
-    principal_angles,
-)
+from .products import _dot, _max0, _pair_minors_max, principal_angles
 
 DEFAULT_TOLERANCES = {
     "isotropy": 1e-9,
@@ -151,9 +141,9 @@ def minimality_residuals(gz, dg, lap):
     rows = rows[energy[rows] >= _DEGENERATE_DIFFERENTIAL]
     if rows.size:
         basis = np.stack([gz[rows], gx[rows], gy[rows]], axis=2)
-        # the quarter Laplacian, as strided real rows
+        # the quarter Laplacian
         r = _normal_part(np.linalg.qr(basis)[0], lap[rows].real)
-        resid[rows] = _norm(r) / energy[rows]
+        resid[rows] = np.linalg.norm(r, axis=-1) / energy[rows]
     return resid, energy
 
 
@@ -195,7 +185,7 @@ def _calabi_values(derivs):
     rows = np.flatnonzero(_finite_rows(*derivs))
     values = np.full((len(derivs[0]), len(pairs)), np.nan)
     for p, (j, k) in enumerate(pairs):
-        values[rows, p] = _abs(_dot(derivs[j][rows], derivs[k][rows]))
+        values[rows, p] = np.abs(_dot(derivs[j][rows], derivs[k][rows]))
     return pairs, values
 
 
@@ -236,18 +226,13 @@ def chain_fundamental_form(batch, i, s=0):
 def _fundamental_forms(F, norms_sq, g, orders):
     """`chain_fundamental_form` at every row of chain vectors F (B, n+1,
     d) with squared norms (B, n+1) and surface vectors g (B, d), for each
-    order s of `orders`: shape (B, len(orders), d).
-
-    The coefficient (-1)^(s+1) <g, F_{n+1}> / |F_{n-s}|^2 is rounded as
-    the Python complex scalar it was: the sign as the complex number
-    (sign, 0), the division by the real norm as by (norm, 0)."""
+    order s of `orders`: shape (B, len(orders), d), the multiples
+    (-1)^(s+1) <g, F_{n+1}> / |F_{n-s}|^2 of conj(F_{n-s})."""
     n = F.shape[1] - 1
-    pairing = _dot(g.astype(complex), F[:, -1])
+    pairing = _dot(g, F[:, -1])
     forms = np.empty((F.shape[0], len(orders), F.shape[2]), dtype=complex)
     for o, s in enumerate(orders):
-        re, im = _cmul(float((-1) ** (s + 1)), 0.0, pairing.real, pairing.imag)
-        r = norms_sq[:, n - s - 1]
-        coeff = _complex((re + im * 0.0) / r, (im - re * 0.0) / r)
+        coeff = (-1) ** (s + 1) * pairing / norms_sq[:, n - s - 1]
         forms[:, o] = coeff[:, None] * np.conj(F[:, n - s - 1])
     return forms
 
@@ -398,8 +383,8 @@ def _apply_perturbation(F, perturb):
     magnitude = float(perturb.get("magnitude", 1e-3))
     idx = int(target.lstrip("F")) - 1
     F = F.copy()
-    direction = F[..., 0, :] / _norm(F[..., 0, :])[..., None]
-    scale = magnitude * _norm(F[..., idx, :])
+    direction = F[..., 0, :] / np.linalg.norm(F[..., 0, :], axis=-1)[..., None]
+    scale = magnitude * np.linalg.norm(F[..., idx, :], axis=-1)
     F[..., idx, :] = F[..., idx, :] + scale[..., None] * direction
     return F
 
@@ -452,7 +437,7 @@ def _pair_residuals(gram, norms, j, k):
     """|gram[j, k]| / (|F_j| |F_k|) over the index pairs (j, k), and the
     largest per point."""
     scale = norms[:, j] * norms[:, k]
-    return _max0(_abs(gram[:, j, k]) / scale)
+    return _max0(np.abs(gram[:, j, k]) / scale)
 
 
 def _isotropy(sw):
@@ -480,7 +465,7 @@ def _hermitian_orthogonality(sw):
 def _collinearity(sw):
     def rows(idx):
         top = sw.F[idx, -1]
-        return _pair_minors_max(top, np.conj(top)) / _square(sw.norms[idx, -1])
+        return _pair_minors_max(top, np.conj(top)) / sw.norms[idx, -1] ** 2
 
     return sw.each(sw.regular, rows)
 
@@ -491,7 +476,7 @@ def _circularity(sw):
     def rows(idx):
         a = _fundamental_forms(sw.batch.F[idx], sw.batch.norms_sq[idx], sw.g[idx],
                                range(n))
-        return _max0(_abs(_dot(a, a)) / _dot(a, np.conj(a)).real)
+        return _max0(np.abs(_dot(a, a)) / _dot(a, np.conj(a)).real)
 
     return sw.each(sw.ok, rows)
 
@@ -510,7 +495,8 @@ def _fbar_identity(sw):
     F, norms_sq = sw.batch.F[rows], sw.batch.norms_sq[rows]
     # s = 2..n along the last axis: |F_s|^2 over |F_{s-1}|^2
     ratio = norms_sq[:, 1:n] / norms_sq[:, :n - 1]
-    resid = _norm(dbar[rows] + ratio[..., None] * np.conj(F[:, :n - 1]))
+    resid = np.linalg.norm(dbar[rows] + ratio[..., None] * np.conj(F[:, :n - 1]),
+                           axis=-1)
     scale = norms_sq[:, 1:n] / np.sqrt(norms_sq[:, :n - 1])
     out[rows] = _max0(resid / scale)
     return out
@@ -522,7 +508,8 @@ def _tangent_formula(sw):
     rows = np.flatnonzero(_finite_rows(dg))
     tangent = _fundamental_forms(sw.batch.F[rows], sw.batch.norms_sq[rows],
                                  sw.g[rows], [0])[:, 0]
-    out[rows] = _norm(dg[rows] - tangent) / _norm(tangent)
+    out[rows] = (np.linalg.norm(dg[rows] - tangent, axis=-1)
+                 / np.linalg.norm(tangent, axis=-1))
     return out
 
 

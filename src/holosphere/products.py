@@ -5,11 +5,8 @@ vector is isotropic when its symmetric self-product vanishes.  The
 Hermitian product conjugates its second argument.  Subspace comparisons
 go through principal angles of orthonormalized bases.
 
-The underscore helpers reduce stacked rows (the last axis) and give every
-row the bits of the one-vector numpy or Python call named in each; the
-array forms that look the same (`np.abs` on complex arrays, array
-complex products, `**` on float arrays) round differently in the last
-bit, and the recorded outputs depend on those bits.
+The underscore helpers reduce stacked rows (the last axis) in plain
+array arithmetic.
 """
 
 import numpy as np
@@ -54,50 +51,14 @@ def _pair_minors_max(u, v):
 
 
 def _dot(u, v):
-    """np.dot(u[i], v[i]) of every row pair: `vecdot` conjugates its
-    first argument, and conjugating u first gives np.dot's bits."""
+    """The bilinear sum(u_k * v_k) of every row pair: `vecdot` conjugates
+    its first argument, so u is conjugated first."""
     return np.vecdot(np.conj(u), v)
 
 
-def _norm(v):
-    """np.linalg.norm of every row.  A complex norm sums the squares of
-    the real and imaginary views; a real one reduces a contiguous copy,
-    as np.linalg.norm does for a strided row."""
-    if np.iscomplexobj(v):
-        return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-    v = np.ascontiguousarray(v)
-    return np.sqrt(np.vecdot(v, v))
-
-
-def _abs(c):
-    """Python abs() of every complex entry: the hypot of its parts."""
-    return np.hypot(c.real, c.imag)
-
-
-def _square(x):
-    """x ** 2 of every float entry as Python computes it on a float: the C
-    library's pow, which rounds a few squares unlike x * x.  An object
-    array applies the Python operator entry by entry."""
-    return (np.asarray(x).astype(object) ** 2).astype(float)
-
-
-def _cmul(ar, ai, br, bi):
-    """Real and imaginary parts of (ar + i ai)(br + i bi) as a Python or
-    numpy complex scalar product rounds them, without the fused
-    multiply-adds of numpy's array product."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _complex(re, im):
-    """The complex array with the given parts, signed zeros kept."""
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def _max0(values):
-    """The running max(0.0, ...) of the one-point loops over the last
-    axis: NaN entries never replace the running value."""
+    """max(0.0, ...) over the last axis; NaN entries never replace the
+    running value."""
     return np.fmax.reduce(values, axis=-1, initial=0.0)
 
 

@@ -66,3 +66,19 @@ def oracle_surface_n1(phi, dphi):
     D = 1 + abs(phi) ** 2
     sign = 1.0 if dphi.real > 0 else -1.0
     return -sign * np.array([2 * phi.real, 2 * phi.imag, abs(phi) ** 2 - 1]) / D
+
+
+# gamma(x, y) of the Kaehler map with its partials (gamma, gamma_x,
+# gamma_y), written out by hand
+GAMMA_ORACLES = {
+    "1+x^2+y^2": lambda x, y: (1 + x**2 + y**2, 2 * x, 2 * y),
+    "2+x-0.5*y^2": lambda x, y: (2 + x - 0.5 * y**2, np.ones_like(x), -y),
+    "exp(x)*cos(y)+1": lambda x, y: (np.exp(x) * np.cos(y) + 1,
+                                     np.exp(x) * np.cos(y), -np.exp(x) * np.sin(y)),
+    "(1+x)^3/(2+y)": lambda x, y: ((1 + x) ** 3 / (2 + y), 3 * (1 + x) ** 2 / (2 + y),
+                                   -(1 + x) ** 3 / (2 + y) ** 2),
+    "sin(x*y)-x^5/(3+y^2)": lambda x, y: (
+        np.sin(x * y) - x**5 / (3 + y**2),
+        y * np.cos(x * y) - 5 * x**4 / (3 + y**2),
+        x * np.cos(x * y) + 2 * y * x**5 / (3 + y**2) ** 2),
+}

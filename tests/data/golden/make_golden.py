@@ -6,14 +6,20 @@ tests/test_golden.py compares against.
 Run it from a checkout of the commit whose outputs are to be recorded.
 Each case gets a directory with config.json, the reports of its
 commands and exit_codes.json.  Case names after the output directory
-re-record only those cases; without them every case is recorded.  For
-every JSON report it prints each number that a re-recording may move,
-from the file it replaces and from the new recording, one line each:
-every family's maximum, the reconstruct distances and residuals, the
-ruled deviation and probe residuals, and the Kaehler regular count.
+re-record only those cases; without them every case is recorded.
+
+For every recorded file (JSON, CSV and OBJ) that replaces an earlier
+recording it prints how many numbers moved and the largest absolute
+change of any of them, and flags a change of the text around the
+numbers (keys, layout, anything that is not a number).  For every JSON
+report it also prints each number that a re-recording may move, from
+the file it replaces and from the new recording, one line each: every
+family's maximum, the reconstruct distances and residuals, the ruled
+deviation and probe residuals, and the Kaehler regular count.
 """
 
 import json
+import re
 import shutil
 import sys
 import tempfile
@@ -157,10 +163,11 @@ def record(outdir, names=()):
                 codes[command] = main([command, "--config", str(config),
                                        "--out", work, "--quiet"])
                 for name in REPORTS[command]:
-                    old = _numbers(dest / name)
-                    shutil.copy(Path(work) / name, dest / name)
-                    _print_numbers(f"{case.__name__}/{name}", old,
-                                   _numbers(dest / name))
+                    target = dest / name
+                    old = target.read_text() if target.exists() else None
+                    shutil.copy(Path(work) / name, target)
+                    _print_changes(f"{case.__name__}/{name}", old,
+                                   target.read_text())
         (dest / "exit_codes.json").write_text(json.dumps(codes, sort_keys=True) + "\n")
 
 
@@ -169,12 +176,16 @@ NUMBERS = ("sup_distance", "termination_residual", "holomorphy_residual",
            "max_norm_deviation", "ruling_geodesic_residual", "regular")
 
 
-def _numbers(path):
+# A number in a recorded file, but not the digits of a name such as "F2"
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?![\w.])")
+
+
+def _numbers(label, text):
     """The numbers of a JSON report that a re-recording may move, by
     label, or {} for other files."""
-    if path.suffix != ".json" or not path.exists():
+    if not label.endswith(".json"):
         return {}
-    doc = json.loads(path.read_text())
+    doc = json.loads(text)
     found = dict(doc.get("summary", {}))
     found.update((key, doc[key]) for key in NUMBERS if key in doc)
     for i, probe in enumerate(doc.get("probes", [])):
@@ -182,9 +193,27 @@ def _numbers(path):
     return found
 
 
-def _print_numbers(label, old, new):
-    for key in sorted(set(old) | set(new)):
-        print(f"{label} {key}: {old.get(key)!r} -> {new.get(key)!r}")
+def _moves(old, new):
+    """(numbers, moved, largest change, text changed) between two
+    recordings of a file: a number moved when its text changed, and the
+    text changed when the files differ anywhere but in their numbers."""
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    text_changed = NUMBER.sub("#", old) != NUMBER.sub("#", new)
+    changes = [abs(float(x) - float(y)) for x, y in zip(a, b) if x != y]
+    return len(b), len(changes), max(changes, default=0.0), text_changed
+
+
+def _print_changes(label, old, new):
+    if old is None:
+        print(f"{label}: new file")
+        return
+    count, moved, largest, text_changed = _moves(old, new)
+    flag = "; NON-NUMERIC TEXT CHANGED" if text_changed else ""
+    print(f"{label}: {moved} of {count} numbers moved, largest change "
+          f"{largest!r}{flag}")
+    old_numbers, new_numbers = _numbers(label, old), _numbers(label, new)
+    for key in sorted(set(old_numbers) | set(new_numbers)):
+        print(f"{label} {key}: {old_numbers.get(key)!r} -> {new_numbers.get(key)!r}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ from holosphere.applications import (
     ruled_point,
     ruling_geodesic_residual,
 )
-from holosphere.errors import SingularPointError
+from holosphere.errors import EvaluationError, ParseError, SingularPointError
+
+from conftest import GAMMA_ORACLES
 
 Z0 = 0.31 + 0.17j
 
@@ -62,11 +64,26 @@ class TestKaehlerPoint:
             kaehler_point(chain_n2, KaehlerParams.create("1", [0j, 0j]), Z0)
 
     def test_gamma_partials(self):
-        p = KaehlerParams.create("1+x^2+y^2", [0j])
-        val, gz = p.gamma_values(0.5 + 0.25j)
-        assert val == pytest.approx(1 + 0.25 + 0.0625)
-        # gamma_z = (gamma_x - i gamma_y)/2 = x - i y = conj(z)
-        assert gz == pytest.approx(0.5 - 0.25j)
+        # the complex-step partials against partials written out by hand
+        zs = np.array([0.5 + 0.25j, -0.83 + 0.61j, 0.12 - 0.97j, -0.4 - 0.3j])
+        for gamma, oracle in GAMMA_ORACLES.items():
+            val, gz = KaehlerParams.create(gamma, [0j]).gamma_values(zs)
+            want, gx, gy = oracle(zs.real, zs.imag)
+            np.testing.assert_allclose(val, want, rtol=1e-14, atol=0, err_msg=gamma)
+            # gamma_z = (gamma_x - i gamma_y) / 2
+            np.testing.assert_allclose(gz, 0.5 * (gx - 1j * gy), rtol=1e-14, atol=0,
+                                       err_msg=gamma)
+
+    def test_gamma_zero_denominator_names_the_point(self):
+        p = KaehlerParams.create("1/x", [0j])
+        with pytest.raises(EvaluationError, match=r"division by zero at z=0\.25j"):
+            p.gamma_values(np.array([0.5 + 0.1j, 0.25j, 0.7j]))
+        with pytest.raises(EvaluationError, match=r"division by zero at z=0\.7j"):
+            p.gamma_values(0.7j)
+
+    def test_non_real_gamma_refused(self):
+        with pytest.raises(ParseError, match=r"gamma must be real.*offset 2"):
+            KaehlerParams.create("1+i*x", [0j])
 
 
 class TestImmersionCheck:

@@ -384,6 +384,7 @@ class TestErrors:
         ("w_box", [-0.1, None], "$.kaehler.w_box[1]"),
         ("min_regular_fraction", 1.5, "$.kaehler.min_regular_fraction"),
         ("min_regular_fraction", -1, "$.kaehler.min_regular_fraction"),
+        ("gamma", "1+i*x", "$.kaehler.gamma"),
     ])
     def test_bad_kaehler_field_named(self, tmp_path, capsys, key, value, path):
         doc = demo_config(2)

@@ -20,7 +20,6 @@ from holosphere.expr import (
     Sub,
     Var,
     antiderivative,
-    differentiate,
     eval_expr,
     is_polynomial,
     parse_expr,
@@ -118,29 +117,6 @@ class TestEval:
     def test_constant_broadcast(self):
         zs = np.zeros(4, dtype=complex)
         assert np.all(eval_expr(parse_expr("3"), zs) == 3)
-
-
-class TestDifferentiate:
-    def test_power_rule(self):
-        d = differentiate(parse_expr("z^2"))
-        assert np.array_equal(poly_coeffs(d), np.array([0j, 2 + 0j]))
-
-    def test_constant(self):
-        assert differentiate(parse_expr("3")) == Const(0j)
-
-    def test_exponential_fixed_point(self):
-        assert differentiate(parse_expr("exp(z)")) == parse_expr("exp(z)")
-
-    def test_quotient_rule_matches_fd(self):
-        e = parse_expr("sin(z)/(1+z^2)")
-        d = differentiate(e)
-        z, h = 0.37 + 0.21j, 1e-6
-        fd = (eval_expr(e, z + h) - eval_expr(e, z - h)) / (2 * h)
-        assert abs(eval_expr(d, z) - fd) < 1e-8
-
-    def test_polynomial_stays_polynomial(self):
-        d = differentiate(parse_expr("(1+z)^4-2*z^2"))
-        assert is_polynomial(d)
 
 
 class TestPolynomials:
