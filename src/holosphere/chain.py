@@ -403,7 +403,8 @@ def _gram_schmidt(jets, eps_singular):
     with one reorthogonalization pass.  Rows with collapsed norms are
     flagged singular instead of raising."""
     B, m, d = jets.shape
-    F = np.zeros_like(jets)
+    # F[j] holds chain vector j of every row as one contiguous (B, d) block
+    F = np.empty((m, B, d), dtype=jets.dtype)
     norms = np.zeros((B, m))
     scale_sq = np.max(np.sum(np.abs(jets) ** 2, axis=2), axis=1)
     # per column j, once for all the projections onto it: where its norm
@@ -413,15 +414,15 @@ def _gram_schmidt(jets, eps_singular):
         v = jets[:, s].copy()
         for _ in range(2):
             for j in range(s):
-                coef = np.einsum("bd,bd->b", v, np.conj(F[:, j])) / safe[j]
+                coef = np.einsum("bd,bd->b", v, np.conj(F[j])) / safe[j]
                 coef = np.where(positive[j], coef, 0.0)
-                v -= coef[:, None] * F[:, j]
-        F[:, s] = v
+                v -= coef[:, None] * F[j]
+        F[s] = v
         norms[:, s] = np.sum(np.abs(v) ** 2, axis=1)
         positive.append(norms[:, s] > 0)
         safe.append(np.where(positive[s], norms[:, s], 1.0))
     singular = np.any(norms <= eps_singular * scale_sq[:, None], axis=1)
-    return F, norms, scale_sq, singular
+    return F.transpose(1, 0, 2), norms, scale_sq, singular
 
 
 def f_chain_eval(chain, zs):

@@ -139,12 +139,10 @@ def _report_lines(report, quiet):
 
 
 def _write_grid(cfg, outdir, name, table, valid, coords, attribute=None):
-    """A grid result in the config's formats: <name>.csv through
-    table(path), and <name>.obj and <name>.ply from the mesh of the
-    valid points.  `attribute` is a (name, grid) pair that the PLY
-    writes as a per-vertex scalar."""
-    if "csv" in cfg.formats:
-        table(outdir / f"{name}.csv")
+    """A grid result in the config's formats: <name>.obj and <name>.ply
+    from the mesh of the valid points, then <name>.csv through
+    table(path), which reuses the mesh's vertex text.  `attribute` is a
+    (name, grid) pair that the PLY writes as a per-vertex scalar."""
     mesh = mesh_from_grid(valid, coords, attributes=dict([attribute]) if attribute
                           else None)
     if "obj" in cfg.formats:
@@ -152,6 +150,8 @@ def _write_grid(cfg, outdir, name, table, valid, coords, attribute=None):
     if "ply" in cfg.formats:
         write_ply(mesh, outdir / f"{name}.ply", components=cfg.obj_components,
                   attribute=attribute[0] if attribute else None)
+    if "csv" in cfg.formats:
+        table(outdir / f"{name}.csv")
 
 
 def _diagnose(cfg, outdir, quiet):

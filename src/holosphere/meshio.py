@@ -10,11 +10,17 @@ attribute.
 
 Floats are serialized with shortest round-trip formatting (`repr`), so
 identical inputs produce byte-identical files.  That formatting is most
-of a writer's cost, so each float is formatted once: a grid's z columns
-from their distinct values, surface coordinates only on valid rows, and
-a mesh's vertex text once per component triple, shared by OBJ and PLY.
-Files are built from whole arrays and written in blocks of
-`_BLOCK_ROWS` rows, which bounds the text held in memory at once.
+of a writer's cost, so each float of a surface is formatted once: a
+grid's z columns from their distinct values, coordinates only on valid
+rows, and one vertex text shared by OBJ, PLY and the CSV.  The module
+keeps a one-entry memo, the last vertex text formatted together with a
+copy of the (M, 3) floats it came from.  `MeshOutput.vertex_text`
+reuses it when the floats have the same shape and bits, and the CSV
+writers take from it every valid-row column whose bits equal one of its
+columns.  The memo is keyed by content, so it cannot go stale; writing
+OBJ or PLY before the CSV lets the CSV share the text.  Files are built
+from whole arrays and written in blocks of `_BLOCK_ROWS` rows, which
+bounds the text held in memory at once.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +30,9 @@ import numpy as np
 _BLOCK_ROWS = 2048
 # CSV text of a 0/1 flag column
 _FLAG_TEXT = np.array([",0", ",1"], dtype=object)
+# The last vertex text formatted, as one (floats, text) pair: the (M, 3)
+# floats and the 'x y z' text of each of their rows.
+_memo = (np.zeros((0, 3)), [])
 
 
 def _floats(arr):
@@ -35,6 +44,13 @@ def _rows(texts, width, sep):
     """Group a flat list of texts into rows of `width`, joined by sep."""
     it = iter(texts)
     return list(map(sep.join, zip(*[it] * width)))
+
+
+def _same_bits(a, b):
+    """Whether two float arrays have the same shape and bit patterns, so
+    that -0.0 and 0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                  b.view(np.uint64))
 
 
 def _blocks(count):
@@ -52,20 +68,19 @@ def _int_rows(fh, template, rows):
 @dataclass
 class MeshOutput:
     """Vertices (full coordinates), quad connectivity over the grid, and
-    per-vertex scalar attributes.  The writers cache vertex text on the
-    mesh, so vertices must not change once it has been written."""
+    per-vertex scalar attributes."""
 
     vertices: np.ndarray         # (M, dim) float
     faces: np.ndarray            # (F, 4) int quads, 0-based indices into vertices
     grid_shape: tuple
     valid: np.ndarray            # (R, C) bool
     attributes: dict = field(default_factory=dict)
-    _vertex_text: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def component_triple(self, components):
-        """Columns for a 1-based component triple."""
+        """A copy of the columns of a 1-based component triple."""
         dim = self.vertices.shape[1]
+        if len(components) != 3:
+            raise ValueError(f"components must be 3 indices, got {len(components)}")
         for c in components:
             if not 1 <= c <= dim:
                 raise ValueError(f"component {c} out of range 1..{dim}")
@@ -73,13 +88,15 @@ class MeshOutput:
         return self.vertices[:, idx]
 
     def vertex_text(self, components):
-        """'x y z' text of every vertex for a component triple, formatted
-        once per mesh and triple."""
-        key = tuple(components)
-        if key not in self._vertex_text:
-            pts = self.component_triple(components)
-            self._vertex_text[key] = _rows(_floats(pts), 3, " ")
-        return self._vertex_text[key]
+        """'x y z' text of every vertex for a component triple, taken from
+        the memo when its floats have the same bits."""
+        global _memo
+        pts = np.asarray(self.component_triple(components), dtype=float)
+        floats, text = _memo
+        if not _same_bits(pts, floats):
+            text = _rows(_floats(pts), 3, " ")
+            _memo = (pts, text)
+        return text
 
 
 def mesh_from_grid(valid, coords, attributes=None):
@@ -155,18 +172,39 @@ def _distinct_text(values):
     return np.array(_floats(uniq.view(np.float64)), dtype=object)[inverse]
 
 
+def _coord_rows(vals, memo_rows, shared):
+    """Comma-joined text of each row of vals, taking column j from column
+    shared[j] of the memo's row text where shared has it."""
+    dim = vals.shape[1]
+    if not shared or not len(vals):
+        return _rows(_floats(vals), dim, ",")
+    memo_cols = list(zip(*map(str.split, memo_rows)))
+    cols = [memo_cols[shared[j]] if j in shared else _floats(vals[:, j])
+            for j in range(dim)]
+    return list(map(",".join, zip(*cols)))
+
+
 def _write_grid_csv(path, header, zs, flags, valid, coords, extra=None):
     """Row-major grid table: z_re, z_im, the 0/1 flag columns, the
     coordinates on valid rows (blank elsewhere), then the per-row text
-    of `extra` (an object array of ',...' suffixes) if given."""
+    of `extra` (an object array of ',...' suffixes) if given.  Every
+    coordinate column with the bits of a memo column takes its text."""
     count = zs.size
     dim = coords.shape[-1]
     re_text = _distinct_text(zs.real)
     im_text = _distinct_text(zs.imag)
     flags = [np.asarray(f).ravel().astype(np.intp) for f in flags]
     valid = valid.ravel()
-    coords = coords.reshape(count, dim)
+    vals = np.asarray(coords, dtype=float).reshape(count, dim)[valid]
+    floats, memo = _memo
+    shared = {}  # column -> a memo column with the same bits
+    for j in range(dim):
+        for i in range(3):
+            if _same_bits(vals[:, j], floats[:, i]):
+                shared[j] = i
+                break
     blank = "," * dim
+    stop = 0  # valid rows written so far
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for a, b in _blocks(count):
@@ -174,8 +212,9 @@ def _write_grid_csv(path, header, zs, flags, valid, coords, extra=None):
             for f in flags:
                 rows += _FLAG_TEXT[f[a:b]]
             ok = valid[a:b]
+            start, stop = stop, stop + np.count_nonzero(ok)
             tail = np.full(b - a, blank, dtype=object)
-            text = _rows(_floats(coords[a:b][ok]), dim, ",")
+            text = _coord_rows(vals[start:stop], memo[start:stop], shared)
             tail[ok] = "," + np.array(text, dtype=object)
             rows += tail
             if extra is not None:

@@ -1,7 +1,9 @@
 """Mesh and table writers, compared byte for byte with per-row reference
 writers: the row-at-a-time implementation the block writers replaced,
 kept here as the oracle.  Every case runs at the default block size and
-at a block size that splits the rows into uneven blocks."""
+at a block size that splits the rows into uneven blocks.  The writers
+share one memo of vertex text, so files are also compared after writes
+of other surfaces and after vertices change in place."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -304,3 +306,82 @@ def test_single_valid_row_has_vertices_but_no_faces(tmp_path):
     lines = (tmp_path / "s.obj").read_text().splitlines()
     assert len(lines) == scan.shape[1]
     assert all(line.startswith("v ") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# The shared vertex text
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("between", [None, "other_scan", "vertices_changed"])
+@pytest.mark.parametrize("order", [("obj", "csv", "ply"), ("obj", "ply", "csv")])
+@pytest.mark.parametrize("components", [(1, 2, 3), (3, 1, 2), (2, 2, 5)])
+@pytest.mark.parametrize("case", CASES)
+def test_shared_text_matches_reference(case, components, order, between, blocks,
+                                       tmp_path):
+    """OBJ, PLY and CSV of one surface equal the reference files in either
+    order, also when another scan of the same shape is written after the
+    first file, or when the mesh's vertices change after a first OBJ."""
+    scan = CASES[case]
+    attrs = {"residual": _attribute(scan)}
+    mesh = mesh_from_grid(scan.valid, scan.surface, attributes=attrs)
+    if between == "vertices_changed":
+        write_obj(mesh, tmp_path / "first.obj", components=components)
+        mesh.vertices *= -0.5
+        scan = dataclasses.replace(scan, surface=scan.surface * -0.5)
+    residuals = _residuals(scan)
+    ref = ref_mesh_from_grid(scan.valid, scan.surface, attributes=attrs)
+    writers = {
+        "obj": (write_obj, ref_write_obj, {}),
+        "ply": (write_ply, ref_write_ply, {"attribute": "residual"}),
+    }
+    for k, name in enumerate(order):
+        got, want = tmp_path / f"got.{name}", tmp_path / f"want.{name}"
+        if name == "csv":
+            write_surface_csv(scan, got, residuals)
+            ref_write_surface_csv(scan, want, residuals)
+        else:
+            write, ref_write, kwargs = writers[name]
+            write(mesh, got, components=components, **kwargs)
+            ref_write(ref, want, components=components, **kwargs)
+        assert got.read_bytes() == want.read_bytes(), name
+        if k == 0 and between == "other_scan":
+            # the same shape, the coordinates reversed: some columns of its
+            # vertex text match columns of the scan, others do not
+            other = scan.surface[..., ::-1].copy()
+            write_obj(mesh_from_grid(scan.valid, other), tmp_path / "other.obj",
+                      components=components)
+
+
+@pytest.mark.parametrize("case", ["rectangle", "disk"])
+def test_each_float_is_formatted_once(case, monkeypatch, tmp_path):
+    """The mesh's vertex text, formatted for the OBJ, serves the PLY and
+    the g_1..g_3 columns of the CSV."""
+    scan = CASES[case]
+    monkeypatch.setattr(meshio, "_memo", (np.zeros((0, 3)), []))
+    formatted = []
+    floats = meshio._floats
+
+    def counting(arr):
+        text = floats(arr)
+        formatted.append(len(text))
+        return text
+
+    monkeypatch.setattr(meshio, "_floats", counting)
+    mesh = mesh_from_grid(scan.valid, scan.surface)
+    write_obj(mesh, tmp_path / "s.obj")
+    write_surface_csv(scan, tmp_path / "s.csv")
+    write_ply(mesh, tmp_path / "s.ply")
+    distinct = sum(np.unique(np.ascontiguousarray(part).view(np.uint64)).size
+                   for part in (scan.zs.real, scan.zs.imag))
+    dim = scan.surface.shape[2]
+    assert sum(formatted) == scan.valid.sum() * dim + distinct
+
+
+@pytest.mark.parametrize("components", [(1, 2), (1, 2, 3, 4)])
+@pytest.mark.parametrize("write", [write_obj, write_ply])
+def test_component_list_must_be_a_triple(write, components, tmp_path):
+    coords = np.arange(20.0).reshape(2, 2, 5)
+    mesh = mesh_from_grid(np.ones((2, 2), dtype=bool), coords)
+    with pytest.raises(ValueError, match=f"got {len(components)}"):
+        write(mesh, tmp_path / "m", components=components)
+    assert not (tmp_path / "m").exists()

@@ -62,3 +62,26 @@ def test_tracer_binds_counts_and_restores(surface_n1):
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, val in before.items() if after[key] is not val] == []
+
+
+def test_tracer_counts_one_surface_job(tmp_path):
+    """A surface job as the bulk workload runs it: one Gram-Schmidt call,
+    one call of each writer, and the bytes of the three files."""
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        surface = chain.build_alpha_chain(["1+0.3*z", "0.8-0.2*z"])
+        scan = chain.scan_grid(surface, 9, 7)
+        mesh = meshio.mesh_from_grid(scan.valid, scan.surface)
+        meshio.write_obj(mesh, tmp_path / "surface.obj")
+        meshio.write_surface_csv(scan, tmp_path / "surface.csv")
+        meshio.write_ply(mesh, tmp_path / "surface.ply")
+        counts = dict(tracer.counts)
+    finally:
+        tracer.uninstall()
+    files = ["surface.obj", "surface.csv", "surface.ply"]
+    assert counts["meshio.bytes_written"] == sum(
+        (tmp_path / name).stat().st_size for name in files)
+    assert counts["chain.gram_schmidt.calls"] == 1
+    for writer in ("write_obj", "write_surface_csv", "write_ply"):
+        assert counts[f"meshio.{writer}.calls"] == 1
