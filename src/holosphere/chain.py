@@ -69,6 +69,9 @@ _SURROGATE_TOL = 1e-12
 # Circle sample counts tried in turn; the surrogate degree stays below
 # half the last one
 _FFT_SIZES = (64, 128, 256, 512, 1024, 2048)
+# Points per chain evaluation in `scan_grid`: only one block's jets and
+# Gram-Schmidt vectors are held at a time
+_SCAN_BLOCK = 8192
 
 
 @dataclass
@@ -529,13 +532,14 @@ class GridScan:
         return self.zs.shape
 
     @classmethod
-    def scatter(cls, zs, inside, batch):
-        """The scan of the grid zs from the batch at its inside points
+    def scatter(cls, zs, inside, ok, g):
+        """The scan of the grid zs from the regularity flags ok and the
+        surface rows g (NaN where not ok) at its inside points
         zs[inside], in row-major order."""
         valid = np.zeros(zs.shape, dtype=bool)
-        valid[inside] = batch.ok
-        surface = np.full(zs.shape + batch.g.shape[1:], np.nan)
-        surface[inside] = batch.g
+        valid[inside] = ok
+        surface = np.full(zs.shape + g.shape[1:], np.nan)
+        surface[inside] = g
         return cls(zs=zs, inside=inside, singular=inside & ~valid, valid=valid,
                    surface=surface)
 
@@ -544,7 +548,23 @@ def scan_grid(chain, rows, cols):
     """Evaluate chain and surface over a rows x cols grid of the domain.
 
     Grid order is row-major and the result is deterministic for fixed
-    inputs.  Degenerate points are masked, never raised.
+    inputs.  Degenerate points are masked, never raised.  The inside
+    points are evaluated in blocks of _SCAN_BLOCK, keeping only each
+    block's flags and surface rows, so that the chain data held at once
+    does not grow with the grid.  Every point is evaluated on its own,
+    so the blocks change no bit of the result.
     """
     zs, inside = chain.domain.grid(rows, cols)
-    return GridScan.scatter(zs, inside, f_chain_eval(chain, zs[inside]))
+    pts = zs[inside]
+    ok = np.zeros(pts.size, dtype=bool)
+    g = np.empty((pts.size, chain.dim))
+    for start in range(0, pts.size, _SCAN_BLOCK):
+        part = slice(start, start + _SCAN_BLOCK)
+        # through the module global, so that a wrapper bound there sees
+        # every block
+        batch = f_chain_eval(chain, pts[part])
+        ok[part] = batch.ok
+        g[part] = batch.g
+        # free this block's jets and chain vectors before the next block
+        del batch
+    return GridScan.scatter(zs, inside, ok, g)

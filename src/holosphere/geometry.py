@@ -620,7 +620,7 @@ def verify_all(
         status=status,
         passed=passed,
         singular_count=singular_count,
-        scan=GridScan.scatter(zs, inside, sweep.batch),
+        scan=GridScan.scatter(zs, inside, sweep.batch.ok, sweep.batch.g),
         counts=counts,
         surrogates=list(chain.surrogates),
     )

@@ -18,9 +18,15 @@ copy of the (M, 3) floats it came from.  `MeshOutput.vertex_text`
 reuses it when the floats have the same shape and bits, and the CSV
 writers take from it every valid-row column whose bits equal one of its
 columns.  The memo is keyed by content, so it cannot go stale; writing
-OBJ or PLY before the CSV lets the CSV share the text.  Files are built
-from whole arrays and written in blocks of `_BLOCK_ROWS` rows, which
-bounds the text held in memory at once.
+OBJ or PLY before the CSV lets the CSV share the text.
+
+Text is formatted and written in blocks of `_BLOCK_ROWS` rows: the
+per-float strings of the vertex text, the CSV rows with their
+coordinate, flag and residual columns, the PLY attribute and the face
+lines.  Two texts stay whole, each one string per row: the memo's
+vertex rows, and the z_re and z_im texts of the grid, formatted once
+from their distinct values.  Beyond those two, the text held in memory
+at once is bounded by the block, whatever the size of the grid.
 """
 
 from dataclasses import dataclass, field
@@ -94,7 +100,9 @@ class MeshOutput:
         pts = np.asarray(self.component_triple(components), dtype=float)
         floats, text = _memo
         if not _same_bits(pts, floats):
-            text = _rows(_floats(pts), 3, " ")
+            text = []
+            for a, b in _blocks(len(pts)):
+                text += _rows(_floats(pts[a:b]), 3, " ")
             _memo = (pts, text)
         return text
 
@@ -184,11 +192,19 @@ def _coord_rows(vals, memo_rows, shared):
     return list(map(",".join, zip(*cols)))
 
 
-def _write_grid_csv(path, header, zs, flags, valid, coords, extra=None):
+def _optional_text(values):
+    """',<float>' text of each value, ',' where NaN: an object array."""
+    text = np.full(values.size, ",", dtype=object)
+    found = ~np.isnan(values)
+    text[found] = "," + np.array(_floats(values[found]), dtype=object)
+    return text
+
+
+def _write_grid_csv(path, header, zs, flags, valid, coords, extra=()):
     """Row-major grid table: z_re, z_im, the 0/1 flag columns, the
-    coordinates on valid rows (blank elsewhere), then the per-row text
-    of `extra` (an object array of ',...' suffixes) if given.  Every
-    coordinate column with the bits of a memo column takes its text."""
+    coordinates on valid rows (blank elsewhere), then one column per
+    flat float array of `extra` (blank where NaN).  Every coordinate
+    column with the bits of a memo column takes its text."""
     count = zs.size
     dim = coords.shape[-1]
     re_text = _distinct_text(zs.real)
@@ -217,8 +233,8 @@ def _write_grid_csv(path, header, zs, flags, valid, coords, extra=None):
             text = _coord_rows(vals[start:stop], memo[start:stop], shared)
             tail[ok] = "," + np.array(text, dtype=object)
             rows += tail
-            if extra is not None:
-                rows += extra[a:b]
+            for values in extra:
+                rows += _optional_text(values[a:b])
             fh.write("\n".join(rows.tolist()) + "\n")
 
 
@@ -245,13 +261,7 @@ def write_surface_csv(scan, path, residuals=None):
     header = ["z_re", "z_im", "inside", "valid", "singular"]
     header += [f"g_{k + 1}" for k in range(dim)]
     header += [f"res_{fam}" for fam in families]
-    extra = None
-    for fam in families:
-        values = np.ravel(residuals[fam])
-        text = np.full(values.size, ",", dtype=object)
-        found = ~np.isnan(values)
-        text[found] = "," + np.array(_floats(values[found]), dtype=object)
-        extra = text if extra is None else extra + text
     _write_grid_csv(path, header, scan.zs,
                     [scan.inside, scan.valid, scan.singular],
-                    scan.valid, scan.surface, extra)
+                    scan.valid, scan.surface,
+                    [np.ravel(residuals[fam]) for fam in families])

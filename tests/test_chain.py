@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from holosphere import (
     recursion_crosscheck,
     scan_grid,
 )
-from holosphere.chain import FChainBatch, require_regular
+from holosphere.chain import FChainBatch, GridScan, require_regular
 from holosphere.errors import DomainError, EvaluationError, SingularPointError
 from holosphere.products import hermitian_product, symmetric_product
 
@@ -492,3 +493,59 @@ class TestScanGrid:
         a = scan_grid(chain_n2, 6, 6)
         b = scan_grid(chain_n2, 6, 6)
         assert np.array_equal(a.surface, b.surface, equal_nan=True)
+
+
+# the chains of the blocked-scan cases, by name: betas, domain, grid
+SCAN_CASES = {
+    "rectangle": (["1+0.3*z", "0.8-0.2*z"], None, (23, 19)),
+    "disk_n4": (["1+0.2*z", "z^2+3", "1-0.4*i*z", "2+z"],
+                Domain.disk(0.1 - 0.2j, 0.9, base_point=0.1 - 0.2j), (17, 16)),
+    # singular and collapsed rows fall across block edges
+    "degenerate_n2": (["z", "1"], None, (11, 11)),
+    "degenerate_n3": (["z", "1", "1"], None, (11, 13)),
+    # no grid point lies inside the disk
+    "empty_disk": (["1", "1"], Domain.disk(0j, 0.5), (2, 2)),
+}
+DEFAULT_SCAN_BLOCK = chain_module._SCAN_BLOCK
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint8)
+
+
+@pytest.mark.parametrize("block", [1, 7, DEFAULT_SCAN_BLOCK])
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_blocked_scan_equals_one_batch(case, block, monkeypatch):
+    """Every field of the blocked scan has the bits of the scatter of one
+    chain evaluation at all inside points."""
+    betas, domain, (rows, cols) = SCAN_CASES[case]
+    chain = build_alpha_chain(betas, domain=domain)
+    zs, inside = chain.domain.grid(rows, cols)
+    batch = f_chain_eval(chain, zs[inside])
+    want = GridScan.scatter(zs, inside, batch.ok, batch.g)
+    monkeypatch.setattr(chain_module, "_SCAN_BLOCK", block)
+    got = scan_grid(chain, rows, cols)
+    for name in ("zs", "inside", "singular", "valid", "surface"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(_bits(a), _bits(b)), name
+    if case == "empty_disk":
+        assert not got.inside.any() and not got.valid.any()
+        assert np.isnan(got.surface).all()
+    elif case.startswith("degenerate"):
+        assert got.singular.any() and got.valid.any()
+
+
+def test_scan_memory_is_bounded_by_the_block(monkeypatch):
+    """With blocks of 256 points, a 64x64 scan at n=4 holds less than the
+    jets of the whole grid at once."""
+    chain = build_alpha_chain(["1+0.2*z", "z^2+3", "1-0.4*i*z", "2+z"])
+    whole_jets = 64 * 64 * (chain.n + 1) * chain.dim * np.dtype(complex).itemsize
+    monkeypatch.setattr(chain_module, "_SCAN_BLOCK", 256)
+    tracemalloc.start()
+    try:
+        scan_grid(chain, 64, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_jets

@@ -64,9 +64,9 @@ def test_tracer_binds_counts_and_restores(surface_n1):
     assert [key for key, val in before.items() if after[key] is not val] == []
 
 
-def test_tracer_counts_one_surface_job(tmp_path):
-    """A surface job as the bulk workload runs it: one Gram-Schmidt call,
-    one call of each writer, and the bytes of the three files."""
+def _traced_surface_job(tmp_path):
+    """The counts of a surface job as the bulk workload runs it, on a
+    9x7 grid, and the sizes of its three files."""
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
@@ -79,9 +79,26 @@ def test_tracer_counts_one_surface_job(tmp_path):
         counts = dict(tracer.counts)
     finally:
         tracer.uninstall()
-    files = ["surface.obj", "surface.csv", "surface.ply"]
-    assert counts["meshio.bytes_written"] == sum(
-        (tmp_path / name).stat().st_size for name in files)
+    sizes = [(tmp_path / name).stat().st_size
+             for name in ("surface.obj", "surface.csv", "surface.ply")]
+    return counts, sizes
+
+
+def test_tracer_counts_one_surface_job(tmp_path):
+    """A surface job: one Gram-Schmidt call, one call of each writer, and
+    the bytes of the three files."""
+    counts, sizes = _traced_surface_job(tmp_path)
+    assert counts["meshio.bytes_written"] == sum(sizes)
     assert counts["chain.gram_schmidt.calls"] == 1
     for writer in ("write_obj", "write_surface_csv", "write_ply"):
         assert counts[f"meshio.{writer}.calls"] == 1
+
+
+def test_tracer_sees_every_scan_block(monkeypatch, tmp_path):
+    """`scan_grid` evaluates each block through the `chain` module global:
+    63 points in blocks of 16 are four traced calls."""
+    monkeypatch.setattr(chain, "_SCAN_BLOCK", 16)
+    counts, _ = _traced_surface_job(tmp_path)
+    assert counts["chain.f_chain_eval.calls"] == 4
+    assert counts["chain.f_chain_eval.points"] == 63
+    assert counts["chain.gram_schmidt.calls"] == 4
