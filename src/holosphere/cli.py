@@ -140,9 +140,10 @@ def _report_lines(report, quiet):
 
 def _write_grid(cfg, outdir, name, table, valid, coords, attribute=None):
     """A grid result in the config's formats: <name>.obj and <name>.ply
-    from the mesh of the valid points, then <name>.csv through
-    table(path), which reuses the mesh's vertex text.  `attribute` is a
-    (name, grid) pair that the PLY writes as a per-vertex scalar."""
+    from the mesh of the valid points, and <name>.csv through
+    table(path).  Each file is formatted on its own, so the order of the
+    writes does not change a byte.  `attribute` is a (name, grid) pair
+    that the PLY writes as a per-vertex scalar."""
     mesh = mesh_from_grid(valid, coords, attributes=dict([attribute]) if attribute
                           else None)
     if "obj" in cfg.formats:

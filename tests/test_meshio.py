@@ -1,16 +1,20 @@
 """Mesh and table writers, compared byte for byte with per-row reference
 writers: the row-at-a-time implementation the block writers replaced,
 kept here as the oracle.  Every case runs at the default block size and
-at a block size that splits the rows into uneven blocks.  The writers
-share one memo of vertex text, so files are also compared after writes
-of other surfaces and after vertices change in place."""
+at a block size that splits the rows into uneven blocks.  Files are also
+compared after writes of other surfaces and after vertices change in
+place, since a writer's output must not depend on what came before it.
+The vectorized float formatter is compared with repr itself."""
 
 import dataclasses
+import io
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holosphere import Domain, build_alpha_chain, scan_grid
 from holosphere import meshio
@@ -310,7 +314,7 @@ def test_single_valid_row_has_vertices_but_no_faces(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The shared vertex text
+# Write order and earlier writes
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("between", [None, "other_scan", "vertices_changed"])
@@ -346,36 +350,41 @@ def test_shared_text_matches_reference(case, components, order, between, blocks,
             ref_write(ref, want, components=components, **kwargs)
         assert got.read_bytes() == want.read_bytes(), name
         if k == 0 and between == "other_scan":
-            # the same shape, the coordinates reversed: some columns of its
-            # vertex text match columns of the scan, others do not
+            # the same shape, the coordinates reversed: some of its columns
+            # have the bits of columns of the scan, others do not
             other = scan.surface[..., ::-1].copy()
             write_obj(mesh_from_grid(scan.valid, other), tmp_path / "other.obj",
                       components=components)
 
 
+def _write_all(scan, outdir):
+    """OBJ, CSV and PLY of a scan, as bytes."""
+    outdir.mkdir()
+    mesh = mesh_from_grid(scan.valid, scan.surface,
+                          attributes={"residual": _attribute(scan)})
+    write_obj(mesh, outdir / "s.obj")
+    write_surface_csv(scan, outdir / "s.csv", _residuals(scan))
+    write_ply(mesh, outdir / "s.ply", attribute="residual")
+    return [(outdir / name).read_bytes() for name in ("s.obj", "s.csv", "s.ply")]
+
+
 @pytest.mark.parametrize("case", ["rectangle", "disk"])
-def test_each_float_is_formatted_once(case, monkeypatch, tmp_path):
-    """The mesh's vertex text, formatted for the OBJ, serves the PLY and
-    the g_1..g_3 columns of the CSV."""
+def test_output_does_not_depend_on_earlier_writes(case, tmp_path):
+    """The writers keep no text between calls: the module's state is the
+    same after a write as before, and a scan's files are the same whether
+    written first or after other scans, among them one whose columns have
+    the bits of the scan's columns."""
     scan = CASES[case]
-    monkeypatch.setattr(meshio, "_memo", (np.zeros((0, 3)), []))
-    formatted = []
-    floats = meshio._floats
-
-    def counting(arr):
-        text = floats(arr)
-        formatted.append(len(text))
-        return text
-
-    monkeypatch.setattr(meshio, "_floats", counting)
-    mesh = mesh_from_grid(scan.valid, scan.surface)
-    write_obj(mesh, tmp_path / "s.obj")
-    write_surface_csv(scan, tmp_path / "s.csv")
-    write_ply(mesh, tmp_path / "s.ply")
-    distinct = sum(np.unique(np.ascontiguousarray(part).view(np.uint64)).size
-                   for part in (scan.zs.real, scan.zs.imag))
-    dim = scan.surface.shape[2]
-    assert sum(formatted) == scan.valid.sum() * dim + distinct
+    state = dict(vars(meshio))
+    first = _write_all(scan, tmp_path / "first")
+    assert vars(meshio).keys() == state.keys()
+    assert all(vars(meshio)[name] is value for name, value in state.items())
+    for k, other in enumerate([
+        dataclasses.replace(scan, surface=scan.surface[..., ::-1].copy()),
+        CASES["disk" if case == "rectangle" else "rectangle"],
+    ]):
+        _write_all(other, tmp_path / f"other{k}")
+    assert _write_all(scan, tmp_path / "again") == first
 
 
 def test_residual_text_is_formatted_per_block(monkeypatch, tmp_path):
@@ -385,7 +394,6 @@ def test_residual_text_is_formatted_per_block(monkeypatch, tmp_path):
     scan = scan_grid(build_alpha_chain(["1+0.3*z", "0.8-0.2*z"]), 64, 64)
     values = np.linspace(1e-17, 3e-9, scan.zs.size).reshape(scan.shape)
     residuals = {f"family{k}": values * (k + 1) for k in range(9)}
-    monkeypatch.setattr(meshio, "_memo", (np.zeros((0, 3)), []))
     monkeypatch.setattr(meshio, "_BLOCK_ROWS", 64)
     peaks = []
     for res in (None, residuals):
@@ -399,6 +407,79 @@ def test_residual_text_is_formatted_per_block(monkeypatch, tmp_path):
     assert peaks[1] - peaks[0] < floats
 
 
+# ---------------------------------------------------------------------------
+# The float formatter against repr
+# ---------------------------------------------------------------------------
+
+def _assert_repr_rows(values, cols):
+    """_float_rows equals sep.join(map(repr, row)) on values laid out in
+    rows of cols, both as given and repeated to a block the vectorized
+    path takes."""
+    values = np.asarray(values, dtype=float).ravel()
+    rows = -(-max(values.size, meshio._VECTOR_FLOATS) // cols)
+    for block in (values[:values.size // cols * cols].reshape(-1, cols),
+                  np.resize(values, (rows, cols))):
+        for sep in (" ", ","):
+            want = [sep.join(map(repr, row)) for row in block.tolist()]
+            assert meshio._float_rows(block, sep) == want
+
+
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=60),
+       st.integers(1, 9))
+@settings(max_examples=200, deadline=None)
+def test_float_rows_equal_repr(values, cols):
+    _assert_repr_rows(values, cols)
+
+
+def _adversarial_floats():
+    """Floats where shortest-digit formatting goes wrong first: powers of
+    two (a narrower gap below), short decimals (shorter than 15 digits),
+    the ends of each decade, 17-digit roundings that carry, and floats
+    exactly halfway between two 17-digit (or 16-digit) decimals."""
+    rng = np.random.default_rng(19)
+    halfway = [2.0 ** -17 * (2 * rng.integers(2**15, 2**16, 300) + 1)]
+    for q in (17, 18, 19, 20):
+        # odd multiples of 2**-(q+1) between 10**(16-q) and 10**(17-q)
+        lo = 2**q // 10 ** (q - 16) + 1
+        halfway.append(2.0 ** -(q + 1) * (2 * rng.integers(lo, 10 * lo - 10, 300) + 1))
+    powers = 2.0 ** np.arange(-20, 1)
+    digits = rng.integers(1, 17, 4000)
+    short = rng.integers(1, 10 ** digits) / 10.0 ** (digits + rng.integers(0, 5, 4000))
+    ends = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
+    carries = np.array([np.nextafter(0.1, 0), 0.09999999999999999,
+                        0.9999999999999999, 0.0009999999999999998])
+    base = np.concatenate([powers, short, ends, carries, *halfway])
+    near = [base, np.nextafter(base, 0), np.nextafter(base, 2)]
+    for _ in range(3):
+        near += [np.nextafter(near[-2], 0), np.nextafter(near[-1], 2)]
+    values = np.concatenate(near)
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("cols", [1, 3, 7])
+def test_float_rows_equal_repr_on_adversarial_floats(cols):
+    _assert_repr_rows(_adversarial_floats(), cols)
+
+
+def test_surface_floats_take_the_vectorized_path(monkeypatch):
+    """At least 99 % of the floats of a 128x128, n=4 scan are formatted
+    without repr, so a silent slide back to repr fails here."""
+    chain = build_alpha_chain(["1+0.3*z", "0.8-0.2*z", "1+0.2*i*z", "1-0.25*z"])
+    scan = scan_grid(chain, 128, 128)
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(meshio, "repr", counting, raising=False)
+    vals = scan.surface[scan.valid]
+    for a, b in meshio._blocks(len(vals)):
+        meshio._float_rows(vals[a:b], ",")
+    assert vals.size > 100_000
+    assert len(calls) <= 0.01 * vals.size
+
+
 @pytest.mark.parametrize("components", [(1, 2), (1, 2, 3, 4)])
 @pytest.mark.parametrize("write", [write_obj, write_ply])
 def test_component_list_must_be_a_triple(write, components, tmp_path):
@@ -407,3 +488,18 @@ def test_component_list_must_be_a_triple(write, components, tmp_path):
     with pytest.raises(ValueError, match=f"got {len(components)}"):
         write(mesh, tmp_path / "m", components=components)
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("head", ["f", "4"])
+def test_face_lines_equal_percent_d(head):
+    """Face lines from the digit tables equal the %d template, across
+    digit counts and in blocks that take the template."""
+    edges = np.array([0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 10**4 + 1,
+                      99999, 10**5, 1234567, 10**7, 10**8 - 1])
+    rng = np.random.default_rng(4)
+    rows = np.concatenate([edges, rng.integers(0, 10**8, 4000)]).reshape(-1, 4)
+    for block in (rows, np.vstack([rows, [[10**8, 5, 0, 7]]]), rows[:, :3] - 1):
+        fh = io.StringIO()
+        meshio._int_rows(fh, head, block)
+        line = head + " %d" * block.shape[1] + "\n"
+        assert fh.getvalue() == (line * len(block)) % tuple(block.ravel().tolist())
