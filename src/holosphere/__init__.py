@@ -24,13 +24,10 @@ from .errors import (
     HolosphereError,
     NotPseudoholomorphicError,
     ParseError,
-    QuadratureError,
     SingularPointError,
 )
 from .expr import (
-    Antiderivative,
     HoloExpr,
-    antiderivative,
     eval_expr,
     parse_expr,
     to_string,
@@ -39,20 +36,13 @@ from .geometry import (
     DiagnosticsReport,
     SurfaceEvaluator,
     calabi_check,
-    chain_fundamental_form,
     minimality_residual,
     verify_all,
 )
-from .reconstruct import (
-    XiField,
-    extract_xi,
-    g_chain_at,
-    roundtrip,
-)
+from .reconstruct import XiField, roundtrip
 
 __all__ = [
     "AlphaChain",
-    "Antiderivative",
     "ConfigError",
     "DegenerateSurfaceError",
     "DiagnosticsReport",
@@ -63,18 +53,13 @@ __all__ = [
     "HolosphereError",
     "NotPseudoholomorphicError",
     "ParseError",
-    "QuadratureError",
     "SingularPointError",
     "SurfaceEvaluator",
     "XiField",
-    "antiderivative",
     "build_alpha_chain",
     "calabi_check",
-    "chain_fundamental_form",
     "eval_expr",
-    "extract_xi",
     "f_chain_eval",
-    "g_chain_at",
     "minimality_residual",
     "parse_expr",
     "recursion_crosscheck",

@@ -28,7 +28,7 @@ from .chain import f_chain_eval, require_regular, stencil_field
 from .errors import DomainError, ParseError
 from .expr import HoloExpr, _tokenize, eval_env, parse_expr
 from .fd import default_step, wirtinger
-from .geometry import SurfaceEvaluator, _normal_part
+from .geometry import _normal_part
 from .products import _dot
 
 _RANK_THRESHOLD = 1e-8   # Kaehler Jacobian rank: sigma > this * largest sigma
@@ -152,21 +152,6 @@ def _kaehler_base(batch, params):
     middle = scale[:, None] * np.real((gamma_z * corr)[:, None] * F[:, n - 1])
     base[idx] = gamma[:, None] * g + middle
     return base
-
-
-def kaehler_point_reference(chain, params, z):
-    """Independent assembly of the same map: gamma g + pushforward of the
-    metric gradient of gamma (from a finite-difference tangent vector)
-    plus the normal term.  Used to cross-check the closed formula."""
-    g_eval = SurfaceEvaluator.from_chain(chain)
-    batch = f_chain_eval(chain, np.array([z]))
-    require_regular(batch)
-    gamma, gamma_z = params.gamma_values(complex(z))
-    dg, = wirtinger(g_eval, z, [(1, 0)], default_step(chain.domain.diameter, 1))
-    metric = float(np.sum(np.abs(dg) ** 2))
-    grad_push = (2.0 / metric) * np.real(np.conj(gamma_z) * dg)
-    w = np.array(params.w, dtype=complex)
-    return gamma * batch.g[0] + grad_push + _normal_terms(batch.F[0], w)
 
 
 @dataclass

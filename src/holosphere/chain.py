@@ -113,8 +113,10 @@ class AlphaChain:
         polyval` on each element: the zero rows above derivative k leave
         the accumulator at +0, so its first row computes c + 0*z as
         polyval's c + z*0 does, and the result is the same to the bit.
-        Overflow is refused by the finite check, so numpy's warnings for
-        it are silenced."""
+        A point is refused with EvaluationError where a real or imaginary
+        part of its jet is not finite or exceeds sqrt(max / (2 dim)), the
+        largest part whose squared row norms stay finite; numpy's warnings
+        for the overflow are silenced."""
         zs = np.asarray(zs, dtype=complex).ravel()
         rows = self.jet_coeffs.reshape(len(self.jet_coeffs), -1, 1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -124,9 +126,14 @@ class AlphaChain:
                 acc += row
         # C order: the reductions downstream round strided rows differently
         out = np.ascontiguousarray(acc.T).reshape(zs.size, self.n + 1, self.dim)
-        if not np.all(np.isfinite(out)):
-            bad = np.argwhere(~np.isfinite(out))[0][0]
-            raise EvaluationError("non-finite chain value", complex(zs[bad]))
+        bound = np.sqrt(np.finfo(float).max / (2 * self.dim))
+        parts = out.view(float)
+        # NaN fails the comparisons as well
+        if out.size and not -bound <= parts.min() <= parts.max() <= bound:
+            within = np.abs(parts.reshape(zs.size, -1)) <= bound
+            bad = np.argmin(within.all(axis=1))
+            raise EvaluationError("non-finite chain value or squared norm",
+                                  complex(zs[bad]))
         return out
 
 
@@ -392,13 +399,6 @@ class FChainBatch:
     def ok(self):
         """Where both the chain and the surface normalization are regular."""
         return ~(self.singular | self.collapsed)
-
-    def take(self, idx):
-        """The sub-batch at the given indices, every field kept."""
-        part = object.__new__(FChainBatch)
-        for name in self.__slots__:
-            setattr(part, name, getattr(self, name)[idx])
-        return part
 
 
 def _gram_schmidt(jets, eps_singular):

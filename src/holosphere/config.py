@@ -14,12 +14,7 @@ from .chain import DEFAULT_EPS_SINGULAR
 from .domain import Domain
 from .errors import ConfigError, DomainError, ParseError
 from .expr import parse_expr
-from .geometry import DEFAULT_TOLERANCES
 from .reconstruct import MAX_RECONSTRUCT_N
-
-DEFAULT_MIN_REGULAR_FRACTION = 0.95
-
-RECONSTRUCT_TOLERANCES = {1: 1e-3, 2: 1e-2, 3: 1e-2}
 
 
 def _expect(cond, path, message):
@@ -126,7 +121,6 @@ class JobConfig:
     grid: tuple
     eps_singular: float
     fd_step: float
-    tolerances: dict
     calabi_order: int
     obj_components: tuple
     formats: list
@@ -140,7 +134,7 @@ def validate_config(doc):
     """Validate a parsed JSON document into a JobConfig."""
     _expect(isinstance(doc, dict), "$", "config must be a JSON object")
     _fields(doc, "$", ("n", "betas", "integration_constants", "domain", "grid",
-                       "eps_singular", "fd_step", "tolerances", "calabi", "output",
+                       "eps_singular", "fd_step", "calabi", "output",
                        "perturb", "kaehler", "ruled", "reconstruct"))
     n = _as_int(_get(doc, "n", "$", required=True), "$.n", minimum=1)
 
@@ -178,14 +172,6 @@ def validate_config(doc):
     if fd_step is not None:
         fd_step = _as_real(fd_step, "$.fd_step", positive=True)
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    user_tols = _get(doc, "tolerances", "$", {})
-    _expect(isinstance(user_tols, dict), "$.tolerances", "expected an object")
-    for fam, val in user_tols.items():
-        _expect(fam in DEFAULT_TOLERANCES, f"$.tolerances.{fam}",
-                f"unknown invariant family (known: {sorted(DEFAULT_TOLERANCES)})")
-        tolerances[fam] = _as_real(val, f"$.tolerances.{fam}", positive=True)
-
     calabi = _get(doc, "calabi", "$", {})
     _fields(calabi, "$.calabi", ("max_order",))
     calabi_order = _as_int(_get(calabi, "max_order", "$.calabi", 2),
@@ -222,8 +208,7 @@ def validate_config(doc):
     kaehler = _get(doc, "kaehler", "$")
     if kaehler is not None:
         path = "$.kaehler"
-        _fields(kaehler, path, ("gamma", "w", "w_box", "w_samples", "z_grid",
-                                "min_regular_fraction"))
+        _fields(kaehler, path, ("gamma", "w", "w_box", "w_samples", "z_grid"))
         _expect(n >= 2, path, "the hypersurface map requires n >= 2")
         _check_expr(_get(kaehler, "gamma", path, required=True),
                     f"{path}.gamma", parse=_as_gamma)
@@ -242,13 +227,6 @@ def validate_config(doc):
                                        f"{path}.w_samples", minimum=1)
         zg = _get(kaehler, "z_grid", path)
         kaehler["z_grid"] = _parse_grid(zg, f"{path}.z_grid") if zg else (5, 5)
-        kaehler["min_regular_fraction"] = _as_real(
-            _get(kaehler, "min_regular_fraction", path,
-                 DEFAULT_MIN_REGULAR_FRACTION),
-            f"{path}.min_regular_fraction",
-        )
-        _expect(0 <= kaehler["min_regular_fraction"] <= 1,
-                f"{path}.min_regular_fraction", "must be in [0, 1]")
 
     ruled = _get(doc, "ruled", "$")
     if ruled is not None:
@@ -267,8 +245,7 @@ def validate_config(doc):
     if reconstruct is not None or n <= MAX_RECONSTRUCT_N:
         path = "$.reconstruct"
         reconstruct = {} if reconstruct is None else reconstruct
-        _fields(reconstruct, path, ("sample_grid", "eval_grid", "gauge", "tolerance",
-                                    "refusal_threshold"))
+        _fields(reconstruct, path, ("sample_grid", "eval_grid", "gauge"))
         _expect(n <= MAX_RECONSTRUCT_N, path,
                 f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})")
         reconstruct = dict(reconstruct)
@@ -284,14 +261,6 @@ def validate_config(doc):
         if gauge is not None:
             _check_expr(gauge, f"{path}.gauge")
         reconstruct["gauge"] = gauge
-        reconstruct["tolerance"] = _as_real(
-            _get(reconstruct, "tolerance", path, RECONSTRUCT_TOLERANCES[n]),
-            f"{path}.tolerance", positive=True,
-        )
-        reconstruct["refusal_threshold"] = _as_real(
-            _get(reconstruct, "refusal_threshold", path, 1e-2),
-            f"{path}.refusal_threshold", positive=True,
-        )
 
     return JobConfig(
         n=n,
@@ -301,7 +270,6 @@ def validate_config(doc):
         grid=grid,
         eps_singular=eps,
         fd_step=fd_step,
-        tolerances=tolerances,
         calabi_order=calabi_order,
         obj_components=tuple(comps),
         formats=list(formats),

@@ -17,7 +17,7 @@ which is how they enter the chain.  The chain replaces every other tree
 (a division or one of the entire functions exp/sin/cos) by a Taylor
 surrogate taken from its values on a circle (`chain.build_alpha_chain`).
 
-Evaluation accepts scalars or numpy arrays of points.  `antiderivative`
+Evaluation accepts scalars or numpy arrays of points.  `Antiderivative`
 evaluates the antiderivative of a general tree: polynomial ones
 integrate termwise, the others by an adaptive path integral from the
 domain base point.
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain
 from .errors import EvaluationError, ParseError
 from .quadrature import integrate_segment
 
@@ -531,7 +530,3 @@ class Antiderivative:
         self._cache[z] = val
         return val
 
-
-def antiderivative(e, c, d: Domain, abs_tol=1e-12):
-    """Antiderivative of e with value c at the base point of d."""
-    return Antiderivative(e, c, d, abs_tol=abs_tol)

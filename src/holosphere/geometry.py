@@ -6,8 +6,8 @@ identity, minimality of the surface, vanishing symmetric products of the
 derivatives, the tangent/higher fundamental-form formulas, circularity
 of the curvature ellipses) is turned into a number: a scale-normalized
 residual that is zero in exact arithmetic.  `verify_all` sweeps a grid,
-aggregates per-family maxima, and classifies PASS/FAIL against supplied
-tolerances.
+aggregates per-family maxima, and classifies PASS/FAIL against the fixed
+`DEFAULT_TOLERANCES`.
 
 Tolerances are tiered by computation path: identities evaluated through
 the symbolic chain are held to 1e-9 (relative), first-order finite
@@ -24,7 +24,6 @@ table), and the one-point checks `minimality_residual` and
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .chain import (
     GridScan,
@@ -34,14 +33,9 @@ from .chain import (
     stencil_field,
 )
 from .domain import Domain
-from .errors import (
-    DegenerateSurfaceError,
-    DomainError,
-    SingularPointError,
-)
-from .expr import _canonical, _poly_integral
-from .fd import default_step, derivatives, stencil_halfwidth, wirtinger
-from .products import _dot, _max0, _pair_minors_max, principal_angles
+from .errors import DegenerateSurfaceError, DomainError
+from .fd import default_step, derivatives, stencil_halfwidth
+from .products import _dot, _max0, _pair_minors_max
 
 DEFAULT_TOLERANCES = {
     "isotropy": 1e-9,
@@ -56,6 +50,9 @@ DEFAULT_TOLERANCES = {
 }
 
 _DEGENERATE_DIFFERENTIAL = 1e-8
+# Centres per `_Sweep` in `verify_all`: only one block's chain data and
+# derivatives are held at a time
+_SWEEP_BLOCK = 1024
 
 
 @dataclass
@@ -205,29 +202,15 @@ def _finite_rows(*arrays):
     )
 
 
-def chain_fundamental_form(batch, i, s=0):
-    """Value of the order-(s+1) fundamental form of the surface along the
-    repeated z-direction at point i of the chain batch, via the closed
-    chain formula from the batch's chain vectors and surface `g`.
-
-    s = 0 returns the tangent vector dg/dz; 1 <= s <= n-1 returns the
-    higher forms, which are isotropic multiples of the conjugated chain
-    vectors.
-    """
-    n = batch.F.shape[1] - 1
-    if batch.singular[i]:
-        raise SingularPointError("chain degenerates", complex(batch.z[i]))
-    if not 0 <= s <= n - 1:
-        raise ValueError(f"order s={s} out of range [0, {n - 1}]")
-    return _fundamental_forms(batch.F[[i]], batch.norms_sq[[i]], batch.g[[i]],
-                              [s])[0, 0]
-
-
 def _fundamental_forms(F, norms_sq, g, orders):
-    """`chain_fundamental_form` at every row of chain vectors F (B, n+1,
-    d) with squared norms (B, n+1) and surface vectors g (B, d), for each
-    order s of `orders`: shape (B, len(orders), d), the multiples
-    (-1)^(s+1) <g, F_{n+1}> / |F_{n-s}|^2 of conj(F_{n-s})."""
+    """The order-(s+1) fundamental forms of the surface along the repeated
+    z-direction, by the closed chain formula, at every row of chain
+    vectors F (B, n+1, d) with squared norms (B, n+1) and surface vectors
+    g (B, d), for each order s of `orders` (0 <= s <= n-1): shape (B,
+    len(orders), d), the multiples (-1)^(s+1) <g, F_{n+1}> / |F_{n-s}|^2
+    of conj(F_{n-s}).  s = 0 gives the tangent vector dg/dz, and the
+    higher forms are isotropic multiples of the conjugated chain
+    vectors."""
     n = F.shape[1] - 1
     pairing = _dot(g, F[:, -1])
     forms = np.empty((F.shape[0], len(orders), F.shape[2]), dtype=complex)
@@ -235,59 +218,6 @@ def _fundamental_forms(F, norms_sq, g, orders):
         coeff = (-1) ** (s + 1) * pairing / norms_sq[:, n - s - 1]
         forms[:, o] = coeff[:, None] * np.conj(F[:, n - s - 1])
     return forms
-
-
-def isotropic_surface_form_residual(chain, z):
-    """Check, by finite differences, that twice the second fundamental
-    form of the auxiliary isotropic map f = Re(antiderivative of the top
-    chain map) along the repeated z-direction equals the second chain
-    vector.
-
-    f is a minimal surface in flat space whose complexified tangent is
-    spanned by the first chain vector and its conjugate; the identity is
-    the s = 1 case of the normal-bundle ladder (higher orders follow
-    from the orthogonalization itself).  Returns the relative residual.
-    """
-    antis = [
-        _poly_integral(_canonical(c), 0j, chain.domain.base_point)
-        for c in chain.alpha_coeffs[chain.n]
-    ]
-
-    def f_field(zs):
-        zs = np.asarray(zs, dtype=complex).ravel()
-        out = np.empty((zs.size, chain.dim))
-        for c, a in enumerate(antis):
-            out[:, c] = npoly.polyval(zs, a).real
-        return out
-
-    h = default_step(chain.domain.diameter, 1)
-    batch = f_chain_eval(chain, np.array([z]))
-    if batch.singular[0]:
-        raise SingularPointError("chain degenerates", z)
-    v = 2.0 * wirtinger(f_field, z, [(2, 0)], h=h)[0]
-    F1 = batch.F[0, 0]
-    F1bar = np.conj(F1)
-    nsq = batch.norms_sq[0, 0]
-    v = v - (np.dot(v, F1bar) / nsq) * F1 - (np.dot(v, F1) / nsq) * F1bar
-    ref = batch.F[0, 1]
-    return float(np.linalg.norm(v - ref) / np.linalg.norm(ref))
-
-
-def second_normal_space_angle(chain, z):
-    """Largest principal angle between the FD second-order normal space
-    of the surface and the span of the (n-1)-th chain vector and its
-    conjugate.  Requires n >= 2."""
-    if chain.n < 2:
-        raise ValueError("second normal space needs n >= 2")
-    g = SurfaceEvaluator.from_chain(chain)
-    dg, d2 = wirtinger(g, z, [(1, 0), (2, 0)], default_step(chain.domain.diameter, 1))
-    basis = np.stack([g(np.array([z]))[0], 2.0 * dg.real, -2.0 * dg.imag], axis=1)
-    q, _ = np.linalg.qr(basis)
-    v1 = d2 - q.astype(complex) @ (q.T.astype(complex) @ d2)
-    F = f_chain_eval(chain, np.array([z])).F[0]
-    fd_basis = np.stack([v1, np.conj(v1)], axis=1)
-    chain_basis = np.stack([F[chain.n - 2], np.conj(F[chain.n - 2])], axis=1)
-    return float(principal_angles(fd_basis, chain_basis).max())
 
 
 # ---------------------------------------------------------------------------
@@ -539,27 +469,25 @@ FAMILIES = {
 }
 
 
-def verify_all(
-    chain,
-    grid=(10, 10),
-    tolerances=None,
-    fd_step=None,
-    calabi_order=2,
-    perturb=None,
-):
+def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None):
     """Evaluate every invariant family over a grid and classify.
 
     Algebraic families (isotropy, Hermitian orthogonality, collinearity,
     circularity) are computed at every non-singular in-domain point; the
     finite-difference families (conjugate descent, recursion, minimality,
     tangent formula, symmetric-derivative table) only where the stencil
-    fits inside the domain and touches no degenerate point.  The chain is
-    evaluated once at all grid points, which the report also carries as
-    its `scan`, and the FD families read whole arrays from
-    `fd.derivatives`, which differentiates one field
-    (`chain.stencil_field`) evaluated once per stencil step for all
-    centres: at default settings, nine points per centre at each of the
-    steps h and h/2.  `perturb`, when given, injects a fault into the
+    fits inside the domain and touches no degenerate point.  The inside
+    points are swept in blocks of _SWEEP_BLOCK centres, keeping only each
+    block's residuals, Calabi tables, flags and surface rows, so that the
+    chain data and derivatives held at once do not grow with the grid.
+    In a block the chain is evaluated once at its points, which the
+    report also carries as its `scan`, and the FD families read whole
+    arrays from `fd.derivatives`, which differentiates one field
+    (`chain.stencil_field`) evaluated once per stencil step for all the
+    block's centres: at default settings, nine points per centre at each
+    of the steps h and h/2.  Every centre gets the arithmetic of a sweep
+    of it alone, so the blocks change no bit of the report.  `perturb`,
+    when given, injects a fault into the
     per-point algebraic analysis so that detection can be tested.  A
     sweep that checks nothing is refused: DomainError when no grid point
     lies inside the domain, DegenerateSurfaceError when all are singular.
@@ -568,20 +496,28 @@ def verify_all(
     the report does not pass.
     """
     rows, cols = grid
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
     zs, inside = chain.domain.grid(rows, cols)
     if not inside.any():
         raise DomainError(f"no point of the {rows}x{cols} grid lies inside the "
                           "domain")
-    sweep = _Sweep(chain, zs[inside], h, calabi_order, perturb)
-    residuals = {}
-    for fam, family in FAMILIES.items():
-        values = family(sweep)
-        if values is not None:
-            residuals[fam] = values
+    pts = zs[inside]
+    ok = np.empty(pts.size, dtype=bool)
+    g = np.empty((pts.size, chain.dim))
+    found = {fam: [] for fam in FAMILIES}
+    tables = []
+    for start in range(0, pts.size, _SWEEP_BLOCK):
+        part = slice(start, start + _SWEEP_BLOCK)
+        sweep = _Sweep(chain, pts[part], h, calabi_order, perturb)
+        for fam, family in FAMILIES.items():
+            found[fam].append(family(sweep))
+        tables.append(sweep.calabi[1])
+        ok[part] = sweep.ok
+        g[part] = sweep.g
+        # free this block's chain data and derivatives before the next block
+        del sweep
+    residuals = {fam: np.concatenate(values) for fam, values in found.items()
+                 if values[0] is not None}
 
     summary = {}
     worst = {}
@@ -593,17 +529,17 @@ def verify_all(
             # the first point of the largest value
             i = int(np.nanargmax(values))
             summary[fam] = float(values[i])
-            worst[fam] = complex(sweep.z[i])
-    singular_count = int(np.sum(~sweep.ok))
+            worst[fam] = complex(pts[i])
+    singular_count = int(np.sum(~ok))
     if not summary:
         raise DegenerateSurfaceError(
-            f"no invariant was checked: {singular_count} of the {sweep.z.size} "
+            f"no invariant was checked: {singular_count} of the {pts.size} "
             f"grid points inside the domain are singular")
     status = {}
     for fam in residuals:
         if fam not in summary:
             status[fam] = "UNCHECKED"
-        elif summary[fam] <= tols.get(fam, np.inf):
+        elif summary[fam] <= DEFAULT_TOLERANCES[fam]:
             status[fam] = "PASS"
         else:
             status[fam] = "FAIL"
@@ -612,15 +548,15 @@ def verify_all(
         n=chain.n,
         rows=rows,
         cols=cols,
-        tolerances=tols,
+        tolerances=dict(DEFAULT_TOLERANCES),
         residuals=residuals,
-        calabi=sweep.calabi,
+        calabi=(_calabi_pairs(calabi_order), np.concatenate(tables)),
         summary=summary,
         worst_point=worst,
         status=status,
         passed=passed,
         singular_count=singular_count,
-        scan=GridScan.scatter(zs, inside, sweep.batch.ok, sweep.batch.g),
+        scan=GridScan.scatter(zs, inside, ok, g),
         counts=counts,
         surrogates=list(chain.surrogates),
     )

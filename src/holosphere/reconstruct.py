@@ -26,7 +26,6 @@ import numpy as np
 from .chain import FChainBatch
 from .errors import (
     DegenerateSurfaceError,
-    DomainError,
     NotPseudoholomorphicError,
 )
 
@@ -34,8 +33,8 @@ MAX_RECONSTRUCT_N = 3
 
 _DEGENERATE_RATIO = 1e-18
 
-# Chebyshev nodes per axis behind the one-point reads.
-_POINT_NODES = 33
+# Median termination ratio above which `roundtrip` refuses a surface
+_REFUSAL_THRESHOLD = 1e-2
 
 
 def _barycentric(x):
@@ -132,14 +131,6 @@ def _termination_ratios(bottom, top):
     return ratios
 
 
-def _point_grid(g, z):
-    """The sampling grid of a one-point read at z."""
-    grid = _sampling_grid(g, _POINT_NODES, _POINT_NODES)
-    if not (grid.xs[0] <= z.real <= grid.xs[-1] and grid.ys[0] <= z.imag <= grid.ys[-1]):
-        raise DomainError(f"z={z} lies outside the sampling box")
-    return grid
-
-
 def _xi_rows(bottom, where):
     """conj(G_n)/|G_n|^2 for chain bottoms (rows along the last axis):
     the holomorphic generator recovered from the surface."""
@@ -158,67 +149,6 @@ def _depth(g):
             f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})"
         )
     return n
-
-
-@dataclass
-class GChainSample:
-    """Descending chain of a surface at one point: G_0 = g(z) through
-    G_n, their squared norms, and the relative size of G_{n+1} (zero for
-    pseudoholomorphic surfaces)."""
-
-    z: complex
-    G: np.ndarray          # (n+1, dim): rows G_0..G_n
-    norms_sq: np.ndarray   # (n+1,)
-    residual: float        # ||G_{n+1}|| / ||G_n||
-
-    @property
-    def n(self):
-        return self.G.shape[0] - 1
-
-
-def g_chain_at(g, z):
-    """The descending chain at one point, read from one sweep of the
-    sampling grid.
-
-    Raises DegenerateSurfaceError when a chain norm collapses (e.g. the
-    constant map at level 1), DomainError when z lies outside the
-    sampling box.
-    """
-    n = _depth(g)
-    grid = _point_grid(g, z)
-    G = grid.at(np.stack(_descend(g, grid, n + 1), axis=2), np.array([z]))[0]
-    norms = np.sum(np.abs(G) ** 2, axis=1)
-    for level in range(1, n + 1):
-        if norms[level] < _DEGENERATE_RATIO * norms[level - 1]:
-            raise DegenerateSurfaceError(
-                f"chain norm collapses at level {level}, z={z}"
-            )
-    residual = float(np.sqrt(norms[n + 1] / norms[n]))
-    return GChainSample(z=z, G=G[: n + 1], norms_sq=norms[: n + 1], residual=residual)
-
-
-def extract_xi(sample):
-    """conj(G_n)/|G_n|^2: the holomorphic generator recovered from the
-    chain bottom."""
-    return _xi_rows(sample.G[-1:], f"at z={sample.z}")[0]
-
-
-def conjugate_descent_residual(g, z, s):
-    """Residual of the conjugate-descent identity for the surface chain:
-    d(conj G_s)/dz + (|G_s|^2/|G_{s-1}|^2) conj G_{s-1} = 0 for s >= 1
-    (at s = 1 the right side involves the position vector itself).
-    Returns the residual normalized by the identity's own scale."""
-    if s < 1:
-        raise ValueError("the descent identity needs s >= 1")
-    grid = _point_grid(g, z)
-    levels = _descend(g, grid, s)
-    fields = np.stack([levels[s - 1], levels[s],
-                       grid.wirtinger(np.conj(levels[s]))], axis=2)
-    below, Gs, dGbar = grid.at(fields, np.array([z]))[0]
-    below_nsq = np.sum(np.abs(below) ** 2)
-    Gs_nsq = np.sum(np.abs(Gs) ** 2)
-    resid = np.linalg.norm(dGbar + Gs_nsq / below_nsq * np.conj(below))
-    return float(resid / (Gs_nsq / np.sqrt(below_nsq)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +203,7 @@ class XiField:
         return float(np.linalg.norm(dbar) / max(np.linalg.norm(self(zs)[0]), 1e-300))
 
 
-def probe_termination(g, samples=_POINT_NODES):
+def probe_termination(g, samples=33):
     """Relative size of G_{n+1} against G_n at the samples x samples
     grid points: the termination test that certifies
     pseudoholomorphicity."""
@@ -314,13 +244,7 @@ class RoundtripResult:
         }
 
 
-def roundtrip(
-    g,
-    grid=(8, 8),
-    sample_grid=(41, 41),
-    gauge=None,
-    refusal_threshold=1e-2,
-):
+def roundtrip(g, grid=(8, 8), sample_grid=(41, 41), gauge=None):
     """Reconstruct the surface from itself and measure the sup distance.
 
     The chain depth n is the surface's own, `g.n`.  One sweep of the
@@ -332,7 +256,8 @@ def roundtrip(
     threshold (the recovered jets belong to no chain), whose surface is
     the normalized real part, as for every chain surface.  Per-point
     distances use min over its sign ambiguity.  Surfaces whose chain
-    fails to terminate are refused, and reconstructed jets that
+    fails to terminate (median ratio above _REFUSAL_THRESHOLD) are
+    refused with NotPseudoholomorphicError, and reconstructed jets that
     degenerate, or whose real part collapses, raise
     DegenerateSurfaceError.
     """
@@ -342,7 +267,7 @@ def roundtrip(
     nodes = _sampling_grid(g, srows, scols)
     levels = _descend(g, nodes, n + 1)
     termination = float(np.median(_termination_ratios(levels[n], levels[n + 1])))
-    if termination > refusal_threshold:
+    if termination > _REFUSAL_THRESHOLD:
         raise NotPseudoholomorphicError(
             "surface chain does not terminate; input is not pseudoholomorphic",
             termination,

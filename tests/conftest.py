@@ -1,7 +1,13 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
-from holosphere import Domain, build_alpha_chain
+from holosphere import Domain, build_alpha_chain, f_chain_eval
+from holosphere.applications import _normal_terms
+from holosphere.chain import require_regular
+from holosphere.errors import SingularPointError
+from holosphere.expr import _canonical, _poly_integral
+from holosphere.fd import default_step, wirtinger
 from holosphere.geometry import SurfaceEvaluator
 
 
@@ -82,3 +88,98 @@ GAMMA_ORACLES = {
         y * np.cos(x * y) - 5 * x**4 / (3 + y**2),
         x * np.cos(x * y) + 2 * y * x**5 / (3 + y**2) ** 2),
 }
+
+
+# ---------------------------------------------------------------------------
+# Oracles: independent constructions that the tests compare the package
+# against.  Each takes its derivatives by finite differences of its own.
+# ---------------------------------------------------------------------------
+
+def principal_angles(basis_a, basis_b):
+    """Principal angles (radians, ascending) between the column spans of
+    two bases of the same complex coordinate space.
+
+    Small angles come from the sine of the residual projection rather
+    than arccos, which loses half the significant digits near zero.
+    """
+    a = np.asarray(basis_a, dtype=complex)
+    b = np.asarray(basis_b, dtype=complex)
+    qa, _ = np.linalg.qr(a)
+    qb, _ = np.linalg.qr(b)
+    m = qa.conj().T @ qb
+    cosines = np.clip(np.linalg.svd(m, compute_uv=False), 0.0, 1.0)
+    sines = np.sort(
+        np.clip(np.linalg.svd(qb - qa @ m, compute_uv=False), 0.0, 1.0)
+    )
+    return np.where(
+        cosines**2 < 0.5, np.arccos(cosines), np.arcsin(sines)
+    )
+
+
+def isotropic_surface_form_residual(chain, z):
+    """Check, by finite differences, that twice the second fundamental
+    form of the auxiliary isotropic map f = Re(antiderivative of the top
+    chain map) along the repeated z-direction equals the second chain
+    vector.
+
+    f is a minimal surface in flat space whose complexified tangent is
+    spanned by the first chain vector and its conjugate; the identity is
+    the s = 1 case of the normal-bundle ladder (higher orders follow
+    from the orthogonalization itself).  Returns the relative residual.
+    """
+    antis = [
+        _poly_integral(_canonical(c), 0j, chain.domain.base_point)
+        for c in chain.alpha_coeffs[chain.n]
+    ]
+
+    def f_field(zs):
+        zs = np.asarray(zs, dtype=complex).ravel()
+        out = np.empty((zs.size, chain.dim))
+        for c, a in enumerate(antis):
+            out[:, c] = npoly.polyval(zs, a).real
+        return out
+
+    h = default_step(chain.domain.diameter, 1)
+    batch = f_chain_eval(chain, np.array([z]))
+    if batch.singular[0]:
+        raise SingularPointError("chain degenerates", z)
+    v = 2.0 * wirtinger(f_field, z, [(2, 0)], h=h)[0]
+    F1 = batch.F[0, 0]
+    F1bar = np.conj(F1)
+    nsq = batch.norms_sq[0, 0]
+    v = v - (np.dot(v, F1bar) / nsq) * F1 - (np.dot(v, F1) / nsq) * F1bar
+    ref = batch.F[0, 1]
+    return float(np.linalg.norm(v - ref) / np.linalg.norm(ref))
+
+
+def second_normal_space_angle(chain, z):
+    """Largest principal angle between the FD second-order normal space
+    of the surface and the span of the (n-1)-th chain vector and its
+    conjugate.  Requires n >= 2."""
+    if chain.n < 2:
+        raise ValueError("second normal space needs n >= 2")
+    g = SurfaceEvaluator.from_chain(chain)
+    dg, d2 = wirtinger(g, z, [(1, 0), (2, 0)], default_step(chain.domain.diameter, 1))
+    basis = np.stack([g(np.array([z]))[0], 2.0 * dg.real, -2.0 * dg.imag], axis=1)
+    q, _ = np.linalg.qr(basis)
+    v1 = d2 - q.astype(complex) @ (q.T.astype(complex) @ d2)
+    F = f_chain_eval(chain, np.array([z])).F[0]
+    fd_basis = np.stack([v1, np.conj(v1)], axis=1)
+    chain_basis = np.stack([F[chain.n - 2], np.conj(F[chain.n - 2])], axis=1)
+    return float(principal_angles(fd_basis, chain_basis).max())
+
+
+def kaehler_point_reference(chain, params, z):
+    """Independent assembly of the Kaehler map at (z, w): gamma g +
+    pushforward of the metric gradient of gamma (from a finite-difference
+    tangent vector) plus the normal term.  Cross-checks the closed
+    formula of `applications.kaehler_point`."""
+    g_eval = SurfaceEvaluator.from_chain(chain)
+    batch = f_chain_eval(chain, np.array([z]))
+    require_regular(batch)
+    gamma, gamma_z = params.gamma_values(complex(z))
+    dg, = wirtinger(g_eval, z, [(1, 0)], default_step(chain.domain.diameter, 1))
+    metric = float(np.sum(np.abs(dg) ** 2))
+    grad_push = (2.0 / metric) * np.real(np.conj(gamma_z) * dg)
+    w = np.array(params.w, dtype=complex)
+    return gamma * batch.g[0] + grad_push + _normal_terms(batch.F[0], w)

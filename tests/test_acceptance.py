@@ -18,7 +18,6 @@ from holosphere.applications import (
     RuledParams,
     kaehler_immersion_check,
     kaehler_point,
-    kaehler_point_reference,
     ruled_minimality_probe,
     ruled_point,
     ruling_geodesic_residual,
@@ -26,15 +25,15 @@ from holosphere.applications import (
 from holosphere.fd import default_step, wirtinger
 from holosphere.geometry import (
     SurfaceEvaluator,
+    _fundamental_forms,
     calabi_check,
-    chain_fundamental_form,
     minimality_residual,
     verify_all,
 )
-from holosphere.products import pair_minors_max
+from holosphere.products import _pair_minors_max
 from holosphere.reconstruct import roundtrip
 
-from conftest import oracle_surface_n1
+from conftest import kaehler_point_reference, oracle_surface_n1
 
 GRID = (10, 10)
 
@@ -86,7 +85,8 @@ def test_criterion_01_chain_invariants(chains):
                         abs(np.dot(F[j], np.conj(F[k]))) / (norms[j] * norms[k]),
                     )
             worst = max(
-                worst, pair_minors_max(F[-1], np.conj(F[-1])) / norms_sq[-1]
+                worst,
+                _pair_minors_max(F[-1:], np.conj(F[-1:]))[0] / norms_sq[-1],
             )
     _report(1, "isotropy/orthogonality/collinearity, n=1..3", worst, 1e-9)
 
@@ -160,14 +160,14 @@ def test_criterion_07_tangent_and_higher_forms(chains, surfaces):
         chain = chains[n]
         for z in _interior_points(chain)[::7]:
             batch = f_chain_eval(chain, [z])
-            tangent = chain_fundamental_form(batch, 0, 0)
+            forms = _fundamental_forms(batch.F, batch.norms_sq, batch.g, range(n))[0]
+            tangent = forms[0]
             fd, = wirtinger(surfaces[n], z, [(1, 0)], default_step(chain.domain.diameter, 1))
             worst_tangent = max(
                 worst_tangent,
                 float(np.linalg.norm(fd - tangent) / np.linalg.norm(tangent)),
             )
-            for s in range(n):
-                vec = chain_fundamental_form(batch, 0, s)
+            for vec in forms:
                 scale = float(np.real(np.dot(vec, np.conj(vec))))
                 worst_circular = max(worst_circular, abs(np.dot(vec, vec)) / scale)
     _report(7, "tangent formula vs FD", worst_tangent, 1e-5)

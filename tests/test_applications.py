@@ -7,14 +7,13 @@ from holosphere.applications import (
     RuledParams,
     kaehler_immersion_check,
     kaehler_point,
-    kaehler_point_reference,
     ruled_minimality_probe,
     ruled_point,
     ruling_geodesic_residual,
 )
 from holosphere.errors import EvaluationError, ParseError, SingularPointError
 
-from conftest import GAMMA_ORACLES
+from conftest import GAMMA_ORACLES, kaehler_point_reference
 
 Z0 = 0.31 + 0.17j
 

@@ -13,12 +13,12 @@ from holosphere import (
     build_alpha_chain,
     chain as chain_module,
     f_chain_eval,
+    geometry,
     recursion_crosscheck,
     scan_grid,
 )
-from holosphere.chain import FChainBatch, GridScan, require_regular
+from holosphere.chain import GridScan, require_regular
 from holosphere.errors import DomainError, EvaluationError, SingularPointError
-from holosphere.products import hermitian_product, symmetric_product
 
 from conftest import oracle_surface_n1
 
@@ -160,6 +160,23 @@ class TestJetKernel:
         with pytest.raises(EvaluationError, match="non-finite chain value") as err:
             chain.jets_at([1, 20 + 1j])
         assert err.value.z == 20 + 1j
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_overflowing_squared_norm_refused(self, block, monkeypatch):
+        # the jets near z = 19.5 are finite (about 1e155), but their
+        # squared norms overflow; every block, also one holding only such
+        # points, is refused at its first point, and no numpy warning is
+        # raised on the way (RuntimeWarnings are errors in this suite)
+        domain = Domain.rectangle(19 - 1j, 20 + 1j, base_point=19.5 + 0j)
+        chain = build_alpha_chain(["z^60"], domain=domain)
+        if block is not None:
+            monkeypatch.setattr(chain_module, "_SCAN_BLOCK", block)
+            monkeypatch.setattr(geometry, "_SWEEP_BLOCK", block)
+        match = r"non-finite chain value or squared norm at z=\(19-1j\)"
+        with pytest.raises(EvaluationError, match=match):
+            scan_grid(chain, 4, 4)
+        with pytest.raises(EvaluationError, match=match):
+            geometry.verify_all(chain, grid=(4, 4))
 
 
 def _untrimmed(betas, domain, monkeypatch):
@@ -308,7 +325,7 @@ class TestFChain:
             F, norms = s.F[0], np.sqrt(s.norms_sq[0])
             for j in range(n + 1):
                 for k in range(j + 1, n + 1):
-                    val = abs(hermitian_product(F[j], F[k]))
+                    val = abs(np.vdot(F[k], F[j]))
                     assert val <= 1e-10 * norms[j] * norms[k]
 
     def test_batch_matches_pointwise(self, chain_n2):
@@ -338,8 +355,8 @@ class TestFChain:
         s = f_chain_eval(chain, [z])
         F, norms_sq = s.F[0], s.norms_sq[0]
         assert np.allclose(F[0], expected, atol=1e-9)
-        assert abs(symmetric_product(F[0], F[0])) <= 1e-9 * norms_sq[0]
-        assert abs(hermitian_product(F[0], F[1])) <= 1e-8 * np.sqrt(
+        assert abs(np.dot(F[0], F[0])) <= 1e-9 * norms_sq[0]
+        assert abs(np.vdot(F[1], F[0])) <= 1e-8 * np.sqrt(
             norms_sq[0] * norms_sq[1]
         )
 
@@ -438,21 +455,6 @@ class TestSurface:
         assert s.collapsed[0] and not s.ok[0] and np.isnan(s.g[0]).all()
         with pytest.raises(SingularPointError, match="normalization degenerates"):
             require_regular(s)
-
-    def test_take_keeps_every_field(self):
-        # for beta = z the chain degenerates at 0 and the normalization
-        # collapses at 0.2i
-        chain = build_alpha_chain(["z"])
-        batch = f_chain_eval(chain, [0j, 0.2j, 0.5 + 0.25j, -0.3 + 0.1j])
-        idx = [3, 1, 0]
-        part = batch.take(idx)
-        for name in FChainBatch.__slots__:
-            np.testing.assert_array_equal(getattr(part, name),
-                                          getattr(batch, name)[idx])
-        assert part.singular.tolist() == [False, False, True]
-        assert part.collapsed[1] and not part.collapsed[0]
-        assert part.ok.tolist() == [True, False, False]
-        assert np.isnan(part.g[1:]).all() and np.isfinite(part.g[0]).all()
 
 
 class TestScanGrid:

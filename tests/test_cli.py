@@ -10,8 +10,8 @@ import pytest
 
 import holosphere
 from holosphere import chain as chain_module, cli, geometry
-from holosphere.cli import ERROR, _write_json, main
-from holosphere.config import RECONSTRUCT_TOLERANCES, demo_config, validate_config
+from holosphere.cli import ERROR, RECONSTRUCT_TOLERANCES, _write_json, main
+from holosphere.config import demo_config, validate_config
 from holosphere.errors import ConfigError
 
 
@@ -76,7 +76,7 @@ class TestConfigValidation:
         doc["tolerances"] = {"nonsense": 1.0}
         with pytest.raises(ConfigError) as err:
             validate_config(doc)
-        assert "$.tolerances.nonsense" in str(err.value)
+        assert "$.tolerances: unknown field" in str(err.value)
 
     def test_reconstruction_cap(self):
         doc = demo_config(3)
@@ -98,8 +98,6 @@ class TestConfigValidation:
             "sample_grid": (33, 33),
             "eval_grid": (8, 8),
             "gauge": None,
-            "tolerance": 1e-3,
-            "refusal_threshold": 1e-2,
         }
 
     def test_no_reconstruct_block_beyond_cap(self):
@@ -466,6 +464,18 @@ class TestErrors:
         assert proc.returncode == 1
         assert "non-finite chain value" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "generate"])
+    def test_overflowing_squared_norm_refused(self, tmp_path, capsys, command):
+        # finite jets whose squared norms overflow: exit 1, naming the
+        # first point, with no numpy warning (they are errors in this suite)
+        doc = {"n": 1, "betas": ["z^60"], "grid": {"rows": 4, "cols": 4},
+               "domain": {"shape": "rectangle", "corners": [[19, -1], [20, 1]],
+                          "base_point": [19.5, 0]}}
+        code = main([command, "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "run")])
+        assert code == 1
+        assert "squared norm at z=(19-1j)" in capsys.readouterr().err
 
 
 FD_FAMILIES = ["fbar_identity", "minimality", "recursion", "tangent_formula"]

@@ -9,6 +9,7 @@ from holosphere.domain import Domain
 from holosphere.errors import EvaluationError, ParseError
 from holosphere.expr import (
     Add,
+    Antiderivative,
     Const,
     Cos,
     Div,
@@ -19,7 +20,6 @@ from holosphere.expr import (
     Sin,
     Sub,
     Var,
-    antiderivative,
     eval_expr,
     is_polynomial,
     parse_expr,
@@ -136,27 +136,27 @@ class TestPolynomials:
 
 class TestAntiderivative:
     def test_constant_integrand(self):
-        F = antiderivative(parse_expr("1"), 0j, SQUARE)
+        F = Antiderivative(parse_expr("1"), 0j, SQUARE)
         assert F.mode == "symbolic"
         assert F.value(2 + 1j) == 2 + 1j
 
     def test_linear_integrand(self):
-        F = antiderivative(parse_expr("z"), 0j, SQUARE)
+        F = Antiderivative(parse_expr("z"), 0j, SQUARE)
         assert F.value(2.0 + 0j) == 2.0
 
     def test_quadrature_against_closed_form(self):
         # independent oracle: the antiderivative of exp anchored at 0 is
         # exp(z) - 1, evaluated via cmath
-        F = antiderivative(parse_expr("exp(z)"), 0j, SQUARE)
+        F = Antiderivative(parse_expr("exp(z)"), 0j, SQUARE)
         assert F.mode == "quadrature"
         assert abs(F.value(1.0 + 0j) - (cmath.exp(1) - 1)) < 1e-10
         assert abs(F.value(0.5 + 0.5j) - (cmath.exp(0.5 + 0.5j) - 1)) < 1e-10
 
     def test_value_at_base_point(self):
         c = 0.7 - 0.2j
-        Fq = antiderivative(parse_expr("cos(z)"), c, SQUARE)
+        Fq = Antiderivative(parse_expr("cos(z)"), c, SQUARE)
         assert Fq.value(SQUARE.base_point) == c  # exact in quadrature mode
-        Fs = antiderivative(parse_expr("z^2"), c, SQUARE)
+        Fs = Antiderivative(parse_expr("z^2"), c, SQUARE)
         assert abs(Fs.value(SQUARE.base_point) - c) < 1e-15
 
     def test_path_independence_through_midpoint(self):

@@ -1,21 +1,23 @@
+import dataclasses
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from holosphere import Domain, build_alpha_chain, f_chain_eval
-from holosphere.errors import (
-    DegenerateSurfaceError,
-    DomainError,
-    SingularPointError,
-)
+from holosphere import Domain, build_alpha_chain, f_chain_eval, geometry
+from holosphere.errors import DegenerateSurfaceError, DomainError
 from holosphere.fd import default_step, wirtinger
 from holosphere.geometry import (
+    DiagnosticsReport,
     SurfaceEvaluator,
+    _fundamental_forms,
     calabi_check,
-    chain_fundamental_form,
     minimality_residual,
-    second_normal_space_angle,
     verify_all,
 )
+
+from conftest import isotropic_surface_form_residual, second_normal_space_angle
 
 
 class TestMinimality:
@@ -106,31 +108,22 @@ class TestFundamentalForms:
     def test_tangent_formula_matches_fd(self, chain_n2, surface_n2):
         z = 0.28 - 0.41j
         batch = f_chain_eval(chain_n2, [z])
-        formula = chain_fundamental_form(batch, 0, 0)
+        formula = _fundamental_forms(batch.F, batch.norms_sq, batch.g, [0])[0, 0]
         fd, = wirtinger(surface_n2, z, [(1, 0)], default_step(surface_n2.domain.diameter, 1))
         assert np.linalg.norm(fd - formula) <= 1e-5 * np.linalg.norm(formula)
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_isotropy_of_forms(self, chain_n2, s):
         batch = f_chain_eval(chain_n2, [0.45 + 0.12j])
-        vec = chain_fundamental_form(batch, 0, s)
+        vec = _fundamental_forms(batch.F, batch.norms_sq, batch.g, [s])[0, 0]
         scale = float(np.real(np.dot(vec, np.conj(vec))))
         assert abs(np.dot(vec, vec)) <= 1e-9 * scale
-
-    def test_order_out_of_range(self, chain_n2):
-        batch = f_chain_eval(chain_n2, [0.2 + 0.2j])
-        with pytest.raises(ValueError):
-            chain_fundamental_form(batch, 0, 2)  # s = n is out of range
-        with pytest.raises(ValueError):
-            chain_fundamental_form(batch, 0, -1)
 
     def test_second_normal_space_span(self, chain_n2):
         angle = second_normal_space_angle(chain_n2, 0.3 + 0.4j)
         assert angle <= 1e-4
 
     def test_isotropic_surface_first_form(self, chain_n1, chain_n2):
-        from holosphere.geometry import isotropic_surface_form_residual
-
         assert isotropic_surface_form_residual(chain_n1, 0.3 + 0.2j) <= 1e-5
         assert isotropic_surface_form_residual(chain_n2, -0.2 + 0.4j) <= 1e-5
 
@@ -175,8 +168,6 @@ class TestVerifyAll:
         assert "hermitian_orthogonality" in report.worst_point
 
     def test_report_serializes(self, chain_n1):
-        import json
-
         report = verify_all(chain_n1, grid=(4, 4))
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert '"passed": true' in text
@@ -185,3 +176,79 @@ class TestVerifyAll:
         chain = build_alpha_chain(["z"])
         report = verify_all(chain, grid=(5, 5), calabi_order=0)
         assert report.singular_count > 0
+
+
+# the chains of the blocked-sweep cases, by name: betas, domain, grid and
+# the other arguments of verify_all
+SWEEP_CASES = {
+    # more inside points than one default block
+    "rectangle": (["1+0.3*z", "0.8-0.2*z"], None, (33, 33), {}),
+    "disk_n3": (["1+0.2*z", "z^2+3", "1-0.4*i*z"],
+                Domain.disk(0.1 - 0.2j, 0.9, base_point=0.1 - 0.2j), (12, 11),
+                {"calabi_order": 3}),
+    # singular at the grid centre, stencils that touch it fall across
+    # block edges
+    "degenerate_n2": (["z", "1"], None, (11, 11),
+                      {"perturb": {"target": "F2", "magnitude": 1e-3},
+                       "calabi_order": 4}),
+    "fd_step_n3": (["1", "1", "1"], None, (9, 10), {"fd_step": 0.05}),
+}
+DEFAULT_SWEEP_BLOCK = geometry._SWEEP_BLOCK
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint8)
+
+
+def _sweep_report(case, block, monkeypatch):
+    betas, domain, grid, kwargs = SWEEP_CASES[case]
+    chain = build_alpha_chain(betas, domain=domain)
+    monkeypatch.setattr(geometry, "_SWEEP_BLOCK", block)
+    return verify_all(chain, grid=grid, **kwargs)
+
+
+@pytest.mark.parametrize("block", [1, 7, DEFAULT_SWEEP_BLOCK])
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_blocked_sweep_equals_one_block(case, block, monkeypatch):
+    """Every field of the report of a blocked sweep has the bits of the
+    report of one sweep over all inside points."""
+    want = _sweep_report(case, 10**9, monkeypatch)
+    got = _sweep_report(case, block, monkeypatch)
+    # the JSON text of the report, compared whole (a diff of it is slow)
+    same_json = json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert same_json
+    for field in dataclasses.fields(DiagnosticsReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "residuals":
+            assert list(a) == list(b)
+            for fam in a:
+                assert a[fam].dtype == b[fam].dtype, fam
+                assert np.array_equal(_bits(a[fam]), _bits(b[fam])), fam
+        elif field.name == "calabi":
+            assert a[0] == b[0] and a[1].shape == b[1].shape
+            assert np.array_equal(_bits(a[1]), _bits(b[1]))
+        elif field.name == "scan":
+            for name in ("zs", "inside", "singular", "valid", "surface"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.shape == y.shape and x.dtype == y.dtype, name
+                assert np.array_equal(_bits(x), _bits(y)), name
+        else:
+            assert a == b, field.name
+    if case == "degenerate_n2":
+        assert got.singular_count > 0 and not got.passed
+
+
+def test_sweep_memory_is_bounded_by_the_block(monkeypatch):
+    """With blocks of 64 centres, a 40x40 sweep at n=3 holds less than the
+    stencil field of the whole grid at one step."""
+    chain = build_alpha_chain(["1+0.2*z", "z^2+3", "1-0.4*i*z"])
+    n = chain.n
+    whole_field = 40 * 40 * 9 * (2 * n) * chain.dim * np.dtype(complex).itemsize
+    monkeypatch.setattr(geometry, "_SWEEP_BLOCK", 64)
+    tracemalloc.start()
+    try:
+        verify_all(chain, grid=(40, 40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_field

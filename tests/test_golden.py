@@ -51,7 +51,7 @@ def test_point_residuals_follow_the_arrays(case):
     cfg = load_config(GOLDEN / case / "config.json")
     report = geometry.verify_all(
         build_alpha_chain(cfg.betas, cfg.constants, cfg.domain), grid=cfg.grid,
-        tolerances=cfg.tolerances, fd_step=cfg.fd_step, calabi_order=cfg.calabi_order, perturb=cfg.perturb)
+        fd_step=cfg.fd_step, calabi_order=cfg.calabi_order, perturb=cfg.perturb)
     doc = json.loads((GOLDEN / case / "diagnostics.json").read_text())
     assert sorted(report.residuals) == sorted(doc["counts"])
     for fam, values in report.residuals.items():

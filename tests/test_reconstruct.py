@@ -3,51 +3,61 @@ import dataclasses
 import numpy as np
 import pytest
 
-from holosphere import Domain, f_chain_eval
-from holosphere.errors import (
-    DegenerateSurfaceError,
-    DomainError,
-    NotPseudoholomorphicError,
-)
-from holosphere.geometry import SurfaceEvaluator, chain_fundamental_form
-from holosphere.products import hermitian_product, principal_angles
+from holosphere import Domain, f_chain_eval, reconstruct
+from holosphere.errors import DegenerateSurfaceError, NotPseudoholomorphicError
+from holosphere.geometry import SurfaceEvaluator, _fundamental_forms
 from holosphere.reconstruct import (
-    GChainSample,
     XiField,
-    extract_xi,
-    g_chain_at,
     probe_termination,
     roundtrip,
     sample_xi,
 )
 
+from conftest import principal_angles
+
+
+def _descent_near(g, z, depth):
+    """The 33 x 33 sampling grid of g, its levels G_0..G_depth, and the
+    index of the node nearest z."""
+    grid = reconstruct._sampling_grid(g, 33, 33)
+    levels = reconstruct._descend(g, grid, depth)
+    node = (np.argmin(np.abs(grid.xs - z.real)), np.argmin(np.abs(grid.ys - z.imag)))
+    return grid, levels, node
+
 
 class TestGChain:
     def test_first_vector_matches_tangent_formula(self, chain_n1, surface_n1):
-        z = 0.3 + 0.2j
-        sample = g_chain_at(surface_n1, z)
-        batch = f_chain_eval(chain_n1, [z])
-        ref = chain_fundamental_form(batch, 0, 0)
-        dev = np.linalg.norm(sample.G[1] - ref) / np.linalg.norm(ref)
+        grid, levels, node = _descent_near(surface_n1, 0.3 + 0.2j, 1)
+        batch = f_chain_eval(chain_n1, [grid.zs[node]])
+        ref = _fundamental_forms(batch.F, batch.norms_sq, batch.g, [0])[0, 0]
+        dev = np.linalg.norm(levels[1][node] - ref) / np.linalg.norm(ref)
         assert dev <= 1e-5
 
     def test_termination_residual_small(self, surface_n1):
-        sample = g_chain_at(surface_n1, 0.3 + 0.2j)
-        assert sample.residual <= 1e-3
+        _, levels, node = _descent_near(surface_n1, 0.3 + 0.2j, 2)
+        residual = np.linalg.norm(levels[2][node]) / np.linalg.norm(levels[1][node])
+        assert residual <= 1e-3
 
     def test_vectors_hermitian_orthogonal(self, surface_n2):
-        sample = g_chain_at(surface_n2, 0.25 - 0.35j)
-        norms = np.sqrt(sample.norms_sq)
+        _, levels, node = _descent_near(surface_n2, 0.25 - 0.35j, 2)
+        G = [level[node] for level in levels]
+        norms = [np.linalg.norm(v) for v in G]
         for j in range(1, 3):
             for k in range(j + 1, 3):
-                val = abs(hermitian_product(sample.G[j], sample.G[k]))
+                val = abs(np.vdot(G[k], G[j]))
                 assert val <= 1e-4 * norms[j] * norms[k]
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_conjugate_descent_identity(self, surface_n2, s):
-        from holosphere.reconstruct import conjugate_descent_residual
-
-        assert conjugate_descent_residual(surface_n2, 0.2 + 0.3j, s) <= 1e-4
+        # d(conj G_s)/dz + (|G_s|^2/|G_{s-1}|^2) conj G_{s-1} = 0, relative
+        # to the identity's own scale
+        grid, levels, node = _descent_near(surface_n2, 0.2 + 0.3j, s)
+        dGbar = grid.wirtinger(np.conj(levels[s]))[node]
+        below, Gs = levels[s - 1][node], levels[s][node]
+        below_nsq = np.sum(np.abs(below) ** 2)
+        Gs_nsq = np.sum(np.abs(Gs) ** 2)
+        resid = np.linalg.norm(dGbar + Gs_nsq / below_nsq * np.conj(below))
+        assert resid / (Gs_nsq / np.sqrt(below_nsq)) <= 1e-4
 
     def test_constant_surface_degenerates(self):
         v = np.zeros(3)
@@ -59,20 +69,17 @@ class TestGChain:
         g = SurfaceEvaluator(
             func=func, domain=Domain.rectangle(-1 - 1j, 1 + 1j), dim=3, n=1
         )
-        with pytest.raises(DegenerateSurfaceError):
-            g_chain_at(g, 0.1 + 0.1j)
-
-    def test_outside_sampling_box_rejected(self, surface_n1):
-        with pytest.raises(DomainError):
-            g_chain_at(surface_n1, 1.5 + 0j)
+        with pytest.raises(DegenerateSurfaceError, match="degenerate chain bottom"):
+            sample_xi(g)
 
 
 class TestExtractXi:
     def test_recovers_generator_up_to_gauge(self, chain_n1, surface_n1):
         # componentwise ratio against the forward chain bottom must be a
         # single (holomorphic, nowhere-zero) factor
+        field = sample_xi(surface_n1, rows=33, cols=33)
         for z in (0.3 + 0.2j, -0.4 + 0.1j):
-            xi = extract_xi(g_chain_at(surface_n1, z))
+            xi = field(np.array([z]))[0]
             F1 = f_chain_eval(chain_n1, [z]).F[0, 0]
             ratios = xi / F1
             assert np.max(np.abs(ratios - ratios[0])) <= 1e-6 * abs(ratios[0])
@@ -81,16 +88,6 @@ class TestExtractXi:
         xi = sample_xi(surface_n1, rows=25, cols=25)
         for z in (0.2 + 0.3j, -0.5 - 0.1j, 0.6 + 0j):
             assert xi.holomorphy_residual(z) <= 1e-4
-
-    def test_degenerate_sample_rejected(self):
-        bad = GChainSample(
-            z=0j,
-            G=np.zeros((2, 3), dtype=complex),
-            norms_sq=np.array([1.0, 0.0]),
-            residual=0.0,
-        )
-        with pytest.raises(DegenerateSurfaceError):
-            extract_xi(bad)
 
 
 class TestXiField:
@@ -144,11 +141,11 @@ class TestRoundtrip:
         # the reconstructed jet spans the same maximal isotropic flag as
         # the descending chain of the surface
         xi = sample_xi(surface_n2, rows=41, cols=41)
-        z = 0.21 + 0.13j
-        jets = xi.jet(np.array([z]), 1)[0]  # xi, d xi
-        gs = g_chain_at(surface_n2, z)
+        grid, levels, node = _descent_near(surface_n2, 0.21 + 0.13j, 2)
+        jets = xi.jet(grid.zs[node], 1)[0]  # xi, d xi
+        G = np.stack([levels[1][node], levels[2][node]])
         basis_f = np.concatenate([jets, np.conj(jets)], axis=0).T
-        basis_g = np.concatenate([gs.G[1:], np.conj(gs.G[1:])], axis=0).T
+        basis_g = np.concatenate([G, np.conj(G)], axis=0).T
         assert principal_angles(basis_f, basis_g).max() <= 1e-3
 
     def test_refuses_non_pseudoholomorphic(self, small_sphere_surface):
