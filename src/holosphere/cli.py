@@ -101,10 +101,35 @@ def _load(args, outdir):
     raise _CliError("one of --config or --seed-demo is required")
 
 
-def _write_json(path, obj):
-    """Strict JSON: non-finite floats are written as null."""
-    text = json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+def _write_json(path, obj, encoded=None):
+    """Write the dict obj as strict JSON, indented by 2 with sorted keys;
+    non-finite floats are written as null.  Every JSON output goes
+    through here.  `encoded` maps further top-level keys to the JSON
+    text of their values, already indented for that level (a report's
+    `DiagnosticsReport.points_json`): the file is then what the same
+    json.dumps writes for obj with those values."""
+    Path(path).write_text(_json_text(obj, encoded or {}))
+
+
+def _json_text(obj, encoded):
+    # each run of plain entries between encoded keys is one json.dumps,
+    # without its braces, so the encoded values join at their sorted place
+    obj, parts, run = _finite(obj), [], {}
+    for key in sorted(obj.keys() | encoded.keys()):
+        if key in encoded:
+            parts += [_json_entries(run), f"  {json.dumps(key)}: {encoded[key]}"]
+            run = {}
+        else:
+            run[key] = obj[key]
+    parts = [part for part in parts + [_json_entries(run)] if part]
+    # the joined entries stay a temporary: a large document is not held twice
+    return "{\n" + ",\n".join(parts) + "\n}\n" if parts else "{}\n"
+
+
+def _json_entries(obj):
+    """The entries of obj as json.dumps writes them one level deep, ''
+    for an empty dict."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)[2:-2]
 
 
 def _finite(obj):
@@ -170,7 +195,8 @@ def _diagnose(cfg, outdir, quiet):
         calabi_order=cfg.calabi_order,
         perturb=cfg.perturb,
     )
-    _write_json(outdir / "diagnostics.json", report.to_dict())
+    _write_json(outdir / "diagnostics.json", report.to_dict(),
+                {"points": report.points_json()})
     _report_lines(report, quiet)
     return report
 

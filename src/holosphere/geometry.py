@@ -21,6 +21,7 @@ table), and the one-point checks `minimality_residual` and
 `calabi_check` use the same lists.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,7 +164,10 @@ def calabi_check(g, max_order, z):
         raise ValueError("max_order must be between 1 and 4")
     derivs = _derivatives_at(g, z, _calabi_reads(g.domain, max_order))
     pairs, values = _calabi_values([g(np.array([z])).astype(complex)] + derivs)
-    return _calabi_table(pairs, values[0].tolist())
+    table = {}
+    for (j, k), val in zip(pairs, values[0].tolist()):
+        table[j, k] = table[k, j] = val
+    return table
 
 
 def _calabi_pairs(max_order):
@@ -184,15 +188,6 @@ def _calabi_values(derivs):
     for p, (j, k) in enumerate(pairs):
         values[rows, p] = np.abs(_dot(derivs[j][rows], derivs[k][rows]))
     return pairs, values
-
-
-def _calabi_table(pairs, row):
-    """The symmetric table {(j, k): value} of one row of table entries."""
-    table = {}
-    for (j, k), val in zip(pairs, row):
-        table[(j, k)] = val
-        table[(k, j)] = val
-    return table
 
 
 def _finite_rows(*arrays):
@@ -235,6 +230,10 @@ class DiagnosticsReport:
     j <= k and the entries per point (inside points, pairs), NaN rows
     where the table was not evaluated.  `grids()` scatters the residuals
     onto the scan's grid.
+
+    The diagnostics document is `to_dict()`, the summary fields, plus a
+    `points` list of one record per inside point, whose JSON text
+    `points_json()` builds from the arrays.
     """
 
     n: int
@@ -261,27 +260,51 @@ class DiagnosticsReport:
             found[fam][self.scan.inside] = values
         return found
 
-    def _points(self):
-        """The JSON record of every inside point of the scan."""
+    def points_json(self):
+        """The JSON text of the `points` list, as json.dumps(indent=2,
+        sort_keys=True) writes it for the value of a top-level key, with
+        null for a float that is not finite.  Each inside point of the
+        scan, in row-major order, has a record {"calabi": its symmetric
+        table {"j,k": value}, {} where not evaluated, "residuals": {family:
+        value} of the families evaluated there, "singular", "z": [re,
+        im]}.  Every float is formatted once, and each family's entries
+        are built as one column."""
         inside = self.scan.inside
         zs = self.scan.zs[inside]
-        columns = [(fam, values.tolist(), (~np.isnan(values)).tolist())
-                   for fam, values in self.residuals.items()]
+        if not zs.size:
+            return "[]"
+        # the residual entries of each point, one family column at a time,
+        # none where the family was not evaluated; each entry starts with
+        # its separator, whose comma the first one drops
+        entries = [""] * zs.size
+        for fam in sorted(self.residuals):
+            values = self.residuals[fam]
+            key = f"{_ENTRY}{json.dumps(fam)}: "
+            column = [key + text for text in _json_floats(values)]
+            for i in np.flatnonzero(np.isnan(values)).tolist():
+                column[i] = ""
+            entries = list(map(str.__add__, entries, column))
+        residuals = ["{" + body[1:] + "\n      }" if body else "{}" for body in entries]
         pairs, values = self.calabi
-        tables = [_calabi_table(pairs, row) if found else {} for row, found in
-                  zip(values.tolist(), (~np.isnan(values).all(axis=1)).tolist())]
-        return [
-            {
-                "z": [re, im],
-                "singular": singular,
-                "residuals": {fam: col[i] for fam, col, keep in columns if keep[i]},
-                "calabi": {f"{j},{k}": v for (j, k), v in tables[i].items()},
-            }
-            for i, (re, im, singular) in enumerate(zip(
-                zs.real.tolist(), zs.imag.tolist(), self.scan.singular[inside].tolist()))
-        ]
+        tables = ["{}"] * zs.size
+        if pairs:
+            # both (j, k) and (k, j) read the entry of pair p
+            keys = sorted({(f"{a},{b}", p) for p, (j, k) in enumerate(pairs)
+                           for a, b in ((j, k), (k, j))})
+            table = ("{{\n        " + _ENTRY.join(f'"{key}": {{{p}}}' for key, p in keys)
+                     + "\n      }}")
+            text = _json_floats(values)
+            tables = list(map(table.format, *(text[p::len(pairs)]
+                                              for p in range(len(pairs)))))
+            for i in np.flatnonzero(np.isnan(values).all(axis=1)).tolist():
+                tables[i] = "{}"
+        singular = np.where(self.scan.singular[inside], "true", "false").tolist()
+        records = map(_POINT_JSON.format, tables, residuals, singular,
+                      _json_floats(zs.real), _json_floats(zs.imag))
+        return "[\n" + ",\n".join(records) + "\n  ]"
 
     def to_dict(self):
+        """The diagnostics document without its `points`."""
         doc = {
             "n": self.n,
             "grid": {"rows": self.rows, "cols": self.cols},
@@ -297,11 +320,28 @@ class DiagnosticsReport:
             "passed": self.passed,
             "singular_count": self.singular_count,
             "counts": {k: self.counts[k] for k in sorted(self.counts)},
-            "points": self._points(),
         }
         if self.surrogates:
             doc["surrogates"] = self.surrogates
         return doc
+
+
+# A point record of `DiagnosticsReport.points_json`, from its calabi
+# table, residuals, singular flag and z, and the separator of the entries
+# of the first two
+_POINT_JSON = ('    {{\n      "calabi": {},\n      "residuals": {},\n'
+               '      "singular": {},\n      "z": [\n        {},\n        {}\n      ]\n    }}')
+_ENTRY = ",\n        "
+
+
+def _json_floats(values):
+    """The JSON text of each float of an array, in C order: its repr, or
+    null where it is not finite."""
+    flat = np.ravel(values)
+    text = list(map(repr, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        text[i] = "null"
+    return text
 
 
 def _apply_perturbation(F, perturb):

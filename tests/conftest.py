@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from holosphere import Domain, build_alpha_chain, f_chain_eval
 from holosphere.applications import _normal_terms
 from holosphere.chain import require_regular
+from holosphere.cli import _json_text
 from holosphere.errors import SingularPointError
 from holosphere.expr import _canonical, _poly_integral
 from holosphere.fd import default_step, wirtinger
@@ -183,3 +187,62 @@ def kaehler_point_reference(chain, params, z):
     grad_push = (2.0 / metric) * np.real(np.conj(gamma_z) * dg)
     w = np.array(params.w, dtype=complex)
     return gamma * batch.g[0] + grad_push + _normal_terms(batch.F[0], w)
+
+
+# ---------------------------------------------------------------------------
+# Reference encoder of diagnostics.json: a dict per point, the walk that
+# turns non-finite floats into None, and json's indenting encoder.  The
+# package builds the same text from the report's arrays.
+# ---------------------------------------------------------------------------
+
+def calabi_table(pairs, row):
+    """The symmetric table {(j, k): value} of one row of Calabi entries,
+    ordered as `calabi_check` returns it."""
+    table = {}
+    for (j, k), val in zip(pairs, np.asarray(row).tolist()):
+        table[j, k] = table[k, j] = val
+    return table
+
+
+def reference_points(report):
+    """The record of every inside point of the report's scan, as dicts."""
+    inside = report.scan.inside
+    zs = report.scan.zs[inside]
+    columns = [(fam, values.tolist(), (~np.isnan(values)).tolist())
+               for fam, values in report.residuals.items()]
+    pairs, values = report.calabi
+    tables = [{f"{j},{k}": v for (j, k), v in calabi_table(pairs, row).items()}
+              if found else {}
+              for row, found in zip(values, ~np.isnan(values).all(axis=1))]
+    return [
+        {
+            "z": [re, im],
+            "singular": singular,
+            "residuals": {fam: col[i] for fam, col, keep in columns if keep[i]},
+            "calabi": tables[i],
+        }
+        for i, (re, im, singular) in enumerate(zip(
+            zs.real.tolist(), zs.imag.tolist(), report.scan.singular[inside].tolist()))
+    ]
+
+
+def _reference_finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _reference_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_finite(v) for v in obj]
+    return obj
+
+
+def reference_text(report):
+    """diagnostics.json of the report by the reference encoder."""
+    doc = dict(report.to_dict(), points=reference_points(report))
+    return json.dumps(_reference_finite(doc), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def report_text(report):
+    """diagnostics.json of the report as the command line writes it."""
+    return _json_text(report.to_dict(), {"points": report.points_json()})

@@ -9,6 +9,7 @@ one-point loops, kept below as reference code, to roundoff.
 """
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from holosphere.geometry import (
 )
 from holosphere.products import _pair_minors_max
 
-from conftest import GAMMA_ORACLES
+from conftest import GAMMA_ORACLES, calabi_table, report_text
 
 CENTRES = np.array([0.31 + 0.17j, -0.42 + 0.33j, 0.05 - 0.61j, -0.2 - 0.1j])
 
@@ -123,7 +124,7 @@ def test_minimality_and_calabi_over_centres(surface_n2):
     assert not np.isnan(values).any()
     for z, r, row in zip(CENTRES, resid, values):
         assert r == minimality_residual(surface_n2, z)
-        table = geometry._calabi_table(pairs, row.tolist())
+        table = calabi_table(pairs, row)
         assert table == calabi_check(surface_n2, 3, z)
 
 
@@ -215,12 +216,13 @@ def test_report_scan_matches_scan_grid(betas, domain):
 def test_counts_match_records(chain_n2):
     report = verify_all(chain_n2, grid=(7, 7))
     assert set(report.counts) == set(report.summary) == set(report.residuals)
-    points = report.to_dict()["points"]
+    doc = json.loads(report_text(report))
+    points = doc["points"]
     for fam, count in report.counts.items():
         evaluated = sum(fam in point["residuals"] for point in points)
         assert evaluated == np.count_nonzero(~np.isnan(report.residuals[fam]))
         assert count == {"evaluated": evaluated, "skipped": 49 - evaluated}
-    assert report.to_dict()["counts"] == report.counts
+    assert doc["counts"] == report.counts
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +590,7 @@ def test_families_match_one_point_loops(name):
     for table, row in zip(ref_sweep_tables(sw), values):
         assert (table is not None) == (not np.isnan(row).all())
         if table is not None:
-            got = geometry._calabi_table(pairs, row.tolist())
+            got = calabi_table(pairs, row)
             assert list(got) == list(table)
             assert_close(list(got.values()), list(table.values()))
 
@@ -613,7 +615,7 @@ def test_report_summary_matches_record_scan(name):
     report = verify_all(chain, grid=grid, fd_step=fd_step, calabi_order=calabi_order,
                         perturb=perturb)
     summary, worst = {}, {}
-    for point in report.to_dict()["points"]:
+    for point in json.loads(report_text(report))["points"]:
         for fam, val in point["residuals"].items():
             if fam not in summary or val > summary[fam]:
                 summary[fam] = val

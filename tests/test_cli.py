@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import subprocess
@@ -12,7 +13,7 @@ import holosphere
 from holosphere import chain as chain_module, cli, geometry
 from holosphere.cli import ERROR, RECONSTRUCT_TOLERANCES, _write_json, main
 from holosphere.config import demo_config, validate_config
-from holosphere.errors import ConfigError
+from holosphere.errors import ConfigError, NotPseudoholomorphicError
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -520,7 +521,7 @@ def test_surrogates_reported_only_for_nonpolynomial_betas(tmp_path):
             assert [s["index"] for s in report["surrogates"]] == expected
 
 
-def test_reports_are_strict_json(tmp_path):
+def test_reports_are_strict_json(tmp_path, monkeypatch):
     path = tmp_path / "report.json"
     _write_json(path, {"a": float("nan"), "b": [np.inf, 1.5, -np.inf],
                        "c": {"d": np.float64("nan"), "e": (2.0, None)}})
@@ -530,6 +531,59 @@ def test_reports_are_strict_json(tmp_path):
 
     doc = json.loads(path.read_text(), parse_constant=refuse)
     assert doc == {"a": None, "b": [None, 1.5, None], "c": {"d": None, "e": [2.0, None]}}
+
+    # diagnostics.json of a report with infinite residuals, Calabi entries
+    # and summaries, and NaN Calabi entries in a table
+    def non_finite(*args, **kwargs):
+        report = geometry.verify_all(*args, **kwargs)
+        pairs, table = report.calabi
+        table = table.copy()
+        table[0] = np.resize([np.inf, -np.inf, np.nan], len(pairs))
+        return dataclasses.replace(
+            report, calabi=(pairs, table),
+            residuals={fam: np.where(np.isnan(v), v, -np.inf)
+                       for fam, v in report.residuals.items()},
+            summary={fam: np.inf for fam in report.summary})
+
+    monkeypatch.setattr(cli, "verify_all", non_finite)
+    out = tmp_path / "verify"
+    main(["verify", "--seed-demo", "2", "--out", str(out), "--quiet"])
+    doc = json.loads((out / "diagnostics.json").read_text(), parse_constant=refuse)
+    assert set(doc["summary"].values()) == {None}
+    first = doc["points"][0]
+    assert first["residuals"] and set(first["residuals"].values()) == {None}
+    assert first["calabi"] and set(first["calabi"].values()) == {None}
+
+
+def test_every_json_output_goes_through_the_writer(tmp_path, monkeypatch):
+    # the benchmark's tracer counts JSON bytes by wrapping cli._write_json
+    # and reading the size of the file named by its first argument
+    written = []
+    write_json = cli._write_json
+
+    def counted(*args, **kwargs):
+        written.append(Path(args[0]))
+        return write_json(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise NotPseudoholomorphicError("the chain does not terminate", 0.5)
+
+    monkeypatch.setattr(cli, "_write_json", counted)
+    doc = demo_config(3)
+    doc["grid"] = {"rows": 5, "cols": 5}
+    config = ["--config", _write(tmp_path, doc)]
+    runs = [(command, command, config)
+            for command in ("generate", "verify", "kaehler", "ruled", "reconstruct")]
+    runs += [("refused", "reconstruct", config), ("demo", "verify", ["--seed-demo", "1"])]
+    for name, command, args in runs:
+        if name == "refused":
+            monkeypatch.setattr(cli, "roundtrip", refuse)
+        out = tmp_path / name
+        written.clear()
+        main([command, *args, "--out", str(out), "--quiet"])
+        assert sorted(out.glob("*.json")) == sorted(written) != [], name
+    assert json.loads((tmp_path / "refused" / "reconstruct_report.json").read_text())[
+        "refused"] is True
 
 
 @pytest.mark.parametrize("command, n", [("generate", 3), ("verify", 1), ("verify", 3),

@@ -1,11 +1,15 @@
 import dataclasses
+import functools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holosphere import Domain, build_alpha_chain, f_chain_eval, geometry
+from holosphere.chain import GridScan
 from holosphere.errors import DegenerateSurfaceError, DomainError
 from holosphere.fd import default_step, wirtinger
 from holosphere.geometry import (
@@ -17,7 +21,12 @@ from holosphere.geometry import (
     verify_all,
 )
 
-from conftest import isotropic_surface_form_residual, second_normal_space_angle
+from conftest import (
+    isotropic_surface_form_residual,
+    reference_text,
+    report_text,
+    second_normal_space_angle,
+)
 
 
 class TestMinimality:
@@ -154,7 +163,7 @@ class TestVerifyAll:
         for fam, val in report.summary.items():
             best = max(
                 point["residuals"][fam]
-                for point in report.to_dict()["points"]
+                for point in json.loads(report_text(report))["points"]
                 if fam in point["residuals"]
             )
             assert val == best
@@ -169,8 +178,9 @@ class TestVerifyAll:
 
     def test_report_serializes(self, chain_n1):
         report = verify_all(chain_n1, grid=(4, 4))
-        text = json.dumps(report.to_dict(), sort_keys=True)
+        text = report_text(report)
         assert '"passed": true' in text
+        assert json.loads(text)["passed"] is True
 
     def test_degenerate_points_masked_not_fatal(self):
         chain = build_alpha_chain(["z"])
@@ -215,7 +225,7 @@ def test_blocked_sweep_equals_one_block(case, block, monkeypatch):
     want = _sweep_report(case, 10**9, monkeypatch)
     got = _sweep_report(case, block, monkeypatch)
     # the JSON text of the report, compared whole (a diff of it is slow)
-    same_json = json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    same_json = report_text(got) == report_text(want)
     assert same_json
     for field in dataclasses.fields(DiagnosticsReport):
         a, b = getattr(got, field.name), getattr(want, field.name)
@@ -252,3 +262,87 @@ def test_sweep_memory_is_bounded_by_the_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < whole_field
+
+
+# reports whose text the golden files do not cover: betas, domain, grid
+# and the other arguments of verify_all
+TEXT_CASES = {
+    # the FD families and the Calabi tables are checked at no point
+    # (UNCHECKED, without a summary or worst point; empty tables)
+    "unchecked_2x2": (["1", "1"], None, (2, 2), {}),
+    # singular on the line Re z = 0, no Calabi table at points near it
+    "collapsed_line": (["z", "1"], None, (9, 9), {"calabi_order": 4}),
+    "calabi_order_0": (["1+0.2*z", "1"], None, (5, 6), {"calabi_order": 0}),
+    "calabi_order_3": (["1", "1", "1"], None, (6, 5), {"calabi_order": 3}),
+    # grid points outside the disk have no record
+    "disk": (["1+0.3*z", "1"], Domain.disk(0.1, 0.8, base_point=0.1), (9, 8), {}),
+    "surrogates": (["1", "exp(0.5*z)"], None, (4, 4), {}),
+}
+
+
+@functools.cache
+def _text_report(case):
+    betas, domain, grid, kwargs = TEXT_CASES[case]
+    return verify_all(build_alpha_chain(betas, domain=domain), grid=grid, **kwargs)
+
+
+def _same_text(report):
+    """Whether the writer's text equals the reference encoder's; a bool,
+    since a diff of the two texts is slow."""
+    return report_text(report) == reference_text(report)
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_report_text_equals_reference(case):
+    assert _same_text(_text_report(case))
+
+
+def test_report_text_of_no_inside_point_equals_reference():
+    # a 2x2 grid of a disk has every point outside; verify_all refuses
+    # it, so the report of the "disk" case is given the scan of that grid
+    report = _text_report("disk")
+    zs, inside = Domain.disk(0.1, 0.8).grid(2, 2)
+    assert not inside.any()
+    pairs, values = report.calabi
+    empty = dataclasses.replace(
+        report,
+        residuals={fam: np.empty(0) for fam in report.residuals},
+        calabi=(pairs, np.empty((0, len(pairs)))),
+        scan=GridScan.scatter(zs, inside, np.empty(0, dtype=bool),
+                              np.empty((0, report.scan.surface.shape[-1]))),
+    )
+    assert _same_text(empty)
+    assert '\n  "points": [],\n' in report_text(empty)
+
+
+# every kind of float: NaN (not evaluated), infinities, signed zeros,
+# subnormals and magnitudes from 1e-300 to 1e300
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-320,
+                     2.2250738585072014e-308]),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e-300),
+    st.floats(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=st.lists(_ANY_FLOAT, min_size=1, max_size=16),
+       seed=st.integers(0, 2**32 - 1))
+def test_report_text_of_any_floats_equals_reference(pool, seed):
+    # the residual and Calabi arrays of a real report, drawn from the pool
+    report = _text_report("collapsed_line")
+    rng = np.random.default_rng(seed)
+    pairs, values = report.calabi
+    table = rng.choice(pool, size=values.shape)
+    # whole rows of NaN: points without a table
+    table[rng.random(len(table)) < 0.2] = np.nan
+    changed = dataclasses.replace(
+        report, calabi=(pairs, table),
+        residuals={fam: rng.choice(pool, size=len(values)) for fam in report.residuals})
+    assert _same_text(changed)
+    json.loads(report_text(changed), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
