@@ -131,12 +131,16 @@ def _termination_ratios(bottom, top):
     return ratios
 
 
-def _xi_rows(bottom, where):
-    """conj(G_n)/|G_n|^2 for chain bottoms (rows along the last axis):
-    the holomorphic generator recovered from the surface."""
+def _xi_rows(bottom, zs):
+    """conj(G_n)/|G_n|^2 for the chain bottoms at the grid nodes zs (rows
+    along the last axis): the holomorphic generator recovered from the
+    surface."""
     nsq = np.sum(np.abs(bottom) ** 2, axis=-1, keepdims=True)
-    if np.any(nsq < _DEGENERATE_RATIO):
-        raise DegenerateSurfaceError(f"degenerate chain bottom {where}")
+    low = np.flatnonzero(nsq < _DEGENERATE_RATIO)
+    if low.size:
+        raise DegenerateSurfaceError(
+            f"degenerate chain bottom on the grid: |G_n|^2 = {nsq.flat[low[0]]:.3e} "
+            f"< {_DEGENERATE_RATIO:g} at z={zs.flat[low[0]]}")
     return np.conj(bottom) / nsq
 
 
@@ -196,11 +200,13 @@ class XiField:
         return self._grid.at(np.stack(fields, axis=2),
                              np.asarray(zs, dtype=complex).ravel())
 
-    def holomorphy_residual(self, z):
-        """|d(xi)/dconj(z)| / |xi| at z."""
-        zs = np.array([z], dtype=complex)
-        dbar = self._grid.at(self._dbar, zs)[0]
-        return float(np.linalg.norm(dbar) / max(np.linalg.norm(self(zs)[0]), 1e-300))
+    def holomorphy_residuals(self, zs):
+        """|d(xi)/dconj(z)| / |xi| at each of the points zs, from one read
+        of the interpolant."""
+        both = self._grid.at(np.stack([self._dbar, self.values], axis=2),
+                             np.asarray(zs, dtype=complex).ravel())
+        dbar, xi = np.linalg.norm(both, axis=-1).T
+        return dbar / np.maximum(xi, 1e-300)
 
 
 def probe_termination(g, samples=33):
@@ -217,7 +223,7 @@ def sample_xi(g, rows=41, cols=41):
     n = _depth(g)
     grid = _sampling_grid(g, rows, cols)
     bottom = _descend(g, grid, n)[-1]
-    return XiField(grid.xs, grid.ys, _xi_rows(bottom, "on the grid"))
+    return XiField(grid.xs, grid.ys, _xi_rows(bottom, grid.zs))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +237,7 @@ class RoundtripResult:
     distances: np.ndarray       # (rows, cols)
     eval_points: np.ndarray     # (rows, cols) complex
     termination_residual: float  # median relative G_{n+1}
-    holomorphy_residual: float   # median relative dbar(xi)
+    holomorphy_residual: float   # median |dbar(xi)|/|xi| over the probes
     xi: XiField
 
     def to_dict(self):
@@ -255,11 +261,14 @@ def roundtrip(g, grid=(8, 8), sample_grid=(41, 41), gauge=None):
     orthogonalization of `chain.FChainBatch` at the default degeneracy
     threshold (the recovered jets belong to no chain), whose surface is
     the normalized real part, as for every chain surface.  Per-point
-    distances use min over its sign ambiguity.  Surfaces whose chain
-    fails to terminate (median ratio above _REFUSAL_THRESHOLD) are
-    refused with NotPseudoholomorphicError, and reconstructed jets that
-    degenerate, or whose real part collapses, raise
-    DegenerateSurfaceError.
+    distances use min over its sign ambiguity.  The holomorphy residual
+    is the median of |d(xi)/dconj(z)| / |xi| over every
+    max(1, P // 16)-th of the P evaluation points, read from the
+    interpolant in one call.  Surfaces whose chain fails to terminate
+    (median ratio above _REFUSAL_THRESHOLD) are refused with
+    NotPseudoholomorphicError, and reconstructed jets that degenerate,
+    or whose real part collapses, raise DegenerateSurfaceError naming
+    the first such evaluation point.
     """
     n = _depth(g)
     rows, cols = grid
@@ -272,7 +281,7 @@ def roundtrip(g, grid=(8, 8), sample_grid=(41, 41), gauge=None):
             "surface chain does not terminate; input is not pseudoholomorphic",
             termination,
         )
-    xi_vals = _xi_rows(levels[n], "on the grid")
+    xi_vals = _xi_rows(levels[n], nodes.zs)
     if gauge is not None:
         factors = np.asarray(gauge(nodes.zs.ravel()), dtype=complex)
         xi_vals = xi_vals * factors.reshape(nodes.zs.shape + (1,))
@@ -288,7 +297,11 @@ def roundtrip(g, grid=(8, 8), sample_grid=(41, 41), gauge=None):
 
     batch = FChainBatch(flat, xi.jet(flat, n))
     if not batch.ok.all():
-        raise DegenerateSurfaceError("reconstructed jet degenerates on the grid")
+        first = np.argmin(batch.ok)
+        cause = ("the chain is singular" if batch.singular[first]
+                 else "the real part of F_{n+1} collapses")
+        raise DegenerateSurfaceError(
+            f"reconstructed jet degenerates on the grid: {cause} at z={flat[first]}")
     ghat = batch.g
     gtrue = g(flat)
     dplus = np.linalg.norm(ghat - gtrue, axis=1)
@@ -296,7 +309,7 @@ def roundtrip(g, grid=(8, 8), sample_grid=(41, 41), gauge=None):
     dist = np.minimum(dplus, dminus).reshape(rows, cols)
 
     probes = flat[:: max(1, flat.size // 16)]
-    holo = float(np.median([xi.holomorphy_residual(z) for z in probes]))
+    holo = float(np.median(xi.holomorphy_residuals(probes)))
     return RoundtripResult(
         n=n,
         sup_distance=float(dist.max()),

@@ -190,6 +190,19 @@ def kaehler_point_reference(chain, params, z):
 
 
 # ---------------------------------------------------------------------------
+# One-point reads that the package's batched reads are compared against.
+# ---------------------------------------------------------------------------
+
+def holomorphy_residual(xi, z):
+    """|d(xi)/dconj(z)| / |xi| of a sampled field at the one point z,
+    from two one-row reads of its interpolant: the per-point form of
+    `XiField.holomorphy_residuals`."""
+    zs = np.array([z], dtype=complex)
+    dbar = xi._grid.at(xi._dbar, zs)[0]
+    return float(np.linalg.norm(dbar) / max(np.linalg.norm(xi(zs)[0]), 1e-300))
+
+
+# ---------------------------------------------------------------------------
 # Reference encoder of diagnostics.json: a dict per point, the walk that
 # turns non-finite floats into None, and json's indenting encoder.  The
 # package builds the same text from the report's arrays.

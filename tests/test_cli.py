@@ -478,6 +478,19 @@ class TestErrors:
         assert code == 1
         assert "squared norm at z=(19-1j)" in capsys.readouterr().err
 
+    def test_degenerate_reconstruction_names_the_point(self, tmp_path, capsys):
+        # the gauge z turns the phase of the recovered F_2, so its real part
+        # vanishes where h F_2 is imaginary; the first such evaluation point
+        # lies on the imaginary axis
+        doc = demo_config(1)
+        doc["reconstruct"]["gauge"] = "z"
+        doc["reconstruct"]["eval_grid"] = {"rows": 5, "cols": 5}
+        code = main(["reconstruct", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "run")])
+        assert code == 1
+        assert ("reconstructed jet degenerates on the grid: the real part of "
+                "F_{n+1} collapses at z=-0.80396571934") in capsys.readouterr().err
+
 
 FD_FAMILIES = ["fbar_identity", "minimality", "recursion", "tangent_formula"]
 

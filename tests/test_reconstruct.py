@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from holosphere.reconstruct import (
     sample_xi,
 )
 
-from conftest import principal_angles
+from conftest import holomorphy_residual, principal_angles
 
 
 def _descent_near(g, z, depth):
@@ -69,7 +70,11 @@ class TestGChain:
         g = SurfaceEvaluator(
             func=func, domain=Domain.rectangle(-1 - 1j, 1 + 1j), dim=3, n=1
         )
-        with pytest.raises(DegenerateSurfaceError, match="degenerate chain bottom"):
+        # the first node in the grid's order is the corner -1-1i, where
+        # the spectral d/dz of a constant vanishes exactly
+        with pytest.raises(DegenerateSurfaceError, match=re.escape(
+                "degenerate chain bottom on the grid: |G_n|^2 = 0.000e+00 < 1e-18 "
+                "at z=(-1-1j)")):
             sample_xi(g)
 
 
@@ -86,8 +91,30 @@ class TestExtractXi:
 
     def test_holomorphy_of_sampled_field(self, surface_n1):
         xi = sample_xi(surface_n1, rows=25, cols=25)
-        for z in (0.2 + 0.3j, -0.5 - 0.1j, 0.6 + 0j):
-            assert xi.holomorphy_residual(z) <= 1e-4
+        residuals = xi.holomorphy_residuals(np.array([0.2 + 0.3j, -0.5 - 0.1j, 0.6 + 0j]))
+        assert residuals.shape == (3,)
+        assert np.all(residuals <= 1e-4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_holomorphy_residuals_match_one_point_reads(self, request, n):
+        # a roundtrip's probes, a probe on a Chebyshev node of both axes
+        # (the basis' exact-hit branch), one on a node of x only, and the
+        # inset corner where the evaluation grid starts
+        g = SurfaceEvaluator.from_chain(request.getfixturevalue(f"chain_n{n}"))
+        result = roundtrip(g, grid=(8, 8), sample_grid=(41, 41))
+        xi = result.xi
+        flat = result.eval_points.ravel()
+        probes = np.concatenate([flat[::4], [
+            complex(xi.xs[7], xi.ys[30]),
+            complex(xi.xs[12], 0.123),
+            complex(xi.xs[0] + 2 * xi.spacing, xi.ys[0] + 2 * xi.spacing),
+        ]])
+        ref = np.array([holomorphy_residual(xi, z) for z in probes])
+        got = xi.holomorphy_residuals(probes)
+        assert got.shape == probes.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        assert result.holomorphy_residual == pytest.approx(np.median(ref[:16]),
+                                                           rel=1e-13, abs=0)
 
 
 class TestXiField:
@@ -163,6 +190,18 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             roundtrip(dataclasses.replace(surface_n1, n=4))
 
+    def test_singular_reconstructed_jet_named(self, surface_n1):
+        # a gauge factor that vanishes at the first evaluation point, the
+        # inset corner, leaves the jet there with no first vector
+        xs = reconstruct._sampling_grid(surface_n1, 33, 33).xs
+        inset = 2 * np.diff(xs).max()
+        corner = complex(xs[0] + inset, xs[0] + inset)
+        with pytest.raises(DegenerateSurfaceError, match=re.escape(
+                "reconstructed jet degenerates on the grid: the chain is singular "
+                f"at z={corner}")):
+            roundtrip(surface_n1, grid=(4, 4), sample_grid=(33, 33),
+                      gauge=lambda zs: zs - corner)
+
 
 class TestEvaluationCount:
     """Surface points one roundtrip evaluates: the sampling grid once
@@ -183,6 +222,22 @@ class TestEvaluationCount:
         g, count = self._counted(surface_n1)
         roundtrip(g, grid=(5, 7), sample_grid=(17, 19))
         assert count[0] == 17 * 19 + 5 * 7
+
+    @pytest.mark.parametrize("grid", [(4, 4), (8, 8), (16, 16)])
+    def test_roundtrip_reads_the_interpolant_twice(self, surface_n1, monkeypatch,
+                                                   grid):
+        # once for the jets on the evaluation grid, once for the
+        # holomorphy probes
+        reads = [0]
+        at = reconstruct._Grid.at
+
+        def counted(self, V, zs):
+            reads[0] += 1
+            return at(self, V, zs)
+
+        monkeypatch.setattr(reconstruct._Grid, "at", counted)
+        roundtrip(surface_n1, grid=grid, sample_grid=(33, 33))
+        assert reads[0] == 2
 
     def test_refusal_costs_only_the_probe(self, small_sphere_surface):
         g, count = self._counted(small_sphere_surface)
