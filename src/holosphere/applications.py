@@ -14,7 +14,8 @@ Two constructions ride on the chain data of a generating surface g:
 * a unit-sphere ruled map obtained by following sphere geodesics from
   g(z) in the directions of a normal subbundle: cos(|w|) g + sinc(|w|) w.
 
-Both evaluate pointwise from the chain data at a point.  Regularity is
+Both evaluate pointwise from the chain data at a point, as reads of a
+chain batch that `chain.scan_grid` sweeps over a grid.  Regularity is
 probed by a Jacobian with exact w-columns and finite-difference
 z-columns, minimality by finite differences in the full parameter space.
 """
@@ -103,37 +104,33 @@ def _normal_terms(F, w):
     return out
 
 
-def kaehler_point(chain, params, z):
-    """Closed-form evaluation of the hypersurface map at (z, w).
-
-    Requires n >= 2 and len(w) == n-1.  The middle (gradient) term uses
-    the tangent formula of the chain, so everything comes from the chain
-    data at z plus the partials of gamma.
+def kaehler_map(chain, params):
+    """The hypersurface map at (z, w) as a read of `scan_grid`: from a
+    chain batch to its flags `ok` and the map at each point, NaN rows at
+    degenerate points.  Requires n >= 2 and len(w) == n-1.  The middle
+    (gradient) term uses the tangent formula of the chain, so everything
+    comes from the chain data at z plus the partials of gamma.
     """
-    values, batch = _kaehler(chain, params, np.array([z]))
-    require_regular(batch)
-    return values[0]
-
-
-def kaehler_points(chain, params, zs):
-    """`kaehler_point` at a flat array of points, with one chain
-    evaluation.  Returns (values, valid): the rows of degenerate points
-    are NaN and `valid` is False there."""
-    values, batch = _kaehler(chain, params, zs)
-    return values, batch.ok
-
-
-def _kaehler(chain, params, zs):
-    """The hypersurface map at the flat array zs, NaN rows at degenerate
-    points, with the chain batch it was built from."""
     n = chain.n
     if n < 2:
         raise ValueError("the hypersurface map requires n >= 2")
     if len(params.w) != n - 1:
         raise ValueError(f"w needs {n - 1} entries, got {len(params.w)}")
-    batch = f_chain_eval(chain, zs)
     w = np.array(params.w, dtype=complex)
-    return _kaehler_base(batch, params) + _normal_terms(batch.F, w), batch
+
+    def read(batch):
+        return batch.ok, _kaehler_base(batch, params) + _normal_terms(batch.F, w)
+
+    return read
+
+
+def kaehler_point(chain, params, z):
+    """The read of `kaehler_map` at the one point z; SingularPointError
+    where the chain or the surface normalization degenerates there."""
+    read = kaehler_map(chain, params)
+    batch = f_chain_eval(chain, np.array([z]))
+    require_regular(batch)
+    return read(batch)[1][0]
 
 
 def _kaehler_base(batch, params):
@@ -257,34 +254,33 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
 # Ruled minimal submanifolds
 # ---------------------------------------------------------------------------
 
-def ruled_point(chain, params, z):
-    """Sphere-exponential of the normal vector w at g(z):
-    cos(|w|) g + sinc(|w|) w.  Unit norm by construction."""
-    values, batch = _ruled(chain, params, np.array([z]))
-    require_regular(batch)
-    return values[0]
-
-
-def ruled_points(chain, params, zs):
-    """`ruled_point` at a flat array of points, with one chain evaluation;
-    returns (values, valid) as `kaehler_points` does."""
-    values, batch = _ruled(chain, params, zs)
-    return values, batch.ok
-
-
-def _ruled(chain, params, zs):
-    """The ruled map at the flat array zs, as `_kaehler` returns it."""
+def ruled_map(chain, params):
+    """The sphere-exponential of the normal vector w at g(z),
+    cos(|w|) g + sinc(|w|) w, as a read of `scan_grid`: (ok, values) as
+    `kaehler_map` reads them.  Unit norm by construction."""
     n = chain.n
     if n < 3:
         raise ValueError("the ruled map requires n >= 3")
     if len(params.w) != n - 2:
         raise ValueError(f"w needs {n - 2} entries, got {len(params.w)}")
-    batch = f_chain_eval(chain, zs)
-    values = np.full(batch.g.shape, np.nan)
-    idx = np.flatnonzero(batch.ok)
-    values[idx] = _ruled_values(batch.F[idx], batch.g[idx],
-                                np.array(params.w, dtype=complex))
-    return values, batch
+    w = np.array(params.w, dtype=complex)
+
+    def read(batch):
+        values = np.full(batch.g.shape, np.nan)
+        idx = np.flatnonzero(batch.ok)
+        values[idx] = _ruled_values(batch.F[idx], batch.g[idx], w)
+        return batch.ok, values
+
+    return read
+
+
+def ruled_point(chain, params, z):
+    """The read of `ruled_map` at the one point z, as `kaehler_point`
+    reads its map."""
+    read = ruled_map(chain, params)
+    batch = f_chain_eval(chain, np.array([z]))
+    require_regular(batch)
+    return read(batch)[1][0]
 
 
 def _ruled_values(F, g, w):

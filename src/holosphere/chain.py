@@ -69,8 +69,8 @@ _SURROGATE_TOL = 1e-12
 # Circle sample counts tried in turn; the surrogate degree stays below
 # half the last one
 _FFT_SIZES = (64, 128, 256, 512, 1024, 2048)
-# Points per chain evaluation in `scan_grid`: only one block's jets and
-# Gram-Schmidt vectors are held at a time
+# Points per chain evaluation in `scan_grid`: only one block's jets,
+# Gram-Schmidt vectors and reads are held at a time
 _SCAN_BLOCK = 8192
 
 
@@ -515,17 +515,18 @@ def require_regular(batch):
 class GridScan:
     """Row-major chain evaluation over a rectangular sample grid.
 
-    `surface` holds NaN rows wherever `valid` is False; `singular` marks
-    degeneracies of the chain or of the surface normalization, `inside`
-    membership in the domain (relevant for disks, whose grid spans the
-    bounding box).
+    `surface` holds the rows of the map read at each point (the surface
+    unless `scan_grid` was given another read), NaN wherever `valid` is
+    False; `singular` marks degeneracies of the chain or of the surface
+    normalization, `inside` membership in the domain (relevant for
+    disks, whose grid spans the bounding box).
     """
 
     zs: np.ndarray        # (R, C) complex
     inside: np.ndarray    # (R, C) bool
     singular: np.ndarray  # (R, C) bool
     valid: np.ndarray     # (R, C) bool: inside, non-singular, normalizable
-    surface: np.ndarray   # (R, C, 2n+1) float
+    surface: np.ndarray   # (R, C, 2n+1) float: the map read
 
     @property
     def shape(self):
@@ -544,27 +545,48 @@ class GridScan:
                    surface=surface)
 
 
-def scan_grid(chain, rows, cols):
-    """Evaluate chain and surface over a rows x cols grid of the domain.
+def _surface(batch):
+    """`scan_grid`'s default read: the flags and surface rows of a batch."""
+    return batch.ok, batch.g
 
-    Grid order is row-major and the result is deterministic for fixed
-    inputs.  Degenerate points are masked, never raised.  The inside
-    points are evaluated in blocks of _SCAN_BLOCK, keeping only each
-    block's flags and surface rows, so that the chain data held at once
-    does not grow with the grid.  Every point is evaluated on its own,
-    so the blocks change no bit of the result.
+
+def scan_grid(chain, rows, cols, read=_surface):
+    """Evaluate the chain over a rows x cols grid of the domain and read a
+    map at its inside points: `read(batch)` returns (ok, values) at the
+    points of a chain batch, by default the surface, and the result holds
+    the values as its `surface`.  Grid order is row-major; degenerate
+    points are masked, never raised.  The points are swept in blocks of
+    _SCAN_BLOCK (see `_sweep`).
+    """
+    zs, inside, (ok, values) = _sweep(chain, rows, cols, _SCAN_BLOCK, read)
+    return GridScan.scatter(zs, inside, ok, values)
+
+
+def _sweep(chain, rows, cols, block, read):
+    """The one loop over the blocks of a grid: (zs, inside, outputs).
+
+    The inside points of the rows x cols grid are evaluated `block` at a
+    time, in row-major order, and `read(batch)` turns each chain batch
+    into a tuple of per-point arrays, which fill the outputs row by row.
+    Only one block's chain data and reads are held at a time, and each
+    point is evaluated on its own, so the block size changes no bit of
+    the outputs.  A grid with no inside point raises DomainError.
     """
     zs, inside = chain.domain.grid(rows, cols)
     pts = zs[inside]
-    ok = np.zeros(pts.size, dtype=bool)
-    g = np.empty((pts.size, chain.dim))
-    for start in range(0, pts.size, _SCAN_BLOCK):
-        part = slice(start, start + _SCAN_BLOCK)
+    if not pts.size:
+        raise DomainError(f"no point of the {rows}x{cols} grid lies inside the "
+                          "domain")
+    outputs = None
+    for start in range(0, pts.size, block):
+        part = slice(start, start + block)
         # through the module global, so that a wrapper bound there sees
         # every block
-        batch = f_chain_eval(chain, pts[part])
-        ok[part] = batch.ok
-        g[part] = batch.g
-        # free this block's jets and chain vectors before the next block
-        del batch
-    return GridScan.scatter(zs, inside, ok, g)
+        found = read(f_chain_eval(chain, pts[part]))
+        if outputs is None:
+            outputs = [np.empty((pts.size,) + a.shape[1:], a.dtype) for a in found]
+        for out, a in zip(outputs, found):
+            out[part] = a
+        # free this block's reads before the next block
+        del found, a
+    return zs, inside, outputs

@@ -21,12 +21,12 @@ from .applications import (
     KaehlerParams,
     RuledParams,
     kaehler_immersion_check,
-    kaehler_points,
+    kaehler_map,
+    ruled_map,
     ruled_minimality_probe,
-    ruled_points,
     ruling_geodesic_residual,
 )
-from .chain import GridScan, build_alpha_chain
+from .chain import build_alpha_chain, scan_grid
 from .config import demo_config, load_config, validate_config
 from .errors import (
     ConfigError,
@@ -168,14 +168,14 @@ def _report_lines(report, quiet):
         _say(quiet, line)
 
 
-def _write_grid(cfg, outdir, name, table, valid, coords, attribute=None):
-    """A grid result in the config's formats: <name>.obj and <name>.ply
-    from the mesh of the valid points, and <name>.csv through
+def _write_grid(cfg, outdir, name, scan, table, attribute=None):
+    """A grid scan in the config's formats: <name>.obj and <name>.ply
+    from the mesh of its valid points, and <name>.csv through
     table(path).  Each file is formatted on its own, so the order of the
     writes does not change a byte.  `attribute` is a (name, grid) pair
     that the PLY writes as a per-vertex scalar."""
-    mesh = mesh_from_grid(valid, coords, attributes=dict([attribute]) if attribute
-                          else None)
+    mesh = mesh_from_grid(scan.valid, scan.surface,
+                          attributes=dict([attribute]) if attribute else None)
     if "obj" in cfg.formats:
         write_obj(mesh, outdir / f"{name}.obj", components=cfg.obj_components)
     if "ply" in cfg.formats:
@@ -205,9 +205,8 @@ def cmd_generate(cfg, outdir, quiet):
     report = _diagnose(cfg, outdir, quiet)
     scan, grids = report.scan, report.grids()
     # each vertex carries the largest residual of its point
-    _write_grid(cfg, outdir, "surface",
+    _write_grid(cfg, outdir, "surface", scan,
                 lambda path: write_surface_csv(scan, path, grids),
-                scan.valid, scan.surface,
                 ("residual", np.fmax.reduce(list(grids.values()))))
     _say(quiet, f"outputs written to {outdir}")
     return PASS if report.passed else FAIL
@@ -253,26 +252,15 @@ def cmd_reconstruct(cfg, outdir, quiet):
     return PASS if passed else FAIL
 
 
-def _grid_points(cfg, chain, params, points):
-    """A batched map (`kaehler_points` or `ruled_points`) over the
-    in-domain points of the config grid: (zs, valid, coords), with NaN
-    coordinates where the point is outside or degenerate."""
-    zs, inside = cfg.domain.grid(*cfg.grid)
-    values, regular = points(chain, params, zs[inside])
-    scan = GridScan.scatter(zs, inside, regular, values)
-    return zs, scan.valid, scan.surface
-
-
 def cmd_kaehler(cfg, outdir, quiet):
     if cfg.kaehler is None:
         raise ConfigError("$.kaehler", "missing required block for this command")
     chain = _chain(cfg)
     kc = cfg.kaehler
     params = KaehlerParams.create(kc["gamma"], kc["w"])
-    zs, valid, coords = _grid_points(cfg, chain, params, kaehler_points)
-    _write_grid(cfg, outdir, "kaehler",
-                lambda path: write_points_csv(path, zs, valid, coords, "psi"),
-                valid, coords)
+    scan = scan_grid(chain, *cfg.grid, kaehler_map(chain, params))
+    _write_grid(cfg, outdir, "kaehler", scan,
+                lambda path: write_points_csv(scan, path, "psi"))
 
     regularity = kaehler_immersion_check(
         chain,
@@ -303,23 +291,23 @@ def cmd_ruled(cfg, outdir, quiet):
     chain = _chain(cfg)
     rc = cfg.ruled
     params = RuledParams.create(rc["w"])
-    zs, valid, coords = _grid_points(cfg, chain, params, ruled_points)
-    x = coords[valid]
-    norm_dev = np.full(valid.shape, np.nan)
-    norm_dev[valid] = np.abs(np.sqrt(np.vecdot(x, x)) - 1.0)
-    _write_grid(cfg, outdir, "ruled",
-                lambda path: write_points_csv(path, zs, valid, coords, "F"),
-                valid, coords, ("norm_deviation", norm_dev))
+    scan = scan_grid(chain, *cfg.grid, ruled_map(chain, params))
+    x = scan.surface[scan.valid]
+    norm_dev = np.full(scan.shape, np.nan)
+    norm_dev[scan.valid] = np.abs(np.sqrt(np.vecdot(x, x)) - 1.0)
+    _write_grid(cfg, outdir, "ruled", scan,
+                lambda path: write_points_csv(scan, path, "F"),
+                ("norm_deviation", norm_dev))
 
-    max_dev = float(np.nanmax(norm_dev)) if valid.any() else np.nan
+    max_dev = float(np.nanmax(norm_dev)) if x.size else np.nan
     unit_ok = bool(max_dev <= 1e-12)
 
     probes = []
     probe_ok = True
+    x0, x1, y0, y1 = cfg.domain.bounds
+    span_x, span_y = x1 - x0, y1 - y0
     if cfg.n == 3 and rc["probe_points"] > 0:
         rng = np.random.default_rng(20260809)
-        x0, x1, y0, y1 = cfg.domain.bounds
-        span_x, span_y = x1 - x0, y1 - y0
         centres = [
             complex(x0 + span_x * (0.25 + 0.5 * rng.random()),
                     y0 + span_y * (0.25 + 0.5 * rng.random()))
@@ -334,14 +322,12 @@ def cmd_ruled(cfg, outdir, quiet):
             )
             if not res.degenerate:
                 probe_ok = probe_ok and res.residual <= 1e-3
-        # 0.1 off the centre, less where the domain is too small for it
-        offset = min(0.1, span_x / 8, span_y / 8)
-        geo = ruling_geodesic_residual(
-            chain, complex((x0 + x1) / 2 + offset, (y0 + y1) / 2 + offset))
-        if geo is not None:
-            probe_ok = probe_ok and geo <= 1e-6
-    else:
-        geo = None
+    # 0.1 off the centre, less where the domain is too small for it
+    offset = min(0.1, span_x / 8, span_y / 8)
+    geo = ruling_geodesic_residual(
+        chain, complex((x0 + x1) / 2 + offset, (y0 + y1) / 2 + offset))
+    if geo is not None:
+        probe_ok = probe_ok and geo <= 1e-6
 
     passed = unit_ok and probe_ok
     _write_json(

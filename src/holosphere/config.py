@@ -102,6 +102,12 @@ def _parse_grid(doc, path):
     return rows, cols
 
 
+def _optional_grid(doc, key, path, default):
+    """The grid doc[key], or default where the key is absent or null."""
+    value = _get(doc, key, path)
+    return default if value is None else _parse_grid(value, f"{path}.{key}")
+
+
 def _check_expr(text, path, parse=parse_expr):
     _expect(isinstance(text, str) and text.strip(), path,
             "expected a nonempty expression string")
@@ -225,8 +231,7 @@ def validate_config(doc):
         )
         kaehler["w_samples"] = _as_int(_get(kaehler, "w_samples", path, 3),
                                        f"{path}.w_samples", minimum=1)
-        zg = _get(kaehler, "z_grid", path)
-        kaehler["z_grid"] = _parse_grid(zg, f"{path}.z_grid") if zg else (5, 5)
+        kaehler["z_grid"] = _optional_grid(kaehler, "z_grid", path, (5, 5))
 
     ruled = _get(doc, "ruled", "$")
     if ruled is not None:
@@ -249,14 +254,8 @@ def validate_config(doc):
         _expect(n <= MAX_RECONSTRUCT_N, path,
                 f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})")
         reconstruct = dict(reconstruct)
-        sg = _get(reconstruct, "sample_grid", path)
-        reconstruct["sample_grid"] = (
-            _parse_grid(sg, f"{path}.sample_grid") if sg else (33, 33)
-        )
-        eg = _get(reconstruct, "eval_grid", path)
-        reconstruct["eval_grid"] = (
-            _parse_grid(eg, f"{path}.eval_grid") if eg else (8, 8)
-        )
+        for key, default in (("sample_grid", (33, 33)), ("eval_grid", (8, 8))):
+            reconstruct[key] = _optional_grid(reconstruct, key, path, default)
         gauge = _get(reconstruct, "gauge", path)
         if gauge is not None:
             _check_expr(gauge, f"{path}.gauge")

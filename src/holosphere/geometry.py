@@ -28,6 +28,7 @@ import numpy as np
 
 from .chain import (
     GridScan,
+    _sweep,
     f_chain_eval,
     recursion_residuals,
     require_regular,
@@ -360,8 +361,8 @@ def _apply_perturbation(F, perturb):
 
 
 class _Sweep:
-    """The in-domain points of a verification grid, with their chain data
-    evaluated in one call, and the settings the families share.
+    """A block of the in-domain points of a verification grid, with the
+    chain batch evaluated there, and the settings the families share.
 
     `ok` marks points where both the chain and the surface normalization
     are regular.  The FD families read whole arrays of derivatives of the
@@ -371,22 +372,22 @@ class _Sweep:
     the j-th z-derivative of the surface and entry 0 the surface.
     """
 
-    def __init__(self, chain, zs, h, calabi_order, perturb):
+    def __init__(self, chain, batch, h, calabi_order, perturb):
         self.chain = chain
-        self.z = zs
+        self.z = batch.z
         self.calabi_order = calabi_order
-        self.batch = f_chain_eval(chain, zs)
-        self.regular = ~self.batch.singular
+        self.batch = batch
+        self.regular = ~batch.singular
         # chain vectors of the algebraic families, perturbed if asked
-        self.F = self.batch.F
+        self.F = batch.F
         if perturb:
             self.F = self.F.copy()
             self.F[self.regular] = _apply_perturbation(self.F[self.regular], perturb)
         self.norms = np.sqrt(np.sum(np.abs(self.F) ** 2, axis=2))
-        self.g = self.batch.g
-        self.ok = self.batch.ok
+        self.g = batch.g
+        self.ok = batch.ok
         self.dz, self.dzdbar, *derivs = derivatives(
-            stencil_field(chain), zs,
+            stencil_field(chain), self.z,
             _fd_reads(h) + _calabi_reads(chain.domain, calabi_order),
             chain.domain, where=self.ok)
         self.calabi_derivs = [self.g.astype(complex)] + [d[:, 0] for d in derivs]
@@ -517,17 +518,17 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
     finite-difference families (conjugate descent, recursion, minimality,
     tangent formula, symmetric-derivative table) only where the stencil
     fits inside the domain and touches no degenerate point.  The inside
-    points are swept in blocks of _SWEEP_BLOCK centres, keeping only each
-    block's residuals, Calabi tables, flags and surface rows, so that the
-    chain data and derivatives held at once do not grow with the grid.
-    In a block the chain is evaluated once at its points, which the
-    report also carries as its `scan`, and the FD families read whole
-    arrays from `fd.derivatives`, which differentiates one field
-    (`chain.stencil_field`) evaluated once per stencil step for all the
-    block's centres: at default settings, nine points per centre at each
-    of the steps h and h/2.  Every centre gets the arithmetic of a sweep
-    of it alone, so the blocks change no bit of the report.  `perturb`,
-    when given, injects a fault into the
+    points are swept by `chain._sweep` in blocks of _SWEEP_BLOCK
+    centres: each block's chain batch becomes a `_Sweep`, and only its
+    residuals, Calabi tables, flags and surface rows are kept, so that
+    the chain data and derivatives held at once do not grow with the
+    grid.  The flags and surface rows form the report's `scan`.  The FD
+    families read whole arrays from `fd.derivatives`, which
+    differentiates one field (`chain.stencil_field`) evaluated once per
+    stencil step for all the block's centres: at default settings, nine
+    points per centre at each of the steps h and h/2.  Every centre gets
+    the arithmetic of a sweep of it alone, so the blocks change no bit of
+    the report.  `perturb`, when given, injects a fault into the
     per-point algebraic analysis so that detection can be tested.  A
     sweep that checks nothing is refused: DomainError when no grid point
     lies inside the domain, DegenerateSurfaceError when all are singular.
@@ -537,27 +538,18 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
     """
     rows, cols = grid
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
-    zs, inside = chain.domain.grid(rows, cols)
-    if not inside.any():
-        raise DomainError(f"no point of the {rows}x{cols} grid lies inside the "
-                          "domain")
+    applies = []   # the families that apply, in the order of FAMILIES
+
+    def read(batch):
+        sweep = _Sweep(chain, batch, h, calabi_order, perturb)
+        found = {fam: family(sweep) for fam, family in FAMILIES.items()}
+        applies[:] = [fam for fam, values in found.items() if values is not None]
+        return sweep.ok, sweep.g, sweep.calabi[1], *(found[fam] for fam in applies)
+
+    zs, inside, (ok, g, tables, *found) = _sweep(chain, rows, cols, _SWEEP_BLOCK,
+                                                 read)
+    residuals = dict(zip(applies, found))
     pts = zs[inside]
-    ok = np.empty(pts.size, dtype=bool)
-    g = np.empty((pts.size, chain.dim))
-    found = {fam: [] for fam in FAMILIES}
-    tables = []
-    for start in range(0, pts.size, _SWEEP_BLOCK):
-        part = slice(start, start + _SWEEP_BLOCK)
-        sweep = _Sweep(chain, pts[part], h, calabi_order, perturb)
-        for fam, family in FAMILIES.items():
-            found[fam].append(family(sweep))
-        tables.append(sweep.calabi[1])
-        ok[part] = sweep.ok
-        g[part] = sweep.g
-        # free this block's chain data and derivatives before the next block
-        del sweep
-    residuals = {fam: np.concatenate(values) for fam, values in found.items()
-                 if values[0] is not None}
 
     summary = {}
     worst = {}
@@ -590,7 +582,7 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
         cols=cols,
         tolerances=dict(DEFAULT_TOLERANCES),
         residuals=residuals,
-        calabi=(_calabi_pairs(calabi_order), np.concatenate(tables)),
+        calabi=(_calabi_pairs(calabi_order), tables),
         summary=summary,
         worst_point=worst,
         status=status,

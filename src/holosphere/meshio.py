@@ -382,12 +382,13 @@ def _write_grid_csv(path, header, zs, flags, valid, coords, extra=()):
             fh.write("\n".join(rows.tolist()) + "\n")
 
 
-def write_points_csv(path, zs, valid, coords, prefix):
-    """One row per grid point (row-major): the point, its validity and
-    the coordinates <prefix>_1.. where valid (blank elsewhere)."""
+def write_points_csv(scan, path, prefix):
+    """One row per grid point of a map's scan (row-major): the point, its
+    validity and the map's coordinates <prefix>_1.. where valid (blank
+    elsewhere)."""
     header = ["z_re", "z_im", "valid"]
-    header += [f"{prefix}_{k + 1}" for k in range(coords.shape[-1])]
-    _write_grid_csv(path, header, zs, [valid], valid, coords)
+    header += [f"{prefix}_{k + 1}" for k in range(scan.surface.shape[-1])]
+    _write_grid_csv(path, header, scan.zs, [scan.valid], scan.valid, scan.surface)
 
 
 def write_surface_csv(scan, path, residuals=None):

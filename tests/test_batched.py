@@ -27,11 +27,11 @@ from holosphere import (
 from holosphere.applications import (
     KaehlerParams,
     RuledParams,
+    kaehler_map,
     kaehler_point,
-    kaehler_points,
+    ruled_map,
     ruled_minimality_probe,
     ruled_point,
-    ruled_points,
 )
 from holosphere.chain import GridScan, recursion_residuals, stencil_field
 from holosphere.config import load_config
@@ -150,12 +150,12 @@ def test_surface_evaluator_matches_surface_vectors(n):
 
 def test_kaehler_and_ruled_over_points(chain_n2, chain_n3):
     kp = KaehlerParams.create("1+x^2+y^2", [0.05 + 0.02j])
-    values, valid = kaehler_points(chain_n2, kp, CENTRES)
+    valid, values = kaehler_map(chain_n2, kp)(f_chain_eval(chain_n2, CENTRES))
     assert valid.all()
     for z, row in zip(CENTRES, values):
         assert np.array_equal(row, kaehler_point(chain_n2, kp, z))
     rp = RuledParams.create([0.07 + 0.03j])
-    values, valid = ruled_points(chain_n3, rp, CENTRES)
+    valid, values = ruled_map(chain_n3, rp)(f_chain_eval(chain_n3, CENTRES))
     assert valid.all()
     for z, row in zip(CENTRES, values):
         assert np.array_equal(row, ruled_point(chain_n3, rp, z))
@@ -164,7 +164,8 @@ def test_kaehler_and_ruled_over_points(chain_n2, chain_n3):
 def test_degenerate_rows_are_masked_not_raised():
     chain = build_alpha_chain(["z", "1"])
     params = KaehlerParams.create("1", [0j])
-    values, valid = kaehler_points(chain, params, np.array([0j, 0.5 + 0.25j]))
+    batch = f_chain_eval(chain, np.array([0j, 0.5 + 0.25j]))
+    valid, values = kaehler_map(chain, params)(batch)
     assert list(valid) == [False, True]
     assert np.all(np.isnan(values[0]))
     assert np.all(np.isfinite(values[1]))
@@ -549,7 +550,8 @@ def _sweep(name):
     chain, grid, fd_step, calabi_order, perturb = SWEEPS[name]()
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
     zs, inside = chain.domain.grid(*grid)
-    return geometry._Sweep(chain, zs[inside], h, calabi_order, perturb), perturb
+    batch = f_chain_eval(chain, zs[inside])
+    return geometry._Sweep(chain, batch, h, calabi_order, perturb), perturb
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -604,7 +606,8 @@ def _random_points(count, seed):
 def test_algebraic_families_match_loops_at_many_points(betas):
     chain = build_alpha_chain(betas)
     zs = _random_points(3000, len(betas))
-    sw = geometry._Sweep(chain, zs, 1e-4, 0, {"target": "F2", "magnitude": 1e-3})
+    sw = geometry._Sweep(chain, f_chain_eval(chain, zs), 1e-4, 0,
+                         {"target": "F2", "magnitude": 1e-3})
     for fam in ("isotropy", "hermitian_orthogonality", "collinearity", "circularity"):
         assert_close(geometry.FAMILIES[fam](sw), REFERENCE_FAMILIES[fam](sw))
 
@@ -707,8 +710,9 @@ def test_ruled_map_matches_one_point_loop(betas):
     chain = build_alpha_chain(betas)
     params = RuledParams.create([0.07 + 0.03j])
     zs, inside = chain.domain.grid(11, 11)
-    values, batch = applications._ruled(chain, params, zs[inside])
-    g = f_chain_eval(chain, zs[inside]).g
+    batch = f_chain_eval(chain, zs[inside])
+    _, values = ruled_map(chain, params)(batch)
+    g = batch.g
     want = np.full(g.shape, np.nan)
     for i in np.flatnonzero(~np.isnan(g[:, 0])):
         want[i] = ref_ruled_value(batch.F[i], g[i], params.w)

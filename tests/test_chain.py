@@ -17,6 +17,7 @@ from holosphere import (
     recursion_crosscheck,
     scan_grid,
 )
+from holosphere.applications import KaehlerParams, RuledParams, kaehler_map, ruled_map
 from holosphere.chain import GridScan, require_regular
 from holosphere.errors import DomainError, EvaluationError, SingularPointError
 
@@ -515,27 +516,48 @@ def _bits(arr):
     return np.ascontiguousarray(arr).view(np.uint8)
 
 
+def _grid_reads(chain):
+    """The reads of the grid commands that apply to the chain, by name:
+    the surface (None, the default read), and the Kaehler and ruled maps
+    where n allows them."""
+    reads = {"surface": None}
+    if chain.n >= 2:
+        params = KaehlerParams.create("1+x^2-0.5*y", [0.05 + 0.02j] * (chain.n - 1))
+        reads["kaehler"] = kaehler_map(chain, params)
+    if chain.n >= 3:
+        params = RuledParams.create([0.07 + 0.03j] * (chain.n - 2))
+        reads["ruled"] = ruled_map(chain, params)
+    return reads
+
+
 @pytest.mark.parametrize("block", [1, 7, DEFAULT_SCAN_BLOCK])
 @pytest.mark.parametrize("case", SCAN_CASES)
 def test_blocked_scan_equals_one_batch(case, block, monkeypatch):
-    """Every field of the blocked scan has the bits of the scatter of one
-    chain evaluation at all inside points."""
+    """For the surface and for the Kaehler and ruled maps, every field of
+    the blocked scan has the bits of the scatter of one read of one
+    chain evaluation at all inside points.  A grid with no inside point
+    is refused, whatever the read."""
     betas, domain, (rows, cols) = SCAN_CASES[case]
     chain = build_alpha_chain(betas, domain=domain)
     zs, inside = chain.domain.grid(rows, cols)
-    batch = f_chain_eval(chain, zs[inside])
-    want = GridScan.scatter(zs, inside, batch.ok, batch.g)
     monkeypatch.setattr(chain_module, "_SCAN_BLOCK", block)
-    got = scan_grid(chain, rows, cols)
-    for name in ("zs", "inside", "singular", "valid", "surface"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and a.dtype == b.dtype, name
-        assert np.array_equal(_bits(a), _bits(b)), name
-    if case == "empty_disk":
-        assert not got.inside.any() and not got.valid.any()
-        assert np.isnan(got.surface).all()
-    elif case.startswith("degenerate"):
-        assert got.singular.any() and got.valid.any()
+    for name, read in _grid_reads(chain).items():
+        args = () if read is None else (read,)
+        if case == "empty_disk":
+            with pytest.raises(DomainError,
+                               match="no point of the 2x2 grid lies inside the domain"):
+                scan_grid(chain, rows, cols, *args)
+            continue
+        batch = f_chain_eval(chain, zs[inside])
+        ok, values = (batch.ok, batch.g) if read is None else read(batch)
+        want = GridScan.scatter(zs, inside, ok, values)
+        got = scan_grid(chain, rows, cols, *args)
+        for field in ("zs", "inside", "singular", "valid", "surface"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and a.dtype == b.dtype, (name, field)
+            assert np.array_equal(_bits(a), _bits(b)), (name, field)
+        if case.startswith("degenerate"):
+            assert got.singular.any() and got.valid.any()
 
 
 def test_scan_memory_is_bounded_by_the_block(monkeypatch):
@@ -547,6 +569,22 @@ def test_scan_memory_is_bounded_by_the_block(monkeypatch):
     tracemalloc.start()
     try:
         scan_grid(chain, 64, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_jets
+
+
+def test_kaehler_scan_memory_is_bounded_by_the_block(monkeypatch):
+    """With blocks of 256 points, the Kaehler map over a 64x64 grid at
+    n=3 holds less than the jets of the whole grid at once."""
+    chain = build_alpha_chain(["1+0.2*z", "z^2+3", "1-0.4*i*z"])
+    read = kaehler_map(chain, KaehlerParams.create("1+x^2+y^2", [0.05 + 0.02j] * 2))
+    whole_jets = 64 * 64 * (chain.n + 1) * chain.dim * np.dtype(complex).itemsize
+    monkeypatch.setattr(chain_module, "_SCAN_BLOCK", 256)
+    tracemalloc.start()
+    try:
+        scan_grid(chain, 64, 64, read)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

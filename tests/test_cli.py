@@ -155,6 +155,34 @@ class TestConfigValidation:
             validate_config(doc)
         assert err.value.path == f"$.{block}"
 
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("kaehler", "z_grid", {}, "$.kaehler.z_grid.rows: missing required field"),
+        ("kaehler", "z_grid", 0, "$.kaehler.z_grid: expected an object"),
+        ("kaehler", "z_grid", False, "$.kaehler.z_grid: expected an object"),
+        ("reconstruct", "sample_grid", {},
+         "$.reconstruct.sample_grid.rows: missing required field"),
+        ("reconstruct", "sample_grid", "", "$.reconstruct.sample_grid: expected an object"),
+        ("reconstruct", "eval_grid", [], "$.reconstruct.eval_grid: expected an object"),
+        ("reconstruct", "eval_grid", 0, "$.reconstruct.eval_grid: expected an object"),
+    ], ids=["z_grid_empty", "z_grid_zero", "z_grid_false", "sample_grid_empty",
+            "sample_grid_blank", "eval_grid_list", "eval_grid_zero"])
+    def test_falsy_grid_refused(self, block, key, value, message):
+        # a falsy value is not an absent key: only null takes the default
+        doc = demo_config(3)
+        doc[block][key] = value
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert str(err.value) == message
+
+    def test_null_grid_takes_the_default(self):
+        doc = demo_config(3)
+        doc["kaehler"]["z_grid"] = None
+        doc["reconstruct"].update(sample_grid=None, eval_grid=None)
+        cfg = validate_config(doc)
+        assert cfg.kaehler["z_grid"] == (5, 5)
+        assert (cfg.reconstruct["sample_grid"], cfg.reconstruct["eval_grid"]) == (
+            (33, 33), (8, 8))
+
     def test_obj_components_range(self):
         doc = demo_config(1)
         doc["output"] = {"obj_components": [1, 2, 9]}
@@ -337,6 +365,26 @@ class TestKaehlerAndRuled:
         report = json.loads((out / "ruled_report.json").read_text())
         assert report["ruling_geodesic_residual"] is not None
 
+    @pytest.mark.parametrize("n, probe_points", [(4, 5), (3, 0)])
+    def test_ruled_geodesic_residual_without_probes(self, tmp_path, n, probe_points):
+        # the minimality probes run at n = 3 only; the geodesic check runs
+        # for every n >= 3, with or without them
+        doc = demo_config(3)
+        doc.pop("kaehler")
+        doc.pop("reconstruct")
+        doc.update(n=n, betas=["1"] * n,
+                   integration_constants=[[[0.0, 0.0]] * (2 * r + 1)
+                                          for r in range(n)])
+        doc["ruled"].update(w=[[0.07, 0.03]] * (n - 2), probe_points=probe_points)
+        out = tmp_path / "run"
+        code = main(["ruled", "--config", _write(tmp_path, doc), "--out",
+                     str(out), "--quiet"])
+        assert code == 0
+        report = json.loads((out / "ruled_report.json").read_text())
+        assert report["probes"] == []
+        assert 0 <= report["ruling_geodesic_residual"] <= 1e-6
+        assert report["passed"] is True
+
     def test_ruled_needs_depth_three(self, tmp_path, capsys):
         code = main(["ruled", "--seed-demo", "2", "--out",
                      str(tmp_path / "run")])
@@ -446,6 +494,22 @@ class TestErrors:
                      str(tmp_path / "run")])
         assert code == ERROR
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["kaehler", "ruled"])
+    def test_grid_missing_the_disk_is_refused(self, tmp_path, capsys, command):
+        # the four points of a 2 x 2 grid are the corners of the box around
+        # the disk; the maps refuse the grid in the words of generate and
+        # verify (test_verification_that_checks_nothing_is_refused)
+        doc = demo_config(3)
+        doc["domain"] = {"shape": "disk", "center": [0.0, 0.0], "radius": 0.5,
+                         "base_point": [0.0, 0.0]}
+        doc["grid"] = {"rows": 2, "cols": 2}
+        out = tmp_path / "run"
+        code = main([command, "--config", _write(tmp_path, doc), "--out", str(out)])
+        assert code == ERROR
+        assert ("no point of the 2x2 grid lies inside the domain"
+                in capsys.readouterr().err)
+        assert not list(out.glob(f"{command}*"))
 
     def test_overflowing_chain_value_refused_without_warnings(self, tmp_path):
         # finite coefficients whose value overflows near z = 20: the

@@ -279,7 +279,7 @@ def test_surface_csv_matches_reference(case, with_records, blocks, tmp_path):
 @pytest.mark.parametrize("case", CASES)
 def test_points_csv_matches_reference(case, blocks, tmp_path):
     scan = CASES[case]
-    write_points_csv(tmp_path / "got.csv", scan.zs, scan.valid, scan.surface, "psi")
+    write_points_csv(scan, tmp_path / "got.csv", "psi")
     ref_write_points_csv(tmp_path / "want.csv", scan.zs, scan.valid, scan.surface, "psi")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
