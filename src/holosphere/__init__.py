@@ -30,7 +30,6 @@ from .expr import (
     HoloExpr,
     eval_expr,
     parse_expr,
-    to_string,
 )
 from .geometry import (
     DiagnosticsReport,
@@ -65,7 +64,6 @@ __all__ = [
     "recursion_crosscheck",
     "roundtrip",
     "scan_grid",
-    "to_string",
     "verify_all",
 ]
 

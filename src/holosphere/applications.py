@@ -27,7 +27,7 @@ import numpy as np
 
 from .chain import f_chain_eval, require_regular, stencil_field
 from .errors import DomainError, ParseError
-from .expr import HoloExpr, _tokenize, eval_env, parse_expr
+from .expr import HoloExpr, _eval, _tokenize, parse_expr
 from .fd import default_step, wirtinger
 from .geometry import _normal_part
 from .products import _dot
@@ -72,7 +72,7 @@ class KaehlerParams:
         z = np.asarray(z, dtype=complex)
         x, y, h = z.real, z.imag, _COMPLEX_STEP
         val, gx, gy = (
-            np.broadcast_to(eval_env(self.gamma, {"x": xs, "y": ys}), z.shape)
+            np.broadcast_to(_eval(self.gamma, {"x": xs, "y": ys}), z.shape)
             for xs, ys in ((x, y), (x + 1j * h, y), (x, y + 1j * h))
         )
         gamma_z = 0.5 * (gx.imag - 1j * gy.imag) / h
@@ -291,64 +291,45 @@ def _ruled_values(F, g, w):
     return np.cos(t) * g + np.sinc(t / np.pi) * wvec
 
 
-@dataclass
-class RuledProbeResult:
-    z: complex
-    w: tuple
-    residual: float      # None when flagged
-    gram_det: float      # None when the stencil touches a degenerate point
-    degenerate: bool
-
-
-def ruled_minimality_probe(chain, params, z):
+def ruled_minimality_probe(chain, params, zs):
     """Mean curvature (inside the sphere) of the 4-parameter ruled map at
-    one point, estimated by central differences over (x, y, u, v) with
-    the step 1e-3 times the domain diameter.
+    each centre of the flat array zs, estimated by central differences
+    over (x, y, u, v) with the step 1e-3 times the domain diameter.
 
     Only the n = 3 case is supported; the result is invariant under
-    rescaling the parameters.  Near-degenerate induced metrics (Gram
-    determinant below _DET_THRESHOLD times the product of its diagonal),
-    and stencils that touch a point where the chain or the surface
-    normalization degenerates, are flagged instead of returning a
-    number.
-
-    z may also be an array of centres: the result is then a list with
-    one RuledProbeResult per centre, each as a call with that centre
-    alone would return it.  The chain is evaluated once, at the 9
-    z-offsets of every stencil.
+    rescaling the parameters.  It is one float per centre, NaN where the
+    stencil touches a point where the chain or the surface normalization
+    degenerates, or where the induced metric is near-degenerate (Gram
+    determinant below _DET_THRESHOLD times the product of its diagonal).
+    The chain is evaluated once, at the 9 z-offsets of every stencil.
     """
     if chain.n != 3:
         raise ValueError("the minimality probe supports n = 3 only")
     if len(params.w) != 1:
         raise ValueError("w needs exactly 1 entry for n = 3")
     h = 1e-3 * chain.domain.diameter
-    scalar = np.ndim(z) == 0
-    zs = np.asarray(z, dtype=complex).ravel()
-    centres = [z] if scalar else zs.tolist()
+    zs = np.asarray(zs, dtype=complex).ravel()
     inside = chain.domain.contains(zs, margin=2.5 * h)
     if not np.all(inside):
-        bad = centres[np.argmin(inside)]
+        bad = zs[np.argmin(inside)]
         raise DomainError(f"probe stencil at z={bad} leaves the domain")
     offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
     steps = np.array([dx + 1j * dy for dx, dy in offsets])
     batch = f_chain_eval(chain, (zs[:, None] + steps).ravel())
     F = batch.F.reshape((zs.size, len(offsets)) + batch.F.shape[1:])
     g = batch.g.reshape(zs.size, len(offsets), -1)
-    degenerate = ~batch.ok.reshape(zs.size, len(offsets)).all(axis=1)
-    results = [RuledProbeResult(c, params.w, None, None, True) for c in centres]
-    regular = np.flatnonzero(~degenerate)
+    regular = np.flatnonzero(batch.ok.reshape(zs.size, len(offsets)).all(axis=1))
+    residuals = np.full(zs.size, np.nan)
     if regular.size:
-        found = _ruled_probe(F[regular], g[regular], params.w[0], h, offsets)
-        for k, (residual, det, flagged) in zip(regular, zip(*found)):
-            results[k] = RuledProbeResult(centres[k], params.w, residual, det, flagged)
-    return results[0] if scalar else results
+        residuals[regular] = _ruled_probe(F[regular], g[regular], params.w[0], h,
+                                          offsets)
+    return residuals
 
 
 def _ruled_probe(F, g, w0, h, offsets):
-    """Residuals, Gram determinants and flags of the probe at P centres
-    with the chain vectors F (P, 9, m, d) and surface vectors g (P, 9, d)
-    at their z-offsets, all nine regular; the residual is None where the
-    induced metric is near-degenerate."""
+    """Residuals of the probe at P centres with the chain vectors F (P, 9,
+    m, d) and surface vectors g (P, 9, d) at their z-offsets, all nine
+    regular; NaN where the induced metric is near-degenerate."""
     # the ruled map at every stencil cell (steps in x, y, u, v) in one
     # stacked call
     cells = [_cell()] + [_cell(i, si) for i in range(4) for si in (h, -h)]
@@ -379,17 +360,14 @@ def _ruled_probe(F, g, w0, h, offsets):
     det = np.linalg.det(gram)
     norm_scale = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
     norm_scale[norm_scale == 0] = 1.0
-    flagged = det < _DET_THRESHOLD * norm_scale
-    residual = [None] * det.size
-    ok = np.flatnonzero(~flagged)
+    residual = np.full(det.size, np.nan)
+    ok = np.flatnonzero(det >= _DET_THRESHOLD * norm_scale)
     if ok.size:
         trace_vec = np.einsum("pij,pijd->pd", np.linalg.inv(gram[ok]), second[ok])
         basis = np.concatenate([center[ok, None], tangents[ok]], axis=1)
         q = np.linalg.qr(np.swapaxes(basis, 1, 2))[0]
-        normal = np.linalg.norm(_normal_part(q, trace_vec), axis=-1)
-        for k, value in zip(ok, (normal / 4.0).tolist()):
-            residual[k] = value
-    return residual, det.tolist(), flagged.tolist()
+        residual[ok] = np.linalg.norm(_normal_part(q, trace_vec), axis=-1) / 4.0
+    return residual
 
 
 def _cell(*steps):

@@ -48,14 +48,20 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .domain import Domain
-from .errors import DomainError, EvaluationError, SingularPointError
+from .errors import (
+    DegenerateSurfaceError,
+    DomainError,
+    EvaluationError,
+    SingularPointError,
+)
 from .expr import (
     _canonical,
+    _padded_sum,
     _poly_integral,
     eval_expr,
+    is_polynomial,
     parse_expr,
     poly_coeffs,
-    to_string,
 )
 from .fd import default_step, wirtinger
 from .products import _dot, _max0
@@ -63,8 +69,7 @@ from .products import _dot, _max0
 DEFAULT_EPS_SINGULAR = 1e-12
 
 # A Taylor surrogate is accepted when its error on the circle is at most
-# this times max(1, max|beta|), the absolute tolerance of the path
-# quadrature in `expr.Antiderivative`
+# this times max(1, max|beta|)
 _SURROGATE_TOL = 1e-12
 # Circle sample counts tried in turn; the surrogate degree stays below
 # half the last one
@@ -85,9 +90,10 @@ class AlphaChain:
     polynomial's Horner condition sum at any |z| <= rho.  jet_coeffs is
     one array (deg+1, n+1, 2n+1) for the whole jet of that cut map: row
     i holds the z^i coefficient of every component of every derivative
-    k, and the rows past the end of derivative k are zero.  surrogates
-    describes the Taylor surrogate of every non-polynomial beta: its
-    index, text, degree, rho and measured circle error.  eps_singular is
+    k, and the rows past the end of derivative k are zero.  betas holds
+    the expression text of each beta as given.  surrogates describes the
+    Taylor surrogate of every non-polynomial beta: its index, text,
+    degree, rho and measured circle error.  eps_singular is
     the degeneracy threshold of every evaluation (`f_chain_eval`).
     """
 
@@ -137,15 +143,13 @@ class AlphaChain:
         return out
 
 
-def _as_expr(b):
-    return parse_expr(b) if isinstance(b, str) else b
-
-
 def build_alpha_chain(betas, constants=None, domain=None,
                       eps_singular=DEFAULT_EPS_SINGULAR):
     """Construct the chain from n holomorphic functions.
 
-    betas: sequence of n expression trees or strings (beta_0..beta_{n-1}).
+    betas: sequence of n expression strings (beta_0..beta_{n-1}), kept
+    as given in `AlphaChain.betas` and quoted so in the surrogate report
+    and its refusal.
     constants: per-step integration constants, constants[r] a sequence of
     2r+1 complex numbers (defaults to all zeros).  The final multiplier
     is always the constant 1.  A non-polynomial beta must be analytic on
@@ -156,7 +160,7 @@ def build_alpha_chain(betas, constants=None, domain=None,
     where a squared chain norm, or the squared real part of F_{n+1},
     falls to eps_singular times the largest squared jet norm there.
     """
-    betas = tuple(_as_expr(b) for b in betas)
+    betas = tuple(betas)
     n = len(betas)
     if n < 1:
         raise ValueError("need at least one holomorphic function")
@@ -176,11 +180,12 @@ def build_alpha_chain(betas, constants=None, domain=None,
 
     rho = _taylor_radius(domain)
     multipliers, surrogates = [], []
-    for index, beta in enumerate(betas):
-        if beta.is_polynomial:
+    for index, text in enumerate(betas):
+        beta = parse_expr(text)
+        if is_polynomial(beta):
             multipliers.append(poly_coeffs(beta))
         else:
-            coeffs, report = _taylor_surrogate(beta, rho)
+            coeffs, report = _taylor_surrogate(beta, text, rho)
             multipliers.append(coeffs)
             surrogates.append({"index": index, **report})
     multipliers.append(np.array([1 + 0j]))
@@ -271,14 +276,6 @@ def _require_finite(arrays, what):
         )
 
 
-def _padded_sum(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.astype(complex).copy()
-    out[: len(b)] += b
-    return out
-
-
 def _taylor_radius(domain):
     """Largest |z| over the domain: the radius of the circle on which the
     Taylor surrogates are taken."""
@@ -288,9 +285,10 @@ def _taylor_radius(domain):
     return max(abs(complex(x, y)) for x in (x0, x1) for y in (y0, y1))
 
 
-def _taylor_surrogate(beta, rho):
-    """Taylor coefficients about z = 0 of a non-polynomial beta, and a
-    report of the surrogate: its text, degree, rho and circle error.
+def _taylor_surrogate(beta, text, rho):
+    """Taylor coefficients about z = 0 of a non-polynomial beta (the tree
+    parsed from `text`), and a report of the surrogate: that text, its
+    degree, rho and circle error.
 
     The coefficients c_k rho^k come from the trapezoid rule on the
     circle |z| = rho, an FFT of the samples (Trefethen & Weideman, SIAM
@@ -314,7 +312,6 @@ def _taylor_surrogate(beta, rho):
     coeffs = scaled[:keep] / rho ** np.arange(keep)
     error = float(np.max(np.abs(npoly.polyval(w[1::2], coeffs) - vals[1::2])))
     bound = _SURROGATE_TOL * max(1.0, float(np.max(np.abs(vals))))
-    text = to_string(beta)
     if not error <= bound:
         raise DomainError(
             f"beta {text} has no Taylor surrogate on |z| <= {rho:.6g}, where"
@@ -555,8 +552,9 @@ def scan_grid(chain, rows, cols, read=_surface):
     map at its inside points: `read(batch)` returns (ok, values) at the
     points of a chain batch, by default the surface, and the result holds
     the values as its `surface`.  Grid order is row-major; degenerate
-    points are masked, never raised.  The points are swept in blocks of
-    _SCAN_BLOCK (see `_sweep`).
+    points are masked, but a grid whose inside points are all singular
+    is refused (see `_sweep`, which sweeps the points in blocks of
+    _SCAN_BLOCK).
     """
     zs, inside, (ok, values) = _sweep(chain, rows, cols, _SCAN_BLOCK, read)
     return GridScan.scatter(zs, inside, ok, values)
@@ -570,23 +568,31 @@ def _sweep(chain, rows, cols, block, read):
     into a tuple of per-point arrays, which fill the outputs row by row.
     Only one block's chain data and reads are held at a time, and each
     point is evaluated on its own, so the block size changes no bit of
-    the outputs.  A grid with no inside point raises DomainError.
+    the outputs.  A grid that leaves nothing to evaluate is refused: one
+    with no inside point raises DomainError, one whose inside points are
+    all singular DegenerateSurfaceError.
     """
     zs, inside = chain.domain.grid(rows, cols)
     pts = zs[inside]
     if not pts.size:
         raise DomainError(f"no point of the {rows}x{cols} grid lies inside the "
                           "domain")
-    outputs = None
+    outputs, singular = None, 0
     for start in range(0, pts.size, block):
         part = slice(start, start + block)
         # through the module global, so that a wrapper bound there sees
         # every block
-        found = read(f_chain_eval(chain, pts[part]))
+        batch = f_chain_eval(chain, pts[part])
+        singular += int(np.count_nonzero(batch.singular))
+        found = read(batch)
         if outputs is None:
             outputs = [np.empty((pts.size,) + a.shape[1:], a.dtype) for a in found]
         for out, a in zip(outputs, found):
             out[part] = a
-        # free this block's reads before the next block
-        del found, a
+        # free this block's chain data and reads before the next block
+        del batch, found, a
+    if singular == pts.size:
+        raise DegenerateSurfaceError(
+            f"nothing to evaluate: {singular} of the {pts.size} grid points "
+            "inside the domain are singular")
     return zs, inside, outputs

@@ -313,15 +313,12 @@ def cmd_ruled(cfg, outdir, quiet):
                     y0 + span_y * (0.25 + 0.5 * rng.random()))
             for _ in range(rc["probe_points"])
         ]
-        found = ruled_minimality_probe(chain, params, np.array(centres))
-        for z, res in zip(centres, found):
-            probes.append(
-                {"z": [z.real, z.imag],
-                 "residual": res.residual,
-                 "degenerate": res.degenerate}
-            )
-            if not res.degenerate:
-                probe_ok = probe_ok and res.residual <= 1e-3
+        residuals = ruled_minimality_probe(chain, params, np.array(centres))
+        # a probe that was not evaluated is NaN, written as null
+        probes = [{"z": [z.real, z.imag], "residual": res,
+                   "degenerate": math.isnan(res)}
+                  for z, res in zip(centres, residuals.tolist())]
+        probe_ok = not np.any(residuals > 1e-3)
     # 0.1 off the centre, less where the domain is too small for it
     offset = min(0.1, span_x / 8, span_y / 8)
     geo = ruling_geodesic_residual(
@@ -364,10 +361,7 @@ def main(argv=None):
         outdir.mkdir(parents=True, exist_ok=True)
         cfg = _load(args, outdir)
         return _COMMANDS[args.command](cfg, outdir, args.quiet)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-    except HolosphereError as exc:
+    except (_CliError, HolosphereError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

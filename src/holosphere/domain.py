@@ -1,9 +1,9 @@
 """Convex planar domains.
 
 A domain is a convex subset of the plane (axis-aligned rectangle or disk)
-together with a base point in its interior.  Convexity guarantees that the
-straight segment from the base point to any point of the domain stays
-inside, which is what the path-integral machinery relies on.
+together with a base point in its interior.  The base point anchors the
+integration constants: every antiderivative of the chain (and of
+`expr.Antiderivative`) takes its given constant there.
 """
 
 from dataclasses import dataclass

@@ -36,13 +36,6 @@ class HoloExpr:
 
     __slots__ = ()
 
-    def __str__(self):
-        return to_string(self)
-
-    @property
-    def is_polynomial(self):
-        return is_polynomial(self)
-
 
 @dataclass(frozen=True)
 class Var(HoloExpr):
@@ -257,75 +250,6 @@ def parse_expr(text, variables=("z",)):
 
 
 # ---------------------------------------------------------------------------
-# Printing
-# ---------------------------------------------------------------------------
-
-_PREC_ADD = 10
-_PREC_NEG = 15
-_PREC_MUL = 20
-_PREC_POW = 30
-_PREC_ATOM = 100
-
-
-def _fmt_real(x):
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
-
-
-def _const_str(value):
-    """Format a complex literal; returns (text, precedence)."""
-    re, im = value.real, value.imag
-    if im == 0.0:
-        if re >= 0:
-            return _fmt_real(re), _PREC_ATOM
-        return f"(-{_fmt_real(-re)})", _PREC_ATOM
-    if re == 0.0 and im == 1.0:
-        return "i", _PREC_ATOM
-    re_part = _fmt_real(re) if re >= 0 else f"-{_fmt_real(-re)}"
-    op = "+" if im >= 0 else "-"
-    return f"({re_part}{op}{_fmt_real(abs(im))}*i)", _PREC_ATOM
-
-
-def _to_string(e):
-    """Returns (text, precedence of the outermost construct)."""
-    if isinstance(e, Var):
-        return e.name, _PREC_ATOM
-    if isinstance(e, Const):
-        return _const_str(e.value)
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        left = _wrap(e.left, _PREC_ADD)
-        right = _wrap(e.right, _PREC_ADD + 1)
-        return f"{left}{op}{right}", _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        left = _wrap(e.left, _PREC_MUL)
-        right = _wrap(e.right, _PREC_MUL + 1)
-        return f"{left}{op}{right}", _PREC_MUL
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.operand, _PREC_POW)}", _PREC_NEG
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}", _PREC_POW
-    if isinstance(e, Exp):
-        return f"exp({_to_string(e.operand)[0]})", _PREC_ATOM
-    if isinstance(e, Sin):
-        return f"sin({_to_string(e.operand)[0]})", _PREC_ATOM
-    if isinstance(e, Cos):
-        return f"cos({_to_string(e.operand)[0]})", _PREC_ATOM
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _wrap(e, min_prec):
-    text, prec = _to_string(e)
-    return f"({text})" if prec < min_prec else text
-
-
-def to_string(e):
-    return _to_string(e)[0]
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
@@ -387,12 +311,6 @@ def eval_expr(e, z):
     return out
 
 
-def eval_env(e, env):
-    """Evaluate against an explicit variable environment (e.g. x, y) of
-    scalars or numpy arrays, real or complex."""
-    return _eval(e, env)
-
-
 # ---------------------------------------------------------------------------
 # Structure predicates
 # ---------------------------------------------------------------------------
@@ -414,8 +332,8 @@ def is_polynomial(e):
 # Polynomial coefficients
 # ---------------------------------------------------------------------------
 
-def poly_coeffs(e, var="z"):
-    """Ascending coefficient array of a polynomial tree.
+def poly_coeffs(e):
+    """Ascending coefficient array of a polynomial tree in z.
 
     Raises ValueError on non-polynomial input.  The zero polynomial gives
     array([0j]).
@@ -423,32 +341,31 @@ def poly_coeffs(e, var="z"):
     if isinstance(e, Const):
         return np.array([e.value], dtype=complex)
     if isinstance(e, Var):
-        if e.name != var:
-            raise ValueError(f"unexpected variable {e.name!r}")
         return np.array([0j, 1 + 0j])
     if isinstance(e, Add):
-        return _poly_add(poly_coeffs(e.left, var), poly_coeffs(e.right, var))
+        return _trim(_padded_sum(poly_coeffs(e.left), poly_coeffs(e.right)))
     if isinstance(e, Sub):
-        return _poly_add(poly_coeffs(e.left, var), -poly_coeffs(e.right, var))
+        return _trim(_padded_sum(poly_coeffs(e.left), -poly_coeffs(e.right)))
     if isinstance(e, Neg):
-        return -poly_coeffs(e.operand, var)
+        return -poly_coeffs(e.operand)
     if isinstance(e, Mul):
-        return _trim(np.convolve(poly_coeffs(e.left, var), poly_coeffs(e.right, var)))
+        return _trim(np.convolve(poly_coeffs(e.left), poly_coeffs(e.right)))
     if isinstance(e, Pow):
-        base = poly_coeffs(e.base, var)
+        base = poly_coeffs(e.base)
         out = np.array([1 + 0j])
         for _ in range(e.exponent):
             out = np.convolve(out, base)
         return _trim(out)
-    raise ValueError(f"not a polynomial: {to_string(e)}")
+    raise ValueError(f"not a polynomial: {e!r}")
 
 
-def _poly_add(a, b):
+def _padded_sum(a, b):
+    """The sum of two ascending coefficient arrays, as long as the longer."""
     if len(a) < len(b):
         a, b = b, a
     out = a.copy()
     out[: len(b)] += b
-    return _trim(out)
+    return out
 
 
 def _trim(c):

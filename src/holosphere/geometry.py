@@ -530,11 +530,13 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
     the arithmetic of a sweep of it alone, so the blocks change no bit of
     the report.  `perturb`, when given, injects a fault into the
     per-point algebraic analysis so that detection can be tested.  A
-    sweep that checks nothing is refused: DomainError when no grid point
-    lies inside the domain, DegenerateSurfaceError when all are singular.
-    A family that applies but is checked at no point, because no stencil
-    fits or each touches a degenerate point, gets status UNCHECKED, and
-    the report does not pass.
+    grid that leaves nothing to check is refused by `chain._sweep`:
+    DomainError when no grid point lies inside the domain,
+    DegenerateSurfaceError when all are singular; every other grid has a
+    non-singular point, which gets an isotropy residual.  A family that
+    applies but is checked at no point, because no stencil fits or each
+    touches a degenerate point, gets status UNCHECKED, and the report
+    does not pass.
     """
     rows, cols = grid
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
@@ -562,11 +564,6 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
             i = int(np.nanargmax(values))
             summary[fam] = float(values[i])
             worst[fam] = complex(pts[i])
-    singular_count = int(np.sum(~ok))
-    if not summary:
-        raise DegenerateSurfaceError(
-            f"no invariant was checked: {singular_count} of the {pts.size} "
-            f"grid points inside the domain are singular")
     status = {}
     for fam in residuals:
         if fam not in summary:
@@ -587,7 +584,7 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
         worst_point=worst,
         status=status,
         passed=passed,
-        singular_count=singular_count,
+        singular_count=int(np.sum(~ok)),
         scan=GridScan.scatter(zs, inside, ok, g),
         counts=counts,
         surrogates=list(chain.surrogates),

@@ -242,8 +242,6 @@ class MeshOutput:
 
     vertices: np.ndarray         # (M, dim) float
     faces: np.ndarray            # (F, 4) int quads, 0-based indices into vertices
-    grid_shape: tuple
-    valid: np.ndarray            # (R, C) bool
     attributes: dict = field(default_factory=dict)
 
     def component_triple(self, components):
@@ -290,8 +288,6 @@ def mesh_from_grid(valid, coords, attributes=None):
     return MeshOutput(
         vertices=coords.reshape(R * C, coords.shape[2])[mask],
         faces=corners[(corners >= 0).all(axis=1)],
-        grid_shape=(R, C),
-        valid=valid,
         attributes=attrs,
     )
 

@@ -245,12 +245,10 @@ def test_criterion_10_ruled(chains):
     _report(10, "ruling-direction second form", worst_ruling, 1e-6)
 
     rng = np.random.default_rng(20260810)
-    worst_probe = 0.0
-    for _ in range(5):
-        z = complex(*(rng.uniform(-0.5, 0.5, size=2)))
-        result = ruled_minimality_probe(chain, params, z)
-        assert not result.degenerate
-        worst_probe = max(worst_probe, result.residual)
+    centres = [complex(*(rng.uniform(-0.5, 0.5, size=2))) for _ in range(5)]
+    residuals = ruled_minimality_probe(chain, params, np.array(centres))
+    assert not np.isnan(residuals).any()
+    worst_probe = float(residuals.max())
     _report(10, "mean-curvature probe at 5 points", worst_probe, 1e-3)
 
 

@@ -89,14 +89,11 @@ class TestBuild:
         assert chain.jet_coeffs.shape == (642, 3, 5)
         assert np.all(np.isfinite(chain.jet_coeffs))
 
-    def test_string_and_tree_inputs_agree(self):
-        from holosphere.expr import parse_expr
-
-        a = build_alpha_chain(["z"])
-        b = build_alpha_chain([parse_expr("z")])
-        for level_a, level_b in zip(a.alpha_coeffs, b.alpha_coeffs, strict=True):
-            for ca, cb in zip(level_a, level_b, strict=True):
-                assert np.array_equal(ca, cb)
+    def test_betas_kept_as_written(self):
+        betas = ["1 + 0.50*z", "exp( 0.4*z )"]
+        chain = build_alpha_chain(betas)
+        assert chain.betas == tuple(betas)
+        assert [s["beta"] for s in chain.surrogates] == ["exp( 0.4*z )"]
 
 
 def _polyval_jets(chain, zs):

@@ -452,13 +452,25 @@ class TestErrors:
         assert f"$.{block}" in capsys.readouterr().err
 
     def test_nonanalytic_beta_refused(self, tmp_path, capsys):
-        doc = demo_config(2)
-        doc["betas"] = ["1", "1/(z-1.2)"]
-        cfg = _write(tmp_path, doc)
-        code = main(["generate", "--config", cfg, "--out",
-                     str(tmp_path / "run")])
-        assert code == 1
-        assert "beta 1/(z-1.2) has no Taylor surrogate" in capsys.readouterr().err
+        # the refusal quotes the beta as written
+        for beta in ("1/(z-1.2)", "1/(z-1.20)"):
+            doc = demo_config(2)
+            doc["betas"] = ["1", beta]
+            cfg = _write(tmp_path, doc)
+            code = main(["generate", "--config", cfg, "--out",
+                         str(tmp_path / "run")])
+            assert code == 1
+            assert (f"beta {beta} has no Taylor surrogate"
+                    in capsys.readouterr().err)
+
+    def test_surrogates_quote_the_betas_as_written(self, tmp_path):
+        betas = ["exp(0.50*z)", "cos( 0.4*z )"]
+        doc = dict(demo_config(2), betas=betas)
+        out = tmp_path / "run"
+        main(["generate", "--config", _write(tmp_path, doc), "--out", str(out),
+              "--quiet"])
+        diagnostics = json.loads((out / "diagnostics.json").read_text())
+        assert [s["beta"] for s in diagnostics["surrogates"]] == betas
 
     @pytest.mark.parametrize("command, block, key, value, path", [
         ("kaehler", "kaehler", "w_box", [float("nan"), 0.1], "$.kaehler.w_box[0]"),
@@ -494,6 +506,19 @@ class TestErrors:
                      str(tmp_path / "run")])
         assert code == ERROR
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, betas", [("kaehler", ["0", "1"]),
+                                                ("ruled", ["0", "1", "1"])],
+                             ids=["kaehler", "ruled"])
+    def test_all_singular_grid_is_refused(self, tmp_path, capsys, command, betas):
+        # the maps refuse a grid of singular points as generate and verify do
+        doc = dict(demo_config(len(betas)), betas=betas)
+        out = tmp_path / "run"
+        code = main([command, "--config", _write(tmp_path, doc), "--out", str(out)])
+        assert code == ERROR
+        assert ("100 of the 100 grid points inside the domain are singular"
+                in capsys.readouterr().err)
+        assert not list(out.glob(f"{command}*"))
 
     @pytest.mark.parametrize("command", ["kaehler", "ruled"])
     def test_grid_missing_the_disk_is_refused(self, tmp_path, capsys, command):

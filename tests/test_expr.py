@@ -24,7 +24,6 @@ from holosphere.expr import (
     is_polynomial,
     parse_expr,
     poly_coeffs,
-    to_string,
 )
 
 Z = Var("z")
@@ -182,7 +181,25 @@ class TestWirtingerHolomorphy:
         assert abs(0.5 * (fx + 1j * fy)) < 1e-8
 
 
-# --- printing round trip -----------------------------------------------
+# --- parsing fully parenthesized text ------------------------------------
+
+def _text(e):
+    """Fully parenthesized text of a tree: every operator node is wrapped
+    in its own parentheses, so the text does not rest on precedence."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Const):
+        return "i" if e.value == 1j else repr(e.value.real)
+    if isinstance(e, Neg):
+        return f"(-{_text(e.operand)})"
+    if isinstance(e, Pow):
+        return f"({_text(e.base)}^{e.exponent})"
+    for kind, name in ((Exp, "exp"), (Sin, "sin"), (Cos, "cos")):
+        if isinstance(e, kind):
+            return f"{name}({_text(e.operand)})"
+    op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
+    return f"({_text(e.left)}{op}{_text(e.right)})"
+
 
 _atoms = st.one_of(
     st.just(Z),
@@ -212,13 +229,22 @@ _parse_image_trees = st.recursive(_atoms, _combine, max_leaves=20)
 @given(_parse_image_trees)
 @settings(max_examples=200, deadline=None)
 def test_print_parse_roundtrip(tree):
-    assert parse_expr(to_string(tree)) == tree
+    assert parse_expr(_text(tree)) == tree
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["-z^2", "2*(-z)", "z-(1-z)", "z/(2*z)", "exp(z^2)-sin(z)*cos(z)", "1e-3*z"],
-)
-def test_parse_print_idempotent(text):
-    first = parse_expr(text)
-    assert parse_expr(to_string(first)) == first
+_PRECEDENCE = [
+    ("-z^2", Neg(Pow(Z, 2))),
+    ("2*(-z)", Mul(Const(2 + 0j), Neg(Z))),
+    ("z-(1-z)", Sub(Z, Sub(Const(1 + 0j), Z))),
+    ("z/(2*z)", Div(Z, Mul(Const(2 + 0j), Z))),
+    ("exp(z^2)-sin(z)*cos(z)", Sub(Exp(Pow(Z, 2)), Mul(Sin(Z), Cos(Z)))),
+    ("1e-3*z", Mul(Const(1e-3 + 0j), Z)),
+]
+
+
+@pytest.mark.parametrize("text, tree", _PRECEDENCE,
+                         ids=[text for text, _ in _PRECEDENCE])
+def test_parse_print_idempotent(text, tree):
+    # precedence as written, and the same tree from its parenthesized text
+    assert parse_expr(text) == tree
+    assert parse_expr(_text(tree)) == tree
