@@ -217,9 +217,12 @@ def build_alpha_chain(betas, constants=None, domain=None,
 
         jet = _jet(alphas[n], n)
         _require_finite([jet], "chain jet")
+    # The jet of the cut map: derivative k keeps the rows below rows - k
     rows = _significant_rows(jet, rho)
     alphas[n] = tuple(c[:rows] for c in alphas[n])
-    jet = _jet(alphas[n], n)
+    jet = jet[:rows]
+    for k in range(1, n + 1):
+        jet[max(rows - k, 0):, k] = 0
     return AlphaChain(
         n=n,
         betas=betas,
@@ -237,10 +240,11 @@ def _jet(top, n):
     jet = np.zeros((max(len(c) for c in top), n + 1, 2 * n + 1), dtype=complex)
     for c, col in enumerate(top):
         jet[: len(col), 0, c] = col
-    mat = jet[:, 0]
-    for k in range(1, n + 1):
-        mat = npoly.polyder(mat, axis=0)
-        jet[: len(mat), k] = mat
+    rows = len(jet)
+    for k in range(1, min(n + 1, rows)):
+        # row i of derivative k is i + 1 times row i + 1 of derivative k - 1
+        factors = np.arange(1, rows - k + 1)[:, None]
+        jet[:rows - k, k] = jet[1:rows - k + 1, k - 1] * factors
     return jet
 
 

@@ -10,25 +10,23 @@ attribute.
 
 Floats are written as `repr` writes them, the shortest text that reads
 back to the same float, so identical inputs produce byte-identical
-files.  `_float_rows` makes those bytes for a whole block of floats with
-array arithmetic instead of one `repr` call per float.  It is exact for
-1e-4 <= |x| < 1, the floats `repr` writes as 0.ddd: Dekker's
-error-free product gives |x| * 10**q exactly, for q = 17 - decpt with
-10**q exact in binary, and the 14 to 17 digits that fit the
-float's rounding interval are picked from it.  Every other float (zeros,
-NaN, infinities, |x| >= 1 and |x| < 1e-4), and the rare one whose
-shortest form has 13 digits or fewer or lies halfway between two
-candidates, takes `repr`.  A block of fewer than `_VECTOR_FLOATS`
-floats takes `repr` whole: below that the kernel's fixed cost is the
-larger.  Face indices are written from the same digit tables.
+files.  `_float_cells` makes those bytes for a whole block of floats with
+array arithmetic.  It is exact for 1e-4 <= |x| < 1, the floats `repr`
+writes as 0.ddd: Dekker's error-free product gives |x| * 10**q exactly,
+for q = 17 - decpt with 10**q exact in binary, and the 14 to 17 digits
+that fit the float's rounding interval are picked from it.  Other
+floats, the rare one whose shortest form has 13 digits or fewer or lies
+halfway between two candidates, and calls with fewer than
+`_VECTOR_FLOATS` floats take `repr`.
 
-Nothing is kept between calls: each writer formats the floats it is
-given, so a file does not depend on what was written before it.  Text
-is formatted and written in blocks of `_BLOCK_ROWS` rows: the vertex
-rows, the CSV rows with their coordinate, flag and residual columns,
-the PLY attribute and the face lines.  Only the z_re and z_im texts of
-a grid stay whole, one string per grid point, formatted once from their
-distinct values; beyond them, the text held in memory at once is
+Each block of `_BLOCK_ROWS` lines is built as one uint8 matrix of
+fixed-width columns, NUL-padded.  A float takes a 32-byte cell: 8 bytes
+for its sign, '0.', zeros and first digit, 16 for its other digits (or
+24 for its `repr`), and 8 for the separator after it, or the line end
+after a row's last float.  The NULs are dropped once per block and the
+bytes written to a file opened in binary mode; blocks of fewer
+coordinate floats than `_VECTOR_FLOATS` are joined from `repr` texts
+instead.  Nothing is kept between calls, and the text held at once is
 bounded by the block, whatever the size of the grid.
 """
 
@@ -70,14 +68,25 @@ def _digit_tables():
             prefix.view(np.uint64).ravel())
 
 
+def _split(v):
+    """Dekker's split of v into halves of at most 26 significant bits,
+    whose products are exact."""
+    c = _SPLIT * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
 _QUADS, _TRIMMED, _PREFIX = _digit_tables()
 # Dekker's splitting constant, 2**27 + 1
 _SPLIT = 134217729.0
 # Indexed by decpt + 3 (decpt -3..0): the scale exponent q = 17 - decpt,
-# 10**q (exact in binary: 5**20 < 2**53) and 5**q.
+# 10**q (exact in binary: 5**20 < 2**53), its Dekker halves and 5**q.
 _Q = np.array([20, 19, 18, 17])
 _SCALE = 10.0 ** _Q
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
 _FIVES = 5 ** _Q
+# 2.0**shift for the shifts of _scaled (38..48), exact
+_POW2 = 2.0 ** np.arange(49)
 
 
 def _word(text, dtype=np.uint64):
@@ -87,29 +96,16 @@ def _word(text, dtype=np.uint64):
     return np.frombuffer(text.encode().ljust(size, b"\0"), dtype=dtype)[0]
 
 
-def _ascii(buf):
-    """The text of a byte buffer with its NUL bytes dropped."""
-    return buf.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _split(v):
-    """Dekker's split of v into halves of at most 26 significant bits,
-    whose products are exact."""
-    c = _SPLIT * v
-    hi = c - (c - v)
-    return hi, v - hi
-
-
 def _scaled(a, dec, shift):
     """a * 10**q exactly, as the int64 Q * 10**4 + L plus F units of
     2**-shift, 0 <= F < 2**shift."""
-    scale = _SCALE[dec]
     # Dekker's TwoProduct: a * scale = p + err exactly; p >= 10**16 > 2**53
     # is an integer and err a multiple of 2**-shift with |err| <= 8
-    p = a * scale
-    (a_hi, a_lo), (s_hi, s_lo) = _split(a), _split(scale)
+    p = a * _SCALE[dec]
+    a_hi, a_lo = _split(a)
+    s_hi, s_lo = _SCALE_HI[dec], _SCALE_LO[dec]
     err = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
-    err = np.ldexp(err, shift).astype(np.int64)
+    err = (err * _POW2[shift]).astype(np.int64)
     n = p.astype(np.int64) + (err >> shift)
     Q = n // 10**4
     return Q, n - Q * 10**4, err & ((1 << shift) - 1)
@@ -167,48 +163,85 @@ def _shortest(a):
     return dec, Q, L - R + up * ten, drops, fallback
 
 
-def _float_rows(block, sep):
-    """One string per row of a 2-D float block: the row's floats joined
-    by sep, byte for byte `sep.join(map(repr, row))`."""
+def _blank(rows, cols, sep, end):
+    """The (rows, 32 * cols) cells of a float block with the floats left
+    out: 24 NULs, then sep (end in a row's last cell) padded to 8 bytes."""
+    words = np.zeros((rows, cols, 4), dtype=np.uint64)
+    words[..., 3] = _word(sep)
+    words[:, -1, 3] = _word(end)
+    return words.view(np.uint8).reshape(rows, 32 * cols)
+
+
+def _float_cells(block, sep, end):
+    """The (rows, 32 * cols) uint8 cells of a 2-D float block: with the
+    NULs dropped, a row is byte for byte `sep.join(map(repr, row)) + end`."""
     block = np.asarray(block, dtype=float)
-    if block.size < _VECTOR_FLOATS:
-        return [sep.join(map(repr, row)) for row in block.tolist()]
-    rows, cols = block.shape
+    cells = _blank(*block.shape, sep, end)
     x = block.ravel()
-    a = np.abs(x)
-    slow = ~((a >= 1e-4) & (a < 1.0))
-    a[slow] = 0.5  # no arithmetic on the values that take repr
-    dec, Q, L, drops, fallback = _shortest(a)
-    lead = Q // 10**12
-    rest = Q - lead * 10**12
-    g0 = rest // 10**8
-    rest -= g0 * 10**8
-    g1 = rest // 10**4
-    # Per float 32 bytes: the prefix, 16 digits, the separator, NULs.
-    words = np.empty((x.size, 4), dtype=np.uint64)
-    words[:, 0] = _PREFIX[40 * (x < 0) + 10 * dec + lead]
-    quads = words.view(np.uint32)
-    quads[:, 2] = _QUADS[g0]
-    quads[:, 3] = _QUADS[g1]
-    quads[:, 4] = _QUADS[rest - g1 * 10**4]
-    quads[:, 5] = _QUADS[np.minimum(L, 10**4 - 1)]  # 10**4 only on a fallback
-    text = words.view(np.uint8)
-    for k, drop in enumerate(drops):
-        text[:, 23 - k] *= ~drop
-    words[:, 3] = _word(sep)
-    words.reshape(rows, cols, 4)[:, -1, 3] = _word("\n")
-    idx = np.flatnonzero(slow | fallback)
-    if idx.size:
-        # a repr is at most 24 bytes, as '-2.2250738585072014e-308'
-        reprs = np.array(list(map(repr, x[idx].tolist())), dtype="S24")
-        text[idx, :24] = reprs.view(np.uint8).reshape(-1, 24)
-    return _ascii(words).split("\n")[:-1]
+    text = cells.reshape(x.size, 32)
+    if x.size < _VECTOR_FLOATS:
+        idx = slice(None)
+    else:
+        a = np.abs(x)
+        slow = ~((a >= 1e-4) & (a < 1.0))
+        a[slow] = 0.5  # no arithmetic on the values that take repr
+        dec, Q, L, drops, fallback = _shortest(a)
+        lead = Q // 10**12
+        rest = Q - lead * 10**12
+        g0 = rest // 10**8
+        rest -= g0 * 10**8
+        g1 = rest // 10**4
+        text.view(np.uint64)[:, 0] = _PREFIX[40 * (x < 0) + 10 * dec + lead]
+        quads = text.view(np.uint32)
+        quads[:, 2] = _QUADS[g0]
+        quads[:, 3] = _QUADS[g1]
+        quads[:, 4] = _QUADS[rest - g1 * 10**4]
+        quads[:, 5] = _QUADS[np.minimum(L, 10**4 - 1)]  # 10**4 only on a fallback
+        for k, drop in enumerate(drops):
+            text[:, 23 - k] *= ~drop
+        idx = np.flatnonzero(slow | fallback)
+    # a repr is at most 24 bytes, as '-2.2250738585072014e-308'
+    reprs = np.array(list(map(repr, x[idx].tolist())), dtype="S24")
+    text[idx, :24] = reprs.view(np.uint8).reshape(-1, 24)
+    return cells
 
 
-def _blocks(count):
-    """(start, stop) of each block of _BLOCK_ROWS rows out of count."""
-    for start in range(0, count, _BLOCK_ROWS):
-        yield start, min(start + _BLOCK_ROWS, count)
+def _cells(values, found, sep, end, small):
+    """The column of a block's float rows: each row's floats joined by sep
+    and followed by end, a row where found is False its separators alone.
+    A list of str if small, else uint8 cells."""
+    if small:
+        blank = sep * (values.shape[1] - 1) + end
+        return [sep.join(map(repr, row)) + end if ok else blank
+                for row, ok in zip(values.tolist(), found.tolist())]
+    if found.all():
+        return _float_cells(values, sep, end)
+    cells = _blank(len(values), values.shape[1], sep, end)
+    cells[found] = _float_cells(values[found], sep, end)
+    return cells
+
+
+def _table(texts, codes, small):
+    """The column texts[c] for each code c (the texts of one length): a
+    list of str if small, else uint8 rows."""
+    if small:
+        return [texts[c] for c in codes.tolist()]
+    table = np.frombuffer("".join(texts).encode(), np.uint8)
+    return table.reshape(len(texts), -1)[codes]
+
+
+def _write_rows(fh, count, width, columns):
+    """Write count lines by blocks, line i the row i of each column that
+    columns(a, b, small) returns for rows a:b.  small: the block has fewer
+    than _VECTOR_FLOATS floats at width a row, and its columns are str."""
+    for a in range(0, count, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, count)
+        small = (b - a) * width < _VECTOR_FLOATS
+        cols = columns(a, b, small)
+        if small:
+            fh.write("".join(map("".join, zip(*cols))).encode())
+        else:
+            fh.write(np.hstack(cols).tobytes().translate(None, b"\0"))
 
 
 def _int_rows(fh, head, rows):
@@ -216,23 +249,23 @@ def _int_rows(fh, head, rows):
     numbers, joined by spaces, as '%d' writes them.  Rows of numbers in
     0..10**8 - 1 are assembled from the digit tables."""
     cols = rows.shape[1]
-    for a, b in _blocks(len(rows)):
-        block = rows[a:b]
+    for a in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[a:a + _BLOCK_ROWS]
         if block.min() < 0 or block.max() >= 10**8:
             line = head + " %d" * cols + "\n"
-            fh.write((line * (b - a)) % tuple(block.ravel().tolist()))
+            fh.write(((line * len(block)) % tuple(block.ravel().tolist())).encode())
             continue
         hi = block // 10**4
         lo = block - hi * 10**4
         # Per number 12 bytes: the high and the low four digits, leading
         # zeros as NUL, then the separator; the head takes one such cell.
-        cells = np.empty((b - a, cols + 1, 3), dtype=np.uint32)
+        cells = np.empty((len(block), cols + 1, 3), dtype=np.uint32)
         cells[:, 0] = [_word(head, np.uint32), 0, _word(" ", np.uint32)]
         cells[:, 1:, 0] = _TRIMMED[hi] * (hi > 0)
         cells[:, 1:, 1] = np.where(hi > 0, _QUADS[lo], _TRIMMED[lo])
         cells[:, 1:, 2] = _word(" ", np.uint32)
         cells[:, -1, 2] = _word("\n", np.uint32)
-        fh.write(_ascii(cells))
+        fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 @dataclass
@@ -254,19 +287,6 @@ class MeshOutput:
                 raise ValueError(f"component {c} out of range 1..{dim}")
         idx = [c - 1 for c in components]
         return self.vertices[:, idx]
-
-    def vertex_text(self, components, attribute=None):
-        """Text of the vertices, one list of row strings per block of
-        _BLOCK_ROWS vertices: the floats of a 1-based component triple,
-        then the named per-vertex attribute if the mesh has it, joined by
-        spaces.  The text is formatted on every call from the vertices as
-        they are; nothing is kept between calls.  The triple is checked
-        at the call, the blocks are formatted as they are read."""
-        pts = self.component_triple(components)
-        attr = self.attributes.get(attribute) if attribute else None
-        if attr is not None:
-            pts = np.column_stack([pts, attr])
-        return (_float_rows(pts[a:b], " ") for a, b in _blocks(len(pts)))
 
 
 def mesh_from_grid(valid, coords, attributes=None):
@@ -294,57 +314,32 @@ def mesh_from_grid(valid, coords, attributes=None):
 
 def write_obj(mesh, path, components=(1, 2, 3)):
     """OBJ with the chosen 1-based coordinate triple and quad faces."""
-    text = mesh.vertex_text(components)
-    with open(path, "w") as fh:
-        if not len(mesh.vertices):
-            fh.write("\n")  # an empty mesh is one blank line
-        for rows in text:
-            fh.write(("v %s\n" * len(rows)) % tuple(rows))
+    pts = mesh.component_triple(components)
+    with open(path, "wb") as fh:
+        if not len(pts):
+            fh.write(b"\n")  # an empty mesh is one blank line
+        _write_rows(fh, len(pts), 3, lambda a, b, small: [
+            _table(["v "], np.zeros(b - a, dtype=np.intp), small),
+            _cells(pts[a:b], np.ones(b - a, bool), " ", "\n", small)])
         _int_rows(fh, "f", mesh.faces + 1)
 
 
 def write_ply(mesh, path, components=(1, 2, 3), attribute=None):
     """ASCII PLY with an optional per-vertex scalar attribute."""
-    text = mesh.vertex_text(components, attribute)
-    header = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(mesh.vertices)}",
-        "property double x",
-        "property double y",
-        "property double z",
-    ]
+    pts = mesh.component_triple(components)
+    props = ["x", "y", "z"]
     if attribute and attribute in mesh.attributes:
-        header.append(f"property double {attribute}")
-    header += [
-        f"element face {len(mesh.faces)}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        for rows in text:
-            fh.write("\n".join(rows) + "\n")
+        props.append(attribute)
+        pts = np.column_stack([pts, mesh.attributes[attribute]])
+    header = "".join([f"ply\nformat ascii 1.0\nelement vertex {len(mesh.vertices)}\n",
+                      *(f"property double {name}\n" for name in props),
+                      f"element face {len(mesh.faces)}\n",
+                      "property list uchar int vertex_indices\nend_header\n"])
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        _write_rows(fh, len(pts), pts.shape[1], lambda a, b, small: [
+            _cells(pts[a:b], np.ones(b - a, bool), " ", "\n", small)])
         _int_rows(fh, "4", mesh.faces)
-
-
-def _distinct_text(values, lead=""):
-    """lead and the text of every float of values, formatting each
-    distinct bit pattern once (so -0.0 and 0.0 stay apart): an object
-    array."""
-    bits = np.ascontiguousarray(values, dtype=float).ravel().view(np.uint64)
-    uniq, inverse = np.unique(bits, return_inverse=True)
-    text = _float_rows(uniq.view(np.float64)[:, None], "")
-    return (lead + np.array(text, dtype=object))[inverse]
-
-
-def _optional_text(values):
-    """',<float>' text of each value, ',' where NaN: an object array."""
-    text = np.full(values.size, ",", dtype=object)
-    found = ~np.isnan(values)
-    text[found] = "," + np.array(_float_rows(values[found][:, None], ""),
-                                 dtype=object)
-    return text
 
 
 def _write_grid_csv(path, header, zs, flags, valid, coords, extra=()):
@@ -353,29 +348,34 @@ def _write_grid_csv(path, header, zs, flags, valid, coords, extra=()):
     flat float array of `extra` (blank where NaN)."""
     count = zs.size
     dim = coords.shape[-1]
-    re_text = _distinct_text(zs.real)
-    im_text = _distinct_text(zs.imag, ",")
-    # ',b1,...,bk,' for the 0/1 flags of a row, by their bits as one code
+    z = np.ascontiguousarray(zs, dtype=complex).ravel().view(float).reshape(count, 2)
+    # 'b1,...,bk,' for the 0/1 flags of a row, by their bits as one code
     k = len(flags)
-    flag_text = np.array([",".join(["", *format(c, f"0{k}b"), ""])
-                          for c in range(2**k)], dtype=object)
-    code = sum(np.asarray(f).ravel().astype(np.intp) << (k - 1 - j)
+    flag_text = [",".join(format(c, f"0{k}b")) + "," for c in range(2**k)]
+    code = sum(np.asarray(f, dtype=np.uint8).ravel() << (k - 1 - j)
                for j, f in enumerate(flags))
     valid = valid.ravel()
-    vals = np.asarray(coords, dtype=float).reshape(count, dim)[valid]
-    blank = "," * (dim - 1)
-    stop = 0  # valid rows written so far
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for a, b in _blocks(count):
-            ok = valid[a:b]
-            start, stop = stop, stop + np.count_nonzero(ok)
-            tail = np.full(b - a, blank, dtype=object)
-            tail[ok] = _float_rows(vals[start:stop], ",")
-            rows = re_text[a:b] + im_text[a:b] + flag_text[code[a:b]] + tail
-            for values in extra:
-                rows += _optional_text(values[a:b])
-            fh.write("\n".join(rows.tolist()) + "\n")
+    vals = np.asarray(coords, dtype=float).reshape(count, dim)
+    ends = [","] * len(extra) + ["\n"]
+
+    def columns(a, b, small):
+        if small:
+            cols = [_cells(z[a:b], np.ones(b - a, bool), ",", ",", small)]
+        else:  # one cell per distinct bit pattern: -0.0 and 0.0 stay apart
+            bits = z[a:b].ravel().view(np.uint64)
+            uniq, inverse = np.unique(bits, return_inverse=True)
+            cells = _float_cells(uniq.view(np.float64)[:, None], ",", ",")
+            cols = [cells[inverse].reshape(b - a, 64)]
+        cols += [_table(flag_text, code[a:b], small),
+                 _cells(vals[a:b], valid[a:b], ",", ends[0], small)]
+        for values, end in zip(extra, ends[1:]):
+            block = values[a:b]
+            cols.append(_cells(block[:, None], ~np.isnan(block), "", end, small))
+        return cols
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        _write_rows(fh, count, dim, columns)
 
 
 def write_points_csv(scan, path, prefix):

@@ -189,6 +189,20 @@ def kaehler_point_reference(chain, params, z):
     return gamma * batch.g[0] + grad_push + _normal_terms(batch.F[0], w)
 
 
+def ref_jet(top, n):
+    """The jet array (deg+1, n+1, 2n+1) of the map with components top,
+    each derivative matrix from `npoly.polyder` of the one before: the
+    reference for the chain's one-product-per-derivative `_jet`."""
+    jet = np.zeros((max(len(c) for c in top), n + 1, 2 * n + 1), dtype=complex)
+    for c, col in enumerate(top):
+        jet[: len(col), 0, c] = col
+    mat = jet[:, 0]
+    for k in range(1, n + 1):
+        mat = npoly.polyder(mat, axis=0)
+        jet[: len(mat), k] = mat
+    return jet
+
+
 # ---------------------------------------------------------------------------
 # One-point reads that the package's batched reads are compared against.
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from holosphere.applications import KaehlerParams, RuledParams, kaehler_map, rul
 from holosphere.chain import GridScan, require_regular
 from holosphere.errors import DomainError, EvaluationError, SingularPointError
 
-from conftest import oracle_surface_n1
+from conftest import oracle_surface_n1, ref_jet
 
 
 class TestBuild:
@@ -241,6 +241,31 @@ class TestTopMapTrim:
         kept = full.jet_coeffs[:rows].view(np.int64)
         assert np.array_equal(chain.jet_coeffs.view(np.int64), kept)
         assert not np.any(full.jet_coeffs[rows:].view(np.int64))
+
+
+_JET_CHAINS = {
+    "polynomial_n4": ["1+0.3*z", "0.8-0.2*z", "1+0.2*i*z", "1-0.25*z"],
+    "exp_sin_cos_n3": _THREE_SURROGATES,
+    "cos_and_pole": ["cos(z)", "1/(z-3.5)"],
+    "z_1_1": ["z", "1", "1"],
+}
+
+
+@pytest.mark.parametrize("betas", _JET_CHAINS.values(), ids=_JET_CHAINS)
+def test_jet_equals_polyder_reference(betas, monkeypatch):
+    """`_jet` equals the `polyder` jet bit for bit on the whole top map,
+    and the chain's jet, cut to the significant rows, equals the
+    `polyder` jet of the cut map."""
+    chain = build_alpha_chain(betas)
+    full = _untrimmed(betas, chain.domain, monkeypatch)
+    n = chain.n
+    top = full.alpha_coeffs[n]
+    # int64 views, so that -0.0 differs from +0.0
+    want = ref_jet(top, n).view(np.int64)
+    assert np.array_equal(chain_module._jet(top, n).view(np.int64), want)
+    assert np.array_equal(full.jet_coeffs.view(np.int64), want)
+    cut = ref_jet(chain.alpha_coeffs[n], n)
+    assert np.array_equal(chain.jet_coeffs.view(np.int64), cut.view(np.int64))
 
 
 def _reference_jets(betas, zs):

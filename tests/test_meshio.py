@@ -8,7 +8,11 @@ The vectorized float formatter is compared with repr itself."""
 
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -407,21 +411,98 @@ def test_residual_text_is_formatted_per_block(monkeypatch, tmp_path):
     assert peaks[1] - peaks[0] < floats
 
 
+def test_large_scan_matches_reference(tmp_path):
+    """A 128x128, n=4 scan at the default block size, so that its blocks
+    take the vectorized path, with signed zeros in z and in a coordinate
+    and NaN gaps in the residuals and the attribute: OBJ, PLY with the
+    attribute and CSV equal the reference writers."""
+    chain = build_alpha_chain(["1+0.3*z", "0.8-0.2*z", "1+0.2*i*z", "1-0.25*z"])
+    scan = _edited(scan_grid(chain, 128, 128))
+    attrs = {"residual": _attribute(scan)}
+    mesh = mesh_from_grid(scan.valid, scan.surface, attributes=attrs)
+    ref = ref_mesh_from_grid(scan.valid, scan.surface, attributes=attrs)
+    assert 3 * meshio._BLOCK_ROWS >= meshio._VECTOR_FLOATS
+    write_obj(mesh, tmp_path / "got.obj")
+    ref_write_obj(ref, tmp_path / "want.obj")
+    write_ply(mesh, tmp_path / "got.ply", attribute="residual")
+    ref_write_ply(ref, tmp_path / "want.ply", attribute="residual")
+    residuals = _residuals(scan)
+    write_surface_csv(scan, tmp_path / "got.csv", residuals)
+    ref_write_surface_csv(scan, tmp_path / "want.csv", residuals)
+    for name in ("obj", "ply", "csv"):
+        got, want = tmp_path / f"got.{name}", tmp_path / f"want.{name}"
+        assert got.read_bytes() == want.read_bytes(), name
+
+
+def test_csv_holds_no_text_for_the_whole_grid(monkeypatch, tmp_path):
+    """z text is formatted block by block: in blocks of 256 rows, the CSV
+    writer's traced peak grows by less than 8 bytes a grid point from a
+    64x64 to a 256x256 grid, less than one reference per z text."""
+    chain = build_alpha_chain(["1+0.3*z", "0.8-0.2*z"])
+    monkeypatch.setattr(meshio, "_BLOCK_ROWS", 256)
+    peaks = []
+    for side in (64, 256):
+        scan = scan_grid(chain, side, side)
+        write_surface_csv(scan, tmp_path / "s.csv")  # first-call costs untraced
+        tracemalloc.start()
+        try:
+            write_surface_csv(scan, tmp_path / "s.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (256**2 - 64**2) < 8
+
+
+_WRITE_ALL = """
+import sys, tempfile
+from pathlib import Path
+from holosphere import build_alpha_chain, scan_grid
+from holosphere.meshio import (mesh_from_grid, write_obj, write_ply,
+                               write_points_csv, write_surface_csv)
+scan = scan_grid(build_alpha_chain(["1+0.3*z", "0.8-0.2*z"]), 20, 20)
+mesh = mesh_from_grid(scan.valid, scan.surface, attributes={"r": scan.surface[..., 0]})
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as d:
+    write_obj(mesh, Path(d) / "s.obj")
+    write_ply(mesh, Path(d) / "s.ply", attribute="r")
+    write_surface_csv(scan, Path(d) / "s.csv", {"a": scan.surface[..., 1]})
+    write_points_csv(scan, Path(d) / "p.csv", "psi")
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_writers_load_no_module():
+    """The writers load no module on their first call.  `np.unique`
+    without an inverse loads numpy.ma, about 19 ms and 1 MB of resident
+    memory, which a benchmark job then pays in its first timed pass."""
+    env = dict(os.environ, PYTHONPATH=str(Path(meshio.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _WRITE_ALL], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # The float formatter against repr
 # ---------------------------------------------------------------------------
 
+def _cell_rows(cells):
+    """The text of each row of a cell matrix, its NUL bytes dropped."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in cells]
+
+
 def _assert_repr_rows(values, cols):
-    """_float_rows equals sep.join(map(repr, row)) on values laid out in
-    rows of cols, both as given and repeated to a block the vectorized
-    path takes."""
+    """The rows of _float_cells equal sep.join(map(repr, row)) + end on
+    values laid out in rows of cols, both as given and repeated to a
+    block the vectorized path takes."""
     values = np.asarray(values, dtype=float).ravel()
     rows = -(-max(values.size, meshio._VECTOR_FLOATS) // cols)
     for block in (values[:values.size // cols * cols].reshape(-1, cols),
                   np.resize(values, (rows, cols))):
-        for sep in (" ", ","):
-            want = [sep.join(map(repr, row)) for row in block.tolist()]
-            assert meshio._float_rows(block, sep) == want
+        for sep, end in ((" ", "\n"), (",", ","), (",", "")):
+            want = [sep.join(map(repr, row)) + end for row in block.tolist()]
+            cells = meshio._float_cells(block, sep, end)
+            assert cells.shape == (len(block), 32 * cols)
+            assert _cell_rows(cells) == want
 
 
 @given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=60),
@@ -474,8 +555,8 @@ def test_surface_floats_take_the_vectorized_path(monkeypatch):
 
     monkeypatch.setattr(meshio, "repr", counting, raising=False)
     vals = scan.surface[scan.valid]
-    for a, b in meshio._blocks(len(vals)):
-        meshio._float_rows(vals[a:b], ",")
+    for a in range(0, len(vals), meshio._BLOCK_ROWS):
+        meshio._float_cells(vals[a:a + meshio._BLOCK_ROWS], ",", "\n")
     assert vals.size > 100_000
     assert len(calls) <= 0.01 * vals.size
 
@@ -499,7 +580,8 @@ def test_face_lines_equal_percent_d(head):
     rng = np.random.default_rng(4)
     rows = np.concatenate([edges, rng.integers(0, 10**8, 4000)]).reshape(-1, 4)
     for block in (rows, np.vstack([rows, [[10**8, 5, 0, 7]]]), rows[:, :3] - 1):
-        fh = io.StringIO()
+        fh = io.BytesIO()
         meshio._int_rows(fh, head, block)
         line = head + " %d" * block.shape[1] + "\n"
-        assert fh.getvalue() == (line * len(block)) % tuple(block.ravel().tolist())
+        want = (line * len(block)) % tuple(block.ravel().tolist())
+        assert fh.getvalue() == want.encode()
