@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import f_chain_eval, require_regular, stencil_field
+from .chain import _SCAN_BLOCK, _sweep, f_chain_eval, require_regular, stencil_field
 from .errors import DomainError, ParseError
 from .expr import HoloExpr, _eval, _tokenize, parse_expr
-from .fd import default_step, wirtinger
+from .fd import default_step, derivatives, wirtinger
 from .geometry import _normal_part
 from .products import _dot
 
@@ -161,7 +161,7 @@ class KaehlerRegularityReport:
     expected_rank: int
     centres: np.ndarray   # (C,) complex
     w: np.ndarray         # (cells, n-1) complex
-    ranks: np.ndarray     # (C, cells) int
+    ranks: np.ndarray     # (C, cells) uint8
 
     @property
     def total(self):
@@ -198,55 +198,53 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     The Jacobian is taken in the map's 2n real parameters (x, y, u_1,
     v_1, ..., u_{n-1}, v_{n-1}).  The map is affine in w, so its
     w-columns are exactly Re F_j and -Im F_j at the centre; its
-    z-columns are central differences of the base map and of
-    F_1..F_{n-1}, once per centre.  A cell is regular when the rank
-    equals 2n (full parameter count), counting the singular values
-    above _RANK_THRESHOLD times the largest; cells below full rank are
-    flagged, and so are all cells at a z whose stencil touches a
-    degenerate point.  The z-grid is shrunk slightly so the z-stencil
-    stays inside the domain, and a z-grid with no point inside it (a
-    coarse grid on a disk) raises DomainError.  The chain is evaluated
-    once on the z-stencils of the whole grid.
+    z-columns are one `fd.derivatives` read of the real field (base map,
+    Re F_j, Im F_j) per centre: d/dx = 2 Re d/dz, d/dy = -2 Im d/dz.  A
+    cell is regular when the rank equals 2n (full parameter count),
+    counting the singular values above _RANK_THRESHOLD times the
+    largest; cells below full rank are flagged, and so are all cells at
+    a z whose stencil touches a degenerate point.  `chain._sweep` runs
+    the check over the z-grid, shrunk so the stencils stay inside the
+    domain, in blocks of a fixed cell budget, and refuses a z-grid with
+    no point inside the domain or only singular ones.
     """
     n = chain.n
     if n < 2:
         raise ValueError("the hypersurface map requires n >= 2")
-    expected = 2 * n
     h_z = 1e-5 * chain.domain.diameter
-    zs, inside = chain.domain.grid(*z_grid, margin=4 * h_z)
-    centres = zs[inside]
-    if not centres.size:
-        raise DomainError(f"no point of the {z_grid[0]}x{z_grid[1]} z_grid lies "
-                          "inside the domain")
     w_vals = np.linspace(w_box[0], w_box[1], w_samples)
     axis = [complex(u, v) for u in w_vals for v in w_vals]
     w = np.array(list(itertools.product(axis, repeat=n - 1)), dtype=complex)
 
-    # stencil rows: z, z + h, z - h, z + ih, z - ih
-    pts = np.stack([centres, centres + h_z, centres - h_z,
-                    centres + 1j * h_z, centres - 1j * h_z])
-    batch = f_chain_eval(chain, pts.ravel())
-    base = _kaehler_base(batch, params).reshape(pts.shape + (-1,))
-    F = batch.F.reshape(pts.shape + batch.F.shape[1:])[:, :, :n - 1]
-    degenerate = np.isnan(base[..., 0]).any(axis=0)
+    def field(zs):   # (B, 2n-1, 2n+1): the base map, Re F_j, Im F_j
+        batch = f_chain_eval(chain, zs)
+        F = batch.F[:, :n - 1]
+        return np.hstack([_kaehler_base(batch, params)[:, None], F.real, F.imag])
 
-    cols = []
-    for plus, minus in ((1, 2), (3, 4)):   # d/dx, d/dy
-        dbase = (base[plus] - base[minus]) / (2 * h_z)
-        dF = (F[plus] - F[minus]) / (2 * h_z)
-        cols.append(dbase[:, None] + _normal_terms(dF[:, None], w[None]))
-    for j in range(n - 1):                 # d/du_j, d/dv_j
-        for part in (F[0, :, j].real, -F[0, :, j].imag):
-            cols.append(np.broadcast_to(part[:, None], cols[0].shape))
-    jac = np.stack(cols, axis=-1)          # (centre, cell, dim, 2n)
-    sigmas = np.zeros(jac.shape[:2] + (expected,))
-    if not degenerate.all():
-        sigmas[~degenerate] = np.linalg.svd(jac[~degenerate], compute_uv=False)
+    def read(batch):
+        dz, = derivatives(field, batch.z, [(4 * h_z, h_z, (1, 0))], chain.domain,
+                          where=batch.ok)
+        cols = []
+        for d in (2 * dz.real, -2 * dz.imag):        # d/dx, d/dy
+            dF = d[:, 1:n] + 1j * d[:, n:]
+            cols.append(d[:, :1] + _normal_terms(dF[:, None], w[None]))
+        F = batch.F[:, :n - 1]
+        for j in range(n - 1):                       # d/du_j, d/dv_j
+            for part in (F[:, j].real, -F[:, j].imag):
+                cols.append(np.broadcast_to(part[:, None], cols[0].shape))
+        jac = np.stack(cols, axis=-1)                # (centre, cell, dim, 2n)
+        # a NaN read marks a degenerate centre or a stencil touching one;
+        # their cells keep all-zero singular values, hence rank 0
+        ok = ~np.isnan(dz[:, 0, 0])
+        sigmas = np.zeros(jac.shape[:2] + (2 * n,))
+        sigmas[ok] = np.linalg.svd(jac[ok], compute_uv=False)
+        top = np.where(sigmas[..., 0] > 0, sigmas[..., 0], 1.0)
+        return (np.sum(sigmas > _RANK_THRESHOLD * top[..., None], axis=-1,
+                       dtype=np.uint8),)
 
-    # degenerate cells keep all-zero singular values, hence rank 0
-    top = np.where(sigmas[..., 0] > 0, sigmas[..., 0], 1.0)
-    ranks = np.sum(sigmas > _RANK_THRESHOLD * top[..., None], axis=-1)
-    return KaehlerRegularityReport(expected_rank=expected, centres=centres, w=w,
+    zs, inside, (ranks,) = _sweep(chain, *z_grid, max(1, _SCAN_BLOCK // len(w)),
+                                  read, margin=4 * h_z, name="z_grid")
+    return KaehlerRegularityReport(expected_rank=2 * n, centres=zs[inside], w=w,
                                    ranks=ranks)
 
 

@@ -564,22 +564,22 @@ def scan_grid(chain, rows, cols, read=_surface):
     return GridScan.scatter(zs, inside, ok, values)
 
 
-def _sweep(chain, rows, cols, block, read):
+def _sweep(chain, rows, cols, block, read, margin=0.0, name="grid"):
     """The one loop over the blocks of a grid: (zs, inside, outputs).
 
-    The inside points of the rows x cols grid are evaluated `block` at a
-    time, in row-major order, and `read(batch)` turns each chain batch
-    into a tuple of per-point arrays, which fill the outputs row by row.
-    Only one block's chain data and reads are held at a time, and each
-    point is evaluated on its own, so the block size changes no bit of
-    the outputs.  A grid that leaves nothing to evaluate is refused: one
-    with no inside point raises DomainError, one whose inside points are
-    all singular DegenerateSurfaceError.
+    The inside points of the rows x cols grid (shrunk by `margin`, as
+    `Domain.grid` does) are evaluated `block` at a time, in row-major
+    order, and `read(batch)` turns each chain batch into a tuple of
+    per-point arrays, which fill the outputs row by row.  Only one
+    block's data is held at a time, and each point is evaluated on its
+    own, so the block size changes no bit of the outputs.  A grid with
+    no inside point raises DomainError, which calls it `name`, and one
+    whose inside points are all singular DegenerateSurfaceError.
     """
-    zs, inside = chain.domain.grid(rows, cols)
+    zs, inside = chain.domain.grid(rows, cols, margin=margin)
     pts = zs[inside]
     if not pts.size:
-        raise DomainError(f"no point of the {rows}x{cols} grid lies inside the "
+        raise DomainError(f"no point of the {rows}x{cols} {name} lies inside the "
                           "domain")
     outputs, singular = None, 0
     for start in range(0, pts.size, block):

@@ -205,8 +205,9 @@ def validate_config(doc):
         target = _get(perturb, "target", "$.perturb", "F2")
         _expect(
             isinstance(target, str) and target.startswith("F")
-            and target[1:].isdigit() and 1 <= int(target[1:]) <= n + 1,
-            "$.perturb.target", f"target must be F1..F{n + 1}",
+            and target[1:].isdigit() and 2 <= int(target[1:]) <= n + 1,
+            "$.perturb.target", f"target must be F2..F{n + 1}: the fault nudges "
+            "the target toward F1, so F1 itself would only be rescaled",
         )
         _as_real(_get(perturb, "magnitude", "$.perturb", 1e-3),
                  "$.perturb.magnitude", positive=True)

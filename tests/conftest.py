@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,12 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from holosphere import Domain, build_alpha_chain, f_chain_eval
-from holosphere.applications import _normal_terms
+from holosphere.applications import (
+    _RANK_THRESHOLD,
+    KaehlerRegularityReport,
+    _kaehler_base,
+    _normal_terms,
+)
 from holosphere.chain import require_regular
 from holosphere.cli import _json_text
 from holosphere.errors import SingularPointError
@@ -187,6 +193,49 @@ def kaehler_point_reference(chain, params, z):
     grad_push = (2.0 / metric) * np.real(np.conj(gamma_z) * dg)
     w = np.array(params.w, dtype=complex)
     return gamma * batch.g[0] + grad_push + _normal_terms(batch.F[0], w)
+
+
+def ref_kaehler_immersion_check(chain, params, z_grid, w_box, w_samples):
+    """The Kaehler regularity check over the whole z-grid at once: the
+    chain on the five-point stencils {z, z+-h, z+-ih} of every centre in
+    one batch, central differences taken by hand and every (centre, cell)
+    Jacobian in one array.  The reference for the blocked
+    `applications.kaehler_immersion_check`."""
+    n = chain.n
+    expected = 2 * n
+    h_z = 1e-5 * chain.domain.diameter
+    zs, inside = chain.domain.grid(*z_grid, margin=4 * h_z)
+    centres = zs[inside]
+    w_vals = np.linspace(w_box[0], w_box[1], w_samples)
+    axis = [complex(u, v) for u in w_vals for v in w_vals]
+    w = np.array(list(itertools.product(axis, repeat=n - 1)), dtype=complex)
+
+    # stencil rows: z, z + h, z - h, z + ih, z - ih
+    pts = np.stack([centres, centres + h_z, centres - h_z,
+                    centres + 1j * h_z, centres - 1j * h_z])
+    batch = f_chain_eval(chain, pts.ravel())
+    base = _kaehler_base(batch, params).reshape(pts.shape + (-1,))
+    F = batch.F.reshape(pts.shape + batch.F.shape[1:])[:, :, :n - 1]
+    degenerate = np.isnan(base[..., 0]).any(axis=0)
+
+    cols = []
+    for plus, minus in ((1, 2), (3, 4)):   # d/dx, d/dy
+        dbase = (base[plus] - base[minus]) / (2 * h_z)
+        dF = (F[plus] - F[minus]) / (2 * h_z)
+        cols.append(dbase[:, None] + _normal_terms(dF[:, None], w[None]))
+    for j in range(n - 1):                 # d/du_j, d/dv_j
+        for part in (F[0, :, j].real, -F[0, :, j].imag):
+            cols.append(np.broadcast_to(part[:, None], cols[0].shape))
+    jac = np.stack(cols, axis=-1)          # (centre, cell, dim, 2n)
+    sigmas = np.zeros(jac.shape[:2] + (expected,))
+    if not degenerate.all():
+        sigmas[~degenerate] = np.linalg.svd(jac[~degenerate], compute_uv=False)
+
+    # degenerate cells keep all-zero singular values, hence rank 0
+    top = np.where(sigmas[..., 0] > 0, sigmas[..., 0], 1.0)
+    ranks = np.sum(sigmas > _RANK_THRESHOLD * top[..., None], axis=-1)
+    return KaehlerRegularityReport(expected_rank=expected, centres=centres, w=w,
+                                   ranks=ranks)
 
 
 def ref_jet(top, n):

@@ -11,9 +11,14 @@ from holosphere.applications import (
     ruled_point,
     ruling_geodesic_residual,
 )
-from holosphere.errors import EvaluationError, ParseError, SingularPointError
+from holosphere.errors import (
+    DegenerateSurfaceError,
+    EvaluationError,
+    ParseError,
+    SingularPointError,
+)
 
-from conftest import GAMMA_ORACLES, kaehler_point_reference
+from conftest import GAMMA_ORACLES, kaehler_point_reference, ref_kaehler_immersion_check
 
 Z0 = 0.31 + 0.17j
 
@@ -85,6 +90,18 @@ class TestKaehlerPoint:
             KaehlerParams.create("1+i*x", [0j])
 
 
+# name: (betas, z_grid, w_samples).  The n=2 and n=3 demo chains on a
+# z-grid that the default cell budget cuts into more than one block at
+# n=3, betas `z, 1` on a z-grid through their singular point 0, and an
+# n=4 chain.
+KAEHLER_CASES = {
+    "demo2": (["1", "1"], (12, 12), 3),
+    "demo3": (["1", "1", "1"], (12, 12), 3),
+    "z_1": (["z", "1"], (9, 9), 3),
+    "n4": (["1+0.2*z", "z^2+3", "1-0.4*i*z", "2+z"], (5, 5), 2),
+}
+
+
 class TestImmersionCheck:
     def test_generic_box_is_regular(self, chain_n2):
         p = KaehlerParams.create("1+x^2+y^2", [0j])
@@ -110,6 +127,49 @@ class TestImmersionCheck:
         )
         assert report.ranks.shape == (report.centres.size, len(report.w)) == (4, 4)
         assert (report.ranks <= 4).all()
+
+    @pytest.mark.parametrize("one_centre", [False, True], ids=["default", "one_centre"])
+    @pytest.mark.parametrize("case", sorted(KAEHLER_CASES))
+    def test_blocked_check_matches_whole_grid_reference(self, case, one_centre,
+                                                        monkeypatch):
+        betas, z_grid, w_samples = KAEHLER_CASES[case]
+        chain = build_alpha_chain(betas)
+        p = KaehlerParams.create("1+x^2+y^2", [0.05 + 0.02j] * (chain.n - 1))
+        if one_centre:
+            # a cell budget below one centre's cells: one centre per block
+            monkeypatch.setattr(applications, "_SCAN_BLOCK", 1)
+        got = kaehler_immersion_check(chain, p, z_grid, (-0.1, 0.1), w_samples)
+        want = ref_kaehler_immersion_check(chain, p, z_grid, (-0.1, 0.1), w_samples)
+        assert got.ranks.dtype == np.uint8
+        assert np.array_equal(got.ranks, want.ranks)
+        for field in ("centres", "w"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                         b.view(np.int64))
+
+    def test_stencil_touching_a_degenerate_line_flags_its_centre(self):
+        # the surface of betas z - c, 1 collapses on the line Re z = Re c;
+        # c lies one z-step right of a regular centre, whose stencil
+        # reaches the line
+        domain = build_alpha_chain(["1", "1"]).domain
+        h = 1e-5 * domain.diameter
+        zs, _ = domain.grid(9, 9, margin=4 * h)
+        c = complex(zs[2, 6] + h)
+        chain = build_alpha_chain([f"z-({c.real!r})-({c.imag!r})*i", "1"])
+        p = KaehlerParams.create("1+x^2+y^2", [0.05 + 0.02j])
+        got = kaehler_immersion_check(chain, p, (9, 9), (-0.1, 0.1), 3)
+        want = ref_kaehler_immersion_check(chain, p, (9, 9), (-0.1, 0.1), 3)
+        assert f_chain_eval(chain, zs[2, 6:7]).ok.all()
+        assert (got.ranks[2 * 9 + 6] == 0).all()
+        assert (got.ranks[2 * 9 + 5] == 4).all()
+        assert np.array_equal(got.ranks, want.ranks)
+
+    def test_all_singular_chain_is_refused(self):
+        # beta_0 = 0 makes the chain singular at every point
+        chain = build_alpha_chain(["0", "1"])
+        p = KaehlerParams.create("1+x^2+y^2", [0j])
+        with pytest.raises(DegenerateSurfaceError, match="25 of the 25 grid points"):
+            kaehler_immersion_check(chain, p, (5, 5), (-0.1, 0.1), 3)
 
 
 class TestRuledPoint:

@@ -17,7 +17,13 @@ from holosphere import (
     recursion_crosscheck,
     scan_grid,
 )
-from holosphere.applications import KaehlerParams, RuledParams, kaehler_map, ruled_map
+from holosphere.applications import (
+    KaehlerParams,
+    RuledParams,
+    kaehler_immersion_check,
+    kaehler_map,
+    ruled_map,
+)
 from holosphere.chain import GridScan, require_regular
 from holosphere.errors import DomainError, EvaluationError, SingularPointError
 
@@ -611,3 +617,21 @@ def test_kaehler_scan_memory_is_bounded_by_the_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < whole_jets
+
+
+def test_kaehler_regularity_memory_is_bounded_by_the_block():
+    """The Kaehler regularity check over a 32x32 z-grid at n=3, 81 cells
+    per centre, holds less than the Jacobian of the whole grid's cells
+    at once."""
+    chain = build_alpha_chain(["1+0.2*z", "z^2+3", "1-0.4*i*z"])
+    params = KaehlerParams.create("1+x^2+y^2", [0.05 + 0.02j] * 2)
+    cells = 32 * 32 * 3 ** 4
+    whole_jacobian = cells * chain.dim * 2 * chain.n * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        report = kaehler_immersion_check(chain, params, (32, 32), (-0.1, 0.1), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.total == cells
+    assert peak < whole_jacobian

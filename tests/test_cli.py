@@ -268,6 +268,19 @@ class TestVerify:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["status"]["hermitian_orthogonality"] == "FAIL"
 
+    @pytest.mark.parametrize("target", ["F1", "F5"])
+    def test_fault_target_outside_f2_to_top_refused(self, tmp_path, capsys, target):
+        # the fault nudges its target toward F1: on F1 it only rescales F1
+        # and injects nothing, so verify would pass with the fault "on"
+        doc = demo_config(3)
+        doc["perturb"] = {"target": target, "magnitude": 1e-3}
+        code = main(["verify", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "run")])
+        assert code == ERROR
+        err = capsys.readouterr().err
+        assert "$.perturb.target: target must be F2..F4" in err
+        assert "F1 itself would only be rescaled" in err
+
 
 class TestReconstruct:
     @pytest.mark.parametrize("n", [1, 2, 3])
