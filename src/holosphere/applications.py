@@ -311,48 +311,45 @@ def ruled_minimality_probe(chain, params, zs):
     if not np.all(inside):
         bad = zs[np.argmin(inside)]
         raise DomainError(f"probe stencil at z={bad} leaves the domain")
-    offsets = [(dx, dy) for dx in (-h, 0.0, h) for dy in (-h, 0.0, h)]
-    steps = np.array([dx + 1j * dy for dx, dy in offsets])
-    batch = f_chain_eval(chain, (zs[:, None] + steps).ravel())
-    F = batch.F.reshape((zs.size, len(offsets)) + batch.F.shape[1:])
-    g = batch.g.reshape(zs.size, len(offsets), -1)
-    regular = np.flatnonzero(batch.ok.reshape(zs.size, len(offsets)).all(axis=1))
+    d = np.array([-h, 0.0, h])
+    steps = d[:, None] + 1j * d               # (x, y) offsets, x along axis 0
+    batch = f_chain_eval(chain, (zs[:, None] + steps.ravel()).ravel())
+    F = batch.F.reshape((zs.size, 3, 3) + batch.F.shape[1:])
+    g = batch.g.reshape(zs.size, 3, 3, -1)
+    regular = np.flatnonzero(batch.ok.reshape(zs.size, 9).all(axis=1))
     residuals = np.full(zs.size, np.nan)
     if regular.size:
-        residuals[regular] = _ruled_probe(F[regular], g[regular], params.w[0], h,
-                                          offsets)
+        residuals[regular] = _ruled_probe(F[regular], g[regular], params.w[0], h)
     return residuals
 
 
-def _ruled_probe(F, g, w0, h, offsets):
-    """Residuals of the probe at P centres with the chain vectors F (P, 9,
-    m, d) and surface vectors g (P, 9, d) at their z-offsets, all nine
-    regular; NaN where the induced metric is near-degenerate."""
-    # the ruled map at every stencil cell (steps in x, y, u, v) in one
-    # stacked call
-    cells = [_cell()] + [_cell(i, si) for i in range(4) for si in (h, -h)]
-    cells += [_cell(i, si, j, sj) for i in range(4) for j in range(i + 1, 4)
-              for si in (h, -h) for sj in (h, -h)]
-    index = {cell: k for k, cell in enumerate(cells)}
-    row = {offset: k for k, offset in enumerate(offsets)}
-    rows = [row[(dx, dy)] for dx, dy, _, _ in cells]
-    w = np.array([[complex(w0.real + du, w0.imag + dv)] for _, _, du, dv in cells])
-    values = _ruled_values(F[:, rows], g[:, rows], w)   # (P, cells, d)
-
-    def X(*steps):
-        return values[:, index[_cell(*steps)]]
-
-    center = X()
-    tangents = np.stack([(X(a, h) - X(a, -h)) / (2 * h) for a in range(4)],
-                        axis=1)                        # (P, 4, d)
+def _ruled_probe(F, g, w0, h):
+    """Residuals of the probe at P centres with the chain vectors F (P, 3,
+    3, m, d) and surface vectors g (P, 3, 3, d) at their (x, y) offsets,
+    all nine regular; NaN where the induced metric is near-degenerate."""
+    s = np.array([-h, 0.0, h])
+    w = (w0.real + s)[:, None] + 1j * (w0.imag + s)     # (u, v) offsets
+    # the ruled map on the 3^4 grid of steps in (x, y, u, v) in one
+    # broadcast call: index 0, 1, 2 of an axis is the step -h, 0, h
+    values = _ruled_values(F[:, :, :, None, None], g[:, :, :, None, None],
+                           w[..., None])                # (P, 3, 3, 3, 3, d)
+    center = values[:, 1, 1, 1, 1]
+    lines = np.stack([values[:, :, 1, 1, 1], values[:, 1, :, 1, 1],
+                      values[:, 1, 1, :, 1], values[:, 1, 1, 1, :]],
+                     axis=1)                            # (P, 4, 3, d)
+    tangents = (lines[:, :, 2] - lines[:, :, 0]) / (2 * h)   # (P, 4, d)
     P, _, d = tangents.shape
     second = np.empty((P, 4, 4, d))
-    for i in range(4):
-        second[:, i, i] = (X(i, h) - 2 * center + X(i, -h)) / (h * h)
-        for j in range(i + 1, 4):
-            second[:, i, j] = (X(i, h, j, h) - X(i, h, j, -h) - X(i, -h, j, h)
-                               + X(i, -h, j, -h)) / (4 * h * h)
-            second[:, j, i] = second[:, i, j]
+    diag = np.arange(4)
+    second[:, diag, diag] = (lines[:, :, 2] - 2 * center[:, None]
+                             + lines[:, :, 0]) / (h * h)
+    for i, j in itertools.combinations(range(4), 2):
+        corners = [1] * 4
+        corners[i] = corners[j] = slice(None, None, 2)  # the steps -h, h
+        plane = values[(slice(None), *corners)]         # (P, 2, 2, d)
+        second[:, i, j] = (plane[:, 1, 1] - plane[:, 1, 0] - plane[:, 0, 1]
+                           + plane[:, 0, 0]) / (4 * h * h)
+        second[:, j, i] = second[:, i, j]
 
     gram = tangents @ np.swapaxes(tangents, 1, 2)
     det = np.linalg.det(gram)
@@ -366,15 +363,6 @@ def _ruled_probe(F, g, w0, h, offsets):
         q = np.linalg.qr(np.swapaxes(basis, 1, 2))[0]
         residual[ok] = np.linalg.norm(_normal_part(q, trace_vec), axis=-1) / 4.0
     return residual
-
-
-def _cell(*steps):
-    """The stencil point (dx, dy, du, dv) with the given (axis, step)
-    pairs set and the other steps 0.0."""
-    cell = [0.0] * 4
-    for axis, step in zip(steps[::2], steps[1::2]):
-        cell[axis] = step
-    return tuple(cell)
 
 
 def ruling_geodesic_residual(chain, z):

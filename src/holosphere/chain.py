@@ -59,7 +59,6 @@ from .expr import (
     _padded_sum,
     _poly_integral,
     eval_expr,
-    is_polynomial,
     parse_expr,
     poly_coeffs,
 )
@@ -182,9 +181,9 @@ def build_alpha_chain(betas, constants=None, domain=None,
     multipliers, surrogates = [], []
     for index, text in enumerate(betas):
         beta = parse_expr(text)
-        if is_polynomial(beta):
+        try:
             multipliers.append(poly_coeffs(beta))
-        else:
+        except ValueError:    # a division or an entire function
             coeffs, report = _taylor_surrogate(beta, text, rho)
             multipliers.append(coeffs)
             surrogates.append({"index": index, **report})

@@ -50,6 +50,12 @@ PASS, ERROR, FAIL = 0, 1, 2
 RECONSTRUCT_TOLERANCES = {1: 1e-3, 2: 1e-2, 3: 1e-2}
 # Smallest fraction of full-rank Kaehler Jacobian cells that passes
 MIN_REGULAR_FRACTION = 0.95
+# Largest deviation of the ruled map from unit norm that passes
+MAX_NORM_DEVIATION = 1e-12
+# Largest ruled minimality probe residual that passes
+MAX_PROBE_RESIDUAL = 1e-3
+# Largest ruling geodesic residual that passes
+MAX_GEODESIC_RESIDUAL = 1e-6
 
 
 class _CliError(Exception):
@@ -300,7 +306,7 @@ def cmd_ruled(cfg, outdir, quiet):
                 ("norm_deviation", norm_dev))
 
     max_dev = float(np.nanmax(norm_dev)) if x.size else np.nan
-    unit_ok = bool(max_dev <= 1e-12)
+    unit_ok = bool(max_dev <= MAX_NORM_DEVIATION)
 
     probes = []
     probe_ok = True
@@ -318,13 +324,13 @@ def cmd_ruled(cfg, outdir, quiet):
         probes = [{"z": [z.real, z.imag], "residual": res,
                    "degenerate": math.isnan(res)}
                   for z, res in zip(centres, residuals.tolist())]
-        probe_ok = not np.any(residuals > 1e-3)
+        probe_ok = not np.any(residuals > MAX_PROBE_RESIDUAL)
     # 0.1 off the centre, less where the domain is too small for it
     offset = min(0.1, span_x / 8, span_y / 8)
     geo = ruling_geodesic_residual(
         chain, complex((x0 + x1) / 2 + offset, (y0 + y1) / 2 + offset))
     if geo is not None:
-        probe_ok = probe_ok and geo <= 1e-6
+        probe_ok = probe_ok and geo <= MAX_GEODESIC_RESIDUAL
 
     passed = unit_ok and probe_ok
     _write_json(
@@ -363,6 +369,10 @@ def main(argv=None):
         return _COMMANDS[args.command](cfg, outdir, args.quiet)
     except (_CliError, HolosphereError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return ERROR
+    except OSError as exc:
+        # the config is read in load_config, so this is --out or a file in it
+        print(f"error: cannot write the outputs: {exc}", file=sys.stderr)
         return ERROR
 
 

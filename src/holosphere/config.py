@@ -14,7 +14,7 @@ from .chain import DEFAULT_EPS_SINGULAR
 from .domain import Domain
 from .errors import ConfigError, DomainError, ParseError
 from .expr import parse_expr
-from .reconstruct import MAX_RECONSTRUCT_N
+from .reconstruct import MAX_RECONSTRUCT_N, MIN_SAMPLE_NODES
 
 
 def _expect(cond, path, message):
@@ -94,18 +94,20 @@ def _parse_domain(doc, path):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_grid(doc, path):
+def _parse_grid(doc, path, minimum=2):
     _fields(doc, path, ("rows", "cols"))
     rows = _as_int(_get(doc, "rows", path, required=True), f"{path}.rows")
     cols = _as_int(_get(doc, "cols", path, required=True), f"{path}.cols")
-    _expect(rows >= 2 and cols >= 2, path, "grid too small: need at least 2x2")
+    _expect(min(rows, cols) >= minimum, path,
+            f"grid too small: need at least {minimum}x{minimum}")
     return rows, cols
 
 
-def _optional_grid(doc, key, path, default):
+def _optional_grid(doc, key, path, default, minimum=2):
     """The grid doc[key], or default where the key is absent or null."""
     value = _get(doc, key, path)
-    return default if value is None else _parse_grid(value, f"{path}.{key}")
+    return (default if value is None
+            else _parse_grid(value, f"{path}.{key}", minimum))
 
 
 def _check_expr(text, path, parse=parse_expr):
@@ -255,8 +257,9 @@ def validate_config(doc):
         _expect(n <= MAX_RECONSTRUCT_N, path,
                 f"unsupported n for reconstruction: {n} (max {MAX_RECONSTRUCT_N})")
         reconstruct = dict(reconstruct)
-        for key, default in (("sample_grid", (33, 33)), ("eval_grid", (8, 8))):
-            reconstruct[key] = _optional_grid(reconstruct, key, path, default)
+        for key, default, minimum in (("sample_grid", (33, 33), MIN_SAMPLE_NODES),
+                                      ("eval_grid", (8, 8), 2)):
+            reconstruct[key] = _optional_grid(reconstruct, key, path, default, minimum)
         gauge = _get(reconstruct, "gauge", path)
         if gauge is not None:
             _check_expr(gauge, f"{path}.gauge")
@@ -282,12 +285,15 @@ def validate_config(doc):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError("$", f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, or text that is not UTF-8
+        raise ConfigError("$", f"cannot read config file {path}: {exc}") from exc
     return validate_config(doc)
 
 

@@ -312,31 +312,15 @@ def eval_expr(e, z):
 
 
 # ---------------------------------------------------------------------------
-# Structure predicates
-# ---------------------------------------------------------------------------
-
-def is_polynomial(e):
-    """True iff the tree contains no division or entire function."""
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, (Add, Sub, Mul)):
-        return is_polynomial(e.left) and is_polynomial(e.right)
-    if isinstance(e, Neg):
-        return is_polynomial(e.operand)
-    if isinstance(e, Pow):
-        return is_polynomial(e.base)
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Polynomial coefficients
 # ---------------------------------------------------------------------------
 
 def poly_coeffs(e):
     """Ascending coefficient array of a polynomial tree in z.
 
-    Raises ValueError on non-polynomial input.  The zero polynomial gives
-    array([0j]).
+    Raises ValueError on non-polynomial input (a division or an
+    exp/sin/cos node): the package's one test of which trees are
+    polynomials.  The zero polynomial gives array([0j]).
     """
     if isinstance(e, Const):
         return np.array([e.value], dtype=complex)
@@ -356,7 +340,7 @@ def poly_coeffs(e):
         for _ in range(e.exponent):
             out = np.convolve(out, base)
         return _trim(out)
-    raise ValueError(f"not a polynomial: {e!r}")
+    raise ValueError(f"not a polynomial: a {type(e).__name__} node")
 
 
 def _padded_sum(a, b):
@@ -411,15 +395,15 @@ class Antiderivative:
         self.constant = complex(constant)
         self.domain = domain
         self.abs_tol = abs_tol
-        if is_polynomial(expr):
-            self.mode = "symbolic"
-            self._coeffs = _poly_integral(
-                poly_coeffs(expr), self.constant, domain.base_point
-            )
-        else:
+        try:
+            coeffs = poly_coeffs(expr)
+        except ValueError:
             self.mode = "quadrature"
             self._coeffs = None
             self._cache = {}
+        else:
+            self.mode = "symbolic"
+            self._coeffs = _poly_integral(coeffs, self.constant, domain.base_point)
 
     def value(self, z):
         """Evaluate at a scalar or an array of points."""

@@ -7,7 +7,7 @@ derivatives, the tangent/higher fundamental-form formulas, circularity
 of the curvature ellipses) is turned into a number: a scale-normalized
 residual that is zero in exact arithmetic.  `verify_all` sweeps a grid,
 aggregates per-family maxima, and classifies PASS/FAIL against the fixed
-`DEFAULT_TOLERANCES`.
+tolerance that `FAMILIES` holds beside each family.
 
 Tolerances are tiered by computation path: identities evaluated through
 the symbolic chain are held to 1e-9 (relative), first-order finite
@@ -38,18 +38,6 @@ from .domain import Domain
 from .errors import DegenerateSurfaceError, DomainError
 from .fd import default_step, derivatives, stencil_halfwidth
 from .products import _dot, _max0, _pair_minors_max
-
-DEFAULT_TOLERANCES = {
-    "isotropy": 1e-9,
-    "hermitian_orthogonality": 1e-9,
-    "collinearity": 1e-9,
-    "fbar_identity": 1e-5,
-    "recursion": 1e-5,
-    "minimality": 1e-5,
-    "tangent_formula": 1e-5,
-    "circularity": 1e-9,
-    "calabi": 1e-4,
-}
 
 _DEGENERATE_DIFFERENTIAL = 1e-8
 # Centres per `_Sweep` in `verify_all`: only one block's chain data and
@@ -494,19 +482,19 @@ def _calabi(sw):
     return np.fmax.reduce(sw.calabi[1], axis=1)
 
 
-# Every invariant family: name -> function from a sweep to its residuals
-# over the sweep's points, NaN where not evaluated, or None where the
-# family does not apply.
+# Every invariant family: name -> (tolerance, residuals), where residuals
+# maps a sweep to the family's residuals over the sweep's points, NaN
+# where not evaluated, or None where the family does not apply.
 FAMILIES = {
-    "isotropy": _isotropy,
-    "hermitian_orthogonality": _hermitian_orthogonality,
-    "collinearity": _collinearity,
-    "circularity": _circularity,
-    "recursion": _recursion,
-    "fbar_identity": _fbar_identity,
-    "tangent_formula": _tangent_formula,
-    "minimality": _minimality,
-    "calabi": _calabi,
+    "isotropy": (1e-9, _isotropy),
+    "hermitian_orthogonality": (1e-9, _hermitian_orthogonality),
+    "collinearity": (1e-9, _collinearity),
+    "circularity": (1e-9, _circularity),
+    "recursion": (1e-5, _recursion),
+    "fbar_identity": (1e-5, _fbar_identity),
+    "tangent_formula": (1e-5, _tangent_formula),
+    "minimality": (1e-5, _minimality),
+    "calabi": (1e-4, _calabi),
 }
 
 
@@ -544,7 +532,7 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
 
     def read(batch):
         sweep = _Sweep(chain, batch, h, calabi_order, perturb)
-        found = {fam: family(sweep) for fam, family in FAMILIES.items()}
+        found = {fam: family(sweep) for fam, (_, family) in FAMILIES.items()}
         applies[:] = [fam for fam, values in found.items() if values is not None]
         return sweep.ok, sweep.g, sweep.calabi[1], *(found[fam] for fam in applies)
 
@@ -568,7 +556,7 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
     for fam in residuals:
         if fam not in summary:
             status[fam] = "UNCHECKED"
-        elif summary[fam] <= DEFAULT_TOLERANCES[fam]:
+        elif summary[fam] <= FAMILIES[fam][0]:
             status[fam] = "PASS"
         else:
             status[fam] = "FAIL"
@@ -577,7 +565,7 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
         n=chain.n,
         rows=rows,
         cols=cols,
-        tolerances=dict(DEFAULT_TOLERANCES),
+        tolerances={fam: tol for fam, (tol, _) in FAMILIES.items()},
         residuals=residuals,
         calabi=(_calabi_pairs(calabi_order), tables),
         summary=summary,

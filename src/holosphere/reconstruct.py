@@ -30,6 +30,8 @@ from .errors import (
 )
 
 MAX_RECONSTRUCT_N = 3
+# Fewest sample nodes per axis: a cubic jet needs four
+MIN_SAMPLE_NODES = 4
 
 _DEGENERATE_RATIO = 1e-18
 
@@ -170,10 +172,9 @@ class XiField:
         values = np.asarray(values, dtype=complex)
         if values.shape[:2] != (xs.size, ys.size):
             raise ValueError("values must have shape (len(xs), len(ys), dim)")
-        if xs.size < 4 or ys.size < 4:
-            raise ValueError(
-                "grid too sparse for a cubic jet: need at least 4 samples per axis"
-            )
+        if min(xs.size, ys.size) < MIN_SAMPLE_NODES:
+            raise ValueError("grid too sparse for a cubic jet: need at least "
+                             f"{MIN_SAMPLE_NODES} samples per axis")
         self.xs = xs
         self.ys = ys
         self.values = values

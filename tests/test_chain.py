@@ -26,6 +26,7 @@ from holosphere.applications import (
 )
 from holosphere.chain import GridScan, require_regular
 from holosphere.errors import DomainError, EvaluationError, SingularPointError
+from holosphere.expr import poly_coeffs
 
 from conftest import oracle_surface_n1, ref_jet
 
@@ -399,6 +400,21 @@ class TestSurrogates:
             assert 0 < s["degree"] < 100
             assert s["circle_error"] <= 1e-12
         assert build_alpha_chain(["1+z"]).surrogates == ()
+
+    def test_mixed_betas(self, monkeypatch):
+        # poly_coeffs alone sorts the betas: its ValueError sends the
+        # product with sin and the division to surrogates, and the
+        # polynomial enters with its exact coefficients
+        exact = []
+
+        def recording(beta):
+            exact.append(poly_coeffs(beta))
+            return exact[-1]
+
+        monkeypatch.setattr(chain_module, "poly_coeffs", recording)
+        chain = build_alpha_chain(["(1+z)^2*sin(z)", "z/2", "1+0.3*z"])
+        assert [s["index"] for s in chain.surrogates] == [0, 1]
+        assert [c.tolist() for c in exact] == [[1, 0.3]]
 
     def test_disk_radius(self):
         chain = build_alpha_chain(["exp(z)"], domain=Domain.disk(0.3 + 0.4j, 0.5))

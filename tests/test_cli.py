@@ -33,6 +33,14 @@ DOMAINS = {
 }
 
 
+def _tiny_box_config(tmp_path, nodes):
+    """The n = 1 demo on [-1e-3, 1e-3]^2 with nodes x nodes samples."""
+    doc = demo_config(1)
+    doc["domain"]["corners"] = [[-1e-3, -1e-3], [1e-3, 1e-3]]
+    doc["reconstruct"]["sample_grid"] = {"rows": nodes, "cols": nodes}
+    return _write(tmp_path, doc)
+
+
 class TestConfigValidation:
     def test_demo_roundtrip(self):
         for n in (1, 2, 3):
@@ -164,10 +172,15 @@ class TestConfigValidation:
         ("reconstruct", "sample_grid", "", "$.reconstruct.sample_grid: expected an object"),
         ("reconstruct", "eval_grid", [], "$.reconstruct.eval_grid: expected an object"),
         ("reconstruct", "eval_grid", 0, "$.reconstruct.eval_grid: expected an object"),
+        *(("reconstruct", "sample_grid", {"rows": rows, "cols": cols},
+           "$.reconstruct.sample_grid: grid too small: need at least 4x4")
+          for rows, cols in ((2, 2), (3, 3), (4, 3))),
     ], ids=["z_grid_empty", "z_grid_zero", "z_grid_false", "sample_grid_empty",
-            "sample_grid_blank", "eval_grid_list", "eval_grid_zero"])
+            "sample_grid_blank", "eval_grid_list", "eval_grid_zero",
+            "sample_grid_2x2", "sample_grid_3x3", "sample_grid_4x3"])
     def test_falsy_grid_refused(self, block, key, value, message):
-        # a falsy value is not an absent key: only null takes the default
+        # a falsy value is not an absent key: only null takes the default;
+        # a sample grid needs the four nodes per axis of a cubic jet
         doc = demo_config(3)
         doc[block][key] = value
         with pytest.raises(ConfigError) as err:
@@ -280,6 +293,20 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "$.perturb.target: target must be F2..F4" in err
         assert "F1 itself would only be rescaled" in err
+
+    def test_every_tolerance_written_at_n1(self, tmp_path):
+        # the table holds a tolerance for every family, also for those
+        # that do not apply at n = 1
+        out = tmp_path / "run"
+        assert main(["verify", "--seed-demo", "1", "--out", str(out), "--quiet"]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["tolerances"] == {
+            "calabi": 1e-4, "circularity": 1e-9, "collinearity": 1e-9,
+            "fbar_identity": 1e-5, "hermitian_orthogonality": 1e-9,
+            "isotropy": 1e-9, "minimality": 1e-5, "recursion": 1e-5,
+            "tangent_formula": 1e-5,
+        }
+        assert set(diag["status"]) < set(diag["tolerances"])
 
 
 class TestReconstruct:
@@ -428,6 +455,32 @@ class TestErrors:
         code = main(["verify", "--config", "x.json", "--seed-demo", "1",
                      "--out", str(tmp_path / "run")])
         assert code == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (lambda tmp: ["--seed-demo", "1", "--out", str(tmp / "file")],
+         "cannot write the outputs: "),
+        (lambda tmp: ["--seed-demo", "1", "--out", str(tmp / "file" / "sub")],
+         "cannot write the outputs: "),
+        (lambda tmp: ["--config", str(tmp)], "$: cannot read config file"),
+        (lambda tmp: ["--config", str(tmp / "latin1.json")],
+         "$: cannot read config file"),
+        (lambda tmp: ["--config", _tiny_box_config(tmp, 2)],
+         "$.reconstruct.sample_grid: grid too small: need at least 4x4"),
+        (lambda tmp: ["--config", _tiny_box_config(tmp, 3)],
+         "$.reconstruct.sample_grid: grid too small: need at least 4x4"),
+    ], ids=["out_is_a_file", "out_under_a_file", "config_is_a_directory",
+            "config_not_utf8", "sample_grid_2x2", "sample_grid_3x3"])
+    def test_unusable_paths_and_grids_print_one_error_line(self, tmp_path, capsys,
+                                                           args, message):
+        # a bad path or a too coarse sample grid is an error line, not a traceback
+        (tmp_path / "file").write_text("")
+        (tmp_path / "latin1.json").write_bytes('{"betas": ["\u00e9"]}'.encode("latin-1"))
+        argv = ["reconstruct", *args(tmp_path)]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv + ["--quiet"]) == ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_betas_mismatch_exit_code(self, tmp_path, capsys):
         doc = demo_config(1)

@@ -21,7 +21,6 @@ from holosphere.expr import (
     Sub,
     Var,
     eval_expr,
-    is_polynomial,
     parse_expr,
     poly_coeffs,
 )
@@ -119,18 +118,17 @@ class TestEval:
 
 
 class TestPolynomials:
-    def test_is_polynomial_flags(self):
-        assert is_polynomial(parse_expr("(1+z)^3-z"))
-        assert not is_polynomial(parse_expr("z/2"))
-        assert not is_polynomial(parse_expr("exp(z)"))
-
     def test_coeff_extraction(self):
         c = poly_coeffs(parse_expr("(1+z)^2"))
         assert np.allclose(c, [1, 2, 1])
+        assert poly_coeffs(parse_expr("(1+z)^3-z")).tolist() == [1, 2, 3, 1]
 
     def test_non_polynomial_raises(self):
-        with pytest.raises(ValueError):
-            poly_coeffs(parse_expr("1/z"))
+        # the one test of which trees are polynomials: the chain and
+        # Antiderivative take another path on this ValueError
+        for text in ("1/z", "z/2", "exp(z)", "(1+z)^2*sin(z)", "1+cos(z)^2"):
+            with pytest.raises(ValueError, match="not a polynomial"):
+                poly_coeffs(parse_expr(text))
 
 
 class TestAntiderivative:
@@ -150,6 +148,12 @@ class TestAntiderivative:
         assert F.mode == "quadrature"
         assert abs(F.value(1.0 + 0j) - (cmath.exp(1) - 1)) < 1e-10
         assert abs(F.value(0.5 + 0.5j) - (cmath.exp(0.5 + 0.5j) - 1)) < 1e-10
+
+    @pytest.mark.parametrize("text, mode", [("(1+z)^3-z", "symbolic"),
+                                            ("z/2", "quadrature"),
+                                            ("z*exp(z)", "quadrature")])
+    def test_mode_follows_poly_coeffs(self, text, mode):
+        assert Antiderivative(parse_expr(text), 0j, SQUARE).mode == mode
 
     def test_value_at_base_point(self):
         c = 0.7 - 0.2j
