@@ -28,7 +28,7 @@ import numpy as np
 from .chain import _SCAN_BLOCK, _sweep, f_chain_eval, require_regular, stencil_field
 from .errors import DomainError, ParseError
 from .expr import HoloExpr, _eval, _tokenize, parse_expr
-from .fd import default_step, derivatives, wirtinger
+from .fd import default_step, derivatives, tabulated, wirtinger
 from .geometry import _normal_part
 from .products import _dot
 
@@ -199,14 +199,16 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     v_1, ..., u_{n-1}, v_{n-1}).  The map is affine in w, so its
     w-columns are exactly Re F_j and -Im F_j at the centre; its
     z-columns are one `fd.derivatives` read of the real field (base map,
-    Re F_j, Im F_j) per centre: d/dx = 2 Re d/dz, d/dy = -2 Im d/dz.  A
-    cell is regular when the rank equals 2n (full parameter count),
-    counting the singular values above _RANK_THRESHOLD times the
-    largest; cells below full rank are flagged, and so are all cells at
-    a z whose stencil touches a degenerate point.  `chain._sweep` runs
-    the check over the z-grid, shrunk so the stencils stay inside the
-    domain, in blocks of a fixed cell budget, and refuses a z-grid with
-    no point inside the domain or only singular ones.
+    Re F_j, Im F_j) per centre: d/dx = 2 Re d/dz, d/dy = -2 Im d/dz,
+    read from the one chain evaluation of the block's centres and their
+    stencil points, as in `geometry.verify_all`.  A cell is regular when
+    the rank equals 2n (full parameter count), counting the singular
+    values above _RANK_THRESHOLD times the largest; cells below full
+    rank are flagged, and so are all cells at a z whose stencil touches
+    a degenerate point.  `chain._sweep` runs the check over the z-grid,
+    shrunk so the stencils stay inside the domain, in blocks of a fixed
+    cell budget (and of the chain point budget), and refuses a z-grid
+    with no point inside the domain or only singular ones.
     """
     n = chain.n
     if n < 2:
@@ -216,13 +218,13 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     axis = [complex(u, v) for u in w_vals for v in w_vals]
     w = np.array(list(itertools.product(axis, repeat=n - 1)), dtype=complex)
 
-    def field(zs):   # (B, 2n-1, 2n+1): the base map, Re F_j, Im F_j
-        batch = f_chain_eval(chain, zs)
-        F = batch.F[:, :n - 1]
-        return np.hstack([_kaehler_base(batch, params)[:, None], F.real, F.imag])
+    reads = [(4 * h_z, h_z, (1, 0))]
 
-    def read(batch):
-        dz, = derivatives(field, batch.z, [(4 * h_z, h_z, (1, 0))], chain.domain,
+    def read(batch, evaluated):
+        # (B, 2n-1, 2n+1): the base map, Re F_j, Im F_j
+        F = evaluated.F[:, :n - 1]
+        rows = np.hstack([_kaehler_base(evaluated, params)[:, None], F.real, F.imag])
+        dz, = derivatives(tabulated(evaluated.z, rows), batch.z, reads, chain.domain,
                           where=batch.ok)
         cols = []
         for d in (2 * dz.real, -2 * dz.imag):        # d/dx, d/dy
@@ -242,8 +244,8 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
         return (np.sum(sigmas > _RANK_THRESHOLD * top[..., None], axis=-1,
                        dtype=np.uint8),)
 
-    zs, inside, (ranks,) = _sweep(chain, *z_grid, max(1, _SCAN_BLOCK // len(w)),
-                                  read, margin=4 * h_z, name="z_grid")
+    zs, inside, (ranks,) = _sweep(chain, *z_grid, read, margin=4 * h_z, name="z_grid",
+                                  reads=reads, centres=max(1, _SCAN_BLOCK // len(w)))
     return KaehlerRegularityReport(expected_rank=2 * n, centres=zs[inside], w=w,
                                    ranks=ranks)
 

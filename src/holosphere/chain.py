@@ -62,7 +62,7 @@ from .expr import (
     parse_expr,
     poly_coeffs,
 )
-from .fd import default_step, wirtinger
+from .fd import default_step, distinct, stencil_points, stencil_size, wirtinger
 from .products import _dot, _max0
 
 DEFAULT_EPS_SINGULAR = 1e-12
@@ -73,8 +73,9 @@ _SURROGATE_TOL = 1e-12
 # Circle sample counts tried in turn; the surrogate degree stays below
 # half the last one
 _FFT_SIZES = (64, 128, 256, 512, 1024, 2048)
-# Points per chain evaluation in `scan_grid`: only one block's jets,
-# Gram-Schmidt vectors and reads are held at a time
+# Points per chain evaluation of `_sweep` (`scan_grid`, and the centres
+# and stencils of `verify_all` and `kaehler_immersion_check`): only one
+# block's jets, Gram-Schmidt vectors and reads are held at a time
 _SCAN_BLOCK = 8192
 
 
@@ -400,6 +401,13 @@ class FChainBatch:
         """Where both the chain and the surface normalization are regular."""
         return ~(self.singular | self.collapsed)
 
+    def __getitem__(self, rows):
+        """The batch of the points z[rows], as views where rows is a slice."""
+        part = object.__new__(FChainBatch)
+        for name in self.__slots__:
+            setattr(part, name, getattr(self, name)[rows])
+        return part
+
 
 def _gram_schmidt(jets, eps_singular):
     """Hermitian modified Gram-Schmidt over a batch of jets (B, m, d),
@@ -483,20 +491,31 @@ def recursion_residuals(base, dF):
 
 def stencil_field(chain):
     """The field that every finite-difference check differentiates: from
-    a flat array of points to complex rows (B, 2n, 2n+1) holding, in
-    order, the surface vector `g` of the batch, F_1..F_n and
+    a flat array of points to the `stencil_rows` of their chain batch."""
+    return lambda zs: stencil_rows(f_chain_eval(chain, zs))
+
+
+def stencil_rows(batch):
+    """The rows of `stencil_field` at the points of a batch: complex (B,
+    2n, 2n+1) holding, in order, the surface vector `g`, F_1..F_n and
     conj(F_2)..conj(F_n).  The chain vectors are NaN where the chain
     degenerates, the surface vector also where its normalization
     collapses, so a stencil touching such a point masks exactly the
     derivatives of the parts it concerns."""
+    n = batch.F.shape[1] - 1
+    F = batch.F[:, :n].copy()
+    F[batch.singular] = np.nan
+    return np.concatenate([batch.g[:, None], F, np.conj(F[:, 1:])], axis=1)
 
-    def field(zs):
-        batch = f_chain_eval(chain, zs)
-        F = batch.F[:, :chain.n].copy()
-        F[batch.singular] = np.nan
-        return np.concatenate([batch.g[:, None], F, np.conj(F[:, 1:])], axis=1)
 
-    return field
+def stencil_batch(chain, centres, reads):
+    """One chain evaluation at the centres, first, and at the distinct
+    further points that the (margin, step, order) reads of
+    `fd.derivatives` need there (`fd.stencil_points`): a stencil's (0, 0)
+    offset reads the centre's own row."""
+    pts = np.concatenate([centres, stencil_points(centres, reads, chain.domain)])
+    # through the module global, so that a wrapper bound there sees it
+    return f_chain_eval(chain, distinct(pts))
 
 
 def require_regular(batch):
@@ -559,35 +578,51 @@ def scan_grid(chain, rows, cols, read=_surface):
     is refused (see `_sweep`, which sweeps the points in blocks of
     _SCAN_BLOCK).
     """
-    zs, inside, (ok, values) = _sweep(chain, rows, cols, _SCAN_BLOCK, read)
+    zs, inside, (ok, values) = _sweep(chain, rows, cols, read)
     return GridScan.scatter(zs, inside, ok, values)
 
 
-def _sweep(chain, rows, cols, block, read, margin=0.0, name="grid"):
+def _sweep(chain, rows, cols, read, margin=0.0, name="grid", reads=None,
+           centres=None):
     """The one loop over the blocks of a grid: (zs, inside, outputs).
 
     The inside points of the rows x cols grid (shrunk by `margin`, as
-    `Domain.grid` does) are evaluated `block` at a time, in row-major
-    order, and `read(batch)` turns each chain batch into a tuple of
-    per-point arrays, which fill the outputs row by row.  Only one
-    block's data is held at a time, and each point is evaluated on its
-    own, so the block size changes no bit of the outputs.  A grid with
-    no inside point raises DomainError, which calls it `name`, and one
-    whose inside points are all singular DegenerateSurfaceError.
+    `Domain.grid` does) are evaluated a block at a time, in row-major
+    order, and `read(batch)` turns each block's chain batch into a tuple
+    of per-point arrays, which fill the outputs row by row.
+
+    With `reads`, the (margin, step, order) reads of `fd.derivatives`,
+    a block's one chain evaluation holds its centres first, then the
+    distinct further points that the reads' stencils need there
+    (`fd.stencil_points`), and `read(batch[:k], batch)` gets the batch of
+    its k centres and the whole one.  A block holds as many centres as
+    keep its evaluation within _SCAN_BLOCK points, and at most `centres`
+    of them when that is given, but at least one.
+
+    Only one block's data is held at a time, and each point is evaluated
+    on its own, so the block size changes no bit of the outputs.  A grid
+    with no inside point raises DomainError, which calls it `name`, and
+    one whose inside points are all singular DegenerateSurfaceError.
     """
     zs, inside = chain.domain.grid(rows, cols, margin=margin)
     pts = zs[inside]
     if not pts.size:
         raise DomainError(f"no point of the {rows}x{cols} {name} lies inside the "
                           "domain")
+    # the chain points per centre, at most
+    width = 1 if reads is None else 1 + stencil_size(reads)
+    block = max(1, min(_SCAN_BLOCK // width, centres or pts.size))
     outputs, singular = None, 0
     for start in range(0, pts.size, block):
         part = slice(start, start + block)
+        here = pts[part]
+        count = here.size
         # through the module global, so that a wrapper bound there sees
         # every block
-        batch = f_chain_eval(chain, pts[part])
-        singular += int(np.count_nonzero(batch.singular))
-        found = read(batch)
+        batch = f_chain_eval(chain, here) if reads is None else stencil_batch(
+            chain, here, reads)
+        singular += int(np.count_nonzero(batch.singular[:count]))
+        found = read(batch) if reads is None else read(batch[:count], batch)
         if outputs is None:
             outputs = [np.empty((pts.size,) + a.shape[1:], a.dtype) for a in found]
         for out, a in zip(outputs, found):

@@ -95,16 +95,22 @@ def _build_parser():
 
 
 def _load(args, outdir):
+    """The validated config of the run.  The output directory is created
+    only once the config is valid, so a refused run leaves none behind;
+    a built-in sample is then written there as config.json."""
     if args.seed_demo is not None and args.config is not None:
         raise _CliError("--config and --seed-demo are mutually exclusive")
     if args.seed_demo is not None:
         doc = demo_config(args.seed_demo)
         cfg = validate_config(doc)
+    elif args.config is not None:
+        doc, cfg = None, load_config(args.config)
+    else:
+        raise _CliError("one of --config or --seed-demo is required")
+    outdir.mkdir(parents=True, exist_ok=True)
+    if doc is not None:
         _write_json(outdir / "config.json", doc)
-        return cfg
-    if args.config is not None:
-        return load_config(args.config)
-    raise _CliError("one of --config or --seed-demo is required")
+    return cfg
 
 
 def _write_json(path, obj, encoded=None):
@@ -364,7 +370,6 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         cfg = _load(args, outdir)
         return _COMMANDS[args.command](cfg, outdir, args.quiet)
     except (_CliError, HolosphereError) as exc:

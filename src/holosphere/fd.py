@@ -19,8 +19,11 @@ the field once at h, and once at h/2 if an order of 2 or more needs it,
 for all of them.  `derivatives` is the one read plan of the checks: it
 takes every (margin, step, order) read of a set of centres, groups the
 reads by step, and returns whole arrays, NaN where a read's stencil does
-not fit, so the checks of a chain surface share one evaluation per
-stencil step (see `chain.stencil_field`).
+not fit.  `stencil_points` lists every point those reads evaluate the
+field at, so that a caller can evaluate the field once at the centres
+and all of them and hand `derivatives` a `tabulated` field that answers
+from those rows: the checks of a chain surface take one chain
+evaluation per block of centres (see `chain.stencil_batch`).
 """
 
 from math import comb
@@ -76,29 +79,56 @@ def field_at(f, pts):
     return vals.reshape(pts.shape + vals.shape[1:])
 
 
-def _mixed_partials(f, z, keys, h):
-    """Evaluate the requested mixed partials (ax, ay) of f at the centre z
-    (a point or an array of points) with one batched field evaluation."""
-    needed = {}
-    plan = []
+def _offsets(keys):
+    """The stencil offsets (px, py) that the mixed partials (ax, ay) of
+    `keys` read, in the order of their first use, and for each key its
+    (offset index, weight) entries."""
+    needed, entries = {}, []
     for ax, ay in keys:
         ox, cx = _STENCILS[ax]
         oy, cy = _STENCILS[ay]
-        entries = []
-        for i, px in enumerate(ox):
-            for jj, py in enumerate(oy):
-                idx = needed.setdefault((px, py), len(needed))
-                entries.append((idx, cx[i] * cy[jj]))
-        plan.append(((ax, ay), entries, h ** (ax + ay)))
-    pts = np.array([z + (px + 1j * py) * h for (px, py) in needed], dtype=complex)
-    vals = field_at(f, pts)
+        entries.append([(needed.setdefault((px, py), len(needed)), cx[i] * cy[jj])
+                        for i, px in enumerate(ox) for jj, py in enumerate(oy)])
+    return list(needed), entries
+
+
+def _stencil(z, offsets, h):
+    """The points z + (px + i py) h, one row per offset (px, py)."""
+    return np.array([z + (px + 1j * py) * h for (px, py) in offsets], dtype=complex)
+
+
+def _mixed_partials(f, z, keys, h):
+    """Evaluate the requested mixed partials (ax, ay) of f at the centre z
+    (a point or an array of points) with one batched field evaluation."""
+    offsets, entries = _offsets(keys)
+    vals = field_at(f, _stencil(z, offsets, h))
     out = {}
-    for key, entries, scale in plan:
-        acc = entries[0][1] * vals[entries[0][0]]
-        for idx, w in entries[1:]:
+    for (ax, ay), terms in zip(keys, entries):
+        acc = terms[0][1] * vals[terms[0][0]]
+        for idx, w in terms[1:]:
             acc = acc + w * vals[idx]
-        out[key] = acc / scale
+        out[ax, ay] = acc / h ** (ax + ay)
     return out
+
+
+def _steps(order, h):
+    """The steps at which a derivative of the given total order is
+    differenced: none for the value, h for order 1, and h and h/2 (for
+    one level of Richardson extrapolation) from order 2 on."""
+    return () if not order else (h,) if order == 1 else (h, 0.5 * h)
+
+
+def _partials(orders, h):
+    """{step: the mixed partials (ax, ay) that the orders (j, k) read at
+    that step}, each list in the order of first use."""
+    keys = {}
+    for j, k in orders:
+        if j + k > MAX_ORDER:
+            raise ValueError(f"derivative order {j + k} exceeds {MAX_ORDER}")
+        weights = _wirtinger_weights(j, k)
+        for step in _steps(j + k, h):
+            keys.setdefault(step, {}).update(dict.fromkeys(weights))
+    return {step: list(need) for step, need in keys.items()}
 
 
 def wirtinger(f, z, orders, h):
@@ -115,18 +145,8 @@ def wirtinger(f, z, orders, h):
     alone.
     """
     z = np.asarray(z, dtype=complex)
-    plan, keys = [], {}
-    for j, k in orders:
-        order = j + k
-        if order > MAX_ORDER:
-            raise ValueError(f"derivative order {order} exceeds {MAX_ORDER}")
-        steps = () if not order else (h,) if order == 1 else (h, 0.5 * h)
-        weights = _wirtinger_weights(j, k)
-        for step in steps:
-            keys.setdefault(step, {}).update(dict.fromkeys(weights))
-        plan.append((weights, 0.5 ** order, steps))
-    parts = {step: _mixed_partials(f, z, list(need), step)
-             for step, need in keys.items()}
+    parts = {step: _mixed_partials(f, z, keys, step)
+             for step, keys in _partials(orders, h).items()}
 
     def combine(weights, scale, step):
         first, *rest = weights
@@ -136,12 +156,71 @@ def wirtinger(f, z, orders, h):
         return scale * acc
 
     out = []
-    for weights, scale, steps in plan:
-        d = [combine(weights, scale, step) for step in steps]   # at h, h/2
-        if len(d) == 2:
+    for j, k in orders:
+        weights = _wirtinger_weights(j, k)
+        d = [combine(weights, 0.5 ** (j + k), step) for step in _steps(j + k, h)]
+        if len(d) == 2:    # at h and h/2
             d = [(4.0 * d[1] - d[0]) / 3.0]
         out.append(d[0] if d else field_at(f, z))
     return out
+
+
+def _read_plan(reads):
+    """{step h: (the smallest margin that reads h, the orders read at h)}
+    of the (margin, h, order) reads, in the order of first use."""
+    plan = {}
+    for margin, h, order in reads:
+        margins, orders = plan.setdefault(h, ([], {}))
+        margins.append(margin)
+        orders[order] = None
+    return {h: (min(margins), list(orders)) for h, (margins, orders) in plan.items()}
+
+
+def stencil_points(z, reads, domain):
+    """The points other than the centres z at which `derivatives` (without
+    a mask `where`) evaluates its field for the reads, in the order it
+    asks for them, as one flat array; with a mask it asks for a subset.
+    A stencil's (0, 0) offset is z + 0j h, which has the bits of z unless
+    a part of z is a negative zero."""
+    z = np.asarray(z, dtype=complex)
+    pts = [np.empty(0, dtype=complex)]
+    for h, (margin, orders) in _read_plan(reads).items():
+        centres = z[domain.contains(z, margin=margin)]
+        for step, keys in _partials(orders, h).items():
+            pts.append(_stencil(centres, _offsets(keys)[0], step).ravel())
+    return np.concatenate(pts)
+
+
+def stencil_size(reads):
+    """The number of `stencil_points` per centre of the reads, at most."""
+    return sum(len(_offsets(keys)[0]) for h, (_, orders) in _read_plan(reads).items()
+               for keys in _partials(orders, h).values())
+
+
+def _keys(points):
+    """The 16 bytes of each complex point, in C order: points are told
+    apart by their bits, so z and z + 0j differ where z has a negative
+    zero part, as a chain evaluation may tell them apart."""
+    return np.ascontiguousarray(points, dtype=complex).ravel().view("V16").tolist()
+
+
+def distinct(points):
+    """The distinct points of an array, by their bits, as a flat array in
+    the order of their first occurrence."""
+    return np.frombuffer(b"".join(dict.fromkeys(_keys(points))), dtype=complex)
+
+
+def tabulated(points, values):
+    """The field whose value at points[i] is values[i], for a flat array
+    of distinct points: it answers at those points only, matched by their
+    bits, so that a field evaluated once at a block's centres and
+    stencils (`stencil_points`) serves every read of `derivatives`."""
+    index = dict(zip(_keys(points), range(len(points))))
+
+    def field(zs):
+        return values[np.fromiter(map(index.__getitem__, _keys(zs)), dtype=np.intp)]
+
+    return field
 
 
 def derivatives(f, z, reads, domain, where=None):
@@ -159,15 +238,10 @@ def derivatives(f, z, reads, domain, where=None):
     z = np.asarray(z, dtype=complex)
     if where is None:
         where = np.ones(z.shape, dtype=bool)
-    plan = {}
-    for margin, h, order in reads:
-        margins, orders = plan.setdefault(h, ([], {}))
-        margins.append(margin)
-        orders[order] = None
     found = {}
-    for h, (margins, orders) in plan.items():
-        idx = np.flatnonzero(where & domain.contains(z, margin=min(margins)))
-        derivs = wirtinger(f, z[idx], list(orders), h)
+    for h, (margin, orders) in _read_plan(reads).items():
+        idx = np.flatnonzero(where & domain.contains(z, margin=margin))
+        derivs = wirtinger(f, z[idx], orders, h)
         found.update(((h, o), (idx, d)) for o, d in zip(orders, derivs))
     out = []
     for margin, h, order in reads:

@@ -18,7 +18,9 @@ plan, `fd.derivatives`, as whole arrays over the sweep's points.  Two
 read lists say what they read: `_fd_reads` (d/dz and d^2/dz dconj(z) at
 the FD step) and `_calabi_reads` (the z-derivatives of the symmetric
 table), and the one-point checks `minimality_residual` and
-`calabi_check` use the same lists.
+`calabi_check` use the same lists.  Each block of the sweep evaluates
+the chain once, at its centres and at every stencil point of those
+reads, and the reads answer from the rows of that evaluation.
 """
 
 import json
@@ -32,17 +34,15 @@ from .chain import (
     f_chain_eval,
     recursion_residuals,
     require_regular,
-    stencil_field,
+    stencil_batch,
+    stencil_rows,
 )
 from .domain import Domain
 from .errors import DegenerateSurfaceError, DomainError
-from .fd import default_step, derivatives, stencil_halfwidth
+from .fd import default_step, derivatives, stencil_halfwidth, tabulated
 from .products import _dot, _max0, _pair_minors_max
 
 _DEGENERATE_DIFFERENTIAL = 1e-8
-# Centres per `_Sweep` in `verify_all`: only one block's chain data and
-# derivatives are held at a time
-_SWEEP_BLOCK = 1024
 
 
 @dataclass
@@ -52,8 +52,9 @@ class SurfaceEvaluator:
 
     A chain surface (`from_chain`) returns the surface `g` of its chain
     batch, the package's one surface normalization, and raises at
-    degenerate points.  The checks of `verify_all` differentiate
-    `chain.stencil_field` instead, which masks them.
+    degenerate points.  The checks of `verify_all` differentiate the
+    `chain.stencil_rows` of their chain evaluations instead, which mask
+    them.
     """
 
     func: object          # zs (B,) complex -> (B, dim) float
@@ -89,6 +90,12 @@ def _calabi_reads(domain, max_order):
     steps = [default_step(domain.diameter, j) for j in range(1, max_order + 1)]
     return [(stencil_halfwidth(max_order, steps[-1]), step, (j, 0))
             for j, step in enumerate(steps, 1)]
+
+
+def _sweep_reads(domain, h, calabi_order):
+    """Every read of `verify_all`'s FD families: `_fd_reads` at the FD
+    step h, then `_calabi_reads` to the Calabi order."""
+    return _fd_reads(h) + _calabi_reads(domain, calabi_order)
 
 
 def _derivatives_at(g, z, reads):
@@ -357,10 +364,13 @@ class _Sweep:
     chain's stencil field, NaN where a stencil leaves the domain, starts
     at a masked point or touches one: `dz` and `dzdbar` (d/dz and
     d^2/dz dconj(z)) at the step h, and `calabi_derivs`, where entry j is
-    the j-th z-derivative of the surface and entry 0 the surface.
+    the j-th z-derivative of the surface and entry 0 the surface.  The
+    field answers from `evaluated`, the chain batch of the centres and of
+    every stencil point of the reads (`chain.stencil_batch`), which is
+    evaluated here when not given.
     """
 
-    def __init__(self, chain, batch, h, calabi_order, perturb):
+    def __init__(self, chain, batch, h, calabi_order, perturb, evaluated=None):
         self.chain = chain
         self.z = batch.z
         self.calabi_order = calabi_order
@@ -371,13 +381,17 @@ class _Sweep:
         if perturb:
             self.F = self.F.copy()
             self.F[self.regular] = _apply_perturbation(self.F[self.regular], perturb)
-        self.norms = np.sqrt(np.sum(np.abs(self.F) ** 2, axis=2))
+            self.norms = np.sqrt(np.sum(np.abs(self.F) ** 2, axis=2))
+        else:
+            self.norms = np.sqrt(batch.norms_sq)
         self.g = batch.g
         self.ok = batch.ok
-        self.dz, self.dzdbar, *derivs = derivatives(
-            stencil_field(chain), self.z,
-            _fd_reads(h) + _calabi_reads(chain.domain, calabi_order),
-            chain.domain, where=self.ok)
+        reads = _sweep_reads(chain.domain, h, calabi_order)
+        if evaluated is None:
+            evaluated = stencil_batch(chain, self.z, reads)
+        field = tabulated(evaluated.z, stencil_rows(evaluated))
+        self.dz, self.dzdbar, *derivs = derivatives(field, self.z, reads, chain.domain,
+                                                    where=self.ok)
         self.calabi_derivs = [self.g.astype(complex)] + [d[:, 0] for d in derivs]
         # the symmetric-derivative tables, as `_calabi_values` returns them
         self.calabi = _calabi_values(self.calabi_derivs)
@@ -506,38 +520,40 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
     finite-difference families (conjugate descent, recursion, minimality,
     tangent formula, symmetric-derivative table) only where the stencil
     fits inside the domain and touches no degenerate point.  The inside
-    points are swept by `chain._sweep` in blocks of _SWEEP_BLOCK
-    centres: each block's chain batch becomes a `_Sweep`, and only its
-    residuals, Calabi tables, flags and surface rows are kept, so that
-    the chain data and derivatives held at once do not grow with the
-    grid.  The flags and surface rows form the report's `scan`.  The FD
-    families read whole arrays from `fd.derivatives`, which
-    differentiates one field (`chain.stencil_field`) evaluated once per
-    stencil step for all the block's centres: at default settings, nine
-    points per centre at each of the steps h and h/2.  Every centre gets
-    the arithmetic of a sweep of it alone, so the blocks change no bit of
-    the report.  `perturb`, when given, injects a fault into the
-    per-point algebraic analysis so that detection can be tested.  A
-    grid that leaves nothing to check is refused by `chain._sweep`:
-    DomainError when no grid point lies inside the domain,
-    DegenerateSurfaceError when all are singular; every other grid has a
-    non-singular point, which gets an isotropy residual.  A family that
-    applies but is checked at no point, because no stencil fits or each
-    touches a degenerate point, gets status UNCHECKED, and the report
-    does not pass.
+    points are swept by `chain._sweep` in blocks, each evaluated with one
+    chain call of at most `chain._SCAN_BLOCK` points: the block's
+    centres first, then every stencil point of the FD reads there.  Each
+    block becomes a `_Sweep`, and only its residuals, Calabi tables,
+    flags and surface rows are kept, so that the chain data and
+    derivatives held at once do not grow with the grid.  The flags and
+    surface rows form the report's `scan`.  The FD families read whole
+    arrays from `fd.derivatives`, which differentiates one field (the
+    `chain.stencil_rows` of that call) for all the block's centres: at
+    default settings, eight points per centre besides the centre itself
+    at each of the steps h and h/2, whose (0, 0) offsets read the
+    centre's own row.  Every centre gets the arithmetic of a sweep of it
+    alone, so the blocks change no bit of the report.  `perturb`, when
+    given, injects a fault into the per-point algebraic analysis so that
+    detection can be tested.  A grid that leaves nothing to check is
+    refused by `chain._sweep`: DomainError when no grid point lies inside
+    the domain, DegenerateSurfaceError when all are singular; every other
+    grid has a non-singular point, which gets an isotropy residual.  A
+    family that applies but is checked at no point, because no stencil
+    fits or each touches a degenerate point, gets status UNCHECKED, and
+    the report does not pass.
     """
     rows, cols = grid
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
     applies = []   # the families that apply, in the order of FAMILIES
 
-    def read(batch):
-        sweep = _Sweep(chain, batch, h, calabi_order, perturb)
+    def read(batch, evaluated):
+        sweep = _Sweep(chain, batch, h, calabi_order, perturb, evaluated)
         found = {fam: family(sweep) for fam, (_, family) in FAMILIES.items()}
         applies[:] = [fam for fam, values in found.items() if values is not None]
         return sweep.ok, sweep.g, sweep.calabi[1], *(found[fam] for fam in applies)
 
-    zs, inside, (ok, g, tables, *found) = _sweep(chain, rows, cols, _SWEEP_BLOCK,
-                                                 read)
+    zs, inside, (ok, g, tables, *found) = _sweep(
+        chain, rows, cols, read, reads=_sweep_reads(chain.domain, h, calabi_order))
     residuals = dict(zip(applies, found))
     pts = zs[inside]
 

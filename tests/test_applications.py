@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from holosphere import applications, build_alpha_chain, f_chain_eval
+from holosphere import chain as chain_module
 from holosphere.applications import (
     KaehlerParams,
     RuledParams,
@@ -163,6 +164,25 @@ class TestImmersionCheck:
         assert (got.ranks[2 * 9 + 6] == 0).all()
         assert (got.ranks[2 * 9 + 5] == 4).all()
         assert np.array_equal(got.ranks, want.ranks)
+
+    def test_each_evaluation_stays_within_the_point_budget(self, monkeypatch):
+        # one w cell per centre: the chain point budget, not the cell
+        # budget, sizes the blocks; each centre and its four stencil
+        # points are one evaluation
+        sizes = []
+        original = chain_module.f_chain_eval
+
+        def counted(chain, zs, *args, **kwargs):
+            sizes.append(np.size(zs))
+            return original(chain, zs, *args, **kwargs)
+
+        monkeypatch.setattr(chain_module, "f_chain_eval", counted)
+        chain = build_alpha_chain(["1", "1"])
+        p = KaehlerParams.create("1+x^2+y^2", [0.05 + 0.02j])
+        report = kaehler_immersion_check(chain, p, (45, 45), (-0.1, 0.1), 1)
+        assert report.ranks.shape == (45 * 45, 1)
+        assert sizes == [1638 * 5, (45 * 45 - 1638) * 5]
+        assert max(sizes) <= chain_module._SCAN_BLOCK
 
     def test_all_singular_chain_is_refused(self):
         # beta_0 = 0 makes the chain singular at every point

@@ -176,7 +176,6 @@ class TestJetKernel:
         chain = build_alpha_chain(["z^60"], domain=domain)
         if block is not None:
             monkeypatch.setattr(chain_module, "_SCAN_BLOCK", block)
-            monkeypatch.setattr(geometry, "_SWEEP_BLOCK", block)
         match = r"non-finite chain value or squared norm at z=\(19-1j\)"
         with pytest.raises(EvaluationError, match=match):
             scan_grid(chain, 4, 4)

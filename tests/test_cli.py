@@ -482,6 +482,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        lambda tmp: ["verify", "--config", str(tmp)],
+        lambda tmp: ["reconstruct", "--config", _tiny_box_config(tmp, 2)],
+        lambda tmp: ["verify", "--seed-demo", "7"],
+    ], ids=["config_is_a_directory", "sample_grid_2x2", "no_such_demo"])
+    def test_refused_config_leaves_no_output_directory(self, tmp_path, capsys,
+                                                       argv):
+        out = tmp_path / "fresh"
+        assert main(argv(tmp_path) + ["--out", str(out), "--quiet"]) == ERROR
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     def test_betas_mismatch_exit_code(self, tmp_path, capsys):
         doc = demo_config(1)
         doc["betas"] = ["1", "z"]
@@ -838,8 +850,9 @@ def test_generate_evaluates_its_grid_once(tmp_path, monkeypatch):
     monkeypatch.setattr(geometry, "f_chain_eval", counted)
     assert main(["generate", "--seed-demo", "2", "--out", str(tmp_path),
                  "--quiet"]) == 0
-    # the 10 x 10 grid once, then nine points per FD centre at h and h/2
-    assert (sum(points), len(points)) == (1252, 3)
+    # one evaluation: the 10 x 10 grid, then eight further points per FD
+    # centre at each of h and h/2
+    assert (sum(points), len(points)) == (1124, 1)
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys):

@@ -9,9 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holosphere import Domain, build_alpha_chain, f_chain_eval, geometry
-from holosphere.chain import GridScan
+from holosphere import chain as chain_module
+from holosphere.chain import GridScan, stencil_field
 from holosphere.errors import DegenerateSurfaceError, DomainError
-from holosphere.fd import default_step, wirtinger
+from holosphere.fd import (
+    default_step,
+    derivatives,
+    distinct,
+    stencil_points,
+    stencil_size,
+    tabulated,
+    wirtinger,
+)
 from holosphere.geometry import (
     DiagnosticsReport,
     SurfaceEvaluator,
@@ -203,27 +212,57 @@ SWEEP_CASES = {
                        "calabi_order": 4}),
     "fd_step_n3": (["1", "1", "1"], None, (9, 10), {"fd_step": 0.05}),
 }
-DEFAULT_SWEEP_BLOCK = geometry._SWEEP_BLOCK
+DEFAULT_SCAN_BLOCK = chain_module._SCAN_BLOCK
 
 
 def _bits(arr):
     return np.ascontiguousarray(arr).view(np.uint8)
 
 
-def _sweep_report(case, block, monkeypatch):
+def _sweep_report(case, block, monkeypatch, **extra):
+    """The report of a SWEEP_CASES case with evaluations of at most
+    `block` chain points (one centre per block where that is less than
+    one centre's stencils)."""
     betas, domain, grid, kwargs = SWEEP_CASES[case]
     chain = build_alpha_chain(betas, domain=domain)
-    monkeypatch.setattr(geometry, "_SWEEP_BLOCK", block)
-    return verify_all(chain, grid=grid, **kwargs)
+    monkeypatch.setattr(chain_module, "_SCAN_BLOCK", block)
+    return verify_all(chain, grid=grid, **{**kwargs, **extra})
 
 
-@pytest.mark.parametrize("block", [1, 7, DEFAULT_SWEEP_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, DEFAULT_SCAN_BLOCK])
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_blocked_sweep_equals_one_block(case, block, monkeypatch):
     """Every field of the report of a blocked sweep has the bits of the
     report of one sweep over all inside points."""
     want = _sweep_report(case, 10**9, monkeypatch)
     got = _sweep_report(case, block, monkeypatch)
+    _assert_same_report(got, want)
+    if case == "degenerate_n2":
+        assert got.singular_count > 0 and not got.passed
+
+
+def test_multi_block_sweep_stays_within_the_point_budget(monkeypatch):
+    """At Calabi order 4, blocks of several centres each, with every
+    chain evaluation within the point budget, give the bits of the
+    one-block report."""
+    sizes = []   # the size of each chain evaluation
+    original = chain_module.f_chain_eval
+
+    def counted(chain, zs, *args, **kwargs):
+        sizes.append(np.size(zs))
+        return original(chain, zs, *args, **kwargs)
+
+    want = _sweep_report("disk_n3", 10**9, monkeypatch, calabi_order=4)
+    monkeypatch.setattr(chain_module, "f_chain_eval", counted)
+    got = _sweep_report("disk_n3", 1000, monkeypatch, calabi_order=4)
+    # 85 points per centre at most: 11 centres a block
+    assert len(sizes) > 1 and max(sizes) <= 1000
+    _assert_same_report(got, want)
+    assert got.counts["calabi"]["evaluated"] > 0
+
+
+def _assert_same_report(got, want):
+    """Every field of the report got has the bits of that of want."""
     # the JSON text of the report, compared whole (a diff of it is slow)
     same_json = report_text(got) == report_text(want)
     assert same_json
@@ -244,17 +283,89 @@ def test_blocked_sweep_equals_one_block(case, block, monkeypatch):
                 assert np.array_equal(_bits(x), _bits(y)), name
         else:
             assert a == b, field.name
-    if case == "degenerate_n2":
-        assert got.singular_count > 0 and not got.passed
+
+
+def test_stencil_points_are_the_points_derivatives_asks_for():
+    """`fd.stencil_points` lists, in order, every point at which
+    `derivatives` evaluates its field for the reads of a Calabi order 4
+    sweep, and `stencil_size` bounds their number per centre."""
+    chain = build_alpha_chain(["1+0.2*z", "z^2+3"])
+    reads = geometry._sweep_reads(chain.domain, default_step(chain.domain.diameter, 1),
+                                  4)
+    zs, inside = chain.domain.grid(7, 7)
+    centres = zs[inside]
+    asked = []
+
+    def field(pts):
+        asked.append(pts.copy())
+        return stencil_field(chain)(pts)
+
+    derivatives(field, centres, reads, chain.domain)
+    assert _bits(np.concatenate(asked)).tobytes() == _bits(
+        stencil_points(centres, reads, chain.domain)).tobytes()
+    one = stencil_points(np.array([chain.domain.base_point]), reads, chain.domain)
+    assert one.size == stencil_size(reads) == 84
+
+
+def test_tabulated_field_tells_negative_zeros_apart():
+    points = np.array([complex(-0.0, 0.5), 0.5j, complex(-0.0, 0.5), 0.25 + 0j])
+    found = distinct(points)
+    assert _bits(found).tobytes() == _bits(points[[0, 1, 3]]).tobytes()
+    field = tabulated(found, np.arange(3.0))
+    assert field(points).tolist() == [0.0, 1.0, 0.0, 2.0]
+    with pytest.raises(KeyError):
+        field(np.array([0.75j]))
+
+
+def test_tabulated_stencils_keep_the_bits_of_each_stencil_point():
+    """Derivatives read from one tabulation of the centres and their
+    stencil points have the bits of derivatives of the field itself, for
+    a field that tells a negative zero part from a positive one: the
+    (0, 0) offset of a centre -0.0 + yi is the point 0.0 + yi."""
+    domain = Domain.rectangle(-1 - 1j, 1 + 1j)
+
+    def field(zs):
+        return np.copysign(1.0, zs.real) + np.copysign(2.0, zs.imag) + zs ** 3
+
+    centres = np.array([complex(-0.0, 0.3), complex(0.3, -0.0), -0.25 + 0.1j])
+    h = default_step(domain.diameter, 1)
+    reads = geometry._sweep_reads(domain, h, 4)
+    pts = distinct(np.concatenate([centres, stencil_points(centres, reads, domain)]))
+    got = derivatives(tabulated(pts, field(pts)), centres, reads, domain)
+    want = derivatives(field, centres, reads, domain)
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+    # the centre's own row would give those (0, 0) offsets other values
+    assert (field(centres[:2]) != field(centres[:2] + 0j)).all()
+
+
+def test_sweep_reads_a_negative_zero_centre_as_its_own_stencils_do():
+    """A stencil's (0, 0) offset at a centre with a negative zero part is
+    z + 0j h, which the sweep's one evaluation holds as a point of its
+    own: every derivative has the bits of a call on the evaluating field."""
+    chain = build_alpha_chain(["1+0.2*z", "z^2+3"])
+    centres = np.array([complex(-0.0, 0.3), complex(0.3, -0.0), -0.25 + 0.1j])
+    h = default_step(chain.domain.diameter, 1)
+    sw = geometry._Sweep(chain, f_chain_eval(chain, centres), h, 4, None)
+    reads = geometry._sweep_reads(chain.domain, h, 4)
+    dz, dzdbar, *derivs = derivatives(stencil_field(chain), centres, reads,
+                                      chain.domain)
+    want = [dz, dzdbar] + [d[:, 0] for d in derivs]
+    got = [sw.dz, sw.dzdbar] + sw.calabi_derivs[1:]
+    assert sw.ok.all() and len(got) == 6
+    assert all(not np.isnan(d).any() for d in want)
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 def test_sweep_memory_is_bounded_by_the_block(monkeypatch):
-    """With blocks of 64 centres, a 40x40 sweep at n=3 holds less than the
-    stencil field of the whole grid at one step."""
+    """With evaluations of at most 1,216 points (64 centres and their
+    stencils), a 40x40 sweep at n=3 holds less than the stencil field of
+    the whole grid at one step."""
     chain = build_alpha_chain(["1+0.2*z", "z^2+3", "1-0.4*i*z"])
     n = chain.n
     whole_field = 40 * 40 * 9 * (2 * n) * chain.dim * np.dtype(complex).itemsize
-    monkeypatch.setattr(geometry, "_SWEEP_BLOCK", 64)
+    monkeypatch.setattr(chain_module, "_SCAN_BLOCK", 64 * 19)
     tracemalloc.start()
     try:
         verify_all(chain, grid=(40, 40))

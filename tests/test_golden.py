@@ -80,22 +80,24 @@ def test_verify_call_count_independent_of_grid(monkeypatch):
         per_grid.append(len(points))
     assert per_grid[0] == per_grid[1]
     assert per_grid[0] < 20
-    # every distinct Calabi step is evaluated once, over the centres of
-    # the families that read it: at order 3 the FD step h serves both
-    # the FD families and the table's first two orders
+    # a block's centres and every stencil point its reads need there are
+    # one evaluation of at most 8,192 points: at order 4 a centre may
+    # need 85, so the 100 centres take two blocks
     demo3 = build_alpha_chain(["1", "1", "1"])
-    for order, total, calls in ((3, 2788, 5), (4, 5476, 7)):
+    for order, total, calls in ((3, 2404, 1), (4, 4452, 2)):
         points.clear()
         geometry.verify_all(demo3, grid=(10, 10), calabi_order=order)
         assert (sum(points), len(points)) == (total, calls)
-    # at default settings every FD family reads one field evaluation of
-    # nine points per centre at each of the steps h and h/2
+        assert max(points) <= chain_module._SCAN_BLOCK
+    # at default settings every FD family reads the centres and eight
+    # further points per centre at each of the steps h and h/2: the
+    # stencils' (0, 0) offsets read the centre's own row
     points.clear()
     report = geometry.verify_all(build_alpha_chain(["1", "1"]), grid=(10, 10))
     centres = report.counts["minimality"]["evaluated"]
     assert report.counts["calabi"]["evaluated"] == centres == 64
-    assert sum(points) == 100 + 18 * centres == 1252
-    assert len(points) == 3
+    assert sum(points) == 100 + 16 * centres == 1124
+    assert len(points) == 1
 
 
 def _recorder():
