@@ -28,7 +28,7 @@ import numpy as np
 from .chain import _SCAN_BLOCK, _sweep, f_chain_eval, require_regular, stencil_field
 from .errors import DomainError, ParseError
 from .expr import HoloExpr, _eval, _tokenize, parse_expr
-from .fd import default_step, derivatives, tabulated, wirtinger
+from .fd import default_step, derivatives, replayed, wirtinger
 from .geometry import _normal_part
 from .products import _dot
 
@@ -220,12 +220,13 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
 
     reads = [(4 * h_z, h_z, (1, 0))]
 
-    def read(batch, evaluated):
+    def read(batch, stencils):
+        evaluated, plan = stencils
         # (B, 2n-1, 2n+1): the base map, Re F_j, Im F_j
         F = evaluated.F[:, :n - 1]
         rows = np.hstack([_kaehler_base(evaluated, params)[:, None], F.real, F.imag])
-        dz, = derivatives(tabulated(evaluated.z, rows), batch.z, reads, chain.domain,
-                          where=batch.ok)
+        dz, = derivatives(replayed(evaluated.z, rows, plan, batch.ok), batch.z, reads,
+                          chain.domain, where=batch.ok)
         cols = []
         for d in (2 * dz.real, -2 * dz.imag):        # d/dx, d/dy
             dF = d[:, 1:n] + 1j * d[:, n:]

@@ -62,7 +62,7 @@ from .expr import (
     parse_expr,
     poly_coeffs,
 )
-from .fd import default_step, distinct, stencil_points, stencil_size, wirtinger
+from .fd import default_step, stencil_size, stencil_table, wirtinger
 from .products import _dot, _max0
 
 DEFAULT_EPS_SINGULAR = 1e-12
@@ -509,13 +509,13 @@ def stencil_rows(batch):
 
 
 def stencil_batch(chain, centres, reads):
-    """One chain evaluation at the centres, first, and at the distinct
-    further points that the (margin, step, order) reads of
-    `fd.derivatives` need there (`fd.stencil_points`): a stencil's (0, 0)
-    offset reads the centre's own row."""
-    pts = np.concatenate([centres, stencil_points(centres, reads, chain.domain)])
+    """One chain evaluation at the centres, first, then at every further
+    point that the (margin, step, order) reads of `fd.derivatives` ask
+    for there, and the plan with which `fd.replayed` answers them from
+    it: (batch, plan), as `fd.stencil_table` lays them out."""
+    points, plan = stencil_table(centres, reads, chain.domain)
     # through the module global, so that a wrapper bound there sees it
-    return f_chain_eval(chain, distinct(pts))
+    return f_chain_eval(chain, points), plan
 
 
 def require_regular(batch):
@@ -593,11 +593,11 @@ def _sweep(chain, rows, cols, read, margin=0.0, name="grid", reads=None,
 
     With `reads`, the (margin, step, order) reads of `fd.derivatives`,
     a block's one chain evaluation holds its centres first, then the
-    distinct further points that the reads' stencils need there
-    (`fd.stencil_points`), and `read(batch[:k], batch)` gets the batch of
-    its k centres and the whole one.  A block holds as many centres as
-    keep its evaluation within _SCAN_BLOCK points, and at most `centres`
-    of them when that is given, but at least one.
+    further points that the reads ask for there, and `read(batch[:k],
+    stencils)` gets the batch of its k centres and the `stencil_batch`
+    pair of the whole evaluation and its plan.  A block holds as many
+    centres as keep its evaluation within _SCAN_BLOCK points, and at most
+    `centres` of them when that is given, but at least one.
 
     Only one block's data is held at a time, and each point is evaluated
     on its own, so the block size changes no bit of the outputs.  A grid
@@ -617,12 +617,15 @@ def _sweep(chain, rows, cols, read, margin=0.0, name="grid", reads=None,
         part = slice(start, start + block)
         here = pts[part]
         count = here.size
-        # through the module global, so that a wrapper bound there sees
-        # every block
-        batch = f_chain_eval(chain, here) if reads is None else stencil_batch(
-            chain, here, reads)
+        if reads is None:
+            # through the module global, so that a wrapper bound there
+            # sees every block
+            batch = f_chain_eval(chain, here)
+            found = read(batch)
+        else:
+            batch, plan = stencil_batch(chain, here, reads)
+            found = read(batch[:count], (batch, plan))
         singular += int(np.count_nonzero(batch.singular[:count]))
-        found = read(batch) if reads is None else read(batch[:count], batch)
         if outputs is None:
             outputs = [np.empty((pts.size,) + a.shape[1:], a.dtype) for a in found]
         for out, a in zip(outputs, found):

@@ -19,11 +19,11 @@ the field once at h, and once at h/2 if an order of 2 or more needs it,
 for all of them.  `derivatives` is the one read plan of the checks: it
 takes every (margin, step, order) read of a set of centres, groups the
 reads by step, and returns whole arrays, NaN where a read's stencil does
-not fit.  `stencil_points` lists every point those reads evaluate the
+not fit.  `stencil_table` lists every point those reads evaluate the
 field at, so that a caller can evaluate the field once at the centres
-and all of them and hand `derivatives` a `tabulated` field that answers
+and all of them and hand `derivatives` a `replayed` field that answers
 from those rows: the checks of a chain surface take one chain
-evaluation per block of centres (see `chain.stencil_batch`).
+evaluation per block of centres (see `chain._sweep`).
 """
 
 from math import comb
@@ -176,49 +176,84 @@ def _read_plan(reads):
     return {h: (min(margins), list(orders)) for h, (margins, orders) in plan.items()}
 
 
-def stencil_points(z, reads, domain):
-    """The points other than the centres z at which `derivatives` (without
-    a mask `where`) evaluates its field for the reads, in the order it
-    asks for them, as one flat array; with a mask it asks for a subset.
-    A stencil's (0, 0) offset is z + 0j h, which has the bits of z unless
-    a part of z is a negative zero."""
+def stencil_table(z, reads, domain):
+    """The points of one field evaluation that serves every read of
+    `derivatives` at the flat array of centres z, and the plan with which
+    `replayed` answers from it: (points, (rows, centre)).
+
+    `points` holds z, then every point the reads ask for at the centres
+    that fit their margins, once.  A stencil point is z + d for the
+    displacement d = (px + i py) step, so the points of two stencils of
+    one centre with the bits of one d are one point (as the offsets 2 at
+    h/2 and 1 at h of orders 3 and 4 are), and a point with the bits of
+    its centre reads the centre's row: a stencil's (0, 0) offset z + 0j
+    does, unless a part of z is a negative zero.  Without a mask, the
+    i-th point that `derivatives` asks its field for is points[rows[i]],
+    read for the centre z[centre[i]]."""
     z = np.asarray(z, dtype=complex)
-    pts = [np.empty(0, dtype=complex)]
+    # each block of asked points: one row per displacement and one column
+    # per centre, the centres' indices, and the displacements' numbers,
+    # one number per distinct bits
+    blocks = [(np.empty((0, 0), dtype=complex), np.empty(0, dtype=np.intp), [])]
+    numbers = {}
+
+    def number(key):
+        return numbers.setdefault(key, len(numbers))
+
     for h, (margin, orders) in _read_plan(reads).items():
-        centres = z[domain.contains(z, margin=margin)]
+        idx = np.flatnonzero(domain.contains(z, margin=margin))
         for step, keys in _partials(orders, h).items():
-            pts.append(_stencil(centres, _offsets(keys)[0], step).ravel())
-    return np.concatenate(pts)
+            offsets = _offsets(keys)[0]
+            moves = [np.complex128((px + 1j * py) * step).tobytes() for px, py in offsets]
+            blocks.append((_stencil(z[idx], offsets, step), idx, list(map(number, moves))))
+        if (0, 0) in orders:    # the value at the centre, read after the partials
+            blocks.append((z[idx][None], idx, [number("centre")]))
+    asked = np.concatenate([pts.ravel() for pts, _, _ in blocks])
+    centre = np.concatenate([np.tile(idx, len(n)) for _, idx, n in blocks])
+    key = centre * len(numbers) + np.concatenate(
+        [np.repeat(np.array(n, dtype=np.intp), idx.size) for _, idx, n in blocks])
+    # the first entry of each centre and displacement holds their point
+    first = np.full(z.size * len(numbers), key.size)
+    np.minimum.at(first, key, np.arange(key.size))
+    first = first[key]
+    own = (_bits(asked) == _bits(z[centre])).all(axis=1)
+    new = (first == np.arange(key.size)) & ~own
+    rows = np.where(own, centre, z.size + np.cumsum(new)[first] - 1)
+    return np.concatenate([z, asked[new]]), (rows, centre)
 
 
 def stencil_size(reads):
-    """The number of `stencil_points` per centre of the reads, at most."""
+    """The number of points per centre that a `stencil_table` adds to the
+    centres, at most."""
     return sum(len(_offsets(keys)[0]) for h, (_, orders) in _read_plan(reads).items()
                for keys in _partials(orders, h).values())
 
 
-def _keys(points):
-    """The 16 bytes of each complex point, in C order: points are told
-    apart by their bits, so z and z + 0j differ where z has a negative
-    zero part, as a chain evaluation may tell them apart."""
-    return np.ascontiguousarray(points, dtype=complex).ravel().view("V16").tolist()
+def _bits(points):
+    """The two 64-bit words of each complex point, one row per point:
+    points are told apart by their bits, as a field evaluation may tell
+    z from z + 0j where z has a negative zero part."""
+    return np.ascontiguousarray(points, dtype=complex).ravel().view(np.int64).reshape(-1, 2)
 
 
-def distinct(points):
-    """The distinct points of an array, by their bits, as a flat array in
-    the order of their first occurrence."""
-    return np.frombuffer(b"".join(dict.fromkeys(_keys(points))), dtype=complex)
-
-
-def tabulated(points, values):
-    """The field whose value at points[i] is values[i], for a flat array
-    of distinct points: it answers at those points only, matched by their
-    bits, so that a field evaluated once at a block's centres and
-    stencils (`stencil_points`) serves every read of `derivatives`."""
-    index = dict(zip(_keys(points), range(len(points))))
+def replayed(points, values, plan, where=None):
+    """The field that `derivatives` reads at the centres of a
+    `stencil_table`, with the mask `where` over them: asked in turn for
+    the points of the plan, it answers from `values`, the field at
+    `points`.  A call for other points than the next of the plan raises
+    ValueError."""
+    rows, centre = plan
+    if where is not None:
+        rows = rows[where[centre]]
+    start = 0
 
     def field(zs):
-        return values[np.fromiter(map(index.__getitem__, _keys(zs)), dtype=np.intp)]
+        nonlocal start
+        part = rows[start:start + zs.size]
+        if not np.array_equal(_bits(zs), _bits(points[part])):
+            raise ValueError("the field is asked for points out of its plan's order")
+        start += zs.size
+        return values[part]
 
     return field
 

@@ -39,7 +39,7 @@ from .chain import (
 )
 from .domain import Domain
 from .errors import DegenerateSurfaceError, DomainError
-from .fd import default_step, derivatives, stencil_halfwidth, tabulated
+from .fd import default_step, derivatives, replayed, stencil_halfwidth
 from .products import _dot, _max0, _pair_minors_max
 
 _DEGENERATE_DIFFERENTIAL = 1e-8
@@ -365,12 +365,12 @@ class _Sweep:
     at a masked point or touches one: `dz` and `dzdbar` (d/dz and
     d^2/dz dconj(z)) at the step h, and `calabi_derivs`, where entry j is
     the j-th z-derivative of the surface and entry 0 the surface.  The
-    field answers from `evaluated`, the chain batch of the centres and of
-    every stencil point of the reads (`chain.stencil_batch`), which is
-    evaluated here when not given.
+    field answers from `stencils`, the chain batch of the centres and of
+    every stencil point of the reads with its plan (`chain.stencil_batch`),
+    which is evaluated here when not given.
     """
 
-    def __init__(self, chain, batch, h, calabi_order, perturb, evaluated=None):
+    def __init__(self, chain, batch, h, calabi_order, perturb, stencils=None):
         self.chain = chain
         self.z = batch.z
         self.calabi_order = calabi_order
@@ -387,9 +387,10 @@ class _Sweep:
         self.g = batch.g
         self.ok = batch.ok
         reads = _sweep_reads(chain.domain, h, calabi_order)
-        if evaluated is None:
-            evaluated = stencil_batch(chain, self.z, reads)
-        field = tabulated(evaluated.z, stencil_rows(evaluated))
+        if stencils is None:
+            stencils = stencil_batch(chain, self.z, reads)
+        evaluated, plan = stencils
+        field = replayed(evaluated.z, stencil_rows(evaluated), plan, self.ok)
         self.dz, self.dzdbar, *derivs = derivatives(field, self.z, reads, chain.domain,
                                                     where=self.ok)
         self.calabi_derivs = [self.g.astype(complex)] + [d[:, 0] for d in derivs]
@@ -546,8 +547,8 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
     applies = []   # the families that apply, in the order of FAMILIES
 
-    def read(batch, evaluated):
-        sweep = _Sweep(chain, batch, h, calabi_order, perturb, evaluated)
+    def read(batch, stencils):
+        sweep = _Sweep(chain, batch, h, calabi_order, perturb, stencils)
         found = {fam: family(sweep) for fam, (_, family) in FAMILIES.items()}
         applies[:] = [fam for fam, values in found.items() if values is not None]
         return sweep.ok, sweep.g, sweep.calabi[1], *(found[fam] for fam in applies)

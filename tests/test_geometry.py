@@ -15,10 +15,9 @@ from holosphere.errors import DegenerateSurfaceError, DomainError
 from holosphere.fd import (
     default_step,
     derivatives,
-    distinct,
-    stencil_points,
+    replayed,
     stencil_size,
-    tabulated,
+    stencil_table,
     wirtinger,
 )
 from holosphere.geometry import (
@@ -285,10 +284,11 @@ def _assert_same_report(got, want):
             assert a == b, field.name
 
 
-def test_stencil_points_are_the_points_derivatives_asks_for():
-    """`fd.stencil_points` lists, in order, every point at which
+def test_stencil_table_holds_every_point_derivatives_asks_for():
+    """`fd.stencil_table` holds, once each, every point at which
     `derivatives` evaluates its field for the reads of a Calabi order 4
-    sweep, and `stencil_size` bounds their number per centre."""
+    sweep, and its rows list them in the order they are asked for;
+    `stencil_size` bounds the points per centre."""
     chain = build_alpha_chain(["1+0.2*z", "z^2+3"])
     reads = geometry._sweep_reads(chain.domain, default_step(chain.domain.diameter, 1),
                                   4)
@@ -301,27 +301,37 @@ def test_stencil_points_are_the_points_derivatives_asks_for():
         return stencil_field(chain)(pts)
 
     derivatives(field, centres, reads, chain.domain)
-    assert _bits(np.concatenate(asked)).tobytes() == _bits(
-        stencil_points(centres, reads, chain.domain)).tobytes()
-    one = stencil_points(np.array([chain.domain.base_point]), reads, chain.domain)
-    assert one.size == stencil_size(reads) == 84
+    points, (rows, centre) = stencil_table(centres, reads, chain.domain)
+    asked = np.concatenate(asked)
+    assert _bits(points[rows]).tobytes() == _bits(asked).tobytes()
+    assert _bits(points[:centres.size]).tobytes() == _bits(centres).tobytes()
+    assert len({p.tobytes() for p in points}) == points.size < asked.size
+    assert (np.abs(asked - centres[centre]) <= 0.1).all()
+    one, _ = stencil_table(np.array([chain.domain.base_point]), reads, chain.domain)
+    assert one.size - 1 < stencil_size(reads) == 84
 
 
-def test_tabulated_field_tells_negative_zeros_apart():
-    points = np.array([complex(-0.0, 0.5), 0.5j, complex(-0.0, 0.5), 0.25 + 0j])
-    found = distinct(points)
-    assert _bits(found).tobytes() == _bits(points[[0, 1, 3]]).tobytes()
-    field = tabulated(found, np.arange(3.0))
-    assert field(points).tolist() == [0.0, 1.0, 0.0, 2.0]
-    with pytest.raises(KeyError):
-        field(np.array([0.75j]))
+def test_replayed_field_answers_in_the_plan_order_only():
+    domain = Domain.rectangle(-1 - 1j, 1 + 1j)
+    centres = np.array([complex(-0.0, 0.5), 0.25 + 0j])
+    reads = [(0.1, 0.01, (1, 1))]
+    points, plan = stencil_table(centres, reads, domain)
+    # nine points a stencil, at h and at h/2; the (0, 0) offsets of
+    # -0.0 + 0.5i are one point of their own, those of 0.25 its row
+    assert points.size == 2 + (8 + 8 + 1) + (8 + 8)
+    field = replayed(points, np.arange(points.size), plan)
+    asked = points[plan[0]]
+    with pytest.raises(ValueError, match="out of its plan's order"):
+        field(asked[1:])
+    assert field(asked[:9]).tolist() == plan[0][:9].tolist()
 
 
-def test_tabulated_stencils_keep_the_bits_of_each_stencil_point():
-    """Derivatives read from one tabulation of the centres and their
-    stencil points have the bits of derivatives of the field itself, for
-    a field that tells a negative zero part from a positive one: the
-    (0, 0) offset of a centre -0.0 + yi is the point 0.0 + yi."""
+def test_replayed_stencils_keep_the_bits_of_each_stencil_point():
+    """Derivatives read from one evaluation of the centres and their
+    stencil points have the bits of derivatives of the field itself,
+    with and without a mask, for a field that tells a negative zero part
+    from a positive one: the (0, 0) offset of a centre -0.0 + yi is the
+    point 0.0 + yi."""
     domain = Domain.rectangle(-1 - 1j, 1 + 1j)
 
     def field(zs):
@@ -330,11 +340,13 @@ def test_tabulated_stencils_keep_the_bits_of_each_stencil_point():
     centres = np.array([complex(-0.0, 0.3), complex(0.3, -0.0), -0.25 + 0.1j])
     h = default_step(domain.diameter, 1)
     reads = geometry._sweep_reads(domain, h, 4)
-    pts = distinct(np.concatenate([centres, stencil_points(centres, reads, domain)]))
-    got = derivatives(tabulated(pts, field(pts)), centres, reads, domain)
-    want = derivatives(field, centres, reads, domain)
-    for a, b in zip(got, want):
-        assert np.array_equal(_bits(a), _bits(b))
+    points, plan = stencil_table(centres, reads, domain)
+    for where in (None, np.array([True, False, True])):
+        got = derivatives(replayed(points, field(points), plan, where), centres, reads,
+                          domain, where=where)
+        want = derivatives(field, centres, reads, domain, where=where)
+        for a, b in zip(got, want):
+            assert np.array_equal(_bits(a), _bits(b))
     # the centre's own row would give those (0, 0) offsets other values
     assert (field(centres[:2]) != field(centres[:2] + 0j)).all()
 
