@@ -228,7 +228,7 @@ def _sweep_report(case, block, monkeypatch, **extra):
     return verify_all(chain, grid=grid, **{**kwargs, **extra})
 
 
-@pytest.mark.parametrize("block", [1, 7, DEFAULT_SCAN_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 1024, DEFAULT_SCAN_BLOCK])
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_blocked_sweep_equals_one_block(case, block, monkeypatch):
     """Every field of the report of a blocked sweep has the bits of the
