@@ -26,6 +26,7 @@ from those rows: the checks of a chain surface take one chain
 evaluation per block of centres (see `chain._sweep`).
 """
 
+import functools
 from math import comb
 
 import numpy as np
@@ -59,9 +60,11 @@ def stencil_halfwidth(order, h):
     return reach * h * np.sqrt(2.0)
 
 
+@functools.cache
 def _wirtinger_weights(holo_order, anti_order):
     """Mixed-partial weights for d^j/dz^j d^k/dconj(z)^k (excluding the
-    overall 1/2^(j+k))."""
+    overall 1/2^(j+k)), as ((ax, ay), weight) pairs in the order of first
+    use."""
     weights = {}
     j, k = holo_order, anti_order
     for a in range(j + 1):
@@ -69,7 +72,7 @@ def _wirtinger_weights(holo_order, anti_order):
             w = comb(j, a) * comb(k, c) * ((-1j) ** (j - a)) * (1j ** (k - c))
             key = (a + c, (j - a) + (k - c))
             weights[key] = weights.get(key, 0) + w
-    return weights
+    return tuple(weights.items())
 
 
 def field_at(f, pts):
@@ -79,17 +82,18 @@ def field_at(f, pts):
     return vals.reshape(pts.shape + vals.shape[1:])
 
 
+@functools.cache
 def _offsets(keys):
     """The stencil offsets (px, py) that the mixed partials (ax, ay) of
-    `keys` read, in the order of their first use, and for each key its
-    (offset index, weight) entries."""
+    the tuple `keys` read, in the order of their first use, and for each
+    key its (offset index, weight) entries."""
     needed, entries = {}, []
     for ax, ay in keys:
         ox, cx = _STENCILS[ax]
         oy, cy = _STENCILS[ay]
-        entries.append([(needed.setdefault((px, py), len(needed)), cx[i] * cy[jj])
-                        for i, px in enumerate(ox) for jj, py in enumerate(oy)])
-    return list(needed), entries
+        entries.append(tuple((needed.setdefault((px, py), len(needed)), cx[i] * cy[jj])
+                             for i, px in enumerate(ox) for jj, py in enumerate(oy)))
+    return tuple(needed), tuple(entries)
 
 
 def _stencil(z, offsets, h):
@@ -118,17 +122,25 @@ def _steps(order, h):
     return () if not order else (h,) if order == 1 else (h, 0.5 * h)
 
 
-def _partials(orders, h):
-    """{step: the mixed partials (ax, ay) that the orders (j, k) read at
-    that step}, each list in the order of first use."""
+@functools.cache
+def _partial_plan(orders):
+    """((factor, the mixed partials (ax, ay) that the tuple of orders
+    (j, k) reads at the step factor * h), ...) for the factors 1 and 1/2
+    of `_steps`, each tuple in the order of first use."""
     keys = {}
     for j, k in orders:
         if j + k > MAX_ORDER:
             raise ValueError(f"derivative order {j + k} exceeds {MAX_ORDER}")
-        weights = _wirtinger_weights(j, k)
-        for step in _steps(j + k, h):
-            keys.setdefault(step, {}).update(dict.fromkeys(weights))
-    return {step: list(need) for step, need in keys.items()}
+        weights = dict(_wirtinger_weights(j, k))
+        for factor in _steps(j + k, 1.0):
+            keys.setdefault(factor, {}).update(dict.fromkeys(weights))
+    return tuple((factor, tuple(need)) for factor, need in keys.items())
+
+
+def _partials(orders, h):
+    """{step: the mixed partials (ax, ay) that the orders (j, k) read at
+    that step}, each tuple in the order of first use."""
+    return {factor * h: keys for factor, keys in _partial_plan(tuple(orders))}
 
 
 def wirtinger(f, z, orders, h):
@@ -149,10 +161,10 @@ def wirtinger(f, z, orders, h):
              for step, keys in _partials(orders, h).items()}
 
     def combine(weights, scale, step):
-        first, *rest = weights
-        acc = weights[first] * parts[step][first]
-        for key in rest:
-            acc = acc + weights[key] * parts[step][key]
+        (first, w), *rest = weights
+        acc = w * parts[step][first]
+        for key, w in rest:
+            acc = acc + w * parts[step][key]
         return scale * acc
 
     out = []
@@ -204,7 +216,7 @@ def stencil_table(z, reads, domain):
         idx = np.flatnonzero(domain.contains(z, margin=margin))
         for step, keys in _partials(orders, h).items():
             offsets = _offsets(keys)[0]
-            moves = [np.complex128((px + 1j * py) * step).tobytes() for px, py in offsets]
+            moves = _displacements(offsets, step)
             blocks.append((_stencil(z[idx], offsets, step), idx, list(map(number, moves))))
         if (0, 0) in orders:    # the value at the centre, read after the partials
             blocks.append((z[idx][None], idx, [number("centre")]))
@@ -222,11 +234,20 @@ def stencil_table(z, reads, domain):
     return np.concatenate([z, asked[new]]), (rows, centre)
 
 
+def _displacements(offsets, step):
+    """The bits of the displacement (px + i py) step of each offset: the
+    points of one centre with the bits of one displacement are one
+    point."""
+    return [np.complex128((px + 1j * py) * step).tobytes() for px, py in offsets]
+
+
 def stencil_size(reads):
     """The number of points per centre that a `stencil_table` adds to the
-    centres, at most."""
-    return sum(len(_offsets(keys)[0]) for h, (_, orders) in _read_plan(reads).items()
-               for keys in _partials(orders, h).values())
+    centres, at most: its distinct displacements, the zero one included,
+    since a centre with a negative zero part gets its own z + 0j point."""
+    return len({move for h, (_, orders) in _read_plan(reads).items()
+                for step, keys in _partials(orders, h).items()
+                for move in _displacements(_offsets(keys)[0], step)})
 
 
 def _bits(points):

@@ -15,6 +15,11 @@ Gram-Schmidt construction reproduces the surface up to sign, and
 `roundtrip` measures the sup distance.  Surfaces that fail the
 termination test are refused.
 
+Every product of a real matrix (a differentiation matrix, or a Lagrange
+basis that reads the interpolant at other points) with complex samples
+runs as one real matmul on the interleaved real and imaginary parts of
+the samples, so that no real matrix is cast to complex.
+
 Each level of the descent amplifies roundoff by roughly the squared node
 count; reconstruction is capped at n <= MAX_RECONSTRUCT_N.
 """
@@ -65,6 +70,14 @@ def _basis(x, w, p):
     return c / c.sum(axis=1, keepdims=True)
 
 
+def _real_product(M, V):
+    """M @ V over the first axis of the complex samples V, for a real
+    matrix M: one real matmul on the interleaved real and imaginary parts
+    of V, so that M is never cast to complex."""
+    flat = np.ascontiguousarray(V, dtype=complex).reshape(len(V), -1).view(float)
+    return (M @ flat).view(complex).reshape((len(M),) + V.shape[1:])
+
+
 class _Grid:
     """The tensor grid xs (axis 0) by ys (axis 1), acting on values
     (len(xs), len(ys), ...) through the tensor-product polynomial that
@@ -78,16 +91,17 @@ class _Grid:
 
     def wirtinger(self, V, anti=False):
         """d/dz (d/dconj(z) when anti) of the polynomial, at the nodes."""
-        dx = np.tensordot(self._Dx, V, axes=(1, 0))
-        dy = np.moveaxis(np.tensordot(self._Dy, V, axes=(1, 1)), 0, 1)
+        dx = _real_product(self._Dx, V)
+        dy = _real_product(self._Dy, V.swapaxes(0, 1)).swapaxes(0, 1)
         return 0.5 * (dx + 1j * dy if anti else dx - 1j * dy)
 
     def at(self, V, zs):
         """The polynomial at the points zs: (len(zs),) + V.shape[2:]."""
         Lx = _basis(self.xs, self._wx, zs.real)
         Ly = _basis(self.ys, self._wy, zs.imag)
-        flat = V.reshape(V.shape[:2] + (-1,))
-        out = np.sum(np.tensordot(Lx, flat, axes=(1, 0)) * Ly[:, :, None], axis=1)
+        # (len(zs), len(ys), 2 * the values per node) after the x-axis
+        part = _real_product(Lx, V.reshape(V.shape[:2] + (-1,))).view(float)
+        out = np.matmul(Ly[:, None, :], part)[:, 0].view(complex)
         return out.reshape(zs.shape + V.shape[2:])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from holosphere import Domain, build_alpha_chain, f_chain_eval
+from holosphere import Domain, build_alpha_chain, f_chain_eval, reconstruct
 from holosphere.applications import (
     _RANK_THRESHOLD,
     KaehlerRegularityReport,
@@ -250,6 +250,32 @@ def ref_jet(top, n):
         mat = npoly.polyder(mat, axis=0)
         jet[: len(mat), k] = mat
     return jet
+
+
+# ---------------------------------------------------------------------------
+# The spectral products of `reconstruct._Grid` as complex products, the
+# form that its real products are compared against.
+# ---------------------------------------------------------------------------
+
+def ref_grid_wirtinger(grid, V, anti=False):
+    """d/dz (d/dconj(z) when anti) of a `reconstruct._Grid`'s polynomial
+    at its nodes, from complex `tensordot` products with the
+    differentiation matrices: the reference for the grid's real
+    products."""
+    dx = np.tensordot(grid._Dx, V, axes=(1, 0))
+    dy = np.moveaxis(np.tensordot(grid._Dy, V, axes=(1, 1)), 0, 1)
+    return 0.5 * (dx + 1j * dy if anti else dx - 1j * dy)
+
+
+def ref_grid_at(grid, V, zs):
+    """A `reconstruct._Grid`'s polynomial at the points zs, from a
+    complex `tensordot` with the x-axis Lagrange basis and a complex
+    product with the y-axis one: the reference for `_Grid.at`."""
+    Lx = reconstruct._basis(grid.xs, grid._wx, zs.real)
+    Ly = reconstruct._basis(grid.ys, grid._wy, zs.imag)
+    flat = V.reshape(V.shape[:2] + (-1,))
+    out = np.sum(np.tensordot(Lx, flat, axes=(1, 0)) * Ly[:, :, None], axis=1)
+    return out.reshape(zs.shape + V.shape[2:])
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,30 @@ def test_stencil_table_holds_every_point_derivatives_asks_for():
     assert len({p.tobytes() for p in points}) == points.size < asked.size
     assert (np.abs(asked - centres[centre]) <= 0.1).all()
     one, _ = stencil_table(np.array([chain.domain.base_point]), reads, chain.domain)
-    assert one.size - 1 < stencil_size(reads) == 84
+    assert one.size - 1 < stencil_size(reads) == 69
+
+
+@pytest.mark.parametrize("calabi_order", [2, 3, 4])
+def test_stencil_size_bounds_the_points_of_each_centre(calabi_order):
+    """A centre of a `stencil_table` gets at most 1 + `stencil_size`
+    points, one per distinct displacement besides itself; a centre with a
+    negative zero part, whose z + 0j point is not its own row, gets that
+    many when it fits every margin."""
+    domain = Domain.rectangle(-1 - 1j, 1 + 1j)
+    reads = geometry._sweep_reads(domain, default_step(domain.diameter, 1),
+                                  calabi_order)
+    bound = 1 + stencil_size(reads)
+    assert bound == {2: 18, 3: 38, 4: 70}[calabi_order]
+    # plain centres, negative zero parts, and centres near the edge: at
+    # Calabi orders 3 and 4 those fit the small margins of the FD families
+    # but not the large one of the Calabi reads
+    centres = np.array([0.3 + 0.2j, complex(-0.0, 0.5), complex(0.25, -0.0),
+                        complex(-0.0, -0.0), 0.98 + 0.1j, complex(-0.0, -0.99),
+                        complex(0.999, -0.0)])
+    _, (rows, centre) = stencil_table(centres, reads, domain)
+    counts = [len(set(rows[centre == c].tolist()) | {c}) for c in range(centres.size)]
+    assert max(counts) <= bound
+    assert counts[1] == counts[3] == bound
 
 
 def test_replayed_field_answers_in_the_plan_order_only():

@@ -14,7 +14,7 @@ from holosphere.reconstruct import (
     sample_xi,
 )
 
-from conftest import holomorphy_residual, principal_angles
+from conftest import holomorphy_residual, principal_angles, ref_grid_at, ref_grid_wirtinger
 
 
 def _descent_near(g, z, depth):
@@ -24,6 +24,63 @@ def _descent_near(g, z, depth):
     levels = reconstruct._descend(g, grid, depth)
     node = (np.argmin(np.abs(grid.xs - z.real)), np.argmin(np.abs(grid.ys - z.imag)))
     return grid, levels, node
+
+
+# Chebyshev grids of the box [-0.7, 0.5] x [-0.2, 0.9]: square ones of 4,
+# 17 and 41 nodes per axis, and one with 17 nodes along x and 23 along y
+GRIDS = [(4, 4), (17, 17), (41, 41), (17, 23)]
+
+
+def _grid(nx, ny):
+    return reconstruct._Grid(reconstruct._chebyshev(-0.7, 0.5, nx),
+                             reconstruct._chebyshev(-0.2, 0.9, ny))
+
+
+class TestGrid:
+    """`_Grid`'s real products against their complex `tensordot` forms,
+    on random complex fields of one and of two value axes."""
+
+    @staticmethod
+    def _field(grid, tail, seed):
+        rng = np.random.default_rng(seed)
+        shape = grid.zs.shape + tail
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @staticmethod
+    def _close(got, ref):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("tail", [(5,), (3, 7)])
+    @pytest.mark.parametrize("nodes", GRIDS)
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_wirtinger_matches_complex_products(self, nodes, tail, anti):
+        grid = _grid(*nodes)
+        V = self._field(grid, tail, seed=sum(nodes) + len(tail))
+        self._close(grid.wirtinger(V, anti=anti), ref_grid_wirtinger(grid, V, anti=anti))
+
+    @pytest.mark.parametrize("tail", [(5,), (3, 7)])
+    @pytest.mark.parametrize("nodes", GRIDS)
+    def test_at_matches_complex_products(self, nodes, tail):
+        grid = _grid(*nodes)
+        V = self._field(grid, tail, seed=sum(nodes) + len(tail))
+        rng = np.random.default_rng(3)
+        # points inside the box, and two nodes (the basis' exact-hit rows)
+        zs = np.concatenate([rng.uniform(-0.7, 0.5, 9) + 1j * rng.uniform(-0.2, 0.9, 9),
+                             [grid.zs[0, -1], grid.zs[-1, 1]]])
+        self._close(grid.at(V, zs), ref_grid_at(grid, V, zs))
+
+    @pytest.mark.parametrize("nodes", GRIDS)
+    def test_derivative_of_powers(self, nodes):
+        # z^k has degree k < the node count along each axis, so its
+        # spectral d/dz at the nodes is k z^(k-1) and its d/dconj(z) is 0
+        grid = _grid(*nodes)
+        ks = np.arange(min(nodes))
+        V = grid.zs[:, :, None] ** ks
+        want = ks * grid.zs[:, :, None] ** np.maximum(ks - 1, 0)
+        scale = np.abs(want).max()
+        assert np.abs(grid.wirtinger(V) - want).max() <= 1e-11 * scale
+        assert np.abs(grid.wirtinger(V, anti=True)).max() <= 1e-11 * scale
 
 
 class TestGChain:

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import holosphere
-from holosphere import Domain, chain, cli, meshio
+from holosphere import Domain, chain, cli, fd, meshio
 from holosphere.cli import main
 
 SRC = Path(holosphere.__file__).resolve().parent
@@ -62,8 +62,11 @@ def _defined():
 
 
 def _traffic(out):
-    # the parser is built once per process; build it under the profile
-    cli._build_parser.cache_clear()
+    # the parser and the FD plans are built once per process and
+    # argument; build them under the profile
+    for cached in (cli._build_parser, fd._wirtinger_weights, fd._offsets,
+                   fd._partial_plan):
+        cached.cache_clear()
     for case in sorted(p for p in GOLDEN.iterdir() if p.is_dir()):
         codes = json.loads((case / "exit_codes.json").read_text())
         for command, expected in sorted(codes.items()):
