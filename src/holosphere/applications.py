@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _SCAN_BLOCK, _sweep, f_chain_eval, require_regular, stencil_field
+from .chain import (_SCAN_BLOCK, _sweep, f_chain_eval, require_regular,
+                    stencil_batch, stencil_rows)
 from .errors import DomainError, ParseError
 from .expr import HoloExpr, _eval, _tokenize, parse_expr
-from .fd import default_step, derivatives, replayed, wirtinger
+from .fd import default_step
 from .geometry import _normal_part
 from .products import _dot
 
@@ -198,17 +199,17 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
     The Jacobian is taken in the map's 2n real parameters (x, y, u_1,
     v_1, ..., u_{n-1}, v_{n-1}).  The map is affine in w, so its
     w-columns are exactly Re F_j and -Im F_j at the centre; its
-    z-columns are one `fd.derivatives` read of the real field (base map,
-    Re F_j, Im F_j) per centre: d/dx = 2 Re d/dz, d/dy = -2 Im d/dz,
-    read from the one chain evaluation of the block's centres and their
-    stencil points, as in `geometry.verify_all`.  A cell is regular when
-    the rank equals 2n (full parameter count), counting the singular
-    values above _RANK_THRESHOLD times the largest; cells below full
-    rank are flagged, and so are all cells at a z whose stencil touches
-    a degenerate point.  `chain._sweep` runs the check over the z-grid,
-    shrunk so the stencils stay inside the domain, in blocks of a fixed
-    cell budget (and of the chain point budget), and refuses a z-grid
-    with no point inside the domain or only singular ones.
+    z-columns are one read of the real field (base map, Re F_j, Im F_j)
+    per centre: d/dx = 2 Re d/dz, d/dy = -2 Im d/dz, from the reader of
+    the block's `chain.stencil_batch`, as in `geometry.verify_all`.  A
+    cell is regular when the rank equals 2n (full parameter count),
+    counting the singular values above _RANK_THRESHOLD times the largest;
+    cells below full rank are flagged, and so are all cells at a z whose
+    stencil touches a degenerate point.  `chain._sweep` runs the check
+    over the z-grid, shrunk so the stencils stay inside the domain, in
+    blocks of a fixed cell budget (and of the chain point budget), and
+    refuses a z-grid with no point inside the domain or only singular
+    ones.
     """
     n = chain.n
     if n < 2:
@@ -220,13 +221,12 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
 
     reads = [(4 * h_z, h_z, (1, 0))]
 
-    def read(batch, stencils):
-        evaluated, plan = stencils
-        # (B, 2n-1, 2n+1): the base map, Re F_j, Im F_j
+    def rows(evaluated):    # (B, 2n-1, 2n+1): the base map, Re F_j, Im F_j
         F = evaluated.F[:, :n - 1]
-        rows = np.hstack([_kaehler_base(evaluated, params)[:, None], F.real, F.imag])
-        dz, = derivatives(replayed(evaluated.z, rows, plan, batch.ok), batch.z, reads,
-                          chain.domain, where=batch.ok)
+        return np.hstack([_kaehler_base(evaluated, params)[:, None], F.real, F.imag])
+
+    def read(batch, derivs):
+        dz, = derivs(rows)
         cols = []
         for d in (2 * dz.real, -2 * dz.imag):        # d/dx, d/dy
             dF = d[:, 1:n] + 1j * d[:, n:]
@@ -376,11 +376,11 @@ def ruling_geodesic_residual(chain, z):
     if chain.n < 3:
         raise ValueError("the ruled map requires n >= 3")
     zero = tuple(0j for _ in range(chain.n - 2))
-    batch = f_chain_eval(chain, np.array([z]))
-    dfield, = wirtinger(stencil_field(chain), z, [(1, 0)],
-                        h=default_step(chain.domain.diameter, 1))
-    dg = dfield[0]   # the surface part
-    if not batch.ok[0] or np.isnan(dg).any():
+    batch, derivs = stencil_batch(chain, np.array([z]),
+                                  [(0.0, default_step(chain.domain.diameter, 1), (1, 0))])
+    dfield, = derivs(stencil_rows)
+    dg = dfield[0, 0]   # the surface part, NaN where z is not `ok`
+    if np.isnan(dg).any():
         return None
     F, g = batch.F[0], batch.g[0]
 

@@ -37,7 +37,9 @@ to the recursion
     F_{s+1} = dF_s/dz - (<dF_s/dz, conj F_s> / |F_s|^2) F_s,
 
 but takes every derivative from the coefficients; the literal recursion
-is retained as a finite-difference cross-check.  The unit vector in the
+is retained as a finite-difference cross-check.  Every finite-difference
+derivative of the chain, there and in the checks of the surface, is read
+by the reader of `stencil_batch`, the one replay.  The unit vector in the
 direction of Re(F_{n+1}) parametrizes a minimal spherical surface away
 from the (isolated) points where the chain degenerates.
 """
@@ -62,7 +64,7 @@ from .expr import (
     parse_expr,
     poly_coeffs,
 )
-from .fd import default_step, stencil_size, stencil_table, wirtinger
+from .fd import default_step, derivatives, replayed, stencil_size, stencil_table
 from .products import _dot, _max0
 
 DEFAULT_EPS_SINGULAR = 1e-12
@@ -450,20 +452,17 @@ def f_chain_eval(chain, zs):
 
 def recursion_crosscheck(chain, z):
     """Maximum relative deviation between the Gram-Schmidt chain vectors
-    and the literal first-order recursion evaluated with a 4-point
-    finite-difference Wirtinger derivative of each (non-holomorphic)
-    chain field.  The first step is holomorphic, so its derivative comes
-    from the symbolic jet and agrees to roundoff.
+    and the literal first-order recursion, with the finite-difference
+    Wirtinger derivative of each (non-holomorphic) chain field read from
+    a `stencil_batch`.  The first step is holomorphic, so its derivative
+    comes from the symbolic jet and agrees to roundoff.
     """
     h = default_step(chain.domain.diameter, 1)
-    base = f_chain_eval(chain, np.array([z]))
-    if base.singular[0]:
+    batch, derivs = stencil_batch(chain, np.array([z]), [(0.0, h, (1, 0))])
+    if batch.singular[0]:
         raise SingularPointError("chain degenerates", z)
-    stencil = np.array([z + h, z - h, z + 1j * h, z - 1j * h])
-    if not np.all(chain.domain.contains(stencil)):
-        raise DomainError(f"crosscheck stencil at z={z} leaves the domain")
-    dfield, = wirtinger(stencil_field(chain), base.z, [(1, 0)], h=h)
-    worst = recursion_residuals(base, dfield[:, 1:chain.n + 1])[0]
+    dfield, = derivs(stencil_rows)
+    worst = recursion_residuals(batch[:1], dfield[:, 1:chain.n + 1])[0]
     if np.isnan(worst):
         raise SingularPointError("chain degenerates on the stencil", z)
     return float(worst)
@@ -489,15 +488,10 @@ def recursion_residuals(base, dF):
     return out
 
 
-def stencil_field(chain):
-    """The field that every finite-difference check differentiates: from
-    a flat array of points to the `stencil_rows` of their chain batch."""
-    return lambda zs: stencil_rows(f_chain_eval(chain, zs))
-
-
 def stencil_rows(batch):
-    """The rows of `stencil_field` at the points of a batch: complex (B,
-    2n, 2n+1) holding, in order, the surface vector `g`, F_1..F_n and
+    """The field that every finite-difference check of the chain
+    differentiates, at the points of a batch: complex (B, 2n, 2n+1)
+    holding, in order, the surface vector `g`, F_1..F_n and
     conj(F_2)..conj(F_n).  The chain vectors are NaN where the chain
     degenerates, the surface vector also where its normalization
     collapses, so a stencil touching such a point masks exactly the
@@ -509,13 +503,22 @@ def stencil_rows(batch):
 
 
 def stencil_batch(chain, centres, reads):
-    """One chain evaluation at the centres, first, then at every further
-    point that the (margin, step, order) reads of `fd.derivatives` ask
-    for there, and the plan with which `fd.replayed` answers them from
-    it: (batch, plan), as `fd.stencil_table` lays them out."""
+    """The one replay of the chain's derivatives: (batch, derivs), one
+    chain evaluation at the array of centres, then at every further point
+    that the (margin, step, order) reads of `fd.derivatives` ask for
+    there, and its reader: `derivs(rows)` gives the reads at the centres
+    of the field `rows(batch)`, NaN where a centre is not `ok` or a
+    stencil does not fit its margin."""
     points, plan = stencil_table(centres, reads, chain.domain)
     # through the module global, so that a wrapper bound there sees it
-    return f_chain_eval(chain, points), plan
+    batch = f_chain_eval(chain, points)
+    ok = batch.ok[:centres.size]
+
+    def derivs(rows):
+        field = replayed(points, rows(batch), plan, ok)
+        return derivatives(field, centres, reads, chain.domain, where=ok)
+
+    return batch, derivs
 
 
 def require_regular(batch):
@@ -592,10 +595,10 @@ def _sweep(chain, rows, cols, read, margin=0.0, name="grid", reads=None,
     of per-point arrays, which fill the outputs row by row.
 
     With `reads`, the (margin, step, order) reads of `fd.derivatives`,
-    a block's one chain evaluation holds its centres first, then the
-    further points that the reads ask for there, and `read(batch[:k],
-    stencils)` gets the batch of its k centres and the `stencil_batch`
-    pair of the whole evaluation and its plan.  A block holds as many
+    a block's one chain evaluation is a `stencil_batch`: its centres
+    first, then the further points that the reads ask for there, and
+    `read(batch[:k], derivs)` gets the batch of its k centres and the
+    reader `derivs` of that evaluation.  A block holds as many
     centres as keep its evaluation within _SCAN_BLOCK points, and at most
     `centres` of them when that is given, but at least one.
 
@@ -620,18 +623,18 @@ def _sweep(chain, rows, cols, read, margin=0.0, name="grid", reads=None,
         if reads is None:
             # through the module global, so that a wrapper bound there
             # sees every block
-            batch = f_chain_eval(chain, here)
+            batch, derivs = f_chain_eval(chain, here), None
             found = read(batch)
         else:
-            batch, plan = stencil_batch(chain, here, reads)
-            found = read(batch[:count], (batch, plan))
+            batch, derivs = stencil_batch(chain, here, reads)
+            found = read(batch[:count], derivs)
         singular += int(np.count_nonzero(batch.singular[:count]))
         if outputs is None:
             outputs = [np.empty((pts.size,) + a.shape[1:], a.dtype) for a in found]
         for out, a in zip(outputs, found):
             out[part] = a
-        # free this block's chain data and reads before the next block
-        del batch, found, a
+        # free the block's evaluation, the reader that holds it, and reads
+        del batch, derivs, found, a
     if singular == pts.size:
         raise DegenerateSurfaceError(
             f"nothing to evaluate: {singular} of the {pts.size} grid points "

@@ -20,7 +20,8 @@ the FD step) and `_calabi_reads` (the z-derivatives of the symmetric
 table), and the one-point checks `minimality_residual` and
 `calabi_check` use the same lists.  Each block of the sweep evaluates
 the chain once, at its centres and at every stencil point of those
-reads, and the reads answer from the rows of that evaluation.
+reads, and the reader of that `chain.stencil_batch`, the one replay,
+answers the reads from its rows.
 """
 
 import json
@@ -34,12 +35,11 @@ from .chain import (
     f_chain_eval,
     recursion_residuals,
     require_regular,
-    stencil_batch,
     stencil_rows,
 )
 from .domain import Domain
 from .errors import DegenerateSurfaceError, DomainError
-from .fd import default_step, derivatives, replayed, stencil_halfwidth
+from .fd import default_step, derivatives, stencil_halfwidth
 from .products import _dot, _max0, _pair_minors_max
 
 _DEGENERATE_DIFFERENTIAL = 1e-8
@@ -361,16 +361,15 @@ class _Sweep:
 
     `ok` marks points where both the chain and the surface normalization
     are regular.  The FD families read whole arrays of derivatives of the
-    chain's stencil field, NaN where a stencil leaves the domain, starts
+    chain's `stencil_rows`, NaN where a stencil leaves the domain, starts
     at a masked point or touches one: `dz` and `dzdbar` (d/dz and
-    d^2/dz dconj(z)) at the step h, and `calabi_derivs`, where entry j is
-    the j-th z-derivative of the surface and entry 0 the surface.  The
-    field answers from `stencils`, the chain batch of the centres and of
-    every stencil point of the reads with its plan (`chain.stencil_batch`),
-    which is evaluated here when not given.
+    d^2/dz dconj(z)) at the FD step, and `calabi_derivs`, where entry j
+    is the j-th z-derivative of the surface and entry 0 the surface.
+    They come from `derivs`, the reader of the block's
+    `chain.stencil_batch` for the reads of `_sweep_reads`.
     """
 
-    def __init__(self, chain, batch, h, calabi_order, perturb, stencils=None):
+    def __init__(self, chain, batch, calabi_order, perturb, derivs):
         self.chain = chain
         self.z = batch.z
         self.calabi_order = calabi_order
@@ -386,14 +385,8 @@ class _Sweep:
             self.norms = np.sqrt(batch.norms_sq)
         self.g = batch.g
         self.ok = batch.ok
-        reads = _sweep_reads(chain.domain, h, calabi_order)
-        if stencils is None:
-            stencils = stencil_batch(chain, self.z, reads)
-        evaluated, plan = stencils
-        field = replayed(evaluated.z, stencil_rows(evaluated), plan, self.ok)
-        self.dz, self.dzdbar, *derivs = derivatives(field, self.z, reads, chain.domain,
-                                                    where=self.ok)
-        self.calabi_derivs = [self.g.astype(complex)] + [d[:, 0] for d in derivs]
+        self.dz, self.dzdbar, *found = derivs(stencil_rows)
+        self.calabi_derivs = [self.g.astype(complex)] + [d[:, 0] for d in found]
         # the symmetric-derivative tables, as `_calabi_values` returns them
         self.calabi = _calabi_values(self.calabi_derivs)
 
@@ -528,14 +521,14 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
     flags and surface rows are kept, so that the chain data and
     derivatives held at once do not grow with the grid.  The flags and
     surface rows form the report's `scan`.  The FD families read whole
-    arrays from `fd.derivatives`, which differentiates one field (the
-    `chain.stencil_rows` of that call) for all the block's centres: at
-    default settings, eight points per centre besides the centre itself
-    at each of the steps h and h/2, whose (0, 0) offsets read the
-    centre's own row.  Every centre gets the arithmetic of a sweep of it
-    alone, so the blocks change no bit of the report.  `perturb`, when
-    given, injects a fault into the per-point algebraic analysis so that
-    detection can be tested.  A grid that leaves nothing to check is
+    arrays from the block's `chain.stencil_batch` reader, which
+    differentiates one field (the `chain.stencil_rows` of that call) for
+    all the block's centres: at default settings, eight points per centre
+    besides the centre itself at each of the steps h and h/2, whose
+    (0, 0) offsets read the centre's own row.  Every centre gets the
+    arithmetic of a sweep of it alone, so the blocks change no bit of the
+    report.  `perturb`, when given, injects a fault into the per-point
+    algebraic analysis so that detection can be tested.  A grid that leaves nothing to check is
     refused by `chain._sweep`: DomainError when no grid point lies inside
     the domain, DegenerateSurfaceError when all are singular; every other
     grid has a non-singular point, which gets an isotropy residual.  A
@@ -547,8 +540,8 @@ def verify_all(chain, grid=(10, 10), fd_step=None, calabi_order=2, perturb=None)
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
     applies = []   # the families that apply, in the order of FAMILIES
 
-    def read(batch, stencils):
-        sweep = _Sweep(chain, batch, h, calabi_order, perturb, stencils)
+    def read(batch, derivs):
+        sweep = _Sweep(chain, batch, calabi_order, perturb, derivs)
         found = {fam: family(sweep) for fam, (_, family) in FAMILIES.items()}
         applies[:] = [fam for fam, values in found.items() if values is not None]
         return sweep.ok, sweep.g, sweep.calabi[1], *(found[fam] for fam in applies)

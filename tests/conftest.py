@@ -6,14 +6,14 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from holosphere import Domain, build_alpha_chain, f_chain_eval, reconstruct
+from holosphere import Domain, build_alpha_chain, f_chain_eval, geometry, reconstruct
 from holosphere.applications import (
     _RANK_THRESHOLD,
     KaehlerRegularityReport,
     _kaehler_base,
     _normal_terms,
 )
-from holosphere.chain import require_regular
+from holosphere.chain import require_regular, stencil_batch, stencil_rows
 from holosphere.cli import _json_text
 from holosphere.errors import SingularPointError
 from holosphere.expr import _canonical, _poly_integral
@@ -104,6 +104,22 @@ GAMMA_ORACLES = {
 # Oracles: independent constructions that the tests compare the package
 # against.  Each takes its derivatives by finite differences of its own.
 # ---------------------------------------------------------------------------
+
+def stencil_field(chain):
+    """The chain's `stencil_rows` as a plain field: from a flat array of
+    points to the rows of their own chain evaluation.  The oracle for the
+    reads that `chain.stencil_batch` replays from one evaluation."""
+    return lambda zs: stencil_rows(f_chain_eval(chain, zs))
+
+
+def sweep_block(chain, centres, h, calabi_order, perturb=None):
+    """The `geometry._Sweep` of the centres as one block of `verify_all`
+    at the FD step h: their chain batch and the reader of their
+    `stencil_batch` for the sweep's reads."""
+    reads = geometry._sweep_reads(chain.domain, h, calabi_order)
+    batch, derivs = stencil_batch(chain, centres, reads)
+    return geometry._Sweep(chain, batch[:centres.size], calabi_order, perturb, derivs)
+
 
 def principal_angles(basis_a, basis_b):
     """Principal angles (radians, ascending) between the column spans of

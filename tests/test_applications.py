@@ -249,6 +249,21 @@ class TestRuledProbes:
     def test_ruling_second_form_vanishes(self, chain_n3):
         assert ruling_geodesic_residual(chain_n3, Z0) <= 1e-6
 
+    def test_ruling_geodesic_evaluates_the_chain_once(self, chain_n3, monkeypatch):
+        # the centre and the four points of its d/dz stencil are one
+        # evaluation, under either module's binding
+        sizes = []
+        original = chain_module.f_chain_eval
+
+        def counted(chain, zs, *args, **kwargs):
+            sizes.append(np.size(zs))
+            return original(chain, zs, *args, **kwargs)
+
+        for module in (chain_module, applications):
+            monkeypatch.setattr(module, "f_chain_eval", counted)
+        assert ruling_geodesic_residual(chain_n3, Z0) <= 1e-6
+        assert sizes == [5]
+
     def test_degenerate_metric_flagged(self, chain_n3, monkeypatch):
         params = RuledParams.create([0.07 + 0.03j])
         monkeypatch.setattr(applications, "_DET_THRESHOLD", 1e12)

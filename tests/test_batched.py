@@ -33,7 +33,7 @@ from holosphere.applications import (
     ruled_minimality_probe,
     ruled_point,
 )
-from holosphere.chain import GridScan, recursion_residuals, stencil_field
+from holosphere.chain import GridScan, recursion_residuals
 from holosphere.config import load_config
 from holosphere.errors import DomainError, SingularPointError
 from holosphere.fd import default_step, derivatives, stencil_halfwidth, wirtinger
@@ -47,7 +47,13 @@ from holosphere.geometry import (
 )
 from holosphere.products import _pair_minors_max
 
-from conftest import GAMMA_ORACLES, calabi_table, report_text
+from conftest import (
+    GAMMA_ORACLES,
+    calabi_table,
+    report_text,
+    stencil_field,
+    sweep_block,
+)
 
 CENTRES = np.array([0.31 + 0.17j, -0.42 + 0.33j, 0.05 - 0.61j, -0.2 - 0.1j])
 
@@ -550,8 +556,7 @@ def _sweep(name):
     chain, grid, fd_step, calabi_order, perturb = SWEEPS[name]()
     h = fd_step if fd_step is not None else default_step(chain.domain.diameter, 1)
     zs, inside = chain.domain.grid(*grid)
-    batch = f_chain_eval(chain, zs[inside])
-    return geometry._Sweep(chain, batch, h, calabi_order, perturb), perturb
+    return sweep_block(chain, zs[inside], h, calabi_order, perturb), perturb
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
@@ -606,8 +611,7 @@ def _random_points(count, seed):
 def test_algebraic_families_match_loops_at_many_points(betas):
     chain = build_alpha_chain(betas)
     zs = _random_points(3000, len(betas))
-    sw = geometry._Sweep(chain, f_chain_eval(chain, zs), 1e-4, 0,
-                         {"target": "F2", "magnitude": 1e-3})
+    sw = sweep_block(chain, zs, 1e-4, 0, {"target": "F2", "magnitude": 1e-3})
     for fam in ("isotropy", "hermitian_orthogonality", "collinearity", "circularity"):
         assert_close(geometry.FAMILIES[fam][1](sw), REFERENCE_FAMILIES[fam](sw))
 

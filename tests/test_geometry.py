@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from holosphere import Domain, build_alpha_chain, f_chain_eval, geometry
 from holosphere import chain as chain_module
-from holosphere.chain import GridScan, stencil_field
+from holosphere.chain import GridScan
 from holosphere.errors import DegenerateSurfaceError, DomainError
 from holosphere.fd import (
     default_step,
@@ -34,6 +34,8 @@ from conftest import (
     reference_text,
     report_text,
     second_normal_space_angle,
+    stencil_field,
+    sweep_block,
 )
 
 
@@ -381,7 +383,7 @@ def test_sweep_reads_a_negative_zero_centre_as_its_own_stencils_do():
     chain = build_alpha_chain(["1+0.2*z", "z^2+3"])
     centres = np.array([complex(-0.0, 0.3), complex(0.3, -0.0), -0.25 + 0.1j])
     h = default_step(chain.domain.diameter, 1)
-    sw = geometry._Sweep(chain, f_chain_eval(chain, centres), h, 4, None)
+    sw = sweep_block(chain, centres, h, 4)
     reads = geometry._sweep_reads(chain.domain, h, 4)
     dz, dzdbar, *derivs = derivatives(stencil_field(chain), centres, reads,
                                       chain.domain)

@@ -102,3 +102,32 @@ def test_tracer_sees_every_scan_block(monkeypatch, tmp_path):
     assert counts["chain.f_chain_eval.calls"] == 4
     assert counts["chain.f_chain_eval.points"] == 63
     assert counts["chain.gram_schmidt.calls"] == 4
+
+
+# (command, n): the traced counts of `--seed-demo n`, which the
+# benchmark's per-layer FD and chain metrics report
+DEMO_COUNTS = {
+    ("verify", 2): {"fd.wirtinger.calls": 1, "fd.wirtinger.stencil_points": 1152,
+                    "chain.f_chain_eval.calls": 1, "chain.f_chain_eval.points": 1124},
+    ("ruled", 3): {"fd.wirtinger.calls": 1, "fd.wirtinger.stencil_points": 4,
+                   "chain.f_chain_eval.calls": 3, "chain.f_chain_eval.points": 150},
+    ("kaehler", 2): {"fd.wirtinger.calls": 1, "fd.wirtinger.stencil_points": 64,
+                     "chain.f_chain_eval.calls": 2, "chain.f_chain_eval.points": 180},
+}
+
+
+def test_tracer_counts_the_demo_commands(tmp_path):
+    """Every derivative is read through `fd.derivatives`, so the tracer's
+    `fd.wirtinger` counts see each FD read of a command, and the chain
+    evaluations of a command are counted at the one binding they use."""
+    for (command, n), want in DEMO_COUNTS.items():
+        tracer = _load_tracing().Tracer()
+        tracer.install()
+        try:
+            code = cli.main([command, "--seed-demo", str(n),
+                             "--out", str(tmp_path / f"{command}{n}"), "--quiet"])
+            counts = {key: tracer.counts[key] for key in want}
+        finally:
+            tracer.uninstall()
+        assert code == 0, command
+        assert counts == want, (command, n)
