@@ -12,7 +12,6 @@ from .chain import (
     AlphaChain,
     build_alpha_chain,
     f_chain_eval,
-    recursion_crosscheck,
     scan_grid,
 )
 from .domain import Domain
@@ -34,8 +33,6 @@ from .expr import (
 from .geometry import (
     DiagnosticsReport,
     SurfaceEvaluator,
-    calabi_check,
-    minimality_residual,
     verify_all,
 )
 from .reconstruct import XiField, roundtrip
@@ -56,12 +53,9 @@ __all__ = [
     "SurfaceEvaluator",
     "XiField",
     "build_alpha_chain",
-    "calabi_check",
     "eval_expr",
     "f_chain_eval",
-    "minimality_residual",
     "parse_expr",
-    "recursion_crosscheck",
     "roundtrip",
     "scan_grid",
     "verify_all",

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (_SCAN_BLOCK, _sweep, f_chain_eval, require_regular,
-                    stencil_batch, stencil_rows)
+from .chain import _sweep, f_chain_eval, require_regular, stencil_batch, stencil_rows
 from .errors import DomainError, ParseError
 from .expr import HoloExpr, _eval, _tokenize, parse_expr
 from .fd import default_step
@@ -246,7 +245,7 @@ def kaehler_immersion_check(chain, params, z_grid=(5, 5), w_box=(-0.1, 0.1),
                        dtype=np.uint8),)
 
     zs, inside, (ranks,) = _sweep(chain, *z_grid, read, margin=4 * h_z, name="z_grid",
-                                  reads=reads, centres=max(1, _SCAN_BLOCK // len(w)))
+                                  reads=reads, cells=len(w))
     return KaehlerRegularityReport(expected_rank=2 * n, centres=zs[inside], w=w,
                                    ranks=ranks)
 

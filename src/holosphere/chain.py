@@ -39,9 +39,10 @@ to the recursion
 but takes every derivative from the coefficients; the literal recursion
 is retained as a finite-difference cross-check.  Every finite-difference
 derivative of the chain, there and in the checks of the surface, is read
-by the reader of `stencil_batch`, the one replay.  The unit vector in the
-direction of Re(F_{n+1}) parametrizes a minimal spherical surface away
-from the (isolated) points where the chain degenerates.
+by the reader of `stencil_batch`, which also evaluates every block of a
+grid scan.  The unit vector in the direction of Re(F_{n+1}) parametrizes
+a minimal spherical surface away from the (isolated) points where the
+chain degenerates.
 """
 
 from dataclasses import dataclass
@@ -76,8 +77,9 @@ _SURROGATE_TOL = 1e-12
 # half the last one
 _FFT_SIZES = (64, 128, 256, 512, 1024, 2048)
 # Points per chain evaluation of `_sweep` (`scan_grid`, and the centres
-# and stencils of `verify_all` and `kaehler_immersion_check`): only one
-# block's jets, Gram-Schmidt vectors and reads are held at a time
+# and stencils of `verify_all` and `kaehler_immersion_check`), and cells
+# per block of the latter: only one block's jets, Gram-Schmidt vectors
+# and reads are held at a time
 _SCAN_BLOCK = 8192
 
 
@@ -503,12 +505,13 @@ def stencil_rows(batch):
 
 
 def stencil_batch(chain, centres, reads):
-    """The one replay of the chain's derivatives: (batch, derivs), one
-    chain evaluation at the array of centres, then at every further point
-    that the (margin, step, order) reads of `fd.derivatives` ask for
-    there, and its reader: `derivs(rows)` gives the reads at the centres
-    of the field `rows(batch)`, NaN where a centre is not `ok` or a
-    stencil does not fit its margin."""
+    """The one chain evaluation of a block of centres and of their
+    derivatives: (batch, derivs), one chain evaluation at the array of
+    centres, then at every further point that the (margin, step, order)
+    reads of `fd.derivatives` ask for there (none without reads), and its
+    reader: `derivs(rows)` gives the reads at the centres of the field
+    `rows(batch)`, NaN where a centre is not `ok` or a stencil does not
+    fit its margin."""
     points, plan = stencil_table(centres, reads, chain.domain)
     # through the module global, so that a wrapper bound there sees it
     batch = f_chain_eval(chain, points)
@@ -581,26 +584,23 @@ def scan_grid(chain, rows, cols, read=_surface):
     is refused (see `_sweep`, which sweeps the points in blocks of
     _SCAN_BLOCK).
     """
-    zs, inside, (ok, values) = _sweep(chain, rows, cols, read)
+    zs, inside, (ok, values) = _sweep(chain, rows, cols, lambda batch, _: read(batch))
     return GridScan.scatter(zs, inside, ok, values)
 
 
-def _sweep(chain, rows, cols, read, margin=0.0, name="grid", reads=None,
-           centres=None):
+def _sweep(chain, rows, cols, read, margin=0.0, name="grid", reads=(), cells=1):
     """The one loop over the blocks of a grid: (zs, inside, outputs).
 
     The inside points of the rows x cols grid (shrunk by `margin`, as
-    `Domain.grid` does) are evaluated a block at a time, in row-major
-    order, and `read(batch)` turns each block's chain batch into a tuple
-    of per-point arrays, which fill the outputs row by row.
-
-    With `reads`, the (margin, step, order) reads of `fd.derivatives`,
-    a block's one chain evaluation is a `stencil_batch`: its centres
-    first, then the further points that the reads ask for there, and
-    `read(batch[:k], derivs)` gets the batch of its k centres and the
-    reader `derivs` of that evaluation.  A block holds as many
-    centres as keep its evaluation within _SCAN_BLOCK points, and at most
-    `centres` of them when that is given, but at least one.
+    `Domain.grid` does) are the centres, taken a block at a time in
+    row-major order.  Each block is one `stencil_batch` for the
+    (margin, step, order) reads of `fd.derivatives`, none by default:
+    its k centres first, then the further points that the reads ask for
+    there.  `read(batch[:k], derivs)` turns the batch of the centres and
+    the reader `derivs` of that evaluation into a tuple of per-point
+    arrays, which fill the outputs row by row.  A block holds at least
+    one centre, and otherwise as many as keep both its evaluation and
+    its `cells` cells per centre within _SCAN_BLOCK.
 
     Only one block's data is held at a time, and each point is evaluated
     on its own, so the block size changes no bit of the outputs.  A grid
@@ -612,23 +612,14 @@ def _sweep(chain, rows, cols, read, margin=0.0, name="grid", reads=None,
     if not pts.size:
         raise DomainError(f"no point of the {rows}x{cols} {name} lies inside the "
                           "domain")
-    # the chain points per centre, at most
-    width = 1 if reads is None else 1 + stencil_size(reads)
-    block = max(1, min(_SCAN_BLOCK // width, centres or pts.size))
+    block = max(1, _SCAN_BLOCK // max(1 + stencil_size(reads), cells))
     outputs, singular = None, 0
     for start in range(0, pts.size, block):
         part = slice(start, start + block)
         here = pts[part]
-        count = here.size
-        if reads is None:
-            # through the module global, so that a wrapper bound there
-            # sees every block
-            batch, derivs = f_chain_eval(chain, here), None
-            found = read(batch)
-        else:
-            batch, derivs = stencil_batch(chain, here, reads)
-            found = read(batch[:count], derivs)
-        singular += int(np.count_nonzero(batch.singular[:count]))
+        batch, derivs = stencil_batch(chain, here, reads)
+        found = read(batch[:here.size], derivs)
+        singular += int(np.count_nonzero(batch.singular[:here.size]))
         if outputs is None:
             outputs = [np.empty((pts.size,) + a.shape[1:], a.dtype) for a in found]
         for out, a in zip(outputs, found):

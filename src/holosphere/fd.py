@@ -22,9 +22,9 @@ reads by step, and returns whole arrays, NaN where a read's stencil does
 not fit.  `stencil_table` lists every point those reads evaluate the
 field at, so that a caller can evaluate the field once at the centres
 and all of them and hand `derivatives` a `replayed` field that answers
-from those rows.  `chain.stencil_batch` is that caller, the one replay:
-every derivative of a chain takes one chain evaluation per block of
-centres.
+from those rows.  `chain.stencil_batch` is that caller: every derivative
+of a chain takes one chain evaluation per block of centres, the one that
+a grid scan without reads makes too.
 """
 
 import functools

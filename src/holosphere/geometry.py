@@ -20,8 +20,8 @@ the FD step) and `_calabi_reads` (the z-derivatives of the symmetric
 table), and the one-point checks `minimality_residual` and
 `calabi_check` use the same lists.  Each block of the sweep evaluates
 the chain once, at its centres and at every stencil point of those
-reads, and the reader of that `chain.stencil_batch`, the one replay,
-answers the reads from its rows.
+reads, and the reader of that `chain.stencil_batch`, the evaluation of
+every block of every sweep, answers the reads from its rows.
 """
 
 import json

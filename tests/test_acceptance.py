@@ -8,11 +8,7 @@ runtime.
 import numpy as np
 import pytest
 
-from holosphere import (
-    build_alpha_chain,
-    f_chain_eval,
-    recursion_crosscheck,
-)
+from holosphere import build_alpha_chain, f_chain_eval
 from holosphere.applications import (
     KaehlerParams,
     RuledParams,
@@ -22,6 +18,7 @@ from holosphere.applications import (
     ruled_point,
     ruling_geodesic_residual,
 )
+from holosphere.chain import recursion_crosscheck
 from holosphere.fd import default_step, wirtinger
 from holosphere.geometry import (
     SurfaceEvaluator,

@@ -138,7 +138,7 @@ class TestImmersionCheck:
         p = KaehlerParams.create("1+x^2+y^2", [0.05 + 0.02j] * (chain.n - 1))
         if one_centre:
             # a cell budget below one centre's cells: one centre per block
-            monkeypatch.setattr(applications, "_SCAN_BLOCK", 1)
+            monkeypatch.setattr(chain_module, "_SCAN_BLOCK", 1)
         got = kaehler_immersion_check(chain, p, z_grid, (-0.1, 0.1), w_samples)
         want = ref_kaehler_immersion_check(chain, p, z_grid, (-0.1, 0.1), w_samples)
         assert got.ranks.dtype == np.uint8

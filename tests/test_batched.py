@@ -21,7 +21,6 @@ from holosphere import (
     build_alpha_chain,
     f_chain_eval,
     geometry,
-    recursion_crosscheck,
     scan_grid,
 )
 from holosphere.applications import (
@@ -33,7 +32,7 @@ from holosphere.applications import (
     ruled_minimality_probe,
     ruled_point,
 )
-from holosphere.chain import GridScan, recursion_residuals
+from holosphere.chain import GridScan, recursion_crosscheck, recursion_residuals
 from holosphere.config import load_config
 from holosphere.errors import DomainError, SingularPointError
 from holosphere.fd import default_step, derivatives, stencil_halfwidth, wirtinger

@@ -14,7 +14,6 @@ from holosphere import (
     chain as chain_module,
     f_chain_eval,
     geometry,
-    recursion_crosscheck,
     scan_grid,
 )
 from holosphere.applications import (
@@ -24,9 +23,16 @@ from holosphere.applications import (
     kaehler_map,
     ruled_map,
 )
-from holosphere.chain import GridScan, require_regular
+from holosphere.chain import (
+    GridScan,
+    recursion_crosscheck,
+    require_regular,
+    stencil_batch,
+    stencil_rows,
+)
 from holosphere.errors import DomainError, EvaluationError, SingularPointError
 from holosphere.expr import poly_coeffs
+from holosphere.fd import stencil_size
 
 from conftest import oracle_surface_n1, ref_jet
 
@@ -601,6 +607,43 @@ def test_blocked_scan_equals_one_batch(case, block, monkeypatch):
             assert np.array_equal(_bits(a), _bits(b)), (name, field)
         if case.startswith("degenerate"):
             assert got.singular.any() and got.valid.any()
+
+
+def test_empty_read_list_is_one_evaluation_of_the_centres(monkeypatch):
+    """Without reads, a `stencil_batch` evaluates the chain once, at points
+    with the bits of the centres (a negative zero part included), adds no
+    stencil point and reads nothing."""
+    chain = build_alpha_chain(["1+0.3*z", "0.8-0.2*z"])
+    centres = np.append(chain.domain.grid(5, 4)[0].ravel(), complex(-0.0, 0.3))
+    asked = []
+    original = chain_module.f_chain_eval
+
+    def counted(chain, zs):
+        asked.append(np.array(zs))
+        return original(chain, zs)
+
+    monkeypatch.setattr(chain_module, "f_chain_eval", counted)
+    batch, derivs = stencil_batch(chain, centres, ())
+    assert len(asked) == 1 and np.array_equal(_bits(asked[0]), _bits(centres))
+    assert np.array_equal(_bits(batch.z), _bits(centres))
+    assert stencil_size(()) == 0
+    assert derivs(stencil_rows) == []
+
+
+def test_every_scan_block_is_a_stencil_batch(monkeypatch):
+    """`scan_grid` evaluates each block of the 63 points of a 9x7 grid,
+    16 to a block, as a `stencil_batch` without reads."""
+    blocks = []
+    original = chain_module.stencil_batch
+
+    def counted(chain, centres, reads):
+        blocks.append((centres.size, tuple(reads)))
+        return original(chain, centres, reads)
+
+    monkeypatch.setattr(chain_module, "stencil_batch", counted)
+    monkeypatch.setattr(chain_module, "_SCAN_BLOCK", 16)
+    scan_grid(build_alpha_chain(["1+0.3*z", "0.8-0.2*z"]), 9, 7)
+    assert blocks == [(16, ()), (16, ()), (16, ()), (15, ())]
 
 
 def test_scan_memory_is_bounded_by_the_block(monkeypatch):

@@ -3,8 +3,11 @@
 Each import of a module of `src/holosphere` must be read in that module
 (or listed in its `__all__`), and each module-level private name
 (`_name`: function, class or assignment) must be read somewhere in the
-package.  A helper that lost its last caller, or an import left behind by
-a deletion, fails here.
+package.  Each parameter of every function and lambda of the package is
+read in its body, unless its name starts with `_` or it is the `self`
+or `cls` of a method.  A helper that lost its last caller, an import
+left behind by a deletion, or a parameter that nothing reads any more
+fails here.
 """
 
 import ast
@@ -57,6 +60,25 @@ def _private(tree):
                     if name.startswith("_") and not name.startswith("__"))
 
 
+def _unread_parameters(tree):
+    """`function(parameter)` for each parameter of a function or lambda
+    of the tree that its body does not load, `_`-prefixed names and the
+    `self` or `cls` of a method (which an override must take) aside."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {sub.id for stmt in body for sub in ast.walk(stmt)
+                  if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        yield from (f"{name}({p})" for p in params
+                    if not p.startswith("_") and p not in loaded
+                    and p not in ("self", "cls"))
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_import_is_read(module):
     tree = TREES[module]
@@ -68,3 +90,8 @@ def test_every_import_is_read(module):
 def test_every_private_name_is_read(module):
     used = set().union(*map(_reads, TREES.values()))
     assert sorted(set(_private(TREES[module])) - used) == []
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_parameter_is_read(module):
+    assert list(_unread_parameters(TREES[module])) == []

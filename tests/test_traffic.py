@@ -6,13 +6,17 @@ library surface job in the way the `bulk-surface` benchmark runs it.
 Every module-level function and class method of `src/holosphere`
 (dunder methods aside) must be called by it, except the entries of
 UNCALLED, each with its reason.  An entry that is called, or that no
-longer exists, fails the test as well, so the list stays exact.
+longer exists, fails the test as well, so the list stays exact.  No
+function of the public API, `holosphere.__all__`, may be on that list.
 """
 
 import ast
+import inspect
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 import holosphere
 from holosphere import Domain, chain, cli, fd, meshio
@@ -110,7 +114,21 @@ def _called(run):
     return called
 
 
-def test_every_function_runs_under_some_command(tmp_path):
-    defined = _defined()
-    called = _called(lambda: _traffic(tmp_path))
-    assert sorted(defined - called) == sorted(UNCALLED)
+@pytest.fixture(scope="module")
+def called(tmp_path_factory):
+    """The qualified names of the package's functions that the traffic
+    calls, from one profiled run for the module."""
+    out = tmp_path_factory.mktemp("traffic")
+    return _called(lambda: _traffic(out))
+
+
+def test_every_function_runs_under_some_command(called):
+    assert sorted(_defined() - called) == sorted(UNCALLED)
+
+
+def test_every_public_function_runs_under_some_command(called):
+    # classes and exceptions aside
+    public = [getattr(holosphere, name) for name in holosphere.__all__]
+    functions = {f"{f.__module__.rpartition('.')[2]}.{f.__qualname__}"
+                 for f in public if inspect.isfunction(f)}
+    assert sorted(functions - called) == []
