@@ -11,11 +11,14 @@ The grammar (all binary operators left-associative)::
             | '(' expr ')'
 
 Implicit multiplication is not accepted, and exponents must be literal
-nonnegative integers.  Trees built only from +, -, *, integer powers and
-literals are polynomials: `poly_coeffs` gives their exact coefficients,
-which is how they enter the chain.  The chain replaces every other tree
-(a division or one of the entire functions exp/sin/cos) by a Taylor
-surrogate taken from its values on a circle (`chain.build_alpha_chain`).
+nonnegative integers.  Every tree node is one `HoloExpr(op, args)`:
+"var" (name,), "const" (value,), "+", "-", "*" or "/" (left, right),
+"neg", "exp", "sin" or "cos" (operand,), or "^" (base, exponent).
+Trees built only from +, -, *, integer powers and literals are
+polynomials: `poly_coeffs` gives their exact coefficients, which is how
+they enter the chain.  The chain replaces every other tree (a division
+or one of the entire functions exp/sin/cos) by a Taylor surrogate taken
+from its values on a circle (`chain.build_alpha_chain`).
 
 Evaluation accepts scalars or numpy arrays of points.  `Antiderivative`
 evaluates the antiderivative of a general tree: polynomial ones
@@ -23,6 +26,7 @@ integrate termwise, the others by an adaptive path integral from the
 domain base point.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,73 +35,24 @@ from .errors import EvaluationError, ParseError
 from .quadrature import integrate_segment
 
 
+@dataclass(frozen=True)
 class HoloExpr:
-    """Base class for expression-tree nodes."""
+    """One node of an expression tree: the operation `op` on `args`.
 
-    __slots__ = ()
+    op                    args
+    "var"                 (name,), the variable's name
+    "const"               (value,), a complex literal
+    "+", "-", "*", "/"    (left, right)
+    "neg"                 (operand,), unary minus
+    "^"                   (base, exponent), the exponent an int >= 0
+    "exp", "sin", "cos"   (operand,)
 
+    Every other argument is a HoloExpr.  Trees are immutable and equal
+    when their ops and arguments are.
+    """
 
-@dataclass(frozen=True)
-class Var(HoloExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Const(HoloExpr):
-    value: complex
-
-
-@dataclass(frozen=True)
-class Add(HoloExpr):
-    left: HoloExpr
-    right: HoloExpr
-
-
-@dataclass(frozen=True)
-class Sub(HoloExpr):
-    left: HoloExpr
-    right: HoloExpr
-
-
-@dataclass(frozen=True)
-class Mul(HoloExpr):
-    left: HoloExpr
-    right: HoloExpr
-
-
-@dataclass(frozen=True)
-class Div(HoloExpr):
-    left: HoloExpr
-    right: HoloExpr
-
-
-@dataclass(frozen=True)
-class Pow(HoloExpr):
-    base: HoloExpr
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg(HoloExpr):
-    operand: HoloExpr
-
-
-@dataclass(frozen=True)
-class Exp(HoloExpr):
-    operand: HoloExpr
-
-
-@dataclass(frozen=True)
-class Sin(HoloExpr):
-    operand: HoloExpr
-
-
-@dataclass(frozen=True)
-class Cos(HoloExpr):
-    operand: HoloExpr
-
-
-_FUNCTIONS = {"exp": Exp, "sin": Sin, "cos": Cos}
+    op: str
+    args: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +129,7 @@ class _Parser:
             if kind == "op" and text in "+-":
                 self.advance()
                 rhs = self.parse_term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
+                node = HoloExpr(text, (node, rhs))
             else:
                 return node
 
@@ -185,7 +140,7 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self.advance()
                 rhs = self.parse_unary()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
+                node = HoloExpr(text, (node, rhs))
             else:
                 return node
 
@@ -193,7 +148,7 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            return HoloExpr("neg", (self.parse_unary(),))
         return self.parse_factor()
 
     def parse_factor(self):
@@ -207,23 +162,23 @@ class _Parser:
             if kind != "num" or not text.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.advance()
-            node = Pow(node, int(text))
+            node = HoloExpr("^", (node, int(text)))
         return node
 
     def parse_atom(self):
         kind, text, pos = self.advance()
         if kind == "num":
-            return Const(complex(float(text)))
+            return HoloExpr("const", (complex(float(text)),))
         if kind == "name":
             if text == "i":
-                return Const(1j)
-            if text in _FUNCTIONS:
+                return HoloExpr("const", (1j,))
+            if text in ("exp", "sin", "cos"):
                 self.expect_op("(")
                 inner = self.parse_expr()
                 self.expect_op(")")
-                return _FUNCTIONS[text](inner)
+                return HoloExpr(text, (inner,))
             if text in self.variables:
-                return Var(text)
+                return HoloExpr("var", (text,))
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
             inner = self.parse_expr()
@@ -233,7 +188,9 @@ class _Parser:
 
 
 def parse_expr(text, variables=("z",)):
-    """Parse expression text into a HoloExpr tree.
+    """Parse expression text into a HoloExpr tree: one node for each
+    variable, literal, operator and function of the text, none for
+    parentheses.
 
     `variables` lists the admissible variable names ("z" by default; the
     scalar-function helpers use ("x", "y")).  Raises ParseError with the
@@ -253,37 +210,29 @@ def parse_expr(text, variables=("z",)):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_UFUNCS = {Exp: np.exp, Sin: np.sin, Cos: np.cos}
+_OPERATIONS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "neg": operator.neg,
+    "exp": np.exp, "sin": np.sin, "cos": np.cos,
+}
 
 
 def _eval(e, env):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Add):
-        return _eval(e.left, env) + _eval(e.right, env)
-    if isinstance(e, Sub):
-        return _eval(e.left, env) - _eval(e.right, env)
-    if isinstance(e, Mul):
-        return _eval(e.left, env) * _eval(e.right, env)
-    if isinstance(e, Neg):
-        return -_eval(e.operand, env)
-    if isinstance(e, Div):
-        num = _eval(e.left, env)
-        den = _eval(e.right, env)
-        if np.any(den == 0):
-            z = _offending_point(den == 0, env)
-            raise EvaluationError("division by zero", z)
-        return num / den
-    if isinstance(e, Pow):
-        base = _eval(e.base, env)
-        if e.exponent == 0:
+    op, args = e.op, e.args
+    if op == "const":
+        return args[0]
+    if op == "var":
+        return env[args[0]]
+    if op == "^":
+        base, exponent = _eval(args[0], env), args[1]
+        if exponent == 0:
             return np.ones_like(base) if isinstance(base, np.ndarray) else 1 + 0j
-        return base ** e.exponent
-    if type(e) in _UFUNCS:
-        return _UFUNCS[type(e)](_eval(e.operand, env))
-    raise TypeError(f"not an expression node: {e!r}")
+        return base ** exponent
+    values = [_eval(arg, env) for arg in args]
+    if op == "/" and np.any(values[1] == 0):
+        z = _offending_point(values[1] == 0, env)
+        raise EvaluationError("division by zero", z)
+    return _OPERATIONS[op](*values)
 
 
 def _offending_point(mask, env):
@@ -322,25 +271,26 @@ def poly_coeffs(e):
     exp/sin/cos node): the package's one test of which trees are
     polynomials.  The zero polynomial gives array([0j]).
     """
-    if isinstance(e, Const):
-        return np.array([e.value], dtype=complex)
-    if isinstance(e, Var):
+    op, args = e.op, e.args
+    if op == "const":
+        return np.array([args[0]], dtype=complex)
+    if op == "var":
         return np.array([0j, 1 + 0j])
-    if isinstance(e, Add):
-        return _trim(_padded_sum(poly_coeffs(e.left), poly_coeffs(e.right)))
-    if isinstance(e, Sub):
-        return _trim(_padded_sum(poly_coeffs(e.left), -poly_coeffs(e.right)))
-    if isinstance(e, Neg):
-        return -poly_coeffs(e.operand)
-    if isinstance(e, Mul):
-        return _trim(np.convolve(poly_coeffs(e.left), poly_coeffs(e.right)))
-    if isinstance(e, Pow):
-        base = poly_coeffs(e.base)
+    if op == "+":
+        return _trim(_padded_sum(poly_coeffs(args[0]), poly_coeffs(args[1])))
+    if op == "-":
+        return _trim(_padded_sum(poly_coeffs(args[0]), -poly_coeffs(args[1])))
+    if op == "neg":
+        return -poly_coeffs(args[0])
+    if op == "*":
+        return _trim(np.convolve(poly_coeffs(args[0]), poly_coeffs(args[1])))
+    if op == "^":
+        base = poly_coeffs(args[0])
         out = np.array([1 + 0j])
-        for _ in range(e.exponent):
+        for _ in range(args[1]):
             out = np.convolve(out, base)
         return _trim(out)
-    raise ValueError(f"not a polynomial: a {type(e).__name__} node")
+    raise ValueError(f"not a polynomial: a {op!r} node")
 
 
 def _padded_sum(a, b):

@@ -5,25 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holosphere.chain import build_alpha_chain
 from holosphere.domain import Domain
 from holosphere.errors import EvaluationError, ParseError
 from holosphere.expr import (
-    Add,
     Antiderivative,
-    Const,
-    Cos,
-    Div,
-    Exp,
-    Mul,
-    Neg,
-    Pow,
-    Sin,
-    Sub,
-    Var,
+    HoloExpr,
     eval_expr,
     parse_expr,
     poly_coeffs,
 )
+
+
+def _node(op):
+    """The test's builder of `op` nodes: `_node("+")(a, b)` is a + b."""
+    return lambda *args: HoloExpr(op, args)
+
+
+Var, Const, Neg, Pow, Exp, Sin, Cos = map(
+    _node, ("var", "const", "neg", "^", "exp", "sin", "cos"))
+Add, Sub, Mul, Div = map(_node, "+-*/")
 
 Z = Var("z")
 SQUARE = Domain.rectangle(-1 - 1j, 1 + 1j, base_point=0j)
@@ -195,19 +196,18 @@ class TestWirtingerHolomorphy:
 def _text(e):
     """Fully parenthesized text of a tree: every operator node is wrapped
     in its own parentheses, so the text does not rest on precedence."""
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return "i" if e.value == 1j else repr(e.value.real)
-    if isinstance(e, Neg):
-        return f"(-{_text(e.operand)})"
-    if isinstance(e, Pow):
-        return f"({_text(e.base)}^{e.exponent})"
-    for kind, name in ((Exp, "exp"), (Sin, "sin"), (Cos, "cos")):
-        if isinstance(e, kind):
-            return f"{name}({_text(e.operand)})"
-    op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
-    return f"({_text(e.left)}{op}{_text(e.right)})"
+    op, args = e.op, e.args
+    if op == "var":
+        return args[0]
+    if op == "const":
+        return "i" if args[0] == 1j else repr(args[0].real)
+    if op == "neg":
+        return f"(-{_text(args[0])})"
+    if op == "^":
+        return f"({_text(args[0])}^{args[1]})"
+    if op in ("exp", "sin", "cos"):
+        return f"{op}({_text(args[0])})"
+    return f"({_text(args[0])}{op}{_text(args[1])})"
 
 
 _atoms = st.one_of(
@@ -257,3 +257,27 @@ def test_parse_print_idempotent(text, tree):
     # precedence as written, and the same tree from its parenthesized text
     assert parse_expr(text) == tree
     assert parse_expr(_text(tree)) == tree
+
+
+# --- one node type --------------------------------------------------------
+
+_ROOT_OPS = [("z", "var"), ("2", "const"), ("i", "const"), ("z+1", "+"),
+             ("z-1", "-"), ("2*z", "*"), ("1/z", "/"), ("-z", "neg"),
+             ("z^2", "^"), ("exp(z)", "exp"), ("sin(z)", "sin"),
+             ("cos(z)", "cos")]
+
+
+@pytest.mark.parametrize("text, op", _ROOT_OPS, ids=[t for t, _ in _ROOT_OPS])
+def test_one_node_type(text, op):
+    tree = parse_expr(text)
+    assert type(tree) is HoloExpr and tree.op == op
+    assert HoloExpr.__subclasses__() == []
+    # the pole of 1/z moves off the surrogate's disk; the root op stays
+    shifted = text.replace("z", "(z+3)")
+    if op in ("/", "exp", "sin", "cos"):
+        with pytest.raises(ValueError, match=f"not a polynomial: a '{op}' node"):
+            poly_coeffs(tree)
+        assert [s["index"] for s in build_alpha_chain([shifted]).surrogates] == [0]
+    else:
+        poly_coeffs(tree)
+        assert build_alpha_chain([shifted]).surrogates == ()
